@@ -195,8 +195,7 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> GridChangeOfBasis:
             SE = surj @ E
             if not is_invertible(SE):
                 raise AssertionError("internal: complement does not project onto W")
-            base = inverse(hstack([inj, E]))
-            assert base is not None
+            base = _inv(hstack([inj, E]))
             row.append(block_diag([Matrix.identity(field, W.Vdims[c]), SE]) @ base)
         C.append(row)
 
@@ -398,8 +397,7 @@ def chain_colimit(field, dims: list[int], maps: list[Matrix]) -> ChainColimit:
         rel = hstack(cols)
     im = image_basis(rel)
     reps = complement_basis(im, total)
-    full = inverse(hstack([im, reps]))
-    assert full is not None
+    full = _inv(hstack([im, reps]))
     classes = Matrix(field, full.data[im.cols :, :])
     injections = []
     for i in range(k):
@@ -482,11 +480,13 @@ def kappa_check(G: BidirectedGrid, W: SESWitness, basis: GridChangeOfBasis) -> E
         up_comp[r] = G.up[r][n - 1] @ up_comp[r + 1]
     corner_tuple = vstack(up_comp)  # corner cell -> compatible tuple in column n
     corner_lim = solve_linear(col_limits[n - 1].basis, corner_tuple)
-    assert corner_lim is not None
+    if corner_lim is None:
+        raise AssertionError("internal: corner tuple is not in the column limit")
     psi_source = source.injections[n - 1] @ corner_lim @ _inv(basis.at(m - 1, n - 1))
     psi_target_raw = vstack([row_colims[r].injections[n - 1] @ up_comp[r] for r in range(m)])
     psi_target_lim = solve_linear(target.basis, psi_target_raw)
-    assert psi_target_lim is not None
+    if psi_target_lim is None:
+        raise AssertionError("internal: corner image is not in the iterated colimit")
     psi_target = psi_target_lim @ _inv(basis.at(m - 1, n - 1))
     if not (is_invertible(psi_source) and is_invertible(psi_target)):
         raise AssertionError("internal: corner does not span the iterated (co)limits")

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import bidirected as bd
 from .duality import dual_object
-from .exactla import FieldSpec
 from .generators import rand_grid, rand_indtower, rand_tate, rand_tower
-from .serialize import ParseError, grid_doc, matrix_doc, parse_grid, parse_space, space_doc
+from .serialize import ParseError, grid_doc, matrix_doc, parse_field, parse_grid, parse_space, space_doc
 from .spaces import IndLCObj, IndTower, ProDiscObj, TateObj, Tower
 from .suites import SUITES, run_suite
 from .tensor import (
@@ -65,7 +64,7 @@ def _seed(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    field = FieldSpec(args.field)
+    field = parse_field({"field": args.field})
     rng = np.random.default_rng(_seed(args))
     if args.kind == "grid":
         planted = rand_grid(rng, field, m=args.m, n=args.n)

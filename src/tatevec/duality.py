@@ -175,12 +175,11 @@ class SelfDualSplit:
 
 def self_dual_decompose(V: FilteredSpace, phi: Matrix, L: Matrix) -> SelfDualSplit:
     n = V.dim
-    if phi.shape != (n, n) or not is_invertible(phi):
+    phi_inv = inverse(phi) if phi.shape == (n, n) else None
+    if phi_inv is None:
         raise ValueError("pairing map must be an invertible n x n matrix")
     if not lattice_check(V, L, "c").ok:
         raise ValueError("L is not a c-lattice of the filtered space")
-    phi_inv = inverse(phi)
-    assert phi_inv is not None
 
     L_perp = kernel_basis(L.T)  # functionals vanishing on L
     K = intersect_columns(L, phi_inv @ L_perp)
@@ -188,15 +187,10 @@ def self_dual_decompose(V: FilteredSpace, phi: Matrix, L: Matrix) -> SelfDualSpl
 
     K_perp = kernel_basis(K.T)
     P = phi_inv @ K_perp
-    # K sits inside phi^{-1}(K-perp); complete it by columns of P in order
-    current = K
-    f_cols = []
-    for j in range(P.cols):
-        cand = hstack([current, P.col(j)])
-        if rank(cand) == rank(current) + 1:
-            current = cand
-            f_cols.append(j)
-    F = P.take_cols(f_cols)
+    # K sits inside phi^{-1}(K-perp); complete it greedily by columns of P in
+    # order, which keeps exactly the P-block pivots of rref([K | P])
+    _, pivots = rref(hstack([K, P]))
+    F = P.take_cols(c - K.cols for c in pivots if c >= K.cols)
 
     notes = []
     if K.cols == 0:
@@ -242,13 +236,15 @@ def extend_functional(B: FilteredSpace, A: Matrix, f: Matrix, k: int) -> Matrix:
     meet = intersect_columns(A, Uk)
     if meet.cols:
         coords = solve_linear(A, meet)
-        assert coords is not None
+        if coords is None:
+            raise AssertionError("internal: A meet U_k is not inside A")
         if not (f @ coords).is_zero():
             raise ValueError("continuity witness fails: f does not kill A meet U_k")
 
     Q = complement_basis(Uk, n)
     T_inv = inverse(hstack([Uk, Q]))
-    assert T_inv is not None
+    if T_inv is None:
+        raise AssertionError("internal: U_k + complement is not a basis")
     qcoord = Matrix(B.field, T_inv.data[Uk.cols :, :])  # B -> B/U_k coordinates
 
     Abar = qcoord @ A

@@ -5,6 +5,10 @@ decompositions) reduces to the operations in this module.  Arithmetic is
 exact modulo a prime; there are no tolerances anywhere.  All tie-breaking
 (pivot choice, free variables, complement completion) is lexicographic so
 that repeated runs are byte-identical.
+
+Every elimination goes through the one `rref` kernel: rank, solve,
+kernel, image, complement, inverse and span tests each read what they need
+from a single echelon form, of M itself or of M with a block appended.
 """
 
 from __future__ import annotations
@@ -34,13 +38,24 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# the rank-1 row update of `rref` holds values down to -(p-1)^2 and up to
+# p-1 in int64; larger moduli would overflow it
+_INT64_LIMIT = 2**63
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """A prime field GF(p), p checked by trial division."""
+    """A prime field GF(p), p checked by trial division.
+
+    p must satisfy (p-1)^2 + (p-1) < 2^63, so that elimination stays exact
+    in int64; larger moduli are rejected before the primality test.
+    """
 
     p: int
 
     def __post_init__(self):
+        if (self.p - 1) ** 2 + (self.p - 1) >= _INT64_LIMIT:
+            raise ValueError(f"modulus {self.p} is too large for exact int64 elimination")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -135,7 +150,11 @@ class Matrix:
         self._check_field(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"{self.shape} @ {other.shape}")
-        return Matrix(self.field, (self.data @ other.data) % self.field.p)
+        a, b = self.data, other.data
+        if self.cols * (self.field.p - 1) ** 2 >= _INT64_LIMIT:
+            # the int64 dot product could overflow; Python ints cannot
+            a, b = a.astype(object), b.astype(object)
+        return Matrix(self.field, (a @ b) % self.field.p)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -159,11 +178,7 @@ class Matrix:
         return Matrix(self.field, self.data[:, j : j + 1])
 
     def take_cols(self, indices) -> "Matrix":
-        indices = list(indices)
-        out = np.zeros((self.rows, len(indices)), dtype=np.int64)
-        for j, c in enumerate(indices):
-            out[:, j] = self.data[:, c]
-        return Matrix(self.field, out)
+        return Matrix(self.field, self.data[:, list(indices)])
 
     # -- serialization -----------------------------------------------------
 
@@ -221,7 +236,10 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form with lexicographic pivoting.
 
     Columns are scanned left to right; the pivot is the first row at or
-    below the current one with a nonzero entry.  Returns (R, pivot_cols).
+    below the current one with a nonzero entry.  Each pivot clears its
+    column with one rank-1 update, reduced mod p once per pivot; the
+    FieldSpec bound on p keeps that update inside int64.  Returns
+    (R, pivot_cols).
     """
     p = M.field.p
     A = M.data.copy()
@@ -231,20 +249,19 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     for c in range(n):
         if r == m:
             break
-        pivot = -1
-        for i in range(r, m):
-            if A[i, c] != 0:
-                pivot = i
-                break
-        if pivot == -1:
+        below = np.flatnonzero(A[r:, c])
+        if below.size == 0:
             continue
+        pivot = r + int(below[0])
         if pivot != r:
             A[[r, pivot]] = A[[pivot, r]]
-        inv = M.field.inv(int(A[r, c]))
-        A[r] = (A[r] * inv) % p
-        for i in range(m):
-            if i != r and A[i, c] != 0:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
+        if A[r, c] != 1:
+            A[r, c:] = (A[r, c:] * M.field.inv(int(A[r, c]))) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        rows = np.flatnonzero(col)
+        if rows.size:
+            A[rows, c:] = (A[rows, c:] - np.outer(col[rows], A[r, c:])) % p
         pivots.append(c)
         r += 1
     return Matrix(M.field, A), pivots
@@ -254,39 +271,40 @@ def rank(M: Matrix) -> int:
     return len(rref(M)[1])
 
 
+def _solve(M: Matrix, B: Matrix) -> tuple[int, Optional[Matrix]]:
+    """rank(M) and the canonical X with MX = B (None if inconsistent),
+    both read from one RREF of [M | B]."""
+    M._check_field(B)
+    if M.rows != B.rows:
+        raise ShapeMismatchError(f"solve: {M.shape} vs rhs {B.shape}")
+    R, pivots = rref(hstack([M, B]))
+    n = M.cols
+    r = sum(c < n for c in pivots)
+    # a pivot in the augmented block means 0 = nonzero
+    if r < len(pivots):
+        return r, None
+    X = np.zeros((n, B.cols), dtype=np.int64)
+    X[pivots] = R.data[:r, n:]
+    return r, Matrix(M.field, X)
+
+
 def solve_linear(M: Matrix, B: Matrix) -> Optional[Matrix]:
     """Canonical solution X of MX = B, or None if inconsistent.
 
     Free variables (non-pivot columns of the RREF) are set to 0, which
     makes the solution unique and reproducible.
     """
-    M._check_field(B)
-    if M.rows != B.rows:
-        raise ShapeMismatchError(f"solve: {M.shape} vs rhs {B.shape}")
-    R, pivots = rref(hstack([M, B]) if B.cols else Matrix(M.field, M.data))
-    n, k = M.cols, B.cols
-    if k == 0:
-        return Matrix.zeros(M.field, n, 0)
-    # a pivot in the augmented block means 0 = nonzero
-    if any(c >= n for c in pivots):
-        return None
-    X = np.zeros((n, k), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        X[c] = R.data[r, n:]
-    return Matrix(M.field, X)
+    return _solve(M, B)[1]
 
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Canonical RREF-derived kernel basis, columns indexed by free columns."""
     R, pivots = rref(M)
-    p = M.field.p
     n = M.cols
     free = [c for c in range(n) if c not in pivots]
     K = np.zeros((n, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        K[fc, j] = 1
-        for r, pc in enumerate(pivots):
-            K[pc, j] = (-R.data[r, fc]) % p
+    K[free, range(len(free))] = 1
+    K[pivots] = -R.data[: len(pivots), free]
     return Matrix(M.field, K)
 
 
@@ -299,31 +317,17 @@ def image_basis(M: Matrix) -> Matrix:
 def complement_basis(S: Matrix, ambient_dim: int) -> Matrix:
     """Greedy completion of the column span of S by e1, e2, ... in index order.
 
-    Standard basis vectors already in the running span are skipped.  S must
+    Standard basis vectors already in the running span are skipped; the
+    ones kept are the pivots in the identity block of rref([S | I]).  S must
     have independent columns inside the ambient space.
     """
     if S.rows != ambient_dim:
         raise ShapeMismatchError(f"S has {S.rows} rows, ambient dim {ambient_dim}")
-    if rank(S) != S.cols:
+    k = S.cols
+    _, pivots = rref(hstack([S, Matrix.identity(S.field, ambient_dim)]))
+    if pivots[:k] != list(range(k)):
         raise ValueError("complement: input columns are dependent")
-    field = S.field
-    current = S
-    r = current.cols
-    chosen: list[int] = []
-    for i in range(ambient_dim):
-        if r == ambient_dim:
-            break
-        e = np.zeros((ambient_dim, 1), dtype=np.int64)
-        e[i, 0] = 1
-        cand = hstack([current, Matrix(field, e)])
-        if rank(cand) > r:
-            current = cand
-            chosen.append(i)
-            r += 1
-    out = np.zeros((ambient_dim, len(chosen)), dtype=np.int64)
-    for j, i in enumerate(chosen):
-        out[i, j] = 1
-    return Matrix(field, out)
+    return Matrix.identity(S.field, ambient_dim).take_cols(c - k for c in pivots[k:])
 
 
 def subspace_basis(M: Matrix, mode: str, ambient_dim: Optional[int] = None) -> Matrix:
@@ -341,13 +345,10 @@ def subspace_basis(M: Matrix, mode: str, ambient_dim: Optional[int] = None) -> M
 
 def factor_through(f: Matrix, alpha: Matrix) -> Matrix:
     """theta with f @ theta = alpha, for surjective f; columnwise canonical solve."""
-    f._check_field(alpha)
-    if f.rows != alpha.rows:
-        raise ShapeMismatchError(f"factor_through: {f.shape} vs {alpha.shape}")
-    if rank(f) != f.rows:
+    r, theta = _solve(f, alpha)
+    # with rank f == f.rows no pivot lands in the alpha block, so theta exists
+    if r != f.rows:
         raise ValueError("factor_through: f is not surjective")
-    theta = solve_linear(f, alpha)
-    assert theta is not None  # surjectivity makes every system consistent
     return theta
 
 
@@ -358,13 +359,14 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
 
 
 def inverse(M: Matrix) -> Optional[Matrix]:
-    """Exact inverse, or None if singular."""
+    """Exact inverse, the right block of rref([M | I]); None if singular."""
     if M.rows != M.cols:
         return None
-    X = solve_linear(M, Matrix.identity(M.field, M.rows))
-    if X is None or rank(M) != M.rows:
+    n = M.rows
+    R, pivots = rref(hstack([M, Matrix.identity(M.field, n)]))
+    if pivots[:n] != list(range(n)):
         return None
-    return X
+    return Matrix(M.field, R.data[:, n:])
 
 
 def is_invertible(M: Matrix) -> bool:
@@ -377,10 +379,12 @@ def is_invertible(M: Matrix) -> bool:
 
 
 def span_contains(S: Matrix, V: Matrix) -> bool:
-    """True iff every column of V lies in the column span of S."""
+    """True iff every column of V lies in the column span of S, i.e. iff
+    rref([S | V]) has no pivot in the V block."""
     if V.cols == 0:
         return True
-    return rank(hstack([S, V])) == rank(S)
+    _, pivots = rref(hstack([S, V]))
+    return not pivots or pivots[-1] < S.cols
 
 
 def spans_equal(S: Matrix, T: Matrix) -> bool:

@@ -88,8 +88,7 @@ def lift_splitting(ladder: SESLadder) -> tuple[Matrix, Matrix, Matrix]:
     S2_corr = S2 - ladder.i2 @ theta
 
     basis = hstack([ladder.i2, S2_corr])
-    basis_inv = inverse(basis)
-    assert basis_inv is not None
+    basis_inv = _inv_or_die(basis)
     pi2 = Matrix(field, basis_inv.data[:a2, :])
 
     S1 = kernel_basis(ladder.pi1)
@@ -156,7 +155,8 @@ def _quotient_level(B: FilteredSpace, A: Matrix, Uk: Matrix) -> _QuotientLevel:
     meet = intersect_columns(A, Uk)
     if meet.cols:
         I_k = solve_linear(A, meet)
-        assert I_k is not None
+        if I_k is None:
+            raise AssertionError("internal: A meet V_k is not inside A")
     else:
         I_k = Matrix.zeros(field, A.cols, 0)
     R = complement_basis(I_k, A.cols)

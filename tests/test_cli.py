@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tatevec.cli import main
 from tatevec.exactla import FieldSpec
 from tatevec.generators import rand_grid, rand_indtower, rand_tate, rand_tower
@@ -53,6 +55,12 @@ class TestGenDecompose:
         rep = json.loads(out)
         assert rep["ok"] is False
         assert any("(1,1)" in v for v in rep["violations"])
+
+    @pytest.mark.parametrize("field", ["4", "1", str(10**18 + 3)])
+    def test_gen_bad_field_is_malformed(self, capsys, field):
+        code, out = run_cli(capsys, "gen", "--kind", "tower", "--field", field)
+        assert code == 2
+        assert json.loads(out)["path"] == "$.field"
 
     def test_missing_witness_is_malformed(self, tmp_path, capsys):
         import numpy as np

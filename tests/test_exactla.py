@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tatevec.duality import self_dual_decompose
 from tatevec.exactla import (
     FieldMismatchError,
     FieldSpec,
@@ -22,6 +23,7 @@ from tatevec.exactla import (
     span_contains,
     subspace_basis,
 )
+from tatevec.generators import rand_filtered_space, rand_invertible
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -34,8 +36,16 @@ def M(field, data):
 
 class TestFieldSpec:
     def test_accepts_primes(self):
-        for p in (2, 3, 5, 7, 101):
+        for p in (2, 3, 5, 7, 101, 2**31 - 1):
             assert FieldSpec(p).p == p
+
+    def test_rejects_moduli_past_the_int64_bound(self):
+        # the largest prime with (p-1)^2 + (p-1) < 2^63 is accepted
+        assert FieldSpec(3037000493).p == 3037000493
+        # 10^18 + 3 is prime; rejected before any trial division
+        for p in (3037000507, 10**18 + 3, 2**61 - 1):
+            with pytest.raises(ValueError, match="too large"):
+                FieldSpec(p)
 
     @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 100])
     def test_rejects_composites(self, p):
@@ -71,6 +81,13 @@ class TestMatrixBasics:
     def test_json_round_trip(self):
         m = M(GF5, [[1, 2, 3], [4, 0, 1]])
         assert Matrix.from_json(GF5, m.to_json()) == m
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+    def test_matmul_exact_past_int64_accumulation(self, p):
+        # 4 * (p-1)^2 >= 2^63, so an int64 dot product would wrap
+        field = FieldSpec(p)
+        A = Matrix(field, np.full((4, 4), p - 1, dtype=np.int64))
+        assert (A @ A).data.tolist() == [[4] * 4] * 4
 
     def test_zero_dim_matrices(self):
         z = Matrix.zeros(GF2, 0, 3)
@@ -231,3 +248,172 @@ class TestHelpers:
         A = M(GF2, [[1], [0]])
         Z = Matrix.zeros(GF2, 2, 0)
         assert intersect_columns(A, Z).cols == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the row loop and greedy rank tests that the
+# single-echelon kernel replaced.  The kernel must agree with them exactly.
+# ---------------------------------------------------------------------------
+
+
+def ref_rref(A):
+    p = A.field.p
+    R = A.data.copy()
+    m, n = R.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pivot = -1
+        for i in range(r, m):
+            if R[i, c] != 0:
+                pivot = i
+                break
+        if pivot == -1:
+            continue
+        if pivot != r:
+            R[[r, pivot]] = R[[pivot, r]]
+        R[r] = (R[r] * A.field.inv(int(R[r, c]))) % p
+        for i in range(m):
+            if i != r and R[i, c] != 0:
+                R[i] = (R[i] - R[i, c] * R[r]) % p
+        pivots.append(c)
+        r += 1
+    return Matrix(A.field, R), pivots
+
+
+def ref_rank(A):
+    return len(ref_rref(A)[1])
+
+
+def ref_solve(A, B):
+    R, pivots = ref_rref(hstack([A, B]))
+    n = A.cols
+    if any(c >= n for c in pivots):
+        return None
+    X = np.zeros((n, B.cols), dtype=np.int64)
+    for r, c in enumerate(pivots):
+        X[c] = R.data[r, n:]
+    return Matrix(A.field, X)
+
+
+def ref_kernel(A):
+    R, pivots = ref_rref(A)
+    n = A.cols
+    free = [c for c in range(n) if c not in pivots]
+    K = np.zeros((n, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        K[fc, j] = 1
+        for r, pc in enumerate(pivots):
+            K[pc, j] = -R.data[r, fc]
+    return Matrix(A.field, K)
+
+
+def ref_greedy_cols(S, P):
+    """Columns of P, in order, that raise the rank of the running span."""
+    current, chosen = S, []
+    for j in range(P.cols):
+        cand = hstack([current, P.col(j)])
+        if ref_rank(cand) == ref_rank(current) + 1:
+            current = cand
+            chosen.append(j)
+    return chosen
+
+
+def ref_complement(S, n):
+    if ref_rank(S) != S.cols:
+        raise ValueError("dependent")
+    return Matrix.identity(S.field, n).take_cols(ref_greedy_cols(S, Matrix.identity(S.field, n)))
+
+
+def ref_inverse(A):
+    if A.rows != A.cols:
+        return None
+    X = ref_solve(A, Matrix.identity(A.field, A.rows))
+    if X is None or ref_rank(A) != A.rows:
+        return None
+    return X
+
+
+def ref_span_contains(S, V):
+    return V.cols == 0 or ref_rank(hstack([S, V])) == ref_rank(S)
+
+
+PRIMES = [2, 5, 101, 65521]
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (3, 9), (9, 3), (7, 7), (12, 5)]
+
+
+def _matrices(p, count=3):
+    """Seeded full-rank-ish, rank-deficient and sparse matrices of every shape."""
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p)
+    for m, n in SHAPES:
+        for _ in range(count):
+            yield Matrix(field, rng.integers(0, p, size=(m, n)))
+            k = int(rng.integers(0, min(m, n) + 1))
+            yield Matrix(field, rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n)) % p)
+            mask = rng.random((m, n)) < 0.25
+            yield Matrix(field, rng.integers(0, p, size=(m, n)) * mask)
+
+
+def _independent(A):
+    return A.take_cols(ref_rref(A)[1])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+class TestKernelMatchesReference:
+    def test_rref(self, p):
+        for A in _matrices(p):
+            assert rref(A) == ref_rref(A)
+
+    def test_solve_and_kernel(self, p):
+        rng = np.random.default_rng(p + 1)
+        for A in _matrices(p):
+            B = Matrix(A.field, rng.integers(0, p, size=(A.rows, 2)))
+            for rhs in (B, A @ Matrix(A.field, rng.integers(0, p, size=(A.cols, 2)))):
+                assert solve_linear(A, rhs) == ref_solve(A, rhs)
+            assert kernel_basis(A) == ref_kernel(A)
+
+    def test_complement(self, p):
+        for A in _matrices(p):
+            S = _independent(A)
+            assert complement_basis(S, S.rows) == ref_complement(S, S.rows)
+
+    def test_complement_dependent_input(self, p):
+        for A in _matrices(p):
+            if ref_rank(A) == A.cols:
+                continue
+            with pytest.raises(ValueError, match="dependent"):
+                ref_complement(A, A.rows)
+            with pytest.raises(ValueError, match="dependent"):
+                complement_basis(A, A.rows)
+
+    def test_inverse(self, p):
+        for A in _matrices(p):
+            assert inverse(A) == ref_inverse(A)
+
+    def test_span_contains(self, p):
+        rng = np.random.default_rng(p + 2)
+        for A in _matrices(p):
+            inside = A @ Matrix(A.field, rng.integers(0, p, size=(A.cols, 2)))
+            other = Matrix(A.field, rng.integers(0, p, size=(A.rows, 1)))
+            for V in (inside, other, hstack([inside, other]), Matrix.zeros(A.field, A.rows, 0)):
+                assert span_contains(A, V) == ref_span_contains(A, V)
+
+    def test_self_dual_f_completion(self, p):
+        # F is the greedy completion of K inside phi^{-1}(K-perp)
+        field = FieldSpec(p)
+        rng = np.random.default_rng(p + 3)
+        checked = 0
+        for _ in range(30):
+            V = rand_filtered_space(rng, field, max_dim=8, max_flags=4)
+            phi = rand_invertible(rng, field, V.dim)
+            try:
+                out = self_dual_decompose(V, phi, V.flags[0])
+            except (ValueError, AssertionError):
+                continue  # L is no c-lattice, or K + F is not dual to D
+            P = ref_inverse(phi) @ ref_kernel(out.K.T)
+            assert out.F == P.take_cols(ref_greedy_cols(out.K, P))
+            checked += 1
+        assert checked >= 20

@@ -1,0 +1,109 @@
+"""Internal checks on kernel results raise AssertionError("internal: ...").
+
+A plain `assert` vanishes under `python -O`; these checks must not.  Each
+case makes one `inverse` or `solve_linear` call report failure and expects
+the named internal error, not a crash further on.
+"""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+from tatevec import bidirected, duality, exactla, splitting
+from tatevec.exactla import FieldSpec, Matrix
+from tatevec.generators import rand_grid
+from tatevec.spaces import FilteredSpace
+
+GF2 = FieldSpec(2)
+
+
+def _fail_call(monkeypatch, module, name, which=1):
+    """Make the `which`-th call of module.name return None."""
+    real = getattr(module, name)
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        return None if len(calls) == which else real(*args)
+
+    monkeypatch.setattr(module, name, fake)
+
+
+def _monomial_space():
+    # k[t]/t^3 in monomial basis (1, t, t^2); flags span{t,t^2} > span{t^2} > 0
+    U1 = Matrix(GF2, [[0, 0], [1, 0], [0, 1]])
+    U2 = Matrix(GF2, [[0], [0], [1]])
+    return FilteredSpace(GF2, 3, [U1, U2, Matrix.zeros(GF2, 3, 0)])
+
+
+def _planted(m, n):
+    return rand_grid(np.random.default_rng(0), GF2, m=m, n=n)
+
+
+@pytest.mark.parametrize("module", [exactla, splitting, duality, bidirected])
+def test_no_assert_statements(module):
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_split_grid_change_of_basis(monkeypatch):
+    planted = _planted(2, 2)
+    _fail_call(monkeypatch, bidirected, "inverse")
+    with pytest.raises(AssertionError, match="^internal: singular change of basis"):
+        bidirected.split_grid(planted.grid, planted.witness)
+
+
+def test_chain_colimit_classes(monkeypatch):
+    _fail_call(monkeypatch, bidirected, "inverse")
+    with pytest.raises(AssertionError, match="^internal: singular change of basis"):
+        bidirected.chain_colimit(GF2, [1, 1], [Matrix.identity(GF2, 1)])
+
+
+@pytest.mark.parametrize(
+    "which,message",
+    [(2, "corner tuple is not in the column limit"), (3, "corner image is not in the iterated colimit")],
+)
+def test_kappa_check_corner(monkeypatch, which, message):
+    # on a 1 x 1 grid the solves are, in order: kappa, corner, corner image
+    planted = _planted(1, 1)
+    basis = bidirected.split_grid(planted.grid, planted.witness)
+    _fail_call(monkeypatch, bidirected, "solve_linear", which)
+    with pytest.raises(AssertionError, match=f"^internal: {message}"):
+        bidirected.kappa_check(planted.grid, planted.witness, basis)
+
+
+def test_lift_splitting_basis(monkeypatch):
+    one = Matrix.identity(GF2, 1)
+    ladder = splitting.SESLadder(
+        i1=Matrix(GF2, [[1], [0]]),
+        p1=Matrix(GF2, [[0, 1]]),
+        i2=Matrix(GF2, [[1], [0]]),
+        p2=Matrix(GF2, [[0, 1]]),
+        f=one,
+        g=Matrix(GF2, [[1, 1], [0, 1]]),
+        h=one,
+        pi1=Matrix(GF2, [[1, 0]]),
+    )
+    _fail_call(monkeypatch, splitting, "inverse")
+    with pytest.raises(AssertionError, match="^internal: expected invertible matrix"):
+        splitting.lift_splitting(ladder)
+
+
+def test_quotient_level_meet(monkeypatch):
+    _fail_call(monkeypatch, splitting, "solve_linear")
+    with pytest.raises(AssertionError, match="^internal: A meet V_k is not inside A"):
+        splitting.split_filtered_ses(_monomial_space(), Matrix(GF2, [[0], [0], [1]]))
+
+
+def test_extend_functional_meet(monkeypatch):
+    _fail_call(monkeypatch, duality, "solve_linear")
+    with pytest.raises(AssertionError, match="^internal: A meet U_k is not inside A"):
+        duality.extend_functional(_monomial_space(), Matrix.identity(GF2, 3), Matrix(GF2, [[1, 0, 0]]), 1)
+
+
+def test_extend_functional_quotient_basis(monkeypatch):
+    _fail_call(monkeypatch, duality, "inverse")
+    with pytest.raises(AssertionError, match="^internal: U_k \\+ complement is not a basis"):
+        duality.extend_functional(_monomial_space(), Matrix(GF2, [[1], [1], [0]]), Matrix(GF2, [[1]]), 3)
