@@ -5,10 +5,11 @@ along rows (up maps toward row 1, row r encoding the r-th action cutoff
 below zero) and direct along columns.  A short-exact-sequence witness
 exhibits each cell as an extension of a constant inverse system W_r by a
 constant direct system V_c; `split_grid` then conjugates every cell into
-the split form by the double induction with graph corrections, after which
-the iterated limit/colimit data, the canonical exchange map, duality, and
-user-supplied multiplication/comultiplication windows can all be read off
-and verified exactly.
+the split form by the double induction with graph corrections.  The result
+is one verified `SplitGrid` (basis and inverse per cell), from which the
+iterated limit/colimit data, the canonical exchange map, duality, and
+user-supplied multiplication/comultiplication windows are all read off and
+verified exactly.
 
 All verification is exact mod p; reports use 1-based cell indices.
 """
@@ -78,19 +79,35 @@ class SESWitness:
 
 
 @dataclass(frozen=True)
-class GridChangeOfBasis:
-    """Invertible per-cell matrices into (V_c block, W_r block) coordinates."""
-
-    basis: tuple[tuple[Matrix, ...], ...]
-
-    def at(self, r: int, c: int) -> Matrix:
-        return self.basis[r][c]
-
-
-@dataclass(frozen=True)
 class GridReport:
     ok: bool
     violations: tuple[str, ...]
+
+
+class GridValidationError(ValueError):
+    """A grid or witness failed `validate_grid`; `report` lists every violation."""
+
+    def __init__(self, report: GridReport):
+        super().__init__("grid validation failed: " + "; ".join(report.violations))
+        self.report = report
+
+
+@dataclass(frozen=True)
+class SplitGrid:
+    """A grid and its witness with a verified change of basis per cell.
+
+    basis[r][c] maps cell (r, c) into (V_c block, W_r block) coordinates and
+    inverse[r][c] is its inverse.  Conjugated by them, every right map is
+    blockdiag(V-transition, identity) and every up map is
+    blockdiag(identity, W-transition).  `check_split` verifies all of this
+    once and is the only constructor, so every phase that takes a SplitGrid
+    trusts it.
+    """
+
+    grid: BidirectedGrid
+    witness: SESWitness
+    basis: tuple[tuple[Matrix, ...], ...]
+    inverse: tuple[tuple[Matrix, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -170,69 +187,66 @@ def _upper_corr(field, v: int, w: int, off: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def split_grid(G: BidirectedGrid, W: SESWitness) -> GridChangeOfBasis:
+def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     """Conjugate every cell into split (V_c block, W_r block) coordinates.
 
+    Validates the grid and witness once (GridValidationError on failure).
     After the returned change of basis, every right map is
     blockdiag(V-transition, identity) and every up map is
     blockdiag(identity, W-transition), exactly.  Row 1 is fixed by a column
     induction absorbing the off-diagonal block into a graph correction; the
-    remaining rows are fixed one at a time the same way, and the forced
-    vanishing of the lower rows' right-map off-diagonal blocks is
-    re-verified numerically.
+    remaining rows are fixed one at a time the same way, and `check_split`
+    re-verifies the result, including the forced vanishing of the lower
+    rows' right-map off-diagonal blocks.  Each correction [[I, x], [0, I]]
+    has inverse [[I, -x], [0, I]], so the inverses are carried along.
     """
     rep = validate_grid(G, W)
     if not rep.ok:
-        raise ValueError("grid validation failed: " + "; ".join(rep.violations))
+        raise GridValidationError(rep)
     field = G.field
 
+    # C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1)
     C: list[list[Matrix]] = []
+    C_inv: list[list[Matrix]] = []
     for r in range(G.m):
-        row = []
+        row, row_inv = [], []
         for c in range(G.n):
             inj, surj = W.inj[r][c], W.surj[r][c]
             E = complement_basis(inj, G.dims[r][c])
+            base = hstack([inj, E])
+            base_inv = _inv(base)
             SE = surj @ E
-            if not is_invertible(SE):
+            SE_inv = inverse(SE)
+            if SE_inv is None:
                 raise AssertionError("internal: complement does not project onto W")
-            base = _inv(hstack([inj, E]))
-            row.append(block_diag([Matrix.identity(field, W.Vdims[c]), SE]) @ base)
+            I_v = Matrix.identity(field, W.Vdims[c])
+            row.append(block_diag([I_v, SE]) @ base_inv)
+            row_inv.append(base @ block_diag([I_v, SE_inv]))
         C.append(row)
+        C_inv.append(row_inv)
 
-    def conj_right(r, c):
-        return C[r][c + 1] @ G.right[r][c] @ _inv(C[r][c])
-
-    def conj_up(r, c):
-        return C[r][c] @ G.up[r][c] @ _inv(C[r + 1][c])
+    def correct(r, c, v, w, off):
+        C[r][c] = _upper_corr(field, v, w, off) @ C[r][c]
+        C_inv[r][c] = C_inv[r][c] @ _upper_corr(field, v, w, -off)
 
     # row 1: absorb the off-diagonal blocks of the right maps
     for c in range(G.n - 1):
-        v1, w1 = W.Vdims[c], W.Wdims[0]
         v2, w2 = W.Vdims[c + 1], W.Wdims[0]
-        A, tau, Cc, D = _blocks(conj_right(0, c), v2, v1)
+        A, tau, Cc, D = _blocks(C[0][c + 1] @ G.right[0][c] @ C_inv[0][c], v2, W.Vdims[c])
         if A != W.Vmaps[c] or not Cc.is_zero() or D != Matrix.identity(field, w2):
             raise AssertionError("internal: right map lost its forced block shape")
-        C[0][c + 1] = _upper_corr(field, v2, w2, -tau) @ C[0][c + 1]
+        correct(0, c + 1, v2, w2, -tau)
 
     # remaining rows: absorb the up-map off-diagonal blocks row by row
     for r in range(G.m - 1):
         for c in range(G.n):
-            v, w_up, w_dn = W.Vdims[c], W.Wdims[r], W.Wdims[r + 1]
-            A, sigma, Cc, D = _blocks(conj_up(r, c), v, v)
+            v = W.Vdims[c]
+            A, sigma, Cc, D = _blocks(C[r][c] @ G.up[r][c] @ C_inv[r + 1][c], v, v)
             if A != Matrix.identity(field, v) or not Cc.is_zero() or D != W.Wmaps[r]:
                 raise AssertionError("internal: up map lost its forced block shape")
-            C[r + 1][c] = _upper_corr(field, v, w_dn, sigma) @ C[r + 1][c]
-        # commutation forces the corrected row's right maps block-diagonal
-        for c in range(G.n - 1):
-            want = block_diag([W.Vmaps[c], Matrix.identity(field, W.Wdims[r + 1])])
-            if conj_right(r + 1, c) != want:
-                raise AssertionError(
-                    "internal: right map of the corrected row is not block diagonal"
-                )
+            correct(r + 1, c, v, W.Wdims[r + 1], sigma)
 
-    basis = GridChangeOfBasis(tuple(tuple(row) for row in C))
-    check_split(G, W, basis, strict=True)
-    return basis
+    return check_split(G, W, C, C_inv)
 
 
 def _inv(M: Matrix) -> Matrix:
@@ -242,26 +256,34 @@ def _inv(M: Matrix) -> Matrix:
     return out
 
 
-def check_split(G: BidirectedGrid, W: SESWitness, basis: GridChangeOfBasis, strict=False) -> bool:
-    """Exhaustive exact check of the split normal form."""
+def check_split(G: BidirectedGrid, W: SESWitness, basis, inverse) -> SplitGrid:
+    """Verify a per-cell change of basis once and wrap it as a SplitGrid.
+
+    Checks exactly that basis[r][c] @ inverse[r][c] is the identity of a
+    cell of dimension |V_c| + |W_r|, and the split form of every right and
+    up map.  The first failure raises AssertionError naming its cell.
+    """
     field = G.field
+    basis = tuple(tuple(row) for row in basis)
+    inverse = tuple(tuple(row) for row in inverse)
+    for r in range(G.m):
+        for c in range(G.n):
+            B, B_inv, d = basis[r][c], inverse[r][c], G.dims[r][c]
+            if d != W.Vdims[c] + W.Wdims[r] or B.shape != (d, d) or B_inv.shape != (d, d):
+                raise AssertionError(f"split check failed: basis shape wrong at ({r + 1},{c + 1})")
+            if B @ B_inv != Matrix.identity(field, d):
+                raise AssertionError(f"split check failed: inverse wrong at ({r + 1},{c + 1})")
     for r in range(G.m):
         for c in range(G.n - 1):
             want = block_diag([W.Vmaps[c], Matrix.identity(field, W.Wdims[r])])
-            got = basis.at(r, c + 1) @ G.right[r][c] @ _inv(basis.at(r, c))
-            if got != want:
-                if strict:
-                    raise AssertionError(f"split check failed: right map at ({r + 1},{c + 1})")
-                return False
+            if basis[r][c + 1] @ G.right[r][c] @ inverse[r][c] != want:
+                raise AssertionError(f"split check failed: right map at ({r + 1},{c + 1})")
     for r in range(G.m - 1):
         for c in range(G.n):
             want = block_diag([Matrix.identity(field, W.Vdims[c]), W.Wmaps[r]])
-            got = basis.at(r, c) @ G.up[r][c] @ _inv(basis.at(r + 1, c))
-            if got != want:
-                if strict:
-                    raise AssertionError(f"split check failed: up map at ({r + 1},{c + 1})")
-                return False
-    return True
+            if basis[r][c] @ G.up[r][c] @ inverse[r + 1][c] != want:
+                raise AssertionError(f"split check failed: up map at ({r + 1},{c + 1})")
+    return SplitGrid(G, W, basis, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +312,8 @@ class GridDecomposition:
     corner_basis: Matrix
 
 
-def grid_decomposition(G: BidirectedGrid, W: SESWitness, basis: GridChangeOfBasis) -> GridDecomposition:
-    check_split(G, W, basis, strict=True)
+def grid_decomposition(S: SplitGrid) -> GridDecomposition:
+    G, W = S.grid, S.witness
     field = G.field
     c_tower = Tower.from_prefix(field, W.Wdims, W.Wmaps)
     d_ind = IndTower.from_prefix(field, W.Vdims, W.Vmaps)
@@ -307,8 +329,8 @@ def grid_decomposition(G: BidirectedGrid, W: SESWitness, basis: GridChangeOfBasi
         comp[r] = W.Wmaps[r] @ comp[r + 1]
 
     iota, pi, opens, opens_grid = [], [], [], []
-    corner = basis.at(m - 1, G.n - 1)
-    corner_inv = _inv(corner)
+    corner = S.basis[m - 1][G.n - 1]
+    corner_inv = S.inverse[m - 1][G.n - 1]
     prev_dim = None
     for r in range(m):
         # cutoff strictly above row r+1: project to V_n + W_r (W_0 = 0)
@@ -423,8 +445,8 @@ class ExchangeCertificate:
     ok: bool
 
 
-def kappa_check(G: BidirectedGrid, W: SESWitness, basis: GridChangeOfBasis) -> ExchangeCertificate:
-    check_split(G, W, basis, strict=True)
+def kappa_check(S: SplitGrid) -> ExchangeCertificate:
+    G, W = S.grid, S.witness
     field = G.field
     m, n = G.m, G.n
 
@@ -482,15 +504,16 @@ def kappa_check(G: BidirectedGrid, W: SESWitness, basis: GridChangeOfBasis) -> E
     corner_lim = solve_linear(col_limits[n - 1].basis, corner_tuple)
     if corner_lim is None:
         raise AssertionError("internal: corner tuple is not in the column limit")
-    psi_source = source.injections[n - 1] @ corner_lim @ _inv(basis.at(m - 1, n - 1))
+    corner_inv = S.inverse[m - 1][n - 1]
+    psi_source = source.injections[n - 1] @ corner_lim @ corner_inv
     psi_target_raw = vstack([row_colims[r].injections[n - 1] @ up_comp[r] for r in range(m)])
     psi_target_lim = solve_linear(target.basis, psi_target_raw)
     if psi_target_lim is None:
         raise AssertionError("internal: corner image is not in the iterated colimit")
-    psi_target = psi_target_lim @ _inv(basis.at(m - 1, n - 1))
-    if not (is_invertible(psi_source) and is_invertible(psi_target)):
+    psi_target_inv = inverse(psi_target_lim @ corner_inv)
+    if psi_target_inv is None or not is_invertible(psi_source):
         raise AssertionError("internal: corner does not span the iterated (co)limits")
-    normal = _inv(psi_target) @ kappa @ psi_source
+    normal = psi_target_inv @ kappa @ psi_source
     ok = normal == Matrix.identity(field, v_n + w_m) and is_invertible(kappa)
     return ExchangeCertificate(kappa, normal, ok)
 
@@ -508,17 +531,15 @@ class DualGridResult:
     detail: str
 
 
-def dual_grid(G: BidirectedGrid, W: SESWitness) -> DualGridResult:
+def dual_grid(S: SplitGrid) -> DualGridResult:
     """Transpose all maps, exchanging the inverse and direct directions.
 
     Cell (r', c') of the dual is the dual of cell (c', r'); the witness
     systems swap roles with transposed maps.  The certificate verifies that
     decomposing the dual grid agrees levelwise with dualizing the original
-    decomposition.
+    decomposition; the dual grid is new data, so it is validated and split.
     """
-    rep = validate_grid(G, W)
-    if not rep.ok:
-        raise ValueError("grid validation failed: " + "; ".join(rep.violations))
+    G, W = S.grid, S.witness
     field = G.field
     m2, n2 = G.n, G.m
     dims2 = [[G.dims[c][r] for c in range(n2)] for r in range(m2)]
@@ -535,10 +556,8 @@ def dual_grid(G: BidirectedGrid, W: SESWitness) -> DualGridResult:
     )
 
     # certificate: decomposition of the dual == dual of the decomposition
-    basis = split_grid(G, W)
-    basis2 = split_grid(G2, W2)
-    dec = grid_decomposition(G, W, basis)
-    dec2 = grid_decomposition(G2, W2, basis2)
+    dec = grid_decomposition(S)
+    dec2 = grid_decomposition(split_grid(G2, W2))
     dual_c = materialize(dual_object(dec.tate).cLattice, G.n)
     dual_d = materialize(dual_object(dec.tate).dLattice, G.m)
     got_c = materialize(dec2.tate.cLattice, G.n)
@@ -616,7 +635,31 @@ def _path_map(G: BidirectedGrid, src: tuple[int, int], dst: tuple[int, int]) -> 
     return out
 
 
-def _check_entry_shapes(G, P, bad, residuals, skipped):
+def assemble_pairing(S: SplitGrid, P: PairingFamily) -> PairingAssembly:
+    """Check naturality of pairing windows and read off the induced map on
+    the normal form.
+
+    Naturality: for adjacent cells, transporting the window along the grid
+    structure maps must agree with the structure path between the recorded
+    targets.  A product window (cell (x) cell -> target) induces one level
+    per row: its W (x) W -> W block in normal-form coordinates (the limit
+    stage) at the rightmost available column (the colimit stage).  A
+    coproduct window (cell -> target (x) target) induces one level per
+    column: its V -> V (x) V block (the colimit stage) at the deepest
+    available row (the limit stage).
+    """
+    G, W = S.grid, S.witness
+    product = P.kind == "product"
+
+    def src(M):  # the tensor square sits on the source of a product window
+        return kron(M, M) if product else M
+
+    def tgt(M):  # and on the target of a coproduct window
+        return M if product else kron(M, M)
+
+    bad: list[str] = []
+    residuals: list[Matrix] = []
+    skipped: list[str] = []
     cells = {}
     for r in range(G.m):
         for c in range(G.n):
@@ -629,91 +672,13 @@ def _check_entry_shapes(G, P, bad, residuals, skipped):
                 skipped.append(f"cell ({r + 1},{c + 1}): target outside the grid")
                 continue
             d, dt = G.dims[r][c], G.dims[tr][tc]
-            want = (dt, d * d) if P.kind == "product" else (dt * dt, d)
+            want = (dt, d * d) if product else (dt * dt, d)
             if e.matrix.shape != want:
                 bad.append(f"cell ({r + 1},{c + 1}): window matrix has shape "
                            f"{e.matrix.shape}, expected {want}")
                 residuals.append(e.matrix)
                 continue
             cells[(r, c)] = e
-    return cells
-
-
-def assemble_product(
-    G: BidirectedGrid, W: SESWitness, basis: GridChangeOfBasis, P: PairingFamily
-) -> PairingAssembly:
-    """Check naturality of multiplication windows and read off the induced
-    map on the compact part of the normal form.
-
-    Naturality: for adjacent cells, transporting the window along the grid
-    structure maps must agree with the structure path between the recorded
-    targets.  The induced map restricts each window to the W (x) W block in
-    normal-form coordinates (the limit stage) at the rightmost available
-    column (the colimit stage), one level per row.
-    """
-    if P.kind != "product":
-        raise ValueError("expected a product family")
-    check_split(G, W, basis, strict=True)
-    bad: list[str] = []
-    residuals: list[Matrix] = []
-    skipped: list[str] = []
-    cells = _check_entry_shapes(G, P, bad, residuals, skipped)
-
-    for (r, c), e in sorted(cells.items()):
-        for (r2, c2), move in (((r, c + 1), "right"), ((r - 1, c), "up")):
-            if (r2, c2) not in cells:
-                continue
-            e2 = cells[(r2, c2)]
-            if move == "right":
-                step = G.right[r][c]
-            else:
-                step = G.up[r - 1][c]
-            path = _path_map(G, e.target, e2.target)
-            if path is None:
-                skipped.append(
-                    f"cells ({r + 1},{c + 1})->({r2 + 1},{c2 + 1}): targets not comparable"
-                )
-                continue
-            lhs = e2.matrix @ kron(step, step)
-            rhs = path @ e.matrix
-            if lhs != rhs:
-                bad.append(f"window at ({r + 1},{c + 1}) is not natural along {move}")
-                residuals.append(lhs - rhs)
-
-    induced = []
-    for r in range(G.m):
-        cands = [c for c in range(G.n) if (r, c) in cells]
-        if not cands:
-            continue
-        c = max(cands)
-        e = cells[(r, c)]
-        tr, tc = e.target
-        conj = basis.at(tr, tc) @ e.matrix @ _inv(kron(basis.at(r, c), basis.at(r, c)))
-        v, w = W.Vdims[c], W.Wdims[r]
-        vt, wt = W.Vdims[tc], W.Wdims[tr]
-        src_idx = [i * (v + w) + j for i in range(v, v + w) for j in range(v, v + w)]
-        ww = Matrix(G.field, conj.data[vt:, :].take(src_idx, axis=1))
-        vpart = Matrix(G.field, conj.data[:vt, :].take(src_idx, axis=1))
-        induced.append(
-            InducedLevel((r + 1), (r + 1, c + 1), (tr + 1, tc + 1), ww, vpart.is_zero())
-        )
-    return PairingAssembly(not bad, tuple(bad), tuple(residuals), tuple(skipped), tuple(induced))
-
-
-def assemble_coproduct(
-    G: BidirectedGrid, W: SESWitness, basis: GridChangeOfBasis, P: PairingFamily
-) -> PairingAssembly:
-    """Mirror of assemble_product with the two stages swapped: windows map
-    cells into tensor squares of their targets, and the induced map
-    restricts to the V -> V (x) V block (the colimit stage) at the deepest
-    available row (the limit stage), one level per column."""
-    if P.kind != "coproduct":
-        raise ValueError("expected a coproduct family")
-    check_split(G, W, basis, strict=True)
-    bad: list[str] = []
-    residuals: list[Matrix] = []
-    skipped: list[str] = []
-    cells = _check_entry_shapes(G, P, bad, residuals, skipped)
 
     for (r, c), e in sorted(cells.items()):
         for (r2, c2), move in (((r, c + 1), "right"), ((r - 1, c), "up")):
@@ -727,31 +692,34 @@ def assemble_coproduct(
                     f"cells ({r + 1},{c + 1})->({r2 + 1},{c2 + 1}): targets not comparable"
                 )
                 continue
-            lhs = e2.matrix @ step
-            rhs = kron(path, path) @ e.matrix
+            lhs = e2.matrix @ src(step)
+            rhs = tgt(path) @ e.matrix
             if lhs != rhs:
                 bad.append(f"window at ({r + 1},{c + 1}) is not natural along {move}")
                 residuals.append(lhs - rhs)
 
     induced = []
-    for c in range(G.n):
-        cands = [r for r in range(G.m) if (r, c) in cells]
-        if not cands:
+    axis = 0 if product else 1  # product levels are rows, coproduct levels columns
+    for level in range(G.m if product else G.n):
+        found = [cell for cell in cells if cell[axis] == level]
+        if not found:
             continue
-        r = max(cands)
+        r, c = max(found)  # rightmost column of the row / deepest row of the column
         e = cells[(r, c)]
         tr, tc = e.target
-        conj = kron(basis.at(tr, tc), basis.at(tr, tc)) @ e.matrix @ _inv(basis.at(r, c))
-        v, w = W.Vdims[c], W.Wdims[r]
-        vt, wt = W.Vdims[tc], W.Wdims[tr]
-        dt = vt + wt
-        tgt_idx = [i * dt + j for i in range(vt) for j in range(vt)]
-        vv = Matrix(G.field, conj.data.take(tgt_idx, axis=0)[:, :v])
-        rest = np.delete(conj.data, tgt_idx, axis=0)[:, :v]
+        conj = tgt(S.basis[tr][tc]) @ e.matrix @ src(S.inverse[r][c])
+        v, d = W.Vdims[c], G.dims[r][c]
+        vt, dt = W.Vdims[tc], G.dims[tr][tc]
+        if product:  # W (x) W -> W
+            src_idx = [i * d + j for i in range(v, d) for j in range(v, d)]
+            tgt_idx = list(range(vt, dt))
+        else:  # V -> V (x) V
+            src_idx = list(range(v))
+            tgt_idx = [i * dt + j for i in range(vt) for j in range(vt)]
+        block = conj.data.take(tgt_idx, axis=0).take(src_idx, axis=1)
+        rest = np.delete(conj.data, tgt_idx, axis=0).take(src_idx, axis=1)
         induced.append(
-            InducedLevel(
-                (c + 1), (r + 1, c + 1), (tr + 1, tc + 1), vv, not rest.any()
-            )
+            InducedLevel(level + 1, (r + 1, c + 1), (tr + 1, tc + 1), Matrix(G.field, block), not rest.any())
         )
     return PairingAssembly(not bad, tuple(bad), tuple(residuals), tuple(skipped), tuple(induced))
 
@@ -779,17 +747,12 @@ class IntertwineReport:
 
 
 def check_pd_intertwine(
-    G: BidirectedGrid,
-    W: SESWitness,
-    basis: GridChangeOfBasis,
-    P_mu: PairingFamily,
-    P_lambda: PairingFamily,
-    PD: GridDualityWitness,
+    S: SplitGrid, P_mu: PairingFamily, P_lambda: PairingFamily, PD: GridDualityWitness
 ) -> IntertwineReport:
     """Verify, cell by cell, that the duality witness intertwines the
     multiplication windows with the transposed comultiplication windows:
     f_target . mu_x = (lambda_target)^T . (f_x (x) f_x), exactly."""
-    check_split(G, W, basis, strict=True)
+    G = S.grid
     bad: list[str] = []
     residuals: list[Matrix] = []
     skipped: list[str] = []

@@ -91,18 +91,25 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    doc = _load_doc(args.input)
-    G, W, _, _, truth = parse_grid(doc)
+def _split(doc, args, why):
+    """Parse and split a grid document; None once its validation report is out."""
+    G, W, _, _, _ = parse_grid(doc)
     if W is None:
-        raise ParseError("$.ses", "decomposition needs a short-exact-sequence witness")
-    rep = bd.validate_grid(G, W)
-    if not rep.ok:
-        _emit(_dump({"kind": "validation", "ok": False, "violations": list(rep.violations)}), args.out)
+        raise ParseError("$.ses", why)
+    try:
+        return bd.split_grid(G, W)
+    except bd.GridValidationError as e:
+        _emit(_dump({"kind": "validation", "ok": False, "violations": list(e.report.violations)}), args.out)
+        return None
+
+
+def cmd_decompose(args) -> int:
+    S = _split(_load_doc(args.input), args, "decomposition needs a short-exact-sequence witness")
+    if S is None:
         return 1
-    basis = bd.split_grid(G, W)
-    dec = bd.grid_decomposition(G, W, basis)
-    cert = bd.kappa_check(G, W, basis)
+    G = S.grid
+    dec = bd.grid_decomposition(S)
+    cert = bd.kappa_check(S)
     out = {
         "kind": "decomposition",
         "field": G.field.p,
@@ -112,7 +119,7 @@ def cmd_decompose(args) -> int:
         "opens": [matrix_doc(m) for m in dec.opens],
         "opens_grid": [matrix_doc(m) for m in dec.opens_grid],
         "corner_basis": matrix_doc(dec.corner_basis),
-        "basis": [[matrix_doc(basis.at(r, c)) for c in range(G.n)] for r in range(G.m)],
+        "basis": [[matrix_doc(B) for B in row] for row in S.basis],
         "exchange": {"ok": cert.ok, "normal_form": matrix_doc(cert.normal_form)},
     }
     _emit(_dump(out), args.out)
@@ -122,14 +129,10 @@ def cmd_decompose(args) -> int:
 def cmd_dual(args) -> int:
     doc = _load_doc(args.input)
     if isinstance(doc, dict) and doc.get("kind") == "grid":
-        G, W, _, _, _ = parse_grid(doc)
-        if W is None:
-            raise ParseError("$.ses", "dualizing a grid needs its witness")
-        rep = bd.validate_grid(G, W)
-        if not rep.ok:
-            _emit(_dump({"kind": "validation", "ok": False, "violations": list(rep.violations)}), args.out)
+        S = _split(doc, args, "dualizing a grid needs its witness")
+        if S is None:
             return 1
-        out = bd.dual_grid(G, W)
+        out = bd.dual_grid(S)
         doc2 = grid_doc(out.grid, out.witness)
         doc2["dual_certificate"] = {"ok": out.certificate_ok, "detail": out.detail}
         _emit(_dump(doc2), args.out)

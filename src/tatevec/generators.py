@@ -14,11 +14,12 @@ import numpy as np
 
 from .bidirected import (
     BidirectedGrid,
-    GridChangeOfBasis,
     GridDualityWitness,
     PairingEntry,
     PairingFamily,
     SESWitness,
+    SplitGrid,
+    check_split,
 )
 from .exactla import FieldSpec, Matrix, block_diag, hstack, image_basis, inverse, is_invertible, kron
 from .spaces import FilteredSpace, IndTower, TateObj, Tower
@@ -71,16 +72,16 @@ class PlantedGrid:
     Wdims: tuple[int, ...]
 
     @property
-    def planted_basis(self) -> GridChangeOfBasis:
-        rows = []
-        for row in self.scramble:
-            rows.append(tuple(_inv(S) for S in row))
-        return GridChangeOfBasis(tuple(rows))
+    def planted_split(self) -> SplitGrid:
+        """The planted change of basis, verified: basis inv(S), inverse S."""
+        basis = [[_inv(S) for S in row] for row in self.scramble]
+        return check_split(self.grid, self.witness, basis, self.scramble)
 
 
 def _inv(M: Matrix) -> Matrix:
     out = inverse(M)
-    assert out is not None
+    if out is None:
+        raise AssertionError("internal: planted scramble is singular")
     return out
 
 

@@ -242,14 +242,44 @@ def grid_doc(
     return out
 
 
-def _matrix_table(field, rows, cols, raw, path):
-    if len(raw) != rows:
+def _table(raw, rows, cols, path, parse):
+    if not isinstance(raw, list) or len(raw) != rows:
         raise ParseError(path, f"expected {rows} rows")
     out = []
     for r, row in enumerate(raw):
-        if len(row) != cols:
+        if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{path}[{r}]", f"expected {cols} entries")
-        out.append([parse_matrix(field, m, f"{path}[{r}][{c}]") for c, m in enumerate(row)])
+        out.append([parse(x, f"{path}[{r}][{c}]") for c, x in enumerate(row)])
+    return out
+
+
+def _matrix_table(field, rows, cols, raw, path):
+    return _table(raw, rows, cols, path, lambda x, p: parse_matrix(field, x, p))
+
+
+def _int(x, path) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise ParseError(path, "expected an integer")
+
+
+def _dims(raw, length, path) -> list[int]:
+    if not isinstance(raw, list) or len(raw) != length:
+        raise ParseError(path, f"expected {length} dimensions")
+    return [_int(d, f"{path}[{i}]") for i, d in enumerate(raw)]
+
+
+def _chain(field, raw, shapes, path) -> list[Matrix]:
+    """Transition matrices of a constant system, checked against `shapes`."""
+    if not isinstance(raw, list) or len(raw) != len(shapes):
+        raise ParseError(path, f"expected {len(shapes)} maps")
+    out = []
+    for i, (x, shape) in enumerate(zip(raw, shapes)):
+        M = parse_matrix(field, x, f"{path}[{i}]")
+        if M.shape != shape:
+            raise ParseError(f"{path}[{i}]", f"expected shape {shape}, got {M.shape}")
+        out.append(M)
     return out
 
 
@@ -258,8 +288,8 @@ def parse_grid(doc, path="$"):
     if _need(doc, "kind", path) != "grid":
         raise ParseError(f"{path}.kind", "expected 'grid'")
     field = parse_field(doc, path)
-    m, n = int(_need(doc, "m", path)), int(_need(doc, "n", path))
-    dims = _need(doc, "dims", path)
+    m, n = _int(_need(doc, "m", path), f"{path}.m"), _int(_need(doc, "n", path), f"{path}.n")
+    dims = _table(_need(doc, "dims", path), m, n, f"{path}.dims", _int)
     right = _matrix_table(field, m, max(n - 1, 0), _need(doc, "right", path), f"{path}.right")
     up = _matrix_table(field, max(m - 1, 0), n, _need(doc, "up", path), f"{path}.up")
     try:
@@ -270,32 +300,34 @@ def parse_grid(doc, path="$"):
     if doc.get("ses") is not None:
         s = doc["ses"]
         sp = f"{path}.ses"
+        Vdims = _dims(_need(s, "Vdims", sp), n, f"{sp}.Vdims")
+        Wdims = _dims(_need(s, "Wdims", sp), m, f"{sp}.Wdims")
+        Vshapes = [(Vdims[c + 1], Vdims[c]) for c in range(n - 1)]
+        Wshapes = [(Wdims[r], Wdims[r + 1]) for r in range(m - 1)]
         W = SESWitness(
-            Vdims=[int(d) for d in _need(s, "Vdims", sp)],
-            Vmaps=[parse_matrix(field, x, f"{sp}.Vmaps[{i}]") for i, x in enumerate(_need(s, "Vmaps", sp))],
-            Wdims=[int(d) for d in _need(s, "Wdims", sp)],
-            Wmaps=[parse_matrix(field, x, f"{sp}.Wmaps[{i}]") for i, x in enumerate(_need(s, "Wmaps", sp))],
+            Vdims=Vdims,
+            Vmaps=_chain(field, _need(s, "Vmaps", sp), Vshapes, f"{sp}.Vmaps"),
+            Wdims=Wdims,
+            Wmaps=_chain(field, _need(s, "Wmaps", sp), Wshapes, f"{sp}.Wmaps"),
             inj=_matrix_table(field, m, n, _need(s, "inj", sp), f"{sp}.inj"),
             surj=_matrix_table(field, m, n, _need(s, "surj", sp), f"{sp}.surj"),
         )
+
+    def entry(cell, pth):
+        if cell is None:
+            return None
+        target = _need(cell, "target", pth)
+        if not isinstance(target, list) or len(target) != 2:
+            raise ParseError(f"{pth}.target", "expected [row, column]")
+        tr, tc = (_int(x, f"{pth}.target") - 1 for x in target)
+        return PairingEntry((tr, tc), parse_matrix(field, _need(cell, "matrix", pth), pth))
+
     pairings = {}
     for key, kind in (("mu", "product"), ("lambda", "coproduct")):
         raw = (doc.get("pairings") or {}).get(key)
         if raw is None:
             continue
-        entries = []
-        for r in range(m):
-            row = []
-            for c in range(n):
-                cell = raw[r][c]
-                if cell is None:
-                    row.append(None)
-                    continue
-                pth = f"{path}.pairings.{key}[{r}][{c}]"
-                tr, tc = (int(x) - 1 for x in _need(cell, "target", pth))
-                row.append(PairingEntry((tr, tc), parse_matrix(field, _need(cell, "matrix", pth), pth)))
-            entries.append(row)
-        pairings[key] = PairingFamily(kind, entries)
+        pairings[key] = PairingFamily(kind, _table(raw, m, n, f"{path}.pairings.{key}", entry))
     pd = None
     if doc.get("pd") is not None:
         pd = GridDualityWitness(

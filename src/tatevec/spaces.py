@@ -447,16 +447,19 @@ def normalize_indtower(T: IndTower, depth: int) -> tuple[IndTowerPrefix, list[Ma
     new_maps = []
     for i in range(N - 1):
         incl = solve_linear(bases[i + 1], bases[i])
-        assert incl is not None
+        if incl is None:
+            raise AssertionError("internal: ind-tower image levels are not nested")
         new_maps.append(incl)
     comparisons = []
     for i in range(N):
         cmp_i = solve_linear(bases[i], G[i])
-        assert cmp_i is not None
+        if cmp_i is None:
+            raise AssertionError("internal: ind-tower level does not map into its image")
         comparisons.append(cmp_i)
     out = IndTowerPrefix(field, new_dims, tuple(new_maps))
-    for i in range(N - 1):  # naturality of the comparison
-        assert new_maps[i] @ comparisons[i] == comparisons[i + 1] @ pre.maps[i]
+    for i in range(N - 1):
+        if new_maps[i] @ comparisons[i] != comparisons[i + 1] @ pre.maps[i]:
+            raise AssertionError("internal: ind-tower comparison is not natural")
     return out, comparisons
 
 
@@ -481,13 +484,16 @@ def normalize_tower(T: Tower, depth: int) -> tuple[TowerPrefix, list[Matrix]]:
     new_maps = []
     for i in range(N - 1):
         t = solve_linear(bases[i], pre.maps[i] @ bases[i + 1])
-        assert t is not None
+        if t is None:
+            raise AssertionError("internal: tower transition leaves the image levels")
+        if rank(t) != new_dims[i]:
+            raise AssertionError("internal: normalized tower transition is not surjective")
         new_maps.append(t)
-        assert rank(t) == new_dims[i]  # surjective by construction
     out = TowerPrefix(field, new_dims, tuple(new_maps))
     comparisons = list(bases)
     for i in range(N - 1):
-        assert pre.maps[i] @ bases[i + 1] == bases[i] @ new_maps[i]
+        if pre.maps[i] @ bases[i + 1] != bases[i] @ new_maps[i]:
+            raise AssertionError("internal: tower comparison is not natural")
     return out, comparisons
 
 

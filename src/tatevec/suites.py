@@ -379,10 +379,7 @@ def check_grid_recover(seed=20):
         rng = np.random.default_rng(seed + field.p)
         for _ in range(50):
             planted = rand_grid(rng, field)
-            basis = bd.split_grid(planted.grid, planted.witness)
-            if not bd.check_split(planted.grid, planted.witness, basis):
-                return False, f"split failed over GF({field.p})"
-            dec = bd.grid_decomposition(planted.grid, planted.witness, basis)
+            dec = bd.grid_decomposition(bd.split_grid(planted.grid, planted.witness))
             cpre = materialize(dec.tate.cLattice, planted.grid.m)
             dpre = materialize(dec.tate.dLattice, planted.grid.n)
             if cpre.dims != planted.Wdims or dpre.dims != planted.Vdims:
@@ -396,8 +393,7 @@ def check_grid_kappa(seed=21):
         rng = np.random.default_rng(seed + field.p)
         for _ in range(15):
             planted = rand_grid(rng, field, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 5)))
-            basis = bd.split_grid(planted.grid, planted.witness)
-            cert = bd.kappa_check(planted.grid, planted.witness, basis)
+            cert = bd.kappa_check(bd.split_grid(planted.grid, planted.witness))
             if not cert.ok:
                 return False, "exchange map is not the normal-form identity"
     return True, "colim-lim equals lim-colim through the corner"
@@ -409,7 +405,7 @@ def check_grid_duality(seed=22):
         rng = np.random.default_rng(seed + field.p)
         for _ in range(10):
             planted = rand_grid(rng, field, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 4)))
-            out = bd.dual_grid(planted.grid, planted.witness)
+            out = bd.dual_grid(bd.split_grid(planted.grid, planted.witness))
             if not out.certificate_ok:
                 return False, "duality certificate failed"
     return True, "levelwise equality of the two routes"
@@ -420,8 +416,7 @@ def check_grid_opens(seed=23):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         planted = rand_grid(rng, GF2)
-        basis = bd.split_grid(planted.grid, planted.witness)
-        dec = bd.grid_decomposition(planted.grid, planted.witness, basis)
+        dec = bd.grid_decomposition(bd.split_grid(planted.grid, planted.witness))
         sizes = [u.cols for u in dec.opens]
         if sizes != sorted(sizes, reverse=True):
             return False, "open subspaces grow"
@@ -437,12 +432,10 @@ def check_grid_pairings(seed=24):
     for trial in range(25):
         field = GF2 if trial % 2 == 0 else GF5
         fx = rand_pairings(rng, field, m=2, n=2)
-        basis = fx.planted.planted_basis
-        out = bd.assemble_product(fx.planted.grid, fx.planted.witness, basis, fx.mu)
-        cout = bd.assemble_coproduct(fx.planted.grid, fx.planted.witness, basis, fx.lam)
-        rep = bd.check_pd_intertwine(
-            fx.planted.grid, fx.planted.witness, basis, fx.mu, fx.lam, fx.pd
-        )
+        split = fx.planted.planted_split
+        out = bd.assemble_pairing(split, fx.mu)
+        cout = bd.assemble_pairing(split, fx.lam)
+        rep = bd.check_pd_intertwine(split, fx.mu, fx.lam, fx.pd)
         if not (out.ok and cout.ok and rep.ok):
             return False, "planted windows failed verification"
         # corrupt a single entry and demand localization
@@ -462,14 +455,7 @@ def check_grid_pairings(seed=24):
             ]
             for rr in range(2)
         ]
-        rep2 = bd.check_pd_intertwine(
-            fx.planted.grid,
-            fx.planted.witness,
-            basis,
-            bd.PairingFamily("product", entries),
-            fx.lam,
-            fx.pd,
-        )
+        rep2 = bd.check_pd_intertwine(split, bd.PairingFamily("product", entries), fx.lam, fx.pd)
         if rep2.ok or not any(f"({r + 1},{c + 1})" in v for v in rep2.violations):
             return False, f"corruption at ({r + 1},{c + 1}) not localized"
     return True, "windows verified; every corrupted entry localized"

@@ -55,18 +55,6 @@ def pair_from_index(n: int) -> tuple[int, int]:
     return i, s - i
 
 
-def _verify_pair_indexing(limit: int = 10_000):
-    seen = set()
-    for n in range(1, limit + 1):
-        pair = pair_from_index(n)
-        if pair in seen or index_from_pair(*pair) != n:
-            raise AssertionError("pair enumeration is not bijective on the prefix")
-        seen.add(pair)
-
-
-_verify_pair_indexing()
-
-
 def pair_at(k: int, count_a: Optional[int], count_b: Optional[int]) -> tuple[int, int]:
     """k-th pair of the diagonal order restricted to the given ranges."""
     if (count_a is not None and count_a == 0) or (count_b is not None and count_b == 0):

@@ -180,16 +180,17 @@ def _grid_fleet():
 def grid_fleet():
     out = []
     for planted in _grid_fleet():
-        basis = bd.split_grid(planted.grid, planted.witness)
-        out.append((planted, basis))
+        out.append((planted, bd.split_grid(planted.grid, planted.witness)))
     return out
 
 
 def test_c06_scramble_and_recover(grid_fleet):
-    for planted, basis in grid_fleet:
-        if not bd.check_split(planted.grid, planted.witness, basis):
+    for planted, split in grid_fleet:
+        try:
+            bd.check_split(planted.grid, planted.witness, split.basis, split.inverse)
+        except AssertionError:
             report(6, False, "a grid failed to block-diagonalize")
-        dec = bd.grid_decomposition(planted.grid, planted.witness, basis)
+        dec = bd.grid_decomposition(split)
         cpre = materialize(dec.tate.cLattice, planted.grid.m)
         dpre = materialize(dec.tate.dLattice, planted.grid.n)
         if cpre.dims != planted.Wdims or dpre.dims != planted.Vdims:
@@ -199,16 +200,16 @@ def test_c06_scramble_and_recover(grid_fleet):
 
 
 def test_c07_exchange_identity(grid_fleet):
-    for planted, basis in grid_fleet:
-        cert = bd.kappa_check(planted.grid, planted.witness, basis)
+    for _, split in grid_fleet:
+        cert = bd.kappa_check(split)
         if not cert.ok:
             report(7, False, "exchange certificate is not the identity")
     report(7, True, f"exchange certificate is the normal-form identity on all {len(grid_fleet)} grids")
 
 
 def test_c08_grid_duality(grid_fleet):
-    for planted, _ in grid_fleet:
-        out = bd.dual_grid(planted.grid, planted.witness)
+    for _, split in grid_fleet:
+        out = bd.dual_grid(split)
         if not out.certificate_ok:
             report(8, False, "dual decomposition differs from dualized decomposition")
     report(8, True, f"duality certificate holds levelwise on all {len(grid_fleet)} grids")

@@ -1,12 +1,13 @@
 import numpy as np
+import pytest
 
 from tatevec.bidirected import (
     BidirectedGrid,
+    GridValidationError,
     PairingEntry,
     PairingFamily,
     SESWitness,
-    assemble_coproduct,
-    assemble_product,
+    assemble_pairing,
     chain_colimit,
     chain_limit,
     check_pd_intertwine,
@@ -71,16 +72,15 @@ class TestValidateGrid:
 class TestSplitGrid:
     def test_1x1_deterministic(self):
         G, W = tiny_grid()
-        basis = split_grid(G, W)
-        B = basis.at(0, 0)
+        B = split_grid(G, W).basis[0][0]
         assert is_invertible(B)
         assert B @ W.inj[0][0] == M(GF2, [[1], [0]])
 
     def test_scramble_and_recover_2x2(self):
         rng = np.random.default_rng(7)
         planted = rand_grid(rng, GF2, m=2, n=2)
-        basis = split_grid(planted.grid, planted.witness)
-        assert check_split(planted.grid, planted.witness, basis)
+        S = split_grid(planted.grid, planted.witness)
+        assert check_split(planted.grid, planted.witness, S.basis, S.inverse) == S
 
     def test_inclusion_V_trivial_W(self):
         # V dims (1,2) with inclusion, W = 0: right maps become the inclusion
@@ -95,27 +95,49 @@ class TestSplitGrid:
             inj=[[Matrix.identity(field, 1), Matrix.identity(field, 2)]],
             surj=[[Matrix.zeros(field, 0, 1), Matrix.zeros(field, 0, 2)]],
         )
-        basis = split_grid(G, W)
+        S = split_grid(G, W)
         from tatevec.exactla import inverse
 
-        got = basis.at(0, 1) @ G.right[0][0] @ inverse(basis.at(0, 0))
+        got = S.basis[0][1] @ G.right[0][0] @ inverse(S.basis[0][0])
         assert got == inc
+
+    def test_tampered_inverse_cell_is_named(self):
+        rng = np.random.default_rng(7)
+        planted = rand_grid(rng, GF5, m=2, n=3, max_part=2, constant_systems=True)
+        S = split_grid(planted.grid, planted.witness)
+        inverse = [list(row) for row in S.inverse]
+        bad = inverse[1][2].data.copy()
+        bad[0, 0] = (bad[0, 0] + 1) % 5
+        inverse[1][2] = Matrix(GF5, bad)
+        with pytest.raises(AssertionError, match=r"^split check failed: inverse wrong at \(2,3\)$"):
+            check_split(planted.grid, planted.witness, S.basis, inverse)
+
+    def test_invalid_grid_raises_with_report(self):
+        rng = np.random.default_rng(2)
+        planted = rand_grid(rng, GF5, m=2, n=2, max_part=2, constant_systems=True)
+        G = planted.grid
+        corrupted = G.right[0][0].data.copy()
+        corrupted[0, 0] = (corrupted[0, 0] + 1) % 5
+        G2 = BidirectedGrid(GF5, G.dims, [[Matrix(GF5, corrupted)], G.right[1]], G.up)
+        with pytest.raises(GridValidationError) as err:
+            split_grid(G2, planted.witness)
+        assert err.value.report == validate_grid(G2, planted.witness)
+        assert not err.value.report.ok
 
     def test_many_random_grids(self):
         rng = np.random.default_rng(11)
         for trial in range(25):
             field = GF2 if trial % 2 == 0 else GF5
             planted = rand_grid(rng, field)
-            basis = split_grid(planted.grid, planted.witness)
-            assert check_split(planted.grid, planted.witness, basis)
+            S = split_grid(planted.grid, planted.witness)
+            assert check_split(planted.grid, planted.witness, S.basis, S.inverse) == S
 
 
 class TestDecomposition:
     def test_profiles_and_opens(self):
         rng = np.random.default_rng(13)
         planted = rand_grid(rng, GF2, m=2, n=2)
-        basis = split_grid(planted.grid, planted.witness)
-        dec = grid_decomposition(planted.grid, planted.witness, basis)
+        dec = grid_decomposition(split_grid(planted.grid, planted.witness))
         cpre = materialize(dec.tate.cLattice, planted.grid.m)
         dpre = materialize(dec.tate.dLattice, planted.grid.n)
         assert cpre.dims == planted.Wdims
@@ -140,7 +162,7 @@ class TestDecomposition:
             inj=[[Matrix.identity(field, 1), Matrix.identity(field, 2)]],
             surj=[[Matrix.zeros(field, 0, 1), Matrix.zeros(field, 0, 2)]],
         )
-        dec = grid_decomposition(G, W, split_grid(G, W))
+        dec = grid_decomposition(split_grid(G, W))
         assert all(u.cols == 0 for u in dec.opens)
 
     def test_purely_compact_grid(self):
@@ -155,7 +177,7 @@ class TestDecomposition:
             inj=[[Matrix.zeros(field, 1, 0)], [Matrix.zeros(field, 2, 0)]],
             surj=[[Matrix.identity(field, 1)], [Matrix.identity(field, 2)]],
         )
-        dec = grid_decomposition(G, W, split_grid(G, W))
+        dec = grid_decomposition(split_grid(G, W))
         # the first open is the whole compact window
         assert dec.opens[0].cols == W.Wdims[-1] == 2
 
@@ -185,14 +207,13 @@ class TestKappa:
         for trial in range(15):
             field = GF2 if trial % 2 == 0 else GF5
             planted = rand_grid(rng, field, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 4)))
-            basis = split_grid(planted.grid, planted.witness)
-            cert = kappa_check(planted.grid, planted.witness, basis)
+            cert = kappa_check(split_grid(planted.grid, planted.witness))
             assert cert.ok
             assert is_invertible(cert.matrix)
 
     def test_1x1(self):
         G, W = tiny_grid()
-        cert = kappa_check(G, W, split_grid(G, W))
+        cert = kappa_check(split_grid(G, W))
         assert cert.ok
 
 
@@ -200,8 +221,8 @@ class TestDualGrid:
     def test_double_dual_is_identity(self):
         rng = np.random.default_rng(29)
         planted = rand_grid(rng, GF2, m=2, n=3)
-        out = dual_grid(planted.grid, planted.witness)
-        back = dual_grid(out.grid, out.witness)
+        out = dual_grid(split_grid(planted.grid, planted.witness))
+        back = dual_grid(split_grid(out.grid, out.witness))
         G, B = planted.grid, back.grid
         assert B.dims == G.dims
         for r in range(G.m):
@@ -215,16 +236,16 @@ class TestDualGrid:
         rng = np.random.default_rng(31)
         for _ in range(5):
             planted = rand_grid(rng, GF5, m=2, n=2, max_part=3)
-            out = dual_grid(planted.grid, planted.witness)
+            out = dual_grid(split_grid(planted.grid, planted.witness))
             assert out.certificate_ok
 
     def test_decomposition_duality_levelwise(self):
         rng = np.random.default_rng(37)
         planted = rand_grid(rng, GF2, m=3, n=2)
         G, W = planted.grid, planted.witness
-        out = dual_grid(G, W)
-        dec = grid_decomposition(G, W, split_grid(G, W))
-        dec2 = grid_decomposition(out.grid, out.witness, split_grid(out.grid, out.witness))
+        out = dual_grid(split_grid(G, W))
+        dec = grid_decomposition(split_grid(G, W))
+        dec2 = grid_decomposition(split_grid(out.grid, out.witness))
         want = dual_object(dec.tate)
         got_c = materialize(dec2.tate.cLattice, G.n)
         want_c = materialize(want.cLattice, G.n)
@@ -238,13 +259,13 @@ class TestPairings:
     def test_zero_family_passes(self):
         rng = np.random.default_rng(41)
         planted = rand_grid(rng, GF2, m=2, n=2, constant_systems=True)
-        basis = split_grid(planted.grid, planted.witness)
+        S = split_grid(planted.grid, planted.witness)
         d = planted.grid.dims[0][0]
         entries = [
             [PairingEntry((r, c), Matrix.zeros(GF2, d, d * d)) for c in range(2)]
             for r in range(2)
         ]
-        out = assemble_product(planted.grid, planted.witness, basis, PairingFamily("product", entries))
+        out = assemble_pairing(S, PairingFamily("product", entries))
         assert out.ok
         assert all(lvl.matrix.is_zero() for lvl in out.induced)
 
@@ -259,16 +280,15 @@ class TestPairings:
             inj=[[Matrix.zeros(field, 1, 0)]],
             surj=[[Matrix.identity(field, 1)]],
         )
-        basis = split_grid(G, W)
         mu = PairingFamily("product", [[PairingEntry((0, 0), M(field, [[1]]))]])
-        out = assemble_product(G, W, basis, mu)
+        out = assemble_pairing(split_grid(G, W), mu)
         assert out.ok and out.induced[0].matrix == M(field, [[1]])
 
     def test_plant_and_recover(self):
         rng = np.random.default_rng(43)
         fx = rand_pairings(rng, GF2, m=2, n=2)
-        planted_basis = fx.planted.planted_basis
-        out = assemble_product(fx.planted.grid, fx.planted.witness, planted_basis, fx.mu)
+        planted_split = fx.planted.planted_split
+        out = assemble_pairing(planted_split, fx.mu)
         assert out.ok and not out.violations
         v = fx.planted.Vdims[0]
         d = v + fx.planted.Wdims[0]
@@ -277,7 +297,7 @@ class TestPairings:
         for lvl in out.induced:
             assert lvl.matrix == want
 
-        cout = assemble_coproduct(fx.planted.grid, fx.planted.witness, planted_basis, fx.lam)
+        cout = assemble_pairing(planted_split, fx.lam)
         assert cout.ok
         tgt = [i * d + j for i in range(v) for j in range(v)]
         want_c = Matrix(GF2, fx.lam_hat.data.take(tgt, axis=0)[:, :v])
@@ -287,10 +307,8 @@ class TestPairings:
     def test_pd_intertwine_and_corruption(self):
         rng = np.random.default_rng(47)
         fx = rand_pairings(rng, GF5, m=2, n=2)
-        basis = fx.planted.planted_basis
-        rep = check_pd_intertwine(
-            fx.planted.grid, fx.planted.witness, basis, fx.mu, fx.lam, fx.pd
-        )
+        split = fx.planted.planted_split
+        rep = check_pd_intertwine(split, fx.mu, fx.lam, fx.pd)
         assert rep.ok and rep.checked == 4
 
         # corrupt one entry of one window: the offending cell must be named
@@ -305,8 +323,6 @@ class TestPairings:
             for rr in range(2)
         ]
         mu_bad = PairingFamily("product", entries)
-        rep2 = check_pd_intertwine(
-            fx.planted.grid, fx.planted.witness, basis, mu_bad, fx.lam, fx.pd
-        )
+        rep2 = check_pd_intertwine(split, mu_bad, fx.lam, fx.pd)
         assert not rep2.ok
         assert any(f"({r + 1},{c + 1})" in v for v in rep2.violations)

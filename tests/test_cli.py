@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from tatevec import bidirected as bd
 from tatevec.cli import main
 from tatevec.exactla import FieldSpec
-from tatevec.generators import rand_grid, rand_indtower, rand_tate, rand_tower
+from tatevec.generators import rand_grid, rand_indtower, rand_pairings, rand_tate, rand_tower
 from tatevec.serialize import grid_doc, parse_grid, parse_space, space_doc
 
 GF2 = FieldSpec(2)
@@ -41,20 +42,36 @@ class TestGenDecompose:
         assert json.loads(proc.stdout)["exchange"]["ok"] is True
 
     def test_broken_square_exits_1_with_indices(self, tmp_path, capsys):
-        import numpy as np
-
-        rng = np.random.default_rng(3)
-        planted = rand_grid(rng, GF2, m=2, n=2, constant_systems=True)
-        doc = grid_doc(planted.grid, planted.witness)
-        # flip one entry of one up map
-        doc["up"][0][0]["entries"][0] = (doc["up"][0][0]["entries"][0] + 1) % 2
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path = _broken_square(tmp_path)
         code, out = run_cli(capsys, "decompose", str(path))
         assert code == 1
         rep = json.loads(out)
         assert rep["ok"] is False
         assert any("(1,1)" in v for v in rep["violations"])
+
+    def test_dual_broken_square_prints_the_same_report(self, tmp_path, capsys):
+        path = _broken_square(tmp_path)
+        code, out = run_cli(capsys, "decompose", str(path))
+        code_dual, out_dual = run_cli(capsys, "dual", str(path))
+        assert code == code_dual == 1
+        assert out_dual == out
+        assert json.loads(out_dual)["kind"] == "validation"
+
+    @pytest.mark.parametrize("cmd,runs", [("decompose", 1), ("dual", 2)])
+    def test_each_grid_validated_and_checked_once(self, tmp_path, capsys, monkeypatch, cmd, runs):
+        path = tmp_path / "g.json"
+        run_cli(capsys, "gen", "--kind", "grid", "--seed", "7", "--m", "3", "--n", "3", "--out", str(path))
+        calls = {"validate_grid": 0, "check_split": 0}
+        for name in calls:
+
+            def counted(*args, _real=getattr(bd, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(bd, name, counted)
+        code, _ = run_cli(capsys, cmd, str(path))
+        assert code == 0
+        assert calls == {"validate_grid": runs, "check_split": runs}
 
     @pytest.mark.parametrize("field", ["4", "1", str(10**18 + 3)])
     def test_gen_bad_field_is_malformed(self, capsys, field):
@@ -73,6 +90,57 @@ class TestGenDecompose:
         assert code == 2
         err = json.loads(out)
         assert err["path"] == "$.ses"
+
+
+def _broken_square(tmp_path):
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    planted = rand_grid(rng, GF2, m=2, n=2, constant_systems=True)
+    doc = grid_doc(planted.grid, planted.witness)
+    # flip one entry of one up map
+    doc["up"][0][0]["entries"][0] = (doc["up"][0][0]["entries"][0] + 1) % 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _zeros(rows, cols):
+    return {"rows": rows, "cols": cols, "entries": [0] * (rows * cols)}
+
+
+def _widen(mat):
+    return _zeros(mat["rows"] + 1, mat["cols"])
+
+
+# (JSON path of the error, mutation of a 3 x 3 grid document with pairings)
+SHAPE_DEFECTS = [
+    ("$.dims", lambda d: d["dims"].append(d["dims"][0])),
+    ("$.ses.Vdims", lambda d: d["ses"].update(Vdims=d["ses"]["Vdims"][:1])),
+    ("$.ses.Wdims", lambda d: d["ses"]["Wdims"].append(1)),
+    ("$.ses.Vmaps", lambda d: d["ses"]["Vmaps"].pop()),
+    ("$.ses.Wmaps", lambda d: d["ses"]["Wmaps"].append(d["ses"]["Wmaps"][0])),
+    ("$.ses.Vmaps[1]", lambda d: d["ses"]["Vmaps"].__setitem__(1, _widen(d["ses"]["Vmaps"][1]))),
+    ("$.ses.Wmaps[0]", lambda d: d["ses"]["Wmaps"].__setitem__(0, _widen(d["ses"]["Wmaps"][0]))),
+    ("$.pairings.mu", lambda d: d["pairings"]["mu"].pop()),
+    ("$.pairings.lambda[2]", lambda d: d["pairings"]["lambda"][2].pop()),
+    ("$.pairings.mu[0][0].target", lambda d: d["pairings"]["mu"][0][0]["target"].append(1)),
+]
+
+
+@pytest.mark.parametrize("path,mutate", SHAPE_DEFECTS, ids=[p for p, _ in SHAPE_DEFECTS])
+def test_shape_defects_are_malformed(tmp_path, capsys, path, mutate):
+    import numpy as np
+
+    fx = rand_pairings(np.random.default_rng(9), GF2, m=3, n=3)
+    doc = grid_doc(fx.planted.grid, fx.planted.witness, pairings={"mu": fx.mu, "lambda": fx.lam})
+    mutate(doc)
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(doc))
+    for cmd in ("decompose", "dual"):
+        code, out = run_cli(capsys, cmd, str(doc_path))
+        assert code == 2
+        assert json.loads(out)["path"] == path
 
 
 class TestTensorCommand:

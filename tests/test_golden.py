@@ -7,9 +7,14 @@ them fails here even when every mathematical check still passes.
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import tatevec
 from tatevec.cli import main
 
 # (field, seed) -> subcommand -> sha256 of stdout
@@ -50,28 +55,45 @@ def _stdout(capsys, *argv) -> str:
     return capsys.readouterr().out
 
 
-def _outputs(tmp_path, capsys, p: int, seed: int) -> dict[str, str]:
+def _outputs(tmp_path, stdout, p: int, seed: int) -> dict[str, str]:
     field = ["--field", str(p)]
-    grid = _stdout(capsys, "gen", "--kind", "grid", "--seed", str(seed), *field, "--m", "4", "--n", "4")
-    a = _stdout(capsys, "gen", "--kind", "tate", "--seed", str(seed), *field)
-    b = _stdout(capsys, "gen", "--kind", "tate", "--seed", str(seed + 1), *field)
+    grid = stdout("gen", "--kind", "grid", "--seed", str(seed), *field, "--m", "4", "--n", "4")
+    a = stdout("gen", "--kind", "tate", "--seed", str(seed), *field)
+    b = stdout("gen", "--kind", "tate", "--seed", str(seed + 1), *field)
     paths = {}
     for name, text in (("grid", grid), ("a", a), ("b", b)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
     return {
         "gen": grid,
-        "decompose": _stdout(capsys, "decompose", str(paths["grid"])),
-        "dual": _stdout(capsys, "dual", str(paths["grid"])),
-        "tensor_star": _stdout(capsys, "tensor", "--op", "star", str(paths["a"]), str(paths["b"])),
-        "tensor_bang": _stdout(capsys, "tensor", "--op", "bang", str(paths["a"]), str(paths["b"])),
+        "decompose": stdout("decompose", str(paths["grid"])),
+        "dual": stdout("dual", str(paths["grid"])),
+        "tensor_star": stdout("tensor", "--op", "star", str(paths["a"]), str(paths["b"])),
+        "tensor_bang": stdout("tensor", "--op", "bang", str(paths["a"]), str(paths["b"])),
     }
+
+
+def _digests(outputs: dict[str, str]) -> dict[str, str]:
+    return {cmd: hashlib.sha256(text.encode()).hexdigest() for cmd, text in outputs.items()}
 
 
 @pytest.mark.parametrize("p,seed", sorted(GOLDEN))
 def test_cli_stdout_matches_golden(tmp_path, capsys, p, seed):
-    got = {
-        cmd: hashlib.sha256(text.encode()).hexdigest()
-        for cmd, text in _outputs(tmp_path, capsys, p, seed).items()
-    }
+    got = _digests(_outputs(tmp_path, lambda *argv: _stdout(capsys, *argv), p, seed))
     assert got == GOLDEN[(p, seed)]
+
+
+def test_optimized_interpreter_matches_golden(tmp_path):
+    # python -O strips assert statements; the outputs, and every internal
+    # check that raises instead, must be the same without them
+    src = str(pathlib.Path(tatevec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def stdout(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "tatevec", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert _digests(_outputs(tmp_path, stdout, 2, 1)) == GOLDEN[(2, 1)]

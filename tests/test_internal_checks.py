@@ -11,10 +11,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from tatevec import bidirected, duality, exactla, splitting
+from tatevec import bidirected, duality, exactla, generators, spaces, splitting
 from tatevec.exactla import FieldSpec, Matrix
 from tatevec.generators import rand_grid
-from tatevec.spaces import FilteredSpace
+from tatevec.spaces import FilteredSpace, Tower
 
 GF2 = FieldSpec(2)
 
@@ -42,7 +42,7 @@ def _planted(m, n):
     return rand_grid(np.random.default_rng(0), GF2, m=m, n=n)
 
 
-@pytest.mark.parametrize("module", [exactla, splitting, duality, bidirected])
+@pytest.mark.parametrize("module", [exactla, splitting, duality, bidirected, spaces, generators])
 def test_no_assert_statements(module):
     tree = ast.parse(pathlib.Path(module.__file__).read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
@@ -68,10 +68,10 @@ def test_chain_colimit_classes(monkeypatch):
 def test_kappa_check_corner(monkeypatch, which, message):
     # on a 1 x 1 grid the solves are, in order: kappa, corner, corner image
     planted = _planted(1, 1)
-    basis = bidirected.split_grid(planted.grid, planted.witness)
+    split = bidirected.split_grid(planted.grid, planted.witness)
     _fail_call(monkeypatch, bidirected, "solve_linear", which)
     with pytest.raises(AssertionError, match=f"^internal: {message}"):
-        bidirected.kappa_check(planted.grid, planted.witness, basis)
+        bidirected.kappa_check(split)
 
 
 def test_lift_splitting_basis(monkeypatch):
@@ -107,3 +107,10 @@ def test_extend_functional_quotient_basis(monkeypatch):
     _fail_call(monkeypatch, duality, "inverse")
     with pytest.raises(AssertionError, match="^internal: U_k \\+ complement is not a basis"):
         duality.extend_functional(_monomial_space(), Matrix(GF2, [[1], [1], [0]]), Matrix(GF2, [[1]]), 3)
+
+
+def test_normalize_tower_transition(monkeypatch):
+    tower = Tower.from_prefix(GF2, [1, 1], [Matrix.identity(GF2, 1)])
+    _fail_call(monkeypatch, spaces, "solve_linear")
+    with pytest.raises(AssertionError, match="^internal: tower transition leaves the image levels"):
+        spaces.normalize_tower(tower, 2)

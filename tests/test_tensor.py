@@ -17,6 +17,7 @@ from tatevec.spaces import (
     power_series_tower,
     tate_from_finvect,
 )
+from tatevec.suites import check_pair_indexing
 from tatevec.tensor import (
     check_tensor_duality,
     curry,
@@ -47,6 +48,11 @@ class TestPairIndexing:
         pairs = [pair_from_index(n) for n in range(1, 500)]
         assert len(set(pairs)) == len(pairs)
         assert all(index_from_pair(*p) == n for n, p in enumerate(pairs, start=1))
+
+    def test_laws_suite_prefix(self):
+        # the laws suite's check of the first 10^4 indices
+        ok, detail = check_pair_indexing()
+        assert ok, detail
 
     def test_restricted_ranges(self):
         got = [pair_at(k, 2, 2) for k in range(1, 5)]
@@ -304,3 +310,4 @@ class TestStructureLaws:
             y = Matrix(GF5, rng.integers(0, 5, size=(b, 1)))
             hom_x = Matrix(GF5, (N @ x).data.reshape(c, b))
             assert hom_x @ y == M @ kron(x, y)
+
