@@ -41,12 +41,10 @@ from .tensor import (
     check_tensor_duality,
     embed_tate,
     hom_via_tensor,
-    tensor_bang_prodisc,
     tensor_bang_tate,
-    tensor_indtowers,
-    tensor_star_indlc,
+    tensor_families,
     tensor_star_tate,
-    tensor_star_towers,
+    tensor_systems,
 )
 from .splitting import lift_splitting, split_filtered_ses, topological_complement
 from .bidirected import (
@@ -90,10 +88,8 @@ __all__ = [
     "self_dual_decompose",
     "extend_functional",
     "ev_witness",
-    "tensor_star_towers",
-    "tensor_indtowers",
-    "tensor_star_indlc",
-    "tensor_bang_prodisc",
+    "tensor_systems",
+    "tensor_families",
     "tensor_star_tate",
     "tensor_bang_tate",
     "embed_tate",

@@ -205,7 +205,9 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
         raise GridValidationError(rep)
     field = G.field
 
-    # C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1)
+    # C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1).  As
+    # surj [inj | E] = [0 | SE], the bottom rows of C are surj itself, so C
+    # stacks the top |V_c| rows of [inj | E]^-1 on surj, and C^-1 = [inj | E SE^-1].
     C: list[list[Matrix]] = []
     C_inv: list[list[Matrix]] = []
     for r in range(G.m):
@@ -213,15 +215,12 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
         for c in range(G.n):
             inj, surj = W.inj[r][c], W.surj[r][c]
             E = complement_basis(inj, G.dims[r][c])
-            base = hstack([inj, E])
-            base_inv = _inv(base)
-            SE = surj @ E
-            SE_inv = inverse(SE)
+            base_inv = _inv(hstack([inj, E]))
+            SE_inv = inverse(surj @ E)
             if SE_inv is None:
                 raise AssertionError("internal: complement does not project onto W")
-            I_v = Matrix.identity(field, W.Vdims[c])
-            row.append(block_diag([I_v, SE]) @ base_inv)
-            row_inv.append(base @ block_diag([I_v, SE_inv]))
+            row.append(vstack([Matrix(field, base_inv.data[: W.Vdims[c], :]), surj]))
+            row_inv.append(hstack([inj, E @ SE_inv]))
         C.append(row)
         C_inv.append(row_inv)
 

@@ -10,6 +10,7 @@ byte-identical.  Exit codes: 0 success, 1 check failure, 2 malformed input
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,14 +23,7 @@ from .generators import rand_grid, rand_indtower, rand_tate, rand_tower
 from .serialize import ParseError, grid_doc, matrix_doc, parse_field, parse_grid, parse_space, space_doc
 from .spaces import IndLCObj, IndTower, ProDiscObj, TateObj, Tower
 from .suites import SUITES, run_suite
-from .tensor import (
-    tensor_bang_prodisc,
-    tensor_bang_tate,
-    tensor_indtowers,
-    tensor_star_indlc,
-    tensor_star_tate,
-    tensor_star_towers,
-)
+from .tensor import tensor_bang_tate, tensor_families, tensor_star_tate, tensor_systems
 
 
 def _dump(doc) -> str:
@@ -146,12 +140,12 @@ def cmd_tensor(args) -> int:
     a = parse_space(_load_doc(args.a))
     b = parse_space(_load_doc(args.b))
     pairs = {
-        ("star", Tower, Tower): tensor_star_towers,
+        ("star", Tower, Tower): tensor_systems,
         ("star", TateObj, TateObj): tensor_star_tate,
-        ("star", IndLCObj, IndLCObj): tensor_star_indlc,
-        ("bang", IndTower, IndTower): tensor_indtowers,
+        ("star", IndLCObj, IndLCObj): tensor_families,
+        ("bang", IndTower, IndTower): tensor_systems,
         ("bang", TateObj, TateObj): tensor_bang_tate,
-        ("bang", ProDiscObj, ProDiscObj): tensor_bang_prodisc,
+        ("bang", ProDiscObj, ProDiscObj): tensor_families,
     }
     fn = pairs.get((args.op, type(a), type(b)))
     if fn is None:
@@ -215,6 +209,7 @@ def cmd_report(args) -> int:
     return 2
 
 
+@functools.cache  # built on first use, not at import; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tatevec", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

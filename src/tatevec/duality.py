@@ -54,16 +54,9 @@ def dual_object(X):
         return FinVect(X.dim)
     if isinstance(X, LinMap):
         return LinMap(FinVect(X.dst.dim), FinVect(X.src.dim), X.mat.T)
-    if isinstance(X, Tower):
-        return IndTower(
-            X.field,
-            lambda n: X.space(n).dim,
-            lambda n: X.transition(n).T,
-            tail=_dual_tail(X.tail),
-            depth=X.depth,
-        )
-    if isinstance(X, IndTower):
-        return Tower(
+    if isinstance(X, (Tower, IndTower)):
+        dual_kind = IndTower if isinstance(X, Tower) else Tower
+        return dual_kind(
             X.field,
             lambda n: X.space(n).dim,
             lambda n: X.transition(n).T,
@@ -72,10 +65,9 @@ def dual_object(X):
         )
     if isinstance(X, TateObj):
         return TateObj(dual_object(X.dLattice), dual_object(X.cLattice))
-    if isinstance(X, IndLCObj):
-        return ProDiscObj(X.field, lambda k: dual_object(X.summand(k)), X.count)
-    if isinstance(X, ProDiscObj):
-        return IndLCObj(X.field, lambda k: dual_object(X.factor(k)), X.count)
+    if isinstance(X, (IndLCObj, ProDiscObj)):
+        dual_kind = ProDiscObj if isinstance(X, IndLCObj) else IndLCObj
+        return dual_kind(X.field, lambda k: dual_object(X.part(k)), X.count)
     raise TypeError(f"cannot dualize {type(X).__name__}")
 
 
@@ -135,12 +127,10 @@ def bidual_check(X, depth: int) -> BidualReport:
         return BidualReport(True, DualityWitness(pair, "c- and d-lattice levels"), None)
     if isinstance(X, (IndLCObj, ProDiscObj)):
         a, b = materialize(X, depth), materialize(XX, depth)
-        parts_a = a.summands if hasattr(a, "summands") else a.factors
-        parts_b = b.summands if hasattr(b, "summands") else b.factors
-        if len(parts_a) != len(parts_b):
+        if len(a.parts) != len(b.parts):
             return BidualReport(False, None, "component count changed")
         pair = []
-        for k, (x, y) in enumerate(zip(parts_a, parts_b), start=1):
+        for k, (x, y) in enumerate(zip(a.parts, b.parts), start=1):
             bad = _prefix_pair(f"component {k}", x, y)
             if bad:
                 return BidualReport(False, None, bad)

@@ -21,12 +21,11 @@ from .spaces import (
     FinVect,
     IndLCObj,
     IndTower,
-    IndTowerPrefix,
     ProDiscObj,
+    SystemPrefix,
     TailDescriptor,
     TateObj,
     Tower,
-    TowerPrefix,
     builtin_space,
     materialize,
 )
@@ -45,11 +44,24 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def _int(x, path) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(path, "expected an integer")
+
+
+def _list(raw, path) -> list:
+    if not isinstance(raw, list):
+        raise ParseError(path, "expected a list")
+    return raw
+
+
 def parse_field(doc, path="$") -> FieldSpec:
     p = _need(doc, "field", path)
     try:
         return FieldSpec(int(p))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{path}.field", str(e))
 
 
@@ -75,8 +87,11 @@ def parse_tail(doc, path="$") -> TailDescriptor:
     if doc is None:
         return TailDescriptor()
     kind = _need(doc, "kind", path)
+    bound = doc.get("c")
+    if bound is not None:
+        bound = _int(bound, f"{path}.c")
     try:
-        return TailDescriptor(kind, doc.get("c"))
+        return TailDescriptor(kind, bound)
     except ValueError as e:
         raise ParseError(path, str(e))
 
@@ -84,6 +99,16 @@ def parse_tail(doc, path="$") -> TailDescriptor:
 # ---------------------------------------------------------------------------
 # Space presentations
 # ---------------------------------------------------------------------------
+
+
+def _prefix_doc(pre: SystemPrefix, tail: TailDescriptor) -> dict:
+    return {
+        "kind": pre.kind,
+        "field": pre.field.p,
+        "dims": list(pre.dims),
+        "transitions": [matrix_doc(t) for t in pre.maps],
+        "tail": tail_doc(tail),
+    }
 
 
 def space_doc(obj, depth: Optional[int] = None) -> dict:
@@ -94,14 +119,7 @@ def space_doc(obj, depth: Optional[int] = None) -> dict:
         d = obj.depth if obj.depth is not None else depth
         if d is None:
             raise ValueError("serializing an unbounded system needs a depth")
-        pre = materialize(obj, d)
-        return {
-            "kind": obj.kind,
-            "field": obj.field.p,
-            "dims": list(pre.dims),
-            "transitions": [matrix_doc(t) for t in pre.maps],
-            "tail": tail_doc(obj.tail),
-        }
+        return _prefix_doc(materialize(obj, d), obj.tail)
     if isinstance(obj, TateObj):
         return {
             "kind": "tate",
@@ -109,47 +127,40 @@ def space_doc(obj, depth: Optional[int] = None) -> dict:
             "c": space_doc(obj.cLattice, depth),
             "d": space_doc(obj.dLattice, depth),
         }
-    if isinstance(obj, IndLCObj):
+    if isinstance(obj, (IndLCObj, ProDiscObj)):
         if obj.count is None and depth is None:
-            raise ValueError("serializing an unbounded sum needs a depth")
+            raise ValueError(f"serializing an unbounded {obj.kind} family needs a depth")
         count = obj.count if obj.count is not None else depth
         return {
-            "kind": "indlc",
+            "kind": obj.kind,
             "field": obj.field.p,
-            "summands": [space_doc(obj.summand(k), depth) for k in range(1, count + 1)],
+            obj.parts_key: [space_doc(obj.part(k), depth) for k in range(1, count + 1)],
         }
-    if isinstance(obj, ProDiscObj):
-        if obj.count is None and depth is None:
-            raise ValueError("serializing an unbounded product needs a depth")
-        count = obj.count if obj.count is not None else depth
-        return {
-            "kind": "prodisc",
-            "field": obj.field.p,
-            "factors": [space_doc(obj.factor(k), depth) for k in range(1, count + 1)],
-        }
-    if isinstance(obj, (TowerPrefix, IndTowerPrefix)):
-        kind = "tower" if isinstance(obj, TowerPrefix) else "indtower"
-        return {
-            "kind": kind,
-            "field": obj.field.p,
-            "dims": list(obj.dims),
-            "transitions": [matrix_doc(t) for t in obj.maps],
-            "tail": tail_doc(TailDescriptor()),
-        }
+    if isinstance(obj, SystemPrefix):
+        return _prefix_doc(obj, TailDescriptor())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def parse_space(doc, path="$"):
     kind = _need(doc, "kind", path)
     if kind == "finvect":
-        return FinVect(int(_need(doc, "dim", path)))
+        dim = _int(_need(doc, "dim", path), f"{path}.dim")
+        try:
+            return FinVect(dim)
+        except ValueError as e:
+            raise ParseError(f"{path}.dim", str(e))
     if kind == "builtin":
         field = parse_field(doc, path)
-        return builtin_space(_need(doc, "name", path), field, int(doc.get("n", 0)))
+        name, n = _need(doc, "name", path), _int(doc.get("n", 0), f"{path}.n")
+        try:
+            return builtin_space(name, field, n)
+        except ValueError as e:
+            raise ParseError(path, str(e))
     field = parse_field(doc, path)
     if kind in ("tower", "indtower"):
-        dims = [int(d) for d in _need(doc, "dims", path)]
-        raw = _need(doc, "transitions", path)
+        raw = _list(_need(doc, "dims", path), f"{path}.dims")
+        dims = [_int(d, f"{path}.dims[{i}]") for i, d in enumerate(raw)]
+        raw = _list(_need(doc, "transitions", path), f"{path}.transitions")
         if len(raw) != max(len(dims) - 1, 0):
             raise ParseError(f"{path}.transitions", "one transition per adjacent level pair")
         maps = [parse_matrix(field, m, f"{path}.transitions[{i}]") for i, m in enumerate(raw)]
@@ -167,22 +178,14 @@ def parse_space(doc, path="$"):
         if not isinstance(c, Tower) or not isinstance(d, IndTower):
             raise ParseError(path, "tate object needs a tower 'c' and an indtower 'd'")
         return TateObj(c, d)
-    if kind == "indlc":
-        parts = [
-            parse_space(s, f"{path}.summands[{i}]")
-            for i, s in enumerate(_need(doc, "summands", path))
-        ]
-        if not all(isinstance(s, Tower) for s in parts):
-            raise ParseError(f"{path}.summands", "every summand must be a tower")
-        return IndLCObj.from_list(field, parts)
-    if kind == "prodisc":
-        parts = [
-            parse_space(f, f"{path}.factors[{i}]")
-            for i, f in enumerate(_need(doc, "factors", path))
-        ]
-        if not all(isinstance(f, IndTower) for f in parts):
-            raise ParseError(f"{path}.factors", "every factor must be an indtower")
-        return ProDiscObj.from_list(field, parts)
+    if kind in ("indlc", "prodisc"):
+        family = IndLCObj if kind == "indlc" else ProDiscObj
+        key = family.parts_key
+        raw = _list(_need(doc, key, path), f"{path}.{key}")
+        parts = [parse_space(x, f"{path}.{key}[{i}]") for i, x in enumerate(raw)]
+        if not all(isinstance(x, family.part_type) for x in parts):
+            raise ParseError(f"{path}.{key}", f"every {key[:-1]} must be a {family.part_type.kind}")
+        return family.from_list(field, parts)
     raise ParseError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
@@ -255,13 +258,6 @@ def _table(raw, rows, cols, path, parse):
 
 def _matrix_table(field, rows, cols, raw, path):
     return _table(raw, rows, cols, path, lambda x, p: parse_matrix(field, x, p))
-
-
-def _int(x, path) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError):
-        raise ParseError(path, "expected an integer")
 
 
 def _dims(raw, length, path) -> list[int]:

@@ -98,21 +98,20 @@ def _coker_dim(t: Matrix) -> int:
     return t.rows - rank(t)
 
 
+# bounded tail kind -> (the transition dimension it bounds, how to measure it)
+_BOUNDED = {"bounded-ker": ("kernel", _ker_dim), "bounded-coker": ("cokernel", _coker_dim)}
+
+
 def _check_tail(tail: TailDescriptor, maps: list[Matrix]):
-    if tail.kind == "bounded-ker":
-        for i, t in enumerate(maps):
-            if _ker_dim(t) > tail.bound:
-                raise DescriptorViolation(
-                    f"bounded-ker({tail.bound}) but transition {i + 1} has "
-                    f"kernel dimension {_ker_dim(t)}"
-                )
-    elif tail.kind == "bounded-coker":
-        for i, t in enumerate(maps):
-            if _coker_dim(t) > tail.bound:
-                raise DescriptorViolation(
-                    f"bounded-coker({tail.bound}) but transition {i + 1} has "
-                    f"cokernel dimension {_coker_dim(t)}"
-                )
+    if tail.kind not in _BOUNDED:
+        return
+    what, dim_of = _BOUNDED[tail.kind]
+    for i, t in enumerate(maps):
+        if dim_of(t) > tail.bound:
+            raise DescriptorViolation(
+                f"{tail.kind}({tail.bound}) but transition {i + 1} has "
+                f"{what} dimension {dim_of(t)}"
+            )
 
 
 class _LazySystem:
@@ -209,52 +208,46 @@ class TateObj:
         return self.cLattice.field
 
 
-class IndLCObj:
+class _LazyFamily:
+    """Shared machinery of IndLCObj and ProDiscObj: memoized 1-based parts."""
+
+    kind = ""
+    parts_key = ""  # JSON key of the parts; its singular names one part
+    part_type: type = _LazySystem
+
+    def __init__(self, field, part_fn: Callable[[int], _LazySystem], count: Optional[int]):
+        self.field = field
+        self._part_fn = part_fn
+        self.count = count
+        self._memo: dict[int, _LazySystem] = {}
+
+    def part(self, k: int) -> _LazySystem:
+        if k < 1 or (self.count is not None and k > self.count):
+            raise IndexError(f"{self.parts_key[:-1]} {k} out of range")
+        if k not in self._memo:
+            self._memo[k] = self._part_fn(k)
+        return self._memo[k]
+
+    @classmethod
+    def from_list(cls, field, parts: list[_LazySystem]):
+        parts = list(parts)
+        return cls(field, lambda k: parts[k - 1], len(parts))
+
+
+class IndLCObj(_LazyFamily):
     """Countable direct sum of linearly compact spaces (lazy Tower summands)."""
 
     kind = "indlc"
-
-    def __init__(self, field, summand_fn: Callable[[int], Tower], count: Optional[int]):
-        self.field = field
-        self._summand_fn = summand_fn
-        self.count = count
-        self._memo: dict[int, Tower] = {}
-
-    def summand(self, k: int) -> Tower:
-        if k < 1 or (self.count is not None and k > self.count):
-            raise IndexError(f"summand {k} out of range")
-        if k not in self._memo:
-            self._memo[k] = self._summand_fn(k)
-        return self._memo[k]
-
-    @classmethod
-    def from_list(cls, field, towers: list[Tower]) -> "IndLCObj":
-        towers = list(towers)
-        return cls(field, lambda k: towers[k - 1], len(towers))
+    parts_key = "summands"
+    part_type = Tower
 
 
-class ProDiscObj:
+class ProDiscObj(_LazyFamily):
     """Countable direct product of discrete spaces (lazy IndTower factors)."""
 
     kind = "prodisc"
-
-    def __init__(self, field, factor_fn: Callable[[int], IndTower], count: Optional[int]):
-        self.field = field
-        self._factor_fn = factor_fn
-        self.count = count
-        self._memo: dict[int, IndTower] = {}
-
-    def factor(self, k: int) -> IndTower:
-        if k < 1 or (self.count is not None and k > self.count):
-            raise IndexError(f"factor {k} out of range")
-        if k not in self._memo:
-            self._memo[k] = self._factor_fn(k)
-        return self._memo[k]
-
-    @classmethod
-    def from_list(cls, field, indtowers: list[IndTower]) -> "ProDiscObj":
-        indtowers = list(indtowers)
-        return cls(field, lambda k: indtowers[k - 1], len(indtowers))
+    parts_key = "factors"
+    part_type = IndTower
 
 
 class FilteredSpace:
@@ -294,33 +287,23 @@ class FilteredSpace:
 
 
 @dataclass(frozen=True)
-class TowerPrefix:
+class SystemPrefix:
+    kind: str  # "tower" or "indtower"
     field: FieldSpec
     dims: tuple[int, ...]
-    maps: tuple[Matrix, ...]  # maps[i]: level i+2 -> level i+1
-
-
-@dataclass(frozen=True)
-class IndTowerPrefix:
-    field: FieldSpec
-    dims: tuple[int, ...]
-    maps: tuple[Matrix, ...]  # maps[i]: level i+1 -> level i+2
+    maps: tuple[Matrix, ...]  # maps[i]: level i+2 -> level i+1 (tower) or back (indtower)
 
 
 @dataclass(frozen=True)
 class TatePrefix:
-    c: TowerPrefix
-    d: IndTowerPrefix
+    c: SystemPrefix
+    d: SystemPrefix
 
 
 @dataclass(frozen=True)
-class IndLCPrefix:
-    summands: tuple[TowerPrefix, ...]
-
-
-@dataclass(frozen=True)
-class ProDiscPrefix:
-    factors: tuple[IndTowerPrefix, ...]
+class FamilyPrefix:
+    kind: str  # "indlc" or "prodisc"
+    parts: tuple[SystemPrefix, ...]
 
 
 def materialize(obj, depth: int, inner: Optional[int] = None):
@@ -332,26 +315,17 @@ def materialize(obj, depth: int, inner: Optional[int] = None):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(obj, Tower):
+    if isinstance(obj, _LazySystem):
         dims = tuple(obj.space(n).dim for n in range(1, depth + 1))
         maps = tuple(obj.transition(n) for n in range(1, depth))
         _check_tail(obj.tail, list(maps))
-        return TowerPrefix(obj.field, dims, maps)
-    if isinstance(obj, IndTower):
-        dims = tuple(obj.space(n).dim for n in range(1, depth + 1))
-        maps = tuple(obj.transition(n) for n in range(1, depth))
-        _check_tail(obj.tail, list(maps))
-        return IndTowerPrefix(obj.field, dims, maps)
+        return SystemPrefix(obj.kind, obj.field, dims, maps)
     if isinstance(obj, TateObj):
         return TatePrefix(materialize(obj.cLattice, depth), materialize(obj.dLattice, depth))
-    if isinstance(obj, IndLCObj):
+    if isinstance(obj, _LazyFamily):
         inner = depth if inner is None else inner
         n = depth if obj.count is None else min(depth, obj.count)
-        return IndLCPrefix(tuple(materialize(obj.summand(k), inner) for k in range(1, n + 1)))
-    if isinstance(obj, ProDiscObj):
-        inner = depth if inner is None else inner
-        n = depth if obj.count is None else min(depth, obj.count)
-        return ProDiscPrefix(tuple(materialize(obj.factor(k), inner) for k in range(1, n + 1)))
+        return FamilyPrefix(obj.kind, tuple(materialize(obj.part(k), inner) for k in range(1, n + 1)))
     raise TypeError(f"cannot materialize {type(obj).__name__}")
 
 
@@ -429,7 +403,7 @@ def tate_from_finvect(field: FieldSpec, fv: FinVect) -> TateObj:
 # ---------------------------------------------------------------------------
 
 
-def normalize_indtower(T: IndTower, depth: int) -> tuple[IndTowerPrefix, list[Matrix]]:
+def normalize_indtower(T: IndTower, depth: int) -> tuple[SystemPrefix, list[Matrix]]:
     """Replace each level by its image in the top level; transitions become
     inclusions (injective).  Returns the normalized prefix plus comparison
     maps old level -> new level that commute with the transitions.
@@ -456,14 +430,14 @@ def normalize_indtower(T: IndTower, depth: int) -> tuple[IndTowerPrefix, list[Ma
         if cmp_i is None:
             raise AssertionError("internal: ind-tower level does not map into its image")
         comparisons.append(cmp_i)
-    out = IndTowerPrefix(field, new_dims, tuple(new_maps))
+    out = SystemPrefix(pre.kind, field, new_dims, tuple(new_maps))
     for i in range(N - 1):
         if new_maps[i] @ comparisons[i] != comparisons[i + 1] @ pre.maps[i]:
             raise AssertionError("internal: ind-tower comparison is not natural")
     return out, comparisons
 
 
-def normalize_tower(T: Tower, depth: int) -> tuple[TowerPrefix, list[Matrix]]:
+def normalize_tower(T: Tower, depth: int) -> tuple[SystemPrefix, list[Matrix]]:
     """Replace each level by the image of the deepest available level.
 
     Output transitions are surjective onto the new levels; comparison maps
@@ -489,7 +463,7 @@ def normalize_tower(T: Tower, depth: int) -> tuple[TowerPrefix, list[Matrix]]:
         if rank(t) != new_dims[i]:
             raise AssertionError("internal: normalized tower transition is not surjective")
         new_maps.append(t)
-    out = TowerPrefix(field, new_dims, tuple(new_maps))
+    out = SystemPrefix(pre.kind, field, new_dims, tuple(new_maps))
     comparisons = list(bases)
     for i in range(N - 1):
         if pre.maps[i] @ bases[i + 1] != bases[i] @ new_maps[i]:
@@ -591,14 +565,10 @@ def is_tate_verdict(sys, depth: int) -> TateVerdict:
     'not-tate', anything else is 'inconclusive'.  Any verdict that leans on
     the descriptor says so in its evidence.
     """
-    if isinstance(sys, Tower):
-        relevant, bounded_kind = "kernel", "bounded-ker"
-        dim_of = _ker_dim
-    elif isinstance(sys, IndTower):
-        relevant, bounded_kind = "cokernel", "bounded-coker"
-        dim_of = _coker_dim
-    else:
+    if not isinstance(sys, (Tower, IndTower)):
         raise TypeError("verdict applies to Tower or IndTower presentations")
+    bounded_kind = "bounded-ker" if isinstance(sys, Tower) else "bounded-coker"
+    relevant, dim_of = _BOUNDED[bounded_kind]
     pre = materialize(sys, depth)
     profile = [dim_of(t) for t in pre.maps]
     evidence = {

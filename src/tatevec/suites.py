@@ -55,7 +55,7 @@ from .tensor import (
     index_from_pair,
     pair_from_index,
     swap_matrix,
-    tensor_star_towers,
+    tensor_systems,
     uncurry,
 )
 
@@ -282,30 +282,16 @@ def check_tensor_symmetry(seed=14):
         tB = rand_matrix(rng, field, n1, n2)
         if swap_matrix(field, m1, n1) @ kron(tA, tB) != kron(tB, tA) @ swap_matrix(field, m2, n2):
             return False, "commutativity swap failed"
-        tC = rand_matrix(rng, field, 2, 2)
+        k1, k2 = (int(x) for x in rng.integers(1, 4, size=2))
+        tC = rand_matrix(rng, field, k1, k2)
         if kron(kron(tA, tB), tC) != kron(tA, kron(tB, tC)):
             return False, "associativity failed"
     t = power_series_tower(GF2)
-    u = tensor_star_towers(constant_tower(GF2, 1), t)
+    u = tensor_systems(constant_tower(GF2, 1), t)
     a, b = materialize(u, 5), materialize(t, 5)
     if a.dims != b.dims or a.maps != b.maps:
         return False, "unit law failed"
     return True, "swap conjugates transitions; associator is the identity"
-
-
-@_check("tensor/mixed-map: star-over-bang comparison matrix exists and is verified")
-def check_mixed_map(seed=15):
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        field = FieldSpec(int(rng.choice([2, 5])))
-        dims = [int(x) for x in rng.integers(1, 4, size=6)]
-        A = rand_matrix(rng, field, dims[0], dims[1])
-        B = rand_matrix(rng, field, dims[2], dims[3])
-        C = rand_matrix(rng, field, dims[4], dims[5])
-        # the identity-induced comparison at a finite level is the associator
-        if kron(A, kron(B, C)) != kron(kron(A, B), C):
-            return False, "comparison matrices differ"
-    return True, "levelwise comparison maps verified"
 
 
 @_check("tensor/adjunction: curry and uncurry are inverse dimension-preserving maps")
@@ -362,7 +348,6 @@ LAWS = [
     check_extend,
     check_pair_indexing,
     check_tensor_symmetry,
-    check_mixed_map,
     check_adjunction,
     check_hom_ev,
 ]
@@ -541,11 +526,6 @@ def check_appendix_worked(seed=31):
     return True, "pi2 = [1,1]; both commuting identities verified"
 
 
-@_check("appendix/hahn-banach: continuity witnesses respected")
-def check_appendix_hb(seed=32):
-    return check_extend(seed)
-
-
 @_check("appendix/open-mapping-guard: no certificate across category tags")
 def check_open_mapping_guard(seed=33):
     compact = power_series_tower(GF2)
@@ -566,7 +546,6 @@ APPENDIX = [
     check_appendix_split,
     check_appendix_ladders,
     check_appendix_worked,
-    check_appendix_hb,
     check_open_mapping_guard,
 ]
 

@@ -21,11 +21,11 @@ from .duality import dual_object
 from .exactla import FieldMismatchError, Matrix, kron, rank
 from .spaces import (
     IndLCObj,
-    IndTower,
     ProDiscObj,
     TailDescriptor,
     TateObj,
-    Tower,
+    _LazyFamily,
+    _LazySystem,
     constant_indtower,
     constant_tower,
     materialize,
@@ -100,12 +100,19 @@ def _combine_depth(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-def tensor_star_towers(A: Tower, B: Tower) -> Tower:
-    """Completed * tensor of linearly compact presentations (all completed
-    tensors agree there): levelwise Kronecker products on the diagonal."""
+def _same_kind(A, B):
+    if type(A) is not type(B):
+        raise TypeError(f"no tensor of a {type(A).__name__} with a {type(B).__name__}")
     if A.field != B.field:
-        raise FieldMismatchError("tensor of towers over different fields")
-    return Tower(
+        raise FieldMismatchError("tensor over different fields")
+
+
+def tensor_systems(A: _LazySystem, B: _LazySystem) -> _LazySystem:
+    """Tensor of two towers (linearly compact) or two ind-towers (discrete);
+    all completed tensors agree on either kind: levelwise Kronecker products
+    on the diagonal, of the same kind as the inputs."""
+    _same_kind(A, B)
+    return type(A)(
         A.field,
         lambda n: A.space(n).dim * B.space(n).dim,
         lambda n: kron(A.transition(n), B.transition(n)),
@@ -114,43 +121,17 @@ def tensor_star_towers(A: Tower, B: Tower) -> Tower:
     )
 
 
-def tensor_indtowers(A: IndTower, B: IndTower) -> IndTower:
-    """Tensor of discrete presentations (all completed tensors agree)."""
-    if A.field != B.field:
-        raise FieldMismatchError("tensor of systems over different fields")
-    return IndTower(
-        A.field,
-        lambda n: A.space(n).dim * B.space(n).dim,
-        lambda n: kron(A.transition(n), B.transition(n)),
-        tail=_combine_tails(A.tail, B.tail),
-        depth=_combine_depth(A.depth, B.depth),
-    )
+def tensor_families(A: _LazyFamily, B: _LazyFamily) -> _LazyFamily:
+    """The * tensor of two sums of compact pieces, or the ! tensor of two
+    products of discrete pieces: pairwise tensors of the parts, enumerated
+    diagonally."""
+    _same_kind(A, B)
 
-
-def tensor_star_indlc(A: IndLCObj, B: IndLCObj) -> IndLCObj:
-    """The * tensor of sums of compact pieces: pairwise products of summands,
-    enumerated diagonally."""
-    if A.field != B.field:
-        raise FieldMismatchError("tensor over different fields")
-
-    def summand(k):
+    def part(k):
         i, j = pair_at(k, A.count, B.count)
-        return tensor_star_towers(A.summand(i), B.summand(j))
+        return tensor_systems(A.part(i), B.part(j))
 
-    return IndLCObj(A.field, summand, _pair_count(A.count, B.count))
-
-
-def tensor_bang_prodisc(A: ProDiscObj, B: ProDiscObj) -> ProDiscObj:
-    """The ! tensor of products of discrete pieces: pairwise tensors of
-    factors, enumerated diagonally."""
-    if A.field != B.field:
-        raise FieldMismatchError("tensor over different fields")
-
-    def factor(k):
-        i, j = pair_at(k, A.count, B.count)
-        return tensor_indtowers(A.factor(i), B.factor(j))
-
-    return ProDiscObj(A.field, factor, _pair_count(A.count, B.count))
+    return type(A)(A.field, part, _pair_count(A.count, B.count))
 
 
 # ---------------------------------------------------------------------------
@@ -165,49 +146,36 @@ def embed_tate(V: TateObj, target: str):
     discrete part, each a constant tower.  prodisc: the d-lattice plus the
     finite quotient increments of the compact part, each a constant system.
     """
-    field = V.field
     if target == "indlc":
-        D = V.dLattice
+        family, base, other, constant = IndLCObj, V.cLattice, V.dLattice, constant_tower
+    elif target == "prodisc":
+        family, base, other, constant = ProDiscObj, V.dLattice, V.cLattice, constant_indtower
+    else:
+        raise ValueError(f"unknown embedding target {target!r}")
 
-        def summand(k):
-            if k == 1:
-                return V.cLattice
-            step = k - 1
-            if step == 1:
-                inc = D.space(1).dim
-            else:
-                inc = D.space(step).dim - rank(D.transition(step - 1))
-            return constant_tower(field, inc)
+    def part(k):
+        if k == 1:
+            return base
+        step = k - 1
+        if step == 1:
+            inc = other.space(1).dim
+        else:
+            inc = other.space(step).dim - rank(other.transition(step - 1))
+        return constant(V.field, inc)
 
-        count = None if D.depth is None else D.depth + 1
-        return IndLCObj(field, summand, count)
-    if target == "prodisc":
-        C = V.cLattice
-
-        def factor(k):
-            if k == 1:
-                return V.dLattice
-            step = k - 1
-            if step == 1:
-                inc = C.space(1).dim
-            else:
-                inc = C.space(step).dim - rank(C.transition(step - 1))
-            return constant_indtower(field, inc)
-
-        count = None if C.depth is None else C.depth + 1
-        return ProDiscObj(field, factor, count)
-    raise ValueError(f"unknown embedding target {target!r}")
+    count = None if other.depth is None else other.depth + 1
+    return family(V.field, part, count)
 
 
 def tensor_star_tate(A: TateObj, B: TateObj) -> IndLCObj:
     """The * tensor of Tate objects, computed through the ind-compact
     embedding.  The result is generally not Tate; the category tag says so."""
-    return tensor_star_indlc(embed_tate(A, "indlc"), embed_tate(B, "indlc"))
+    return tensor_families(embed_tate(A, "indlc"), embed_tate(B, "indlc"))
 
 
 def tensor_bang_tate(A: TateObj, B: TateObj) -> ProDiscObj:
     """The ! tensor of Tate objects, through the pro-discrete embedding."""
-    return tensor_bang_prodisc(embed_tate(A, "prodisc"), embed_tate(B, "prodisc"))
+    return tensor_families(embed_tate(A, "prodisc"), embed_tate(B, "prodisc"))
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +259,16 @@ def check_tensor_duality(A: IndLCObj, B: IndLCObj, depth: int) -> TensorDualityR
     depth and aligned by the diagonal enumeration; dims and transition
     matrices must agree exactly.
     """
-    lhs = dual_object(tensor_star_indlc(A, B))
-    rhs = tensor_bang_prodisc(dual_object(A), dual_object(B))
+    lhs = dual_object(tensor_families(A, B))
+    rhs = tensor_families(dual_object(A), dual_object(B))
     pl = materialize(lhs, depth)
     pr = materialize(rhs, depth)
-    if len(pl.factors) != len(pr.factors):
+    if len(pl.parts) != len(pr.parts):
         return TensorDualityReport(False, (), "factor counts differ")
     alignment = []
-    for k in range(1, len(pl.factors) + 1):
+    for k in range(1, len(pl.parts) + 1):
         alignment.append((k, pair_at(k, A.count, B.count)))
-        x, y = pl.factors[k - 1], pr.factors[k - 1]
+        x, y = pl.parts[k - 1], pr.parts[k - 1]
         if x.dims != y.dims:
             return TensorDualityReport(False, (), f"factor {k}: dims {x.dims} vs {y.dims}")
         for lvl, (mx, my) in enumerate(zip(x.maps, y.maps), start=1):

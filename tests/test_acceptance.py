@@ -41,7 +41,7 @@ from tatevec.tensor import (
     check_tensor_duality,
     hom_via_tensor,
     pair_at,
-    tensor_star_towers,
+    tensor_systems,
 )
 
 GF2 = FieldSpec(2)
@@ -134,7 +134,7 @@ def test_c03_hom_presentation():
                             report(3, False, f"Ev identity fails for {na} -> {nb}")
             # factor profile against the independent monomial count
             pre = materialize(hp.prodisc, outer, inner=inner)
-            for k, fac in enumerate(pre.factors, start=1):
+            for k, fac in enumerate(pre.parts, start=1):
                 i, j = pair_at(k, None, None)
                 want = _expected_dual_factor_dims(na, i, inner) * _expected_target_factor_dims(
                     nb, j, inner
@@ -158,7 +158,7 @@ def test_c04_lattice_example():
 
 
 def test_c05_two_variable_square_law():
-    t = tensor_star_towers(power_series_tower(GF2), power_series_tower(GF2))
+    t = tensor_systems(power_series_tower(GF2), power_series_tower(GF2))
     pre = materialize(t, 20)
     ok = pre.dims == tuple(n * n for n in range(1, 21))
     report(5, ok, "power-series square has level-n dimension n^2 for n <= 20")

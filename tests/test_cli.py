@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from tatevec import bidirected as bd
-from tatevec.cli import main
+from tatevec.cli import build_parser, main
 from tatevec.exactla import FieldSpec
 from tatevec.generators import rand_grid, rand_indtower, rand_pairings, rand_tate, rand_tower
 from tatevec.serialize import grid_doc, parse_grid, parse_space, space_doc
@@ -143,6 +143,36 @@ def test_shape_defects_are_malformed(tmp_path, capsys, path, mutate):
         assert json.loads(out)["path"] == path
 
 
+def _tower(**fields):
+    return {"kind": "tower", "field": 2, "dims": [1], "transitions": [], **fields}
+
+
+# (JSON path of the error, malformed space document)
+SPACE_DEFECTS = [
+    ("$.dim", {"kind": "finvect", "dim": "x"}),
+    ("$.dim", {"kind": "finvect", "dim": -1}),
+    ("$.dim", {"kind": "finvect", "dim": float("inf")}),
+    ("$.n", {"kind": "builtin", "name": "constant", "field": 2, "n": "x"}),
+    ("$", {"kind": "builtin", "name": "nope", "field": 2}),
+    ("$.dims[0]", _tower(dims=["x"])),
+    ("$.dims", _tower(dims=5)),
+    ("$.transitions", _tower(transitions=5)),
+    ("$.tail.c", _tower(tail={"kind": "bounded-ker", "c": "x"})),
+    ("$.summands", {"kind": "indlc", "field": 2, "summands": 5}),
+    ("$.factors[0].dim", {"kind": "prodisc", "field": 2, "factors": [{"kind": "finvect", "dim": "x"}]}),
+]
+
+
+@pytest.mark.parametrize("path,doc", SPACE_DEFECTS, ids=[json.dumps(d) for _, d in SPACE_DEFECTS])
+def test_space_defects_are_malformed(tmp_path, capsys, path, doc):
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(doc))
+    for argv in (("dual",), ("report",), ("tensor", "--op", "star", str(doc_path))):
+        code, out = run_cli(capsys, *argv, str(doc_path))
+        assert code == 2
+        assert json.loads(out)["path"] == path
+
+
 class TestTensorCommand:
     def test_power_series_square_law(self, tmp_path, capsys):
         path = tmp_path / "ps.json"
@@ -180,6 +210,16 @@ class TestDeterminism:
         _, out1 = run_cli(capsys, "decompose", str(path))
         _, out2 = run_cli(capsys, "decompose", str(path))
         assert out1 == out2
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    monkeypatch.delenv("TATESPACE_SEED", raising=False)
+    build_parser.cache_clear()
+    _, seeded = run_cli(capsys, "gen", "--kind", "tower", "--seed", "3")
+    _, default = run_cli(capsys, "gen", "--kind", "tower")
+    assert build_parser.cache_info().misses == 1
+    # the second parse does not inherit the first one's --seed
+    assert default == run_cli(capsys, "gen", "--kind", "tower", "--seed", "0")[1] != seeded
 
 
 class TestRoundTrip:

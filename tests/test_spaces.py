@@ -7,7 +7,7 @@ from tatevec.spaces import (
     FilteredSpace,
     FinVect,
     IndTower,
-    IndTowerPrefix,
+    SystemPrefix,
     LinMap,
     TailDescriptor,
     TateObj,

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tatevec.exactla import FieldSpec, Matrix, kron
 from tatevec.duality import dual_object
@@ -28,10 +29,9 @@ from tatevec.tensor import (
     pair_from_index,
     swap_matrix,
     tensor_bang_tate,
-    tensor_indtowers,
-    tensor_star_indlc,
+    tensor_families,
     tensor_star_tate,
-    tensor_star_towers,
+    tensor_systems,
     uncurry,
 )
 
@@ -63,107 +63,114 @@ class TestPairIndexing:
 
 class TestTowerTensor:
     def test_square_law(self):
-        t = tensor_star_towers(power_series_tower(GF2), power_series_tower(GF2))
+        t = tensor_systems(power_series_tower(GF2), power_series_tower(GF2))
         pre = materialize(t, 8)
         assert pre.dims == tuple(n * n for n in range(1, 9))
 
     def test_unit(self):
         t = power_series_tower(GF5)
-        u = tensor_star_towers(constant_tower(GF5, 1), t)
+        u = tensor_systems(constant_tower(GF5, 1), t)
         a, b = materialize(u, 5), materialize(t, 5)
         assert a.dims == b.dims and a.maps == b.maps
 
     def test_level_one(self):
         a = constant_tower(GF2, 3)
         b = constant_tower(GF2, 2)
-        assert materialize(tensor_star_towers(a, b), 1).dims == (6,)
+        assert materialize(tensor_systems(a, b), 1).dims == (6,)
 
     def test_transitions_are_kron(self):
         t = power_series_tower(GF2)
-        tt = tensor_star_towers(t, t)
+        tt = tensor_systems(t, t)
         assert materialize(tt, 3).maps[0] == kron(t.transition(1), t.transition(1))
 
 
 class TestIndTowerTensor:
     def test_square_law(self):
-        t = tensor_indtowers(polynomial_indtower(GF2), polynomial_indtower(GF2))
+        t = tensor_systems(polynomial_indtower(GF2), polynomial_indtower(GF2))
         assert materialize(t, 6).dims == tuple(n * n for n in range(1, 7))
 
     def test_unit(self):
         t = polynomial_indtower(GF2)
-        u = tensor_indtowers(constant_indtower(GF2, 1), t)
+        u = tensor_systems(constant_indtower(GF2, 1), t)
         a, b = materialize(u, 4), materialize(t, 4)
         assert a.dims == b.dims and a.maps == b.maps
 
     def test_zero_factor(self):
         z = constant_indtower(GF2, 0)
-        out = tensor_indtowers(z, polynomial_indtower(GF2))
+        out = tensor_systems(z, polynomial_indtower(GF2))
         assert materialize(out, 4).dims == (0, 0, 0, 0)
+
+
+def test_mixed_kinds_refused():
+    with pytest.raises(TypeError):
+        tensor_systems(power_series_tower(GF2), polynomial_indtower(GF2))
+    with pytest.raises(TypeError):
+        tensor_families(IndLCObj.from_list(GF2, []), ProDiscObj.from_list(GF2, []))
 
 
 class TestIndLCTensor:
     def test_single_summand_reduction(self):
         A = IndLCObj.from_list(GF2, [power_series_tower(GF2)])
-        out = tensor_star_indlc(A, A)
+        out = tensor_families(A, A)
         assert out.count == 1
         pre = materialize(out, 3)
-        assert pre.summands[0].dims == (1, 4, 9)
+        assert pre.parts[0].dims == (1, 4, 9)
 
     def test_diagonal_order_of_four(self):
         A = IndLCObj.from_list(GF2, [constant_tower(GF2, 1), constant_tower(GF2, 2)])
         B = IndLCObj.from_list(GF2, [constant_tower(GF2, 3), constant_tower(GF2, 4)])
-        out = tensor_star_indlc(A, B)
+        out = tensor_families(A, B)
         assert out.count == 4
         pre = materialize(out, 4, inner=1)
         # pairs (1,1), (1,2), (2,1), (2,2)
-        assert [s.dims[0] for s in pre.summands] == [3, 4, 6, 8]
+        assert [s.dims[0] for s in pre.parts] == [3, 4, 6, 8]
 
     def test_zero_object(self):
         Z = IndLCObj.from_list(GF2, [])
-        out = tensor_star_indlc(Z, IndLCObj.from_list(GF2, [constant_tower(GF2, 2)]))
+        out = tensor_families(Z, IndLCObj.from_list(GF2, [constant_tower(GF2, 2)]))
         assert out.count == 0
-        assert materialize(out, 3).summands == ()
+        assert materialize(out, 3).parts == ()
 
 
 class TestEmbedTate:
     def test_laurent_indlc(self):
         out = embed_tate(laurent_tate(GF2), "indlc")
         pre = materialize(out, 4, inner=3)
-        assert pre.summands[0].dims == (1, 2, 3)  # the c-lattice
-        for s in pre.summands[1:]:
+        assert pre.parts[0].dims == (1, 2, 3)  # the c-lattice
+        for s in pre.parts[1:]:
             assert s.dims == (1, 1, 1)  # one new monomial per step
 
     def test_laurent_prodisc(self):
         out = embed_tate(laurent_tate(GF2), "prodisc")
         pre = materialize(out, 4, inner=3)
-        assert pre.factors[0].dims == (1, 2, 3)  # the d-lattice
-        for f in pre.factors[1:]:
+        assert pre.parts[0].dims == (1, 2, 3)  # the d-lattice
+        for f in pre.parts[1:]:
             assert f.dims == (1, 1, 1)  # quotient increments of the c-lattice
 
     def test_purely_discrete(self):
         t = TateObj(constant_tower(GF2, 0), polynomial_indtower(GF2))
         pre = materialize(embed_tate(t, "indlc"), 4, inner=2)
-        assert pre.summands[0].dims == (0, 0)
-        assert all(s.dims == (1, 1) for s in pre.summands[1:])
+        assert pre.parts[0].dims == (0, 0)
+        assert all(s.dims == (1, 1) for s in pre.parts[1:])
 
     def test_purely_compact(self):
         t = TateObj(power_series_tower(GF2), constant_indtower(GF2, 0))
         pre = materialize(embed_tate(t, "prodisc"), 4, inner=2)
-        assert pre.factors[0].dims == (0, 0)
-        assert all(f.dims == (1, 1) for f in pre.factors[1:])
+        assert pre.parts[0].dims == (0, 0)
+        assert all(f.dims == (1, 1) for f in pre.parts[1:])
 
 
 class TestTateTensors:
     def test_laurent_star_first_summand(self):
         out = tensor_star_tate(laurent_tate(GF2), laurent_tate(GF2))
         pre = materialize(out, 1, inner=4)
-        assert pre.summands[0].dims == (1, 4, 9, 16)  # power series in two variables
+        assert pre.parts[0].dims == (1, 4, 9, 16)  # power series in two variables
 
     def test_finite_tates_reduce_to_kron(self):
         A = tate_from_finvect(GF2, FinVect(2))
         B = tate_from_finvect(GF2, FinVect(3))
         pre = materialize(tensor_star_tate(A, B), 6, inner=2)
-        nonzero = [s for s in pre.summands if any(s.dims)]
+        nonzero = [s for s in pre.parts if any(s.dims)]
         assert len(nonzero) == 1 and nonzero[0].dims == (6, 6)
 
     def test_star_vs_bang_prefix_shapes(self):
@@ -180,8 +187,8 @@ class TestTateTensors:
         assert isinstance(bang_obj, ProDiscObj)
         star = materialize(star_obj, 8, inner=3)
         bang = materialize(bang_obj, 8, inner=3)
-        star_nonzero = [s.dims for s in star.summands if any(s.dims)]
-        bang_nonzero = [f.dims for f in bang.factors if any(f.dims)]
+        star_nonzero = [s.dims for s in star.parts if any(s.dims)]
+        bang_nonzero = [f.dims for f in bang.parts if any(f.dims)]
         assert star_nonzero and all(d == (1, 2, 3) for d in star_nonzero)
         assert bang_nonzero and all(d == (1, 2, 3) for d in bang_nonzero)
 
@@ -192,7 +199,7 @@ class TestHomViaTensor:
         hp = hom_via_tensor(one, one, 3)
         assert hp.window == ((1, 1), (1, 1), (1, 1))
         pre = materialize(hp.prodisc, 4, inner=2)
-        total = sum(f.dims[-1] for f in pre.factors)
+        total = sum(f.dims[-1] for f in pre.parts)
         assert total == 1
 
     def test_hom_power_series_dims_match_direct_count(self):
@@ -206,9 +213,9 @@ class TestHomViaTensor:
         # maps from the level-M source truncation
         K, Minner = 6, 3
         pre = materialize(hp.prodisc, K, inner=Minner)
-        total = sum(f.dims[-1] for f in pre.factors)
+        total = sum(f.dims[-1] for f in pre.parts)
         increments = 0
-        for k in range(1, len(pre.factors) + 1):
+        for k in range(1, len(pre.parts) + 1):
             i, j = pair_at(k, None, None)
             if i == 1 and j >= 2:
                 increments += 1
@@ -223,10 +230,10 @@ class TestHomViaTensor:
         depth = index_from_pair(6, 2)  # enough pairs to cover (i, 2), i <= 6
         pre = materialize(hp.prodisc, depth, inner=3)
         dual_pre = materialize(embed_tate(dual_object(A), "prodisc"), 6, inner=3)
-        by_pair = {pair_at(k, None, None): f for k, f in enumerate(pre.factors, start=1)}
+        by_pair = {pair_at(k, None, None): f for k, f in enumerate(pre.parts, start=1)}
         for i in range(1, 7):
-            assert by_pair[(i, 2)].dims == dual_pre.factors[i - 1].dims
-            assert by_pair[(i, 2)].maps == dual_pre.factors[i - 1].maps
+            assert by_pair[(i, 2)].dims == dual_pre.parts[i - 1].dims
+            assert by_pair[(i, 2)].maps == dual_pre.parts[i - 1].maps
         for (i, j), f in by_pair.items():
             if j != 2:
                 assert not any(f.dims)
@@ -311,3 +318,13 @@ class TestStructureLaws:
             hom_x = Matrix(GF5, (N @ x).data.reshape(c, b))
             assert hom_x @ y == M @ kron(x, y)
 
+
+
+def test_star_import_resolves_every_public_name():
+    # a name left in __all__ after a rename makes the star import raise
+    import tatevec
+
+    ns = {}
+    exec("from tatevec import *", ns)
+    assert len(set(tatevec.__all__)) == len(tatevec.__all__)
+    assert set(tatevec.__all__) <= ns.keys()
