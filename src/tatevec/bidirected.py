@@ -25,7 +25,7 @@ from .duality import dual_object
 from .exactla import (
     Matrix,
     block_diag,
-    complement_basis,
+    extend_basis,
     hstack,
     image_basis,
     inverse,
@@ -126,6 +126,7 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
             if G.up[r][c + 1] @ G.right[r + 1][c] != G.right[r][c] @ G.up[r][c]:
                 bad.append(f"square at ({r + 1},{c + 1}) does not commute")
     if W is not None:
+        misshapen = False
         for r in range(G.m):
             for c in range(G.n):
                 inj, surj = W.inj[r][c], W.surj[r][c]
@@ -135,6 +136,7 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
                     G.dims[r][c],
                 ):
                     bad.append(f"witness shapes wrong at {cell}")
+                    misshapen = True
                     continue
                 if rank(inj) != W.Vdims[c]:
                     bad.append(f"inclusion not injective at {cell}")
@@ -144,6 +146,8 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
                     bad.append(f"composite V -> W nonzero at {cell}")
                 if W.Vdims[c] + W.Wdims[r] != G.dims[r][c]:
                     bad.append(f"cell dimension is not |V|+|W| at {cell}")
+        if misshapen:  # the naturality identities below need composable maps
+            return GridReport(False, tuple(bad))
         for r in range(G.m):
             for c in range(G.n - 1):
                 if G.right[r][c] @ W.inj[r][c] != W.inj[r][c + 1] @ W.Vmaps[c]:
@@ -207,19 +211,18 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
 
     # C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1).  As
     # surj [inj | E] = [0 | SE], the bottom rows of C are surj itself, so C
-    # stacks the top |V_c| rows of [inj | E]^-1 on surj, and C^-1 = [inj | E SE^-1].
+    # stacks the inj-coordinate rows of [inj | E]^-1 on surj, and C^-1 = [inj | E SE^-1].
     C: list[list[Matrix]] = []
     C_inv: list[list[Matrix]] = []
     for r in range(G.m):
         row, row_inv = [], []
         for c in range(G.n):
             inj, surj = W.inj[r][c], W.surj[r][c]
-            E = complement_basis(inj, G.dims[r][c])
-            base_inv = _inv(hstack([inj, E]))
+            E, inj_coords, _ = extend_basis(inj, G.dims[r][c])
             SE_inv = inverse(surj @ E)
             if SE_inv is None:
                 raise AssertionError("internal: complement does not project onto W")
-            row.append(vstack([Matrix(field, base_inv.data[: W.Vdims[c], :]), surj]))
+            row.append(vstack([inj_coords, surj]))
             row_inv.append(hstack([inj, E @ SE_inv]))
         C.append(row)
         C_inv.append(row_inv)
@@ -246,13 +249,6 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
             correct(r + 1, c, v, W.Wdims[r + 1], sigma)
 
     return check_split(G, W, C, C_inv)
-
-
-def _inv(M: Matrix) -> Matrix:
-    out = inverse(M)
-    if out is None:
-        raise AssertionError("internal: singular change of basis")
-    return out
 
 
 def check_split(G: BidirectedGrid, W: SESWitness, basis, inverse) -> SplitGrid:
@@ -296,15 +292,14 @@ class GridDecomposition:
 
     The compact part is the W-tower, the discrete part the V-system.  For
     each row cutoff r, pi[r-1] projects the total window onto what is
-    visible strictly above the cutoff, iota[r-1] includes the compact stage
-    below it, and opens[r-1] = ker pi = im iota is the corresponding open
-    subspace of the total window (in normal-form coordinates;
-    `opens_grid` gives the same subspaces in the corner cell's original
-    coordinates).
+    visible strictly above the cutoff, and opens[r-1] = ker pi is the
+    corresponding open subspace of the total window (in normal-form
+    coordinates; `opens_grid` gives the same subspaces in the corner cell's
+    original coordinates).  Its basis columns are also the inclusion iota
+    of the compact stage below the cutoff, so im iota = ker pi.
     """
 
     tate: TateObj
-    iota: tuple[Matrix, ...]
     pi: tuple[Matrix, ...]
     opens: tuple[Matrix, ...]
     opens_grid: tuple[Matrix, ...]
@@ -327,7 +322,7 @@ def grid_decomposition(S: SplitGrid) -> GridDecomposition:
     for r in range(m - 2, -1, -1):
         comp[r] = W.Wmaps[r] @ comp[r + 1]
 
-    iota, pi, opens, opens_grid = [], [], [], []
+    pi, opens, opens_grid = [], [], []
     corner = S.basis[m - 1][G.n - 1]
     corner_inv = S.inverse[m - 1][G.n - 1]
     prev_dim = None
@@ -337,21 +332,17 @@ def grid_decomposition(S: SplitGrid) -> GridDecomposition:
         proj = block_diag([Matrix.identity(field, v_n), tail], field=field)
         ker_w = kernel_basis(tail)
         U = vstack([Matrix.zeros(field, v_n, ker_w.cols), ker_w])
-        inc = U
-        if not (proj @ inc).is_zero():
+        if not (proj @ U).is_zero():
             raise AssertionError("internal: compact stage does not die above the cutoff")
-        if inc.cols != (v_n + w_m) - rank(proj):
+        if U.cols != (v_n + w_m) - rank(proj):
             raise AssertionError("internal: image of iota differs from ker pi")
-        if prev_dim is not None and inc.cols > prev_dim:
+        if prev_dim is not None and U.cols > prev_dim:
             raise AssertionError("internal: open subspaces are not shrinking")
-        prev_dim = inc.cols
-        iota.append(inc)
+        prev_dim = U.cols
         pi.append(proj)
         opens.append(U)
         opens_grid.append(corner_inv @ U)
-    return GridDecomposition(
-        tate, tuple(iota), tuple(pi), tuple(opens), tuple(opens_grid), corner
-    )
+    return GridDecomposition(tate, tuple(pi), tuple(opens), tuple(opens_grid), corner)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +407,7 @@ def chain_colimit(field, dims: list[int], maps: list[Matrix]) -> ChainColimit:
             block[offs[i + 1] : offs[i + 2], :] = (-maps[i]).data
             cols.append(Matrix(field, block))
         rel = hstack(cols)
-    im = image_basis(rel)
-    reps = complement_basis(im, total)
-    full = _inv(hstack([im, reps]))
-    classes = Matrix(field, full.data[im.cols :, :])
+    reps, _, classes = extend_basis(image_basis(rel), total)
     injections = []
     for i in range(k):
         block = np.zeros((total, dims[i]), dtype=np.int64)

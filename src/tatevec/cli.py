@@ -108,7 +108,7 @@ def cmd_decompose(args) -> int:
         "kind": "decomposition",
         "field": G.field.p,
         "tate": space_doc(dec.tate),
-        "iota": [matrix_doc(m) for m in dec.iota],
+        "iota": [matrix_doc(m) for m in dec.opens],  # the inclusions are the open bases
         "pi": [matrix_doc(m) for m in dec.pi],
         "opens": [matrix_doc(m) for m in dec.opens],
         "opens_grid": [matrix_doc(m) for m in dec.opens_grid],

@@ -15,6 +15,7 @@ from typing import Optional
 from .exactla import (
     Matrix,
     complement_basis,
+    extend_basis,
     hstack,
     intersect_columns,
     inverse,
@@ -231,23 +232,14 @@ def extend_functional(B: FilteredSpace, A: Matrix, f: Matrix, k: int) -> Matrix:
         if not (f @ coords).is_zero():
             raise ValueError("continuity witness fails: f does not kill A meet U_k")
 
-    Q = complement_basis(Uk, n)
-    T_inv = inverse(hstack([Uk, Q]))
-    if T_inv is None:
-        raise AssertionError("internal: U_k + complement is not a basis")
-    qcoord = Matrix(B.field, T_inv.data[Uk.cols :, :])  # B -> B/U_k coordinates
+    Q, _, qcoord = extend_basis(Uk, n)  # qcoord: B -> B/U_k coordinates
 
     Abar = qcoord @ A
     _, pivots = rref(Abar)
     P = Abar.take_cols(pivots)
-    fP = f.take_cols(pivots)
-    Cbar = complement_basis(P, Q.cols)
-    basis_inv = inverse(hstack([P, Cbar])) if Q.cols else None
-    if Q.cols:
-        gbar = hstack([fP, Matrix.zeros(B.field, 1, Cbar.cols)]) @ basis_inv
-        g = gbar @ qcoord
-    else:
-        g = Matrix.zeros(B.field, 1, n)
+    # f on the P-coordinates, 0 on the complement of P in B/U_k
+    _, P_coords, _ = extend_basis(P, Q.cols)
+    g = f.take_cols(pivots) @ P_coords @ qcoord
 
     if A.cols and g @ A != f:
         raise AssertionError("internal: extension does not restrict to f")

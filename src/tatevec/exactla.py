@@ -7,8 +7,9 @@ exact modulo a prime; there are no tolerances anywhere.  All tie-breaking
 that repeated runs are byte-identical.
 
 Every elimination goes through the one `rref` kernel: rank, solve,
-kernel, image, complement, inverse and span tests each read what they need
-from a single echelon form, of M itself or of M with a block appended.
+kernel, image, basis completion (with its coordinates), inverse and span
+tests each read what they need from a single echelon form, of M itself or
+of M with a block appended.
 """
 
 from __future__ import annotations
@@ -189,10 +190,6 @@ class Matrix:
             "entries": [int(x) for x in self.data.reshape(-1)],
         }
 
-    @classmethod
-    def from_json(cls, field: FieldSpec, doc: dict) -> "Matrix":
-        return cls.from_entries(field, int(doc["rows"]), int(doc["cols"]), doc["entries"])
-
 
 def hstack(mats: list[Matrix]) -> Matrix:
     field = mats[0].field
@@ -314,20 +311,32 @@ def image_basis(M: Matrix) -> Matrix:
     return M.take_cols(pivots)
 
 
-def complement_basis(S: Matrix, ambient_dim: int) -> Matrix:
-    """Greedy completion of the column span of S by e1, e2, ... in index order.
+def extend_basis(S: Matrix, ambient_dim: int) -> tuple[Matrix, Matrix, Matrix]:
+    """Greedy completion E of the columns of S to a basis, with coordinates.
 
-    Standard basis vectors already in the running span are skipped; the
-    ones kept are the pivots in the identity block of rref([S | I]).  S must
-    have independent columns inside the ambient space.
+    E takes e1, e2, ... in index order, skipping those already in the
+    running span: the pivots in the identity block of rref([S | I]).  S must
+    have independent columns inside the ambient space.  Returns
+    (E, s_coords, e_coords), the two row blocks of [S | E]^-1: s_coords
+    (k x n) is the retraction onto span S along span E and e_coords
+    ((n-k) x n) the coordinates on the quotient by span S.  Both come from
+    the same RREF: its n pivot columns are the unit columns of I_n, so its
+    right block X satisfies X [S | E] = I.
     """
     if S.rows != ambient_dim:
         raise ShapeMismatchError(f"S has {S.rows} rows, ambient dim {ambient_dim}")
     k = S.cols
-    _, pivots = rref(hstack([S, Matrix.identity(S.field, ambient_dim)]))
+    R, pivots = rref(hstack([S, Matrix.identity(S.field, ambient_dim)]))
     if pivots[:k] != list(range(k)):
         raise ValueError("complement: input columns are dependent")
-    return Matrix.identity(S.field, ambient_dim).take_cols(c - k for c in pivots[k:])
+    E = Matrix.identity(S.field, ambient_dim).take_cols(c - k for c in pivots[k:])
+    X = R.data[:, k:]
+    return E, Matrix(S.field, X[:k]), Matrix(S.field, X[k:])
+
+
+def complement_basis(S: Matrix, ambient_dim: int) -> Matrix:
+    """The greedy completion E of `extend_basis`, without its coordinates."""
+    return extend_basis(S, ambient_dim)[0]
 
 
 def subspace_basis(M: Matrix, mode: str, ambient_dim: Optional[int] = None) -> Matrix:

@@ -7,6 +7,7 @@ field.  Parse errors name the path into the offending document.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 from .bidirected import (
@@ -45,10 +46,10 @@ def _need(doc, key, path):
 
 
 def _int(x, path) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError):
+    # int() would truncate a float and take a boolean or a numeric string
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ParseError(path, "expected an integer")
+    return int(x)
 
 
 def _list(raw, path) -> list:
@@ -58,16 +59,22 @@ def _list(raw, path) -> list:
 
 
 def parse_field(doc, path="$") -> FieldSpec:
-    p = _need(doc, "field", path)
+    p = _int(_need(doc, "field", path), f"{path}.field")
     try:
-        return FieldSpec(int(p))
-    except (TypeError, ValueError, OverflowError) as e:
+        return FieldSpec(p)
+    except ValueError as e:
         raise ParseError(f"{path}.field", str(e))
 
 
 def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
+    rows = _int(_need(doc, "rows", path), f"{path}.rows")
+    cols = _int(_need(doc, "cols", path), f"{path}.cols")
+    entries = _list(_need(doc, "entries", path), f"{path}.entries")
+    if set(map(type, entries)) - {int}:  # JSON gives plain ints; name the first other
+        for i, x in enumerate(entries):
+            _int(x, f"{path}.entries[{i}]")
     try:
-        return Matrix.from_json(field, doc)
+        return Matrix.from_entries(field, rows, cols, entries)
     except Exception as e:
         raise ParseError(path, f"bad matrix: {e}")
 

@@ -544,7 +544,7 @@ def lattice_check(F: FilteredSpace, S: Matrix, mode: str) -> LatticeCheck:
         return LatticeCheck(False, None, "contains no declared flag")
     if mode == "d":
         for k, U in declared:
-            if rank(hstack([S, U])) == rank(S) + rank(U):
+            if rank(hstack([S, U])) == S.cols + U.cols:  # both have independent columns
                 return LatticeCheck(True, k, "discrete: meets flag trivially; closedness automatic")
         return LatticeCheck(False, None, "meets every declared flag nontrivially")
     raise ValueError(f"unknown mode {mode!r}")

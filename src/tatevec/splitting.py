@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 from .exactla import (
     Matrix,
-    complement_basis,
+    extend_basis,
     factor_through,
     hstack,
+    image_basis,
     intersect_columns,
     inverse,
     kernel_basis,
@@ -82,14 +83,13 @@ def lift_splitting(ladder: SESLadder) -> tuple[Matrix, Matrix, Matrix]:
     field = ladder.i2.field
     a2 = ladder.i2.cols
 
-    S2 = complement_basis(ladder.i2, ladder.i2.rows)
+    S2, i2_coords, S2_coords = extend_basis(ladder.i2, ladder.i2.rows)
     alpha = ladder.pi1 @ (ladder.g @ S2)
     theta = factor_through(ladder.f, alpha)
     S2_corr = S2 - ladder.i2 @ theta
-
-    basis = hstack([ladder.i2, S2_corr])
-    basis_inv = _inv_or_die(basis)
-    pi2 = Matrix(field, basis_inv.data[:a2, :])
+    # [i2 | S2_corr] = [i2 | S2] [[I, -theta], [0, I]], whose inverse has the
+    # top rows i2_coords + theta S2_coords
+    pi2 = i2_coords + theta @ S2_coords
 
     S1 = kernel_basis(ladder.pi1)
     s1 = S1 @ _inv_or_die(ladder.p1 @ S1)
@@ -148,9 +148,7 @@ class _QuotientLevel:
 def _quotient_level(B: FilteredSpace, A: Matrix, Uk: Matrix) -> _QuotientLevel:
     field = B.field
     n = B.dim
-    Q = complement_basis(Uk, n)
-    T_inv = _inv_or_die(hstack([Uk, Q]))
-    qcoord = Matrix(field, T_inv.data[Uk.cols :, :])
+    Q, _, qcoord = extend_basis(Uk, n)
 
     meet = intersect_columns(A, Uk)
     if meet.cols:
@@ -159,19 +157,10 @@ def _quotient_level(B: FilteredSpace, A: Matrix, Uk: Matrix) -> _QuotientLevel:
             raise AssertionError("internal: A meet V_k is not inside A")
     else:
         I_k = Matrix.zeros(field, A.cols, 0)
-    R = complement_basis(I_k, A.cols)
-    if A.cols:
-        S_inv = _inv_or_die(hstack([I_k, R]))
-        acoord = Matrix(field, S_inv.data[I_k.cols :, :])
-    else:
-        acoord = Matrix.zeros(field, 0, 0)
-
-    from .exactla import image_basis
+    R, _, acoord = extend_basis(I_k, A.cols)
 
     AV = image_basis(hstack([A, Uk])) if A.cols + Uk.cols else Matrix.zeros(field, n, 0)
-    P = complement_basis(AV, n)
-    C_inv = _inv_or_die(hstack([AV, P]))
-    ccoord = Matrix(field, C_inv.data[AV.cols :, :])
+    P, _, ccoord = extend_basis(AV, n)
 
     incl = qcoord @ (A @ R)
     proj = ccoord @ Q
@@ -199,9 +188,7 @@ def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) ->
     levels = [_quotient_level(B, A, U) for U in flags]
 
     lvl = levels[0]
-    S = complement_basis(lvl.incl, lvl.qcoord.rows)
-    first = _inv_or_die(hstack([lvl.incl, S])) if lvl.qcoord.rows else Matrix.zeros(field, 0, 0)
-    pi = Matrix(field, first.data[: lvl.incl.cols, :])
+    _, pi, _ = extend_basis(lvl.incl, lvl.qcoord.rows)
     s = None
 
     for prev, cur in zip(levels, levels[1:]):

@@ -405,8 +405,8 @@ def check_grid_opens(seed=23):
         sizes = [u.cols for u in dec.opens]
         if sizes != sorted(sizes, reverse=True):
             return False, "open subspaces grow"
-        for inc, proj in zip(dec.iota, dec.pi):
-            if not (proj @ inc).is_zero() or inc.cols != inc.rows - rank(proj):
+        for U, proj in zip(dec.opens, dec.pi):
+            if not (proj @ U).is_zero() or U.cols != U.rows - rank(proj):
                 return False, "im iota != ker pi"
     return True, "dim U_r nonincreasing; im iota = ker pi exactly"
 

@@ -145,9 +145,9 @@ class TestDecomposition:
         sizes = [u.cols for u in dec.opens]
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] == planted.Wdims[-1]  # the whole compact block
-        for inc, proj in zip(dec.iota, dec.pi):
-            assert (proj @ inc).is_zero()
-            assert inc.cols == inc.rows - rank(proj)
+        for U, proj in zip(dec.opens, dec.pi):
+            assert (proj @ U).is_zero()
+            assert U.cols == U.rows - rank(proj)
 
     def test_purely_discrete_grid(self):
         rng = np.random.default_rng(17)

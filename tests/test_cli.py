@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from tatevec import bidirected as bd
+from tatevec import duality, exactla
 from tatevec.cli import build_parser, main
 from tatevec.exactla import FieldSpec
 from tatevec.generators import rand_grid, rand_indtower, rand_pairings, rand_tate, rand_tower
@@ -57,6 +58,19 @@ class TestGenDecompose:
         assert out_dual == out
         assert json.loads(out_dual)["kind"] == "validation"
 
+    def test_misshapen_witness_is_reported(self, tmp_path, capsys):
+        import numpy as np
+
+        planted = rand_grid(np.random.default_rng(3), GF2, m=2, n=2)
+        doc = grid_doc(planted.grid, planted.witness)
+        doc["ses"]["inj"][0][0] = _widen(doc["ses"]["inj"][0][0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for cmd in ("decompose", "dual"):
+            code, out = run_cli(capsys, cmd, str(path))
+            assert code == 1
+            assert json.loads(out)["violations"] == ["witness shapes wrong at (1,1)"]
+
     @pytest.mark.parametrize("cmd,runs", [("decompose", 1), ("dual", 2)])
     def test_each_grid_validated_and_checked_once(self, tmp_path, capsys, monkeypatch, cmd, runs):
         path = tmp_path / "g.json"
@@ -72,6 +86,26 @@ class TestGenDecompose:
         code, _ = run_cli(capsys, cmd, str(path))
         assert code == 0
         assert calls == {"validate_grid": runs, "check_split": runs}
+
+    @pytest.mark.parametrize("cmd,calls", [("decompose", 188), ("dual", 312)])
+    def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
+        # each basis completion reads its coordinates from its own rref; a
+        # second elimination of [S | E] would add 43 calls here to decompose
+        # and 72 to dual
+        path = tmp_path / "g.json"
+        gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
+        run_cli(capsys, *gen, "--out", str(path))
+        count = 0
+
+        def counted(M, _real=exactla.rref):
+            nonlocal count
+            count += 1
+            return _real(M)
+
+        for module in (exactla, duality):
+            monkeypatch.setattr(module, "rref", counted)
+        code, _ = run_cli(capsys, cmd, str(path))
+        assert (code, count) == (0, calls)
 
     @pytest.mark.parametrize("field", ["4", "1", str(10**18 + 3)])
     def test_gen_bad_field_is_malformed(self, capsys, field):
@@ -125,6 +159,15 @@ SHAPE_DEFECTS = [
     ("$.pairings.mu", lambda d: d["pairings"]["mu"].pop()),
     ("$.pairings.lambda[2]", lambda d: d["pairings"]["lambda"][2].pop()),
     ("$.pairings.mu[0][0].target", lambda d: d["pairings"]["mu"][0][0]["target"].append(1)),
+    # integers given as floats or booleans
+    ("$.field", lambda d: d.update(field=2.9)),
+    ("$.m", lambda d: d.update(m=3.0)),
+    ("$.dims[0][0]", lambda d: d["dims"][0].__setitem__(0, True)),
+    ("$.ses.Vdims[0]", lambda d: d["ses"]["Vdims"].__setitem__(0, 1.5)),
+    ("$.right[0][0].rows", lambda d: d["right"][0][0].update(rows=3.0)),
+    ("$.up[1][2].cols", lambda d: d["up"][1][2].update(cols=True)),
+    ("$.ses.inj[2][1].entries[0]", lambda d: d["ses"]["inj"][2][1]["entries"].__setitem__(0, 1.7)),
+    ("$.pairings.lambda[0][0].target", lambda d: d["pairings"]["lambda"][0][0]["target"].__setitem__(0, 1.0)),
 ]
 
 
@@ -160,6 +203,14 @@ SPACE_DEFECTS = [
     ("$.tail.c", _tower(tail={"kind": "bounded-ker", "c": "x"})),
     ("$.summands", {"kind": "indlc", "field": 2, "summands": 5}),
     ("$.factors[0].dim", {"kind": "prodisc", "field": 2, "factors": [{"kind": "finvect", "dim": "x"}]}),
+    # integers given as floats or booleans
+    ("$.dim", {"kind": "finvect", "dim": 2.5}),
+    ("$.dims[0]", _tower(dims=[True])),
+    ("$.tail.c", _tower(tail={"kind": "bounded-ker", "c": 1.9})),
+    ("$.field", _tower(field=2.9)),
+    ("$.transitions[0].rows", _tower(dims=[1, 1], transitions=[{"rows": 1.0, "cols": 1, "entries": [1]}])),
+    ("$.transitions[0].cols", _tower(dims=[1, 1], transitions=[{"rows": 1, "cols": True, "entries": [1]}])),
+    ("$.transitions[0].entries[0]", _tower(dims=[1, 1], transitions=[{"rows": 1, "cols": 1, "entries": [1.7]}])),
 ]
 
 

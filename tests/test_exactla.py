@@ -9,6 +9,7 @@ from tatevec.exactla import (
     Matrix,
     ShapeMismatchError,
     complement_basis,
+    extend_basis,
     factor_through,
     hstack,
     image_basis,
@@ -24,6 +25,7 @@ from tatevec.exactla import (
     subspace_basis,
 )
 from tatevec.generators import rand_filtered_space, rand_invertible
+from tatevec.serialize import parse_matrix
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -80,7 +82,7 @@ class TestMatrixBasics:
 
     def test_json_round_trip(self):
         m = M(GF5, [[1, 2, 3], [4, 0, 1]])
-        assert Matrix.from_json(GF5, m.to_json()) == m
+        assert parse_matrix(GF5, m.to_json()) == m
 
     @pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
     def test_matmul_exact_past_int64_accumulation(self, p):
@@ -336,6 +338,13 @@ def ref_inverse(A):
     return X
 
 
+def ref_extend_basis(S, n):
+    """The two eliminations `extend_basis` replaced: complete S, then invert [S | E]."""
+    E = ref_complement(S, n)
+    X = inverse(hstack([S, E]))
+    return E, Matrix(S.field, X.data[: S.cols]), Matrix(S.field, X.data[S.cols :])
+
+
 def ref_span_contains(S, V):
     return V.cols == 0 or ref_rank(hstack([S, V])) == ref_rank(S)
 
@@ -388,6 +397,14 @@ class TestKernelMatchesReference:
                 ref_complement(A, A.rows)
             with pytest.raises(ValueError, match="dependent"):
                 complement_basis(A, A.rows)
+            with pytest.raises(ValueError, match="dependent"):
+                extend_basis(A, A.rows)
+
+    def test_extend_basis(self, p):
+        field = FieldSpec(p)
+        empty = [Matrix.zeros(field, n, 0) for n in (0, 1, 4)]
+        for S in [_independent(A) for A in _matrices(p)] + empty + [Matrix.identity(field, 4)]:
+            assert extend_basis(S, S.rows) == ref_extend_basis(S, S.rows)
 
     def test_inverse(self, p):
         for A in _matrices(p):
