@@ -11,7 +11,6 @@ from .exactla import (
     factor_through,
     kron,
     solve_linear,
-    subspace_basis,
 )
 from .spaces import (
     FilteredSpace,
@@ -65,7 +64,6 @@ __all__ = [
     "FieldSpec",
     "Matrix",
     "solve_linear",
-    "subspace_basis",
     "factor_through",
     "kron",
     "FinVect",

@@ -172,10 +172,10 @@ def _blocks(M: Matrix, v1: int, v2: int):
     d = M.data
     f = M.field
     return (
-        Matrix(f, d[:v1, :v2]),
-        Matrix(f, d[:v1, v2:]),
-        Matrix(f, d[v1:, :v2]),
-        Matrix(f, d[v1:, v2:]),
+        Matrix._of(f, d[:v1, :v2]),
+        Matrix._of(f, d[:v1, v2:]),
+        Matrix._of(f, d[v1:, :v2]),
+        Matrix._of(f, d[v1:, v2:]),
     )
 
 
@@ -386,7 +386,7 @@ def chain_limit(field, dims: list[int], maps: list[Matrix]) -> ChainLimit:
     projections = []
     off = 0
     for d in dims:
-        proj = Matrix(field, basis.data[off : off + d, :])
+        proj = Matrix._of(field, basis.data[off : off + d, :])
         projections.append(proj)
         off += d
     return ChainLimit(basis, tuple(projections))
@@ -706,7 +706,7 @@ def assemble_pairing(S: SplitGrid, P: PairingFamily) -> PairingAssembly:
         block = conj.data.take(tgt_idx, axis=0).take(src_idx, axis=1)
         rest = np.delete(conj.data, tgt_idx, axis=0).take(src_idx, axis=1)
         induced.append(
-            InducedLevel(level + 1, (r + 1, c + 1), (tr + 1, tc + 1), Matrix(G.field, block), not rest.any())
+            InducedLevel(level + 1, (r + 1, c + 1), (tr + 1, tc + 1), Matrix._of(G.field, block), not rest.any())
         )
     return PairingAssembly(not bad, tuple(bad), tuple(residuals), tuple(skipped), tuple(induced))
 

@@ -71,7 +71,13 @@ class FieldSpec:
 
 
 class Matrix:
-    """Immutable dense matrix over GF(p), row-major int64 storage."""
+    """Immutable dense matrix over GF(p): read-only int64 data in [0, p).
+
+    The public constructor converts, checks and reduces its data.  Results
+    of this module whose data is reduced by construction (products taken
+    mod p, echelon forms, slices and stacks of reduced data) go through
+    `_of`, which trusts it.
+    """
 
     __slots__ = ("field", "data")
 
@@ -79,10 +85,19 @@ class Matrix:
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise ShapeMismatchError(f"expected 2-d data, got shape {arr.shape}")
-        arr = np.mod(arr, field.p)
+        self._adopt(field, np.mod(arr, field.p))
+
+    def _adopt(self, field: FieldSpec, arr: np.ndarray):
         arr.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, arr: np.ndarray) -> "Matrix":
+        """Wrap 2-d int64 data already reduced mod p, unchecked and uncopied."""
+        M = object.__new__(cls)
+        M._adopt(field, arr)
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -91,7 +106,6 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, field: FieldSpec, rows: int, cols: int, entries) -> "Matrix":
-        entries = list(entries)
         if len(entries) != rows * cols:
             raise ShapeMismatchError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
@@ -100,11 +114,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls._of(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls._of(field, np.eye(n, dtype=np.int64))
 
     # -- basic structure ---------------------------------------------------
 
@@ -122,7 +136,7 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.field, self.data.T)
+        return Matrix._of(self.field, self.data.T)
 
     def __eq__(self, other) -> bool:
         return (
@@ -155,7 +169,7 @@ class Matrix:
         if self.cols * (self.field.p - 1) ** 2 >= _INT64_LIMIT:
             # the int64 dot product could overflow; Python ints cannot
             a, b = a.astype(object), b.astype(object)
-        return Matrix(self.field, (a @ b) % self.field.p)
+        return Matrix._of(self.field, ((a @ b) % self.field.p).astype(np.int64, copy=False))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -176,10 +190,10 @@ class Matrix:
         return Matrix(self.field, self.data * (c % self.field.p))
 
     def col(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.data[:, j : j + 1])
+        return Matrix._of(self.field, self.data[:, j : j + 1])
 
     def take_cols(self, indices) -> "Matrix":
-        return Matrix(self.field, self.data[:, list(indices)])
+        return Matrix._of(self.field, self.data[:, list(indices)])
 
     # -- serialization -----------------------------------------------------
 
@@ -187,7 +201,7 @@ class Matrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [int(x) for x in self.data.reshape(-1)],
+            "entries": self.data.reshape(-1).tolist(),
         }
 
 
@@ -196,7 +210,7 @@ def hstack(mats: list[Matrix]) -> Matrix:
     for m in mats[1:]:
         if m.field != field:
             raise FieldMismatchError("mixed fields in hstack")
-    return Matrix(field, np.hstack([m.data for m in mats]))
+    return Matrix._of(field, np.hstack([m.data for m in mats]))
 
 
 def vstack(mats: list[Matrix]) -> Matrix:
@@ -204,7 +218,7 @@ def vstack(mats: list[Matrix]) -> Matrix:
     for m in mats[1:]:
         if m.field != field:
             raise FieldMismatchError("mixed fields in vstack")
-    return Matrix(field, np.vstack([m.data for m in mats]))
+    return Matrix._of(field, np.vstack([m.data for m in mats]))
 
 
 def block_diag(mats: list[Matrix], field: Optional[FieldSpec] = None) -> Matrix:
@@ -261,7 +275,7 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
             A[rows, c:] = (A[rows, c:] - np.outer(col[rows], A[r, c:])) % p
         pivots.append(c)
         r += 1
-    return Matrix(M.field, A), pivots
+    return Matrix._of(M.field, A), pivots
 
 
 def rank(M: Matrix) -> int:
@@ -282,7 +296,7 @@ def _solve(M: Matrix, B: Matrix) -> tuple[int, Optional[Matrix]]:
         return r, None
     X = np.zeros((n, B.cols), dtype=np.int64)
     X[pivots] = R.data[:r, n:]
-    return r, Matrix(M.field, X)
+    return r, Matrix._of(M.field, X)
 
 
 def solve_linear(M: Matrix, B: Matrix) -> Optional[Matrix]:
@@ -301,8 +315,8 @@ def kernel_basis(M: Matrix) -> Matrix:
     free = [c for c in range(n) if c not in pivots]
     K = np.zeros((n, len(free)), dtype=np.int64)
     K[free, range(len(free))] = 1
-    K[pivots] = -R.data[: len(pivots), free]
-    return Matrix(M.field, K)
+    K[pivots] = -R.data[: len(pivots), free] % M.field.p
+    return Matrix._of(M.field, K)
 
 
 def image_basis(M: Matrix) -> Matrix:
@@ -331,25 +345,12 @@ def extend_basis(S: Matrix, ambient_dim: int) -> tuple[Matrix, Matrix, Matrix]:
         raise ValueError("complement: input columns are dependent")
     E = Matrix.identity(S.field, ambient_dim).take_cols(c - k for c in pivots[k:])
     X = R.data[:, k:]
-    return E, Matrix(S.field, X[:k]), Matrix(S.field, X[k:])
+    return E, Matrix._of(S.field, X[:k]), Matrix._of(S.field, X[k:])
 
 
 def complement_basis(S: Matrix, ambient_dim: int) -> Matrix:
     """The greedy completion E of `extend_basis`, without its coordinates."""
     return extend_basis(S, ambient_dim)[0]
-
-
-def subspace_basis(M: Matrix, mode: str, ambient_dim: Optional[int] = None) -> Matrix:
-    """Kernel, image, or greedy complement basis (columns)."""
-    if mode == "kernel":
-        return kernel_basis(M)
-    if mode == "image":
-        return image_basis(M)
-    if mode == "complement":
-        if ambient_dim is None:
-            ambient_dim = M.rows
-        return complement_basis(M, ambient_dim)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def factor_through(f: Matrix, alpha: Matrix) -> Matrix:
@@ -362,9 +363,14 @@ def factor_through(f: Matrix, alpha: Matrix) -> Matrix:
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product; basis order e_i (x) e_j with the left factor major."""
+    """Kronecker product; basis order e_i (x) e_j with the left factor major.
+
+    One broadcast product, exact in int64 since (p-1)^2 < 2^63.
+    """
     A._check_field(B)
-    return Matrix(A.field, np.kron(A.data, B.data) % A.field.p)
+    a, b = A.data, B.data
+    out = (a[:, None, :, None] * b[None, :, None, :]) % A.field.p
+    return Matrix._of(A.field, out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
 
 
 def inverse(M: Matrix) -> Optional[Matrix]:
@@ -375,7 +381,7 @@ def inverse(M: Matrix) -> Optional[Matrix]:
     R, pivots = rref(hstack([M, Matrix.identity(M.field, n)]))
     if pivots[:n] != list(range(n)):
         return None
-    return Matrix(M.field, R.data[:, n:])
+    return Matrix._of(M.field, R.data[:, n:])
 
 
 def is_invertible(M: Matrix) -> bool:

@@ -21,7 +21,7 @@ from .bidirected import (
     SplitGrid,
     check_split,
 )
-from .exactla import FieldSpec, Matrix, block_diag, hstack, image_basis, inverse, is_invertible, kron
+from .exactla import FieldSpec, Matrix, block_diag, image_basis, inverse, is_invertible, kron
 from .spaces import FilteredSpace, IndTower, TateObj, Tower
 
 

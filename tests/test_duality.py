@@ -18,7 +18,6 @@ from tatevec.spaces import (
     LinMap,
     TateObj,
     Tower,
-    constant_indtower,
     constant_tower,
     laurent_tate,
     materialize,

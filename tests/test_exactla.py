@@ -22,7 +22,6 @@ from tatevec.exactla import (
     rref,
     solve_linear,
     span_contains,
-    subspace_basis,
 )
 from tatevec.generators import rand_filtered_space, rand_invertible
 from tatevec.serialize import parse_matrix
@@ -89,6 +88,7 @@ class TestMatrixBasics:
         # 4 * (p-1)^2 >= 2^63, so an int64 dot product would wrap
         field = FieldSpec(p)
         A = Matrix(field, np.full((4, 4), p - 1, dtype=np.int64))
+        assert (A @ A).data.dtype == np.int64
         assert (A @ A).data.tolist() == [[4] * 4] * 4
 
     def test_zero_dim_matrices(self):
@@ -173,13 +173,6 @@ class TestSubspaceBasis:
     def test_complement_rejects_dependent_columns(self):
         with pytest.raises(ValueError):
             complement_basis(M(GF2, [[1, 1], [1, 1]]), 2)
-
-    def test_dispatch(self):
-        A = M(GF2, [[1, 1]])
-        assert subspace_basis(A, "kernel") == kernel_basis(A)
-        assert subspace_basis(A, "image") == image_basis(A)
-        with pytest.raises(ValueError):
-            subspace_basis(A, "cokernel")
 
 
 class TestFactorThrough:
@@ -434,3 +427,73 @@ class TestKernelMatchesReference:
             assert out.F == P.take_cols(ref_greedy_cols(out.K, P))
             checked += 1
         assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# The data path: the public constructor reduces, `Matrix._of` trusts
+# ---------------------------------------------------------------------------
+
+
+LARGEST_PRIME = 3037000493  # the largest p with (p-1)^2 + (p-1) < 2^63
+
+
+class TestDataPath:
+    def test_public_constructor_reduces(self):
+        m = Matrix(GF5, [[-1, 7], [5, -10]])
+        assert m.data.tolist() == [[4, 2], [0, 0]]
+        src = np.array([[-3, 2**40]], dtype=np.int64)
+        m = Matrix(GF5, src)
+        assert m.data.tolist() == [[2, 2**40 % 5]]
+        assert m.data.dtype == np.int64 and not m.data.flags.writeable
+        src[0, 0] = 1  # the matrix holds its own reduced copy
+        assert m.data.tolist() == [[2, 2**40 % 5]]
+
+    @pytest.mark.parametrize("data", [[1, 2], [[[1]]], 3])
+    def test_public_constructor_rejects_non_2d(self, data):
+        with pytest.raises(ShapeMismatchError):
+            Matrix(GF5, data)
+
+    @pytest.mark.parametrize("p", [2, 5, 65521, LARGEST_PRIME])
+    def test_kron_matches_numpy(self, p):
+        field = FieldSpec(p)
+        rng = np.random.default_rng(p)
+        shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+        for sa in shapes:
+            for sb in shapes:
+                a = rng.integers(0, p, size=sa)
+                b = rng.integers(0, p, size=sb)
+                if p == LARGEST_PRIME and a.size and b.size:
+                    a.flat[0] = b.flat[0] = p - 1  # the largest product, (p-1)^2
+                K = kron(Matrix(field, a), Matrix(field, b))
+                want = np.kron(a, b) % p
+                assert K.shape == want.shape and K.data.dtype == np.int64
+                assert np.array_equal(K.data, want)
+
+    @pytest.mark.parametrize("p", [2, 65521, LARGEST_PRIME])
+    def test_json_entries_are_builtin_ints(self, p):
+        rng = np.random.default_rng(p)
+        m = Matrix(FieldSpec(p), rng.integers(0, p, size=(3, 4)))
+        for A in (m, m.T, m.take_cols([2, 0]), Matrix.zeros(m.field, 0, 3)):
+            entries = A.to_json()["entries"]
+            assert all(type(x) is int for x in entries)
+            assert entries == [int(x) for x in A.data.reshape(-1)]
+
+    @pytest.mark.parametrize("p,seed", [(2, 1), (65521, 1)])
+    def test_golden_outputs_under_checked_trusted_constructor(self, monkeypatch, tmp_path, capsys, p, seed):
+        from test_golden import GOLDEN, _digests, _outputs, _stdout
+
+        trusted = Matrix._of.__func__
+        calls = []
+
+        def checked(cls, field, arr):
+            out = trusted(cls, field, arr)
+            d = out.data
+            assert d.ndim == 2 and d.dtype == np.int64 and not d.flags.writeable
+            assert d.size == 0 or (int(d.min()) >= 0 and int(d.max()) < field.p)
+            calls.append(d.shape)
+            return out
+
+        monkeypatch.setattr(Matrix, "_of", classmethod(checked))
+        got = _digests(_outputs(tmp_path, lambda *argv: _stdout(capsys, *argv), p, seed))
+        assert got == GOLDEN[(p, seed)]
+        assert calls

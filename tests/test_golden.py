@@ -7,10 +7,12 @@ them fails here even when every mathematical check still passes.
 """
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -129,15 +131,34 @@ def test_cli_stdout_matches_golden(tmp_path, capsys, p, seed):
 
 def test_optimized_interpreter_matches_golden(tmp_path):
     # python -O strips assert statements; the outputs, and every internal
-    # check that raises instead, must be the same without them
+    # check that raises instead, must be the same without them.  One -O
+    # interpreter runs the same cases in-process and reports its digests.
     src = str(pathlib.Path(tatevec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, pathlib, sys
+        sys.path.insert(0, sys.argv[1])
+        from test_golden import _digests, _outputs
+        from tatevec.cli import main
 
-    def stdout(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "tatevec", *argv], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+        def stdout(*argv):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(list(argv))
+            if code != 0:
+                raise SystemExit(f"{argv} exited {code}")
+            return buf.getvalue()
 
-    assert _digests(_outputs(tmp_path, stdout, 2, 1)) == GOLDEN[(2, 1)]
+        digests = _digests(_outputs(pathlib.Path(sys.argv[2]), stdout, 2, 1))
+        print(json.dumps({"optimize": sys.flags.optimize, "digests": digests}))
+        """
+    )
+    here = str(pathlib.Path(__file__).resolve().parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, here, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["optimize"] == 1
+    assert report["digests"] == GOLDEN[(2, 1)]

@@ -7,10 +7,8 @@ from tatevec.spaces import (
     FilteredSpace,
     FinVect,
     IndTower,
-    SystemPrefix,
     LinMap,
     TailDescriptor,
-    TateObj,
     Tower,
     builtin_space,
     constant_tower,

@@ -6,7 +6,6 @@ from tatevec.duality import dual_object
 from tatevec.spaces import (
     FinVect,
     IndLCObj,
-    IndTower,
     ProDiscObj,
     TateObj,
     Tower,
