@@ -17,6 +17,7 @@ All verification is exact mod p; reports use 1-based cell indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -27,13 +28,12 @@ from .exactla import (
     block_diag,
     extend_basis,
     hstack,
-    image_basis,
     inverse,
     is_invertible,
     kernel_basis,
     kron,
     rank,
-    solve_linear,
+    rref,
     vstack,
 )
 from .spaces import IndTower, TateObj, Tower, materialize
@@ -82,6 +82,9 @@ class SESWitness:
 class GridReport:
     ok: bool
     violations: tuple[str, ...]
+    # completions[r][c] = (E, inj_coords, SE^-1) of a well-shaped witness cell,
+    # the eliminations of the witness checks that `split_grid` reuses
+    completions: tuple = dataclass_field(default=(), compare=False, repr=False)
 
 
 class GridValidationError(ValueError):
@@ -118,9 +121,13 @@ class SplitGrid:
 def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridReport:
     """Check square commutation and, with a witness, exactness and naturality.
 
-    Every violated identity is listed with its 1-based cell indices.
+    Every violated identity is listed with its 1-based cell indices.  Each
+    witness cell costs one completion of inj to a basis [inj | E] and, on
+    an exact cell, one inverse of surj E; the report carries both for
+    `split_grid`.
     """
     bad: list[str] = []
+    completions: list[list[tuple]] = []
     for r in range(G.m - 1):
         for c in range(G.n - 1):
             if G.up[r][c + 1] @ G.right[r + 1][c] != G.right[r][c] @ G.up[r][c]:
@@ -128,24 +135,40 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
     if W is not None:
         misshapen = False
         for r in range(G.m):
+            row = []
+            completions.append(row)
             for c in range(G.n):
                 inj, surj = W.inj[r][c], W.surj[r][c]
+                v, w, d = W.Vdims[c], W.Wdims[r], G.dims[r][c]
                 cell = f"({r + 1},{c + 1})"
-                if inj.shape != (G.dims[r][c], W.Vdims[c]) or surj.shape != (
-                    W.Wdims[r],
-                    G.dims[r][c],
-                ):
+                if inj.shape != (d, v) or surj.shape != (w, d):
                     bad.append(f"witness shapes wrong at {cell}")
                     misshapen = True
                     continue
-                if rank(inj) != W.Vdims[c]:
+                # inj is injective iff its columns lead rref([inj | I])
+                try:
+                    E, inj_coords, _ = extend_basis(inj, d)
+                except ValueError:
+                    E = inj_coords = None
                     bad.append(f"inclusion not injective at {cell}")
-                if rank(surj) != W.Wdims[r]:
+                composite_zero = (surj @ inj).is_zero()
+                SE_inv = None
+                if E is not None and composite_zero and E.cols == w:
+                    # surj [inj | E] = [0 | SE] with [inj | E] invertible, so
+                    # rank surj = rank SE: surj is onto iff SE is invertible
+                    SE_inv = inverse(surj @ E)
+                    if SE_inv is None and rank(surj) == w:
+                        raise AssertionError("internal: complement does not project onto W")
+                    onto = SE_inv is not None
+                else:
+                    onto = rank(surj) == w
+                if not onto:
                     bad.append(f"projection not surjective at {cell}")
-                if not (surj @ inj).is_zero():
+                if not composite_zero:
                     bad.append(f"composite V -> W nonzero at {cell}")
-                if W.Vdims[c] + W.Wdims[r] != G.dims[r][c]:
+                if v + w != d:
                     bad.append(f"cell dimension is not |V|+|W| at {cell}")
+                row.append((E, inj_coords, SE_inv))
         if misshapen:  # the naturality identities below need composable maps
             return GridReport(False, tuple(bad))
         for r in range(G.m):
@@ -160,7 +183,7 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
                     bad.append(f"inclusion not natural for up map at ({r + 1},{c + 1})")
                 if W.surj[r][c] @ G.up[r][c] != W.Wmaps[r] @ W.surj[r + 1][c]:
                     bad.append(f"projection not natural for up map at ({r + 1},{c + 1})")
-    return GridReport(not bad, tuple(bad))
+    return GridReport(not bad, tuple(bad), tuple(tuple(row) for row in completions))
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +202,11 @@ def _blocks(M: Matrix, v1: int, v2: int):
     )
 
 
-def _upper_corr(field, v: int, w: int, off: Matrix) -> Matrix:
-    # [[I, off], [0, I]] with off: w-block -> v-block
+def _upper_corr(field, v: int, w: int, off: np.ndarray) -> Matrix:
+    # [[I, off], [0, I]] with off: w-block -> v-block, reduced mod p
     out = np.eye(v + w, dtype=np.int64)
-    out[:v, v:] = off.data
-    return Matrix(field, out)
+    out[:v, v:] = off
+    return Matrix._of(field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +217,16 @@ def _upper_corr(field, v: int, w: int, off: Matrix) -> Matrix:
 def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     """Conjugate every cell into split (V_c block, W_r block) coordinates.
 
-    Validates the grid and witness once (GridValidationError on failure).
-    After the returned change of basis, every right map is
-    blockdiag(V-transition, identity) and every up map is
-    blockdiag(identity, W-transition), exactly.  Row 1 is fixed by a column
-    induction absorbing the off-diagonal block into a graph correction; the
-    remaining rows are fixed one at a time the same way, and `check_split`
-    re-verifies the result, including the forced vanishing of the lower
-    rows' right-map off-diagonal blocks.  Each correction [[I, x], [0, I]]
-    has inverse [[I, -x], [0, I]], so the inverses are carried along.
+    Validates the grid and witness once (GridValidationError on failure)
+    and reuses the validation's per-cell eliminations.  After the returned
+    change of basis, every right map is blockdiag(V-transition, identity)
+    and every up map is blockdiag(identity, W-transition), exactly.  Row 1
+    is fixed by a column induction absorbing the off-diagonal block into a
+    graph correction; the remaining rows are fixed one at a time the same
+    way, and `check_split` re-verifies the result, including the forced
+    vanishing of the lower rows' right-map off-diagonal blocks.  Each
+    correction [[I, x], [0, I]] has inverse [[I, -x], [0, I]], so the
+    inverses are carried along.
     """
     rep = validate_grid(G, W)
     if not rep.ok:
@@ -217,19 +241,16 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     for r in range(G.m):
         row, row_inv = [], []
         for c in range(G.n):
-            inj, surj = W.inj[r][c], W.surj[r][c]
-            E, inj_coords, _ = extend_basis(inj, G.dims[r][c])
-            SE_inv = inverse(surj @ E)
-            if SE_inv is None:
-                raise AssertionError("internal: complement does not project onto W")
-            row.append(vstack([inj_coords, surj]))
-            row_inv.append(hstack([inj, E @ SE_inv]))
+            E, inj_coords, SE_inv = rep.completions[r][c]
+            row.append(vstack([inj_coords, W.surj[r][c]]))
+            row_inv.append(hstack([W.inj[r][c], E @ SE_inv]))
         C.append(row)
         C_inv.append(row_inv)
 
     def correct(r, c, v, w, off):
+        # [[I, off], [0, I]] has inverse [[I, -off], [0, I]]
         C[r][c] = _upper_corr(field, v, w, off) @ C[r][c]
-        C_inv[r][c] = C_inv[r][c] @ _upper_corr(field, v, w, -off)
+        C_inv[r][c] = C_inv[r][c] @ _upper_corr(field, v, w, -off % field.p)
 
     # row 1: absorb the off-diagonal blocks of the right maps
     for c in range(G.n - 1):
@@ -237,7 +258,7 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
         A, tau, Cc, D = _blocks(C[0][c + 1] @ G.right[0][c] @ C_inv[0][c], v2, W.Vdims[c])
         if A != W.Vmaps[c] or not Cc.is_zero() or D != Matrix.identity(field, w2):
             raise AssertionError("internal: right map lost its forced block shape")
-        correct(0, c + 1, v2, w2, -tau)
+        correct(0, c + 1, v2, w2, -tau.data % field.p)
 
     # remaining rows: absorb the up-map off-diagonal blocks row by row
     for r in range(G.m - 1):
@@ -246,7 +267,7 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
             A, sigma, Cc, D = _blocks(C[r][c] @ G.up[r][c] @ C_inv[r + 1][c], v, v)
             if A != Matrix.identity(field, v) or not Cc.is_zero() or D != W.Wmaps[r]:
                 raise AssertionError("internal: up map lost its forced block shape")
-            correct(r + 1, c, v, W.Wdims[r + 1], sigma)
+            correct(r + 1, c, v, W.Wdims[r + 1], sigma.data)
 
     return check_split(G, W, C, C_inv)
 
@@ -306,12 +327,17 @@ class GridDecomposition:
     corner_basis: Matrix
 
 
+def _witness_tate(field, W: SESWitness) -> TateObj:
+    """The Tate object of a witness: the W-tower is compact, the V-system discrete."""
+    return TateObj(
+        Tower.from_prefix(field, W.Wdims, W.Wmaps), IndTower.from_prefix(field, W.Vdims, W.Vmaps)
+    )
+
+
 def grid_decomposition(S: SplitGrid) -> GridDecomposition:
     G, W = S.grid, S.witness
     field = G.field
-    c_tower = Tower.from_prefix(field, W.Wdims, W.Wmaps)
-    d_ind = IndTower.from_prefix(field, W.Vdims, W.Vmaps)
-    tate = TateObj(c_tower, d_ind)
+    tate = _witness_tate(field, W)
 
     v_n = W.Vdims[-1]
     w_m = W.Wdims[-1]
@@ -355,6 +381,13 @@ class ChainLimit:
     basis: Matrix  # columns: compatible tuples inside the block sum
     projections: tuple[Matrix, ...]
 
+    def coords(self, X: Matrix) -> Optional[Matrix]:
+        """Y with basis @ Y == X, or None if some column of X is not a
+        compatible tuple.  The last block of the basis is the identity, so
+        Y can only be the last block of X."""
+        Y = Matrix._of(X.field, X.data[X.rows - self.basis.cols :])
+        return Y if self.basis @ Y == X else None
+
 
 @dataclass(frozen=True)
 class ChainColimit:
@@ -365,55 +398,41 @@ class ChainColimit:
 
 
 def chain_limit(field, dims: list[int], maps: list[Matrix]) -> ChainLimit:
-    """Limit of X_1 <- X_2 <- ... as compatible tuples; maps[i]: X_{i+2} -> X_{i+1}."""
-    total = sum(dims)
-    k = len(dims)
-    if k == 1:
-        basis = Matrix.identity(field, total)
-    else:
-        rows = []
-        for i in range(k - 1):
-            blocks = []
-            for j in range(k):
-                if j == i:
-                    blocks.append(Matrix.identity(field, dims[i]))
-                elif j == i + 1:
-                    blocks.append(-maps[i])
-                else:
-                    blocks.append(Matrix.zeros(field, dims[i], dims[j]))
-            rows.append(hstack(blocks))
-        basis = kernel_basis(vstack(rows))
-    projections = []
-    off = 0
-    for d in dims:
-        proj = Matrix._of(field, basis.data[off : off + d, :])
-        projections.append(proj)
-        off += d
-    return ChainLimit(basis, tuple(projections))
+    """Limit of X_1 <- X_2 <- ... as compatible tuples; maps[i]: X_{i+2} -> X_{i+1}.
+
+    A compatible tuple is fixed by its last coordinate, so the basis is
+    vstack(f_1...f_{k-1}, ..., f_{k-1}, I): the canonical kernel basis of
+    [I -f_1 0 ...; 0 I -f_2 ...; ...], whose free columns are the last block.
+    """
+    projections = [Matrix.identity(field, dims[-1])]
+    for f in reversed(maps):
+        projections.append(f @ projections[-1])
+    projections.reverse()
+    return ChainLimit(vstack(projections), tuple(projections))
 
 
 def chain_colimit(field, dims: list[int], maps: list[Matrix]) -> ChainColimit:
-    """Colimit of X_1 -> X_2 -> ... as a quotient; maps[i]: X_{i+1} -> X_{i+2}."""
-    total = sum(dims)
+    """Colimit of X_1 -> X_2 -> ... as a quotient; maps[i]: X_{i+1} -> X_{i+2}.
+
+    The relations x - f_i(x) span the kernel of F = [F_1 | ... | F_{k-1} | I],
+    where F_i: X_i -> X_k runs along the chain.  So the greedy completion of
+    the relations is the unit columns at the pivots of rref(F), and rref(F)
+    itself gives the coordinates on the quotient.
+    """
     k = len(dims)
     offs = np.cumsum([0] + dims).tolist()
-    if k == 1 or total == 0:
-        rel = Matrix.zeros(field, total, 0)
-    else:
-        cols = []
-        for i in range(k - 1):
-            block = np.zeros((total, dims[i]), dtype=np.int64)
-            block[offs[i] : offs[i + 1], :] = np.eye(dims[i], dtype=np.int64)
-            block[offs[i + 1] : offs[i + 2], :] = (-maps[i]).data
-            cols.append(Matrix(field, block))
-        rel = hstack(cols)
-    reps, _, classes = extend_basis(image_basis(rel), total)
-    injections = []
-    for i in range(k):
-        block = np.zeros((total, dims[i]), dtype=np.int64)
-        block[offs[i] : offs[i + 1], :] = np.eye(dims[i], dtype=np.int64)
-        injections.append(classes @ Matrix(field, block))
-    return ChainColimit(classes, reps, tuple(injections), rel)
+    total = offs[-1]
+    to_last = [Matrix.identity(field, dims[-1])]
+    for f in reversed(maps):
+        to_last.append(to_last[-1] @ f)
+    classes, pivots = rref(hstack(to_last[::-1]))
+    reps = Matrix._of(field, np.eye(total, dtype=np.int64)[:, pivots])
+    injections = tuple(Matrix._of(field, classes.data[:, offs[i] : offs[i + 1]]) for i in range(k))
+    rel = np.zeros((total, total - dims[-1]), dtype=np.int64)
+    for i, f in enumerate(maps):
+        rel[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = np.eye(dims[i], dtype=np.int64)
+        rel[offs[i + 1] : offs[i + 2], offs[i] : offs[i + 1]] = -f.data % field.p
+    return ChainColimit(classes, reps, injections, Matrix._of(field, rel))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +465,7 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
     lim_maps = []
     for c in range(n - 1):
         big_right = block_diag([G.right[r][c] for r in range(m)], field=field)
-        nxt = solve_linear(col_limits[c + 1].basis, big_right @ col_limits[c].basis)
+        nxt = col_limits[c + 1].coords(big_right @ col_limits[c].basis)
         if nxt is None:
             raise AssertionError("internal: right maps do not preserve column limits")
         lim_maps.append(nxt)
@@ -476,7 +495,7 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
     phi = hstack(blocks)  # block sum of column limits -> block sum of row colimits
     if not (phi @ source.relations).is_zero():
         raise AssertionError("internal: exchange map is not constant on colimit classes")
-    kappa = solve_linear(target.basis, phi @ source.reps)
+    kappa = target.coords(phi @ source.reps)
     if kappa is None:
         raise AssertionError("internal: exchange image is not a compatible family")
 
@@ -488,13 +507,13 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
     for r in range(m - 2, -1, -1):
         up_comp[r] = G.up[r][n - 1] @ up_comp[r + 1]
     corner_tuple = vstack(up_comp)  # corner cell -> compatible tuple in column n
-    corner_lim = solve_linear(col_limits[n - 1].basis, corner_tuple)
+    corner_lim = col_limits[n - 1].coords(corner_tuple)
     if corner_lim is None:
         raise AssertionError("internal: corner tuple is not in the column limit")
     corner_inv = S.inverse[m - 1][n - 1]
     psi_source = source.injections[n - 1] @ corner_lim @ corner_inv
     psi_target_raw = vstack([row_colims[r].injections[n - 1] @ up_comp[r] for r in range(m)])
-    psi_target_lim = solve_linear(target.basis, psi_target_raw)
+    psi_target_lim = target.coords(psi_target_raw)
     if psi_target_lim is None:
         raise AssertionError("internal: corner image is not in the iterated colimit")
     psi_target_inv = inverse(psi_target_lim @ corner_inv)
@@ -516,15 +535,22 @@ class DualGridResult:
     witness: SESWitness
     certificate_ok: bool
     detail: str
+    split: SplitGrid  # the dual grid and witness with their derived, verified split
 
 
 def dual_grid(S: SplitGrid) -> DualGridResult:
     """Transpose all maps, exchanging the inverse and direct directions.
 
     Cell (r', c') of the dual is the dual of cell (c', r'); the witness
-    systems swap roles with transposed maps.  The certificate verifies that
-    decomposing the dual grid agrees levelwise with dualizing the original
-    decomposition; the dual grid is new data, so it is validated and split.
+    systems swap roles with transposed maps, so the compact and discrete
+    parts trade places.  The dual grid's split is derived, not computed
+    again: if C splits cell (c', r') into (V, W) blocks, then swap C^-T
+    splits the dual cell into (W, V) blocks, with inverse C^T swap, where
+    swap exchanges the two blocks.  `check_split` on the dual grid, the
+    dual witness and this basis is the real verification; nothing is
+    validated or eliminated again.  The certificate then compares the Tate
+    object of the dual witness levelwise with the dual of the original's,
+    which agree by construction once the split checks out.
     """
     G, W = S.grid, S.witness
     field = G.field
@@ -542,13 +568,25 @@ def dual_grid(S: SplitGrid) -> DualGridResult:
         surj=[[W.inj[c][r].T for c in range(n2)] for r in range(m2)],
     )
 
-    # certificate: decomposition of the dual == dual of the decomposition
-    dec = grid_decomposition(S)
-    dec2 = grid_decomposition(split_grid(G2, W2))
-    dual_c = materialize(dual_object(dec.tate).cLattice, G.n)
-    dual_d = materialize(dual_object(dec.tate).dLattice, G.m)
-    got_c = materialize(dec2.tate.cLattice, G.n)
-    got_d = materialize(dec2.tate.dLattice, G.m)
+    # dual cell (r, c) is split by swap C^-T with inverse C^T swap, C = S.basis[c][r]
+    basis2, inverse2 = [], []
+    for r in range(m2):
+        row, row_inv = [], []
+        for c in range(n2):
+            B, Ci, v = S.basis[c][r].data, S.inverse[c][r].data, W.Vdims[r]
+            row.append(Matrix._of(field, np.vstack([Ci[:, v:].T, Ci[:, :v].T])))
+            row_inv.append(Matrix._of(field, np.hstack([B.T[:, v:], B.T[:, :v]])))
+        basis2.append(row)
+        inverse2.append(row_inv)
+    S2 = check_split(G2, W2, basis2, inverse2)
+
+    # certificate: the Tate object of the dual witness == the dual Tate object
+    dual = dual_object(_witness_tate(field, W))
+    tate2 = _witness_tate(field, W2)
+    dual_c = materialize(dual.cLattice, G.n)
+    dual_d = materialize(dual.dLattice, G.m)
+    got_c = materialize(tate2.cLattice, G.n)
+    got_d = materialize(tate2.dLattice, G.m)
     ok = (
         got_c.dims == dual_c.dims
         and got_c.maps == dual_c.maps
@@ -558,7 +596,7 @@ def dual_grid(S: SplitGrid) -> DualGridResult:
     detail = "dual decomposition matches dualized decomposition levelwise" if ok else (
         "dual decomposition disagrees with the dualized decomposition"
     )
-    return DualGridResult(G2, W2, ok, detail)
+    return DualGridResult(G2, W2, ok, detail, S2)
 
 
 # ---------------------------------------------------------------------------

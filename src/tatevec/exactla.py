@@ -184,7 +184,7 @@ class Matrix:
         return Matrix(self.field, self.data - other.data)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, -self.data)
+        return Matrix._of(self.field, (-self.data) % self.field.p)
 
     def scale(self, c: int) -> "Matrix":
         return Matrix(self.field, self.data * (c % self.field.p))
@@ -227,6 +227,9 @@ def block_diag(mats: list[Matrix], field: Optional[FieldSpec] = None) -> Matrix:
             raise ValueError("block_diag of empty list needs an explicit field")
         return Matrix.zeros(field, 0, 0)
     field = mats[0].field
+    for m in mats[1:]:
+        if m.field != field:
+            raise FieldMismatchError("mixed fields in block_diag")
     r = sum(m.rows for m in mats)
     c = sum(m.cols for m in mats)
     out = np.zeros((r, c), dtype=np.int64)
@@ -235,7 +238,7 @@ def block_diag(mats: list[Matrix], field: Optional[FieldSpec] = None) -> Matrix:
         out[i : i + m.rows, j : j + m.cols] = m.data
         i += m.rows
         j += m.cols
-    return Matrix(field, out)
+    return Matrix._of(field, out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from tatevec.bidirected import (
     BidirectedGrid,
+    GridReport,
     GridValidationError,
     PairingEntry,
     PairingFamily,
@@ -19,7 +20,19 @@ from tatevec.bidirected import (
     validate_grid,
 )
 from tatevec.duality import dual_object
-from tatevec.exactla import FieldSpec, Matrix, is_invertible, rank
+from tatevec.exactla import (
+    FieldSpec,
+    Matrix,
+    extend_basis,
+    hstack,
+    image_basis,
+    inverse,
+    is_invertible,
+    kernel_basis,
+    rank,
+    solve_linear,
+    vstack,
+)
 from tatevec.generators import rand_grid, rand_pairings
 from tatevec.spaces import materialize
 
@@ -326,3 +339,283 @@ class TestPairings:
         rep2 = check_pd_intertwine(split, mu_bad, fx.lam, fx.pd)
         assert not rep2.ok
         assert any(f"({r + 1},{c + 1})" in v for v in rep2.violations)
+
+
+# ---------------------------------------------------------------------------
+# Exact references: the elimination-based implementations that the closed
+# forms and the shared eliminations replace.  The library must agree with
+# them byte for byte.
+# ---------------------------------------------------------------------------
+
+FIELDS = [FieldSpec(p) for p in (2, 5, 101, 65521)]
+
+
+def ref_chain_limit(field, dims, maps):
+    """Limit as the canonical kernel basis of [I -f_1 0 ...; 0 I -f_2 ...]."""
+    total, k = sum(dims), len(dims)
+    if k == 1:
+        basis = Matrix.identity(field, total)
+    else:
+        rows = []
+        for i in range(k - 1):
+            blocks = []
+            for j in range(k):
+                if j == i:
+                    blocks.append(Matrix.identity(field, dims[i]))
+                elif j == i + 1:
+                    blocks.append(-maps[i])
+                else:
+                    blocks.append(Matrix.zeros(field, dims[i], dims[j]))
+            rows.append(hstack(blocks))
+        basis = kernel_basis(vstack(rows))
+    offs = np.cumsum([0] + dims)
+    projections = tuple(Matrix(field, basis.data[offs[i] : offs[i + 1]]) for i in range(k))
+    return basis, projections
+
+
+def ref_chain_colimit(field, dims, maps):
+    """Colimit as the greedy completion of the relation columns in the block sum."""
+    total, k = sum(dims), len(dims)
+    offs = np.cumsum([0] + dims).tolist()
+    if k == 1 or total == 0:
+        rel = Matrix.zeros(field, total, 0)
+    else:
+        cols = []
+        for i in range(k - 1):
+            block = np.zeros((total, dims[i]), dtype=np.int64)
+            block[offs[i] : offs[i + 1], :] = np.eye(dims[i], dtype=np.int64)
+            block[offs[i + 1] : offs[i + 2], :] = (-maps[i]).data
+            cols.append(Matrix(field, block))
+        rel = hstack(cols)
+    reps, _, classes = extend_basis(image_basis(rel), total)
+    injections = []
+    for i in range(k):
+        block = np.zeros((total, dims[i]), dtype=np.int64)
+        block[offs[i] : offs[i + 1], :] = np.eye(dims[i], dtype=np.int64)
+        injections.append(classes @ Matrix(field, block))
+    return classes, reps, tuple(injections), rel
+
+
+def ref_validate_grid(G, W):
+    """Validation with a separate rank of inj and of surj per cell."""
+    bad = []
+    for r in range(G.m - 1):
+        for c in range(G.n - 1):
+            if G.up[r][c + 1] @ G.right[r + 1][c] != G.right[r][c] @ G.up[r][c]:
+                bad.append(f"square at ({r + 1},{c + 1}) does not commute")
+    misshapen = False
+    for r in range(G.m):
+        for c in range(G.n):
+            inj, surj = W.inj[r][c], W.surj[r][c]
+            cell = f"({r + 1},{c + 1})"
+            if inj.shape != (G.dims[r][c], W.Vdims[c]) or surj.shape != (W.Wdims[r], G.dims[r][c]):
+                bad.append(f"witness shapes wrong at {cell}")
+                misshapen = True
+                continue
+            if rank(inj) != W.Vdims[c]:
+                bad.append(f"inclusion not injective at {cell}")
+            if rank(surj) != W.Wdims[r]:
+                bad.append(f"projection not surjective at {cell}")
+            if not (surj @ inj).is_zero():
+                bad.append(f"composite V -> W nonzero at {cell}")
+            if W.Vdims[c] + W.Wdims[r] != G.dims[r][c]:
+                bad.append(f"cell dimension is not |V|+|W| at {cell}")
+    if misshapen:
+        return GridReport(False, tuple(bad))
+    for r in range(G.m):
+        for c in range(G.n - 1):
+            if G.right[r][c] @ W.inj[r][c] != W.inj[r][c + 1] @ W.Vmaps[c]:
+                bad.append(f"inclusion not natural for right map at ({r + 1},{c + 1})")
+            if W.surj[r][c + 1] @ G.right[r][c] != W.surj[r][c]:
+                bad.append(f"projection not natural for right map at ({r + 1},{c + 1})")
+    for r in range(G.m - 1):
+        for c in range(G.n):
+            if G.up[r][c] @ W.inj[r + 1][c] != W.inj[r][c]:
+                bad.append(f"inclusion not natural for up map at ({r + 1},{c + 1})")
+            if W.surj[r][c] @ G.up[r][c] != W.Wmaps[r] @ W.surj[r + 1][c]:
+                bad.append(f"projection not natural for up map at ({r + 1},{c + 1})")
+    return GridReport(not bad, tuple(bad))
+
+
+def ref_split_grid(G, W):
+    """Split by eliminating every cell afresh, after the reference validation."""
+    assert ref_validate_grid(G, W).ok
+    field = G.field
+
+    def upper(v, w, off):
+        out = np.eye(v + w, dtype=np.int64)
+        out[:v, v:] = off.data
+        return Matrix(field, out)
+
+    C = [[None] * G.n for _ in range(G.m)]
+    C_inv = [[None] * G.n for _ in range(G.m)]
+    for r in range(G.m):
+        for c in range(G.n):
+            inj, surj = W.inj[r][c], W.surj[r][c]
+            E, inj_coords, _ = extend_basis(inj, G.dims[r][c])
+            C[r][c] = vstack([inj_coords, surj])
+            C_inv[r][c] = hstack([inj, E @ inverse(surj @ E)])
+
+    def correct(r, c, v, w, off):
+        C[r][c] = upper(v, w, off) @ C[r][c]
+        C_inv[r][c] = C_inv[r][c] @ upper(v, w, -off)
+
+    for c in range(G.n - 1):
+        v2, v = W.Vdims[c + 1], W.Vdims[c]
+        M = (C[0][c + 1] @ G.right[0][c] @ C_inv[0][c]).data
+        correct(0, c + 1, v2, W.Wdims[0], -Matrix(field, M[:v2, v:]))
+    for r in range(G.m - 1):
+        for c in range(G.n):
+            v = W.Vdims[c]
+            M = (C[r][c] @ G.up[r][c] @ C_inv[r + 1][c]).data
+            correct(r + 1, c, v, W.Wdims[r + 1], Matrix(field, M[:v, v:]))
+    return check_split(G, W, C, C_inv)
+
+
+def ref_dual_grid(S):
+    """The dual grid validated and split from scratch, certified by comparing
+    both decompositions."""
+    out = dual_grid(S)
+    G2, W2 = out.grid, out.witness
+    dec, dec2 = grid_decomposition(S), grid_decomposition(ref_split_grid(G2, W2))
+    want = dual_object(dec.tate)
+    got_c, want_c = materialize(dec2.tate.cLattice, S.grid.n), materialize(want.cLattice, S.grid.n)
+    got_d, want_d = materialize(dec2.tate.dLattice, S.grid.m), materialize(want.dLattice, S.grid.m)
+    ok = got_c.dims == want_c.dims and got_c.maps == want_c.maps
+    ok = ok and got_d.dims == want_d.dims and got_d.maps == want_d.maps
+    detail = "dual decomposition matches dualized decomposition levelwise" if ok else (
+        "dual decomposition disagrees with the dualized decomposition"
+    )
+    return ok, detail
+
+
+def _rand_chain(rng, field, direct):
+    k = int(rng.integers(1, 6))
+    dims = [int(d) for d in rng.integers(0, 7, size=k)]
+    if direct:  # maps[i]: X_{i+1} -> X_{i+2}
+        maps = [Matrix(field, rng.integers(0, field.p, size=(dims[i + 1], dims[i]))) for i in range(k - 1)]
+    else:  # maps[i]: X_{i+2} -> X_{i+1}
+        maps = [Matrix(field, rng.integers(0, field.p, size=(dims[i], dims[i + 1]))) for i in range(k - 1)]
+    return dims, maps
+
+
+MUTATIONS = ("zero_inj_column", "bump_surj", "nonzero_composite", "wrong_dims", "misshapen")
+
+
+def _mutate(rng, G, W, kind):
+    """A copy of W with one planted defect, or None if the grid has no room for it."""
+    field = G.field
+    inj = [list(row) for row in W.inj]
+    surj = [list(row) for row in W.surj]
+    Vdims, Vmaps = list(W.Vdims), list(W.Vmaps)
+    r, c = int(rng.integers(0, G.m)), int(rng.integers(0, G.n))
+    v, w = W.Vdims[c], W.Wdims[r]
+    if kind == "zero_inj_column":
+        if v == 0:
+            return None
+        data = inj[r][c].data.copy()
+        data[:, int(rng.integers(0, v))] = 0
+        inj[r][c] = Matrix(field, data)
+    elif kind == "bump_surj":
+        if w == 0:
+            return None
+        data = surj[r][c].data.copy()
+        data[int(rng.integers(0, w)), int(rng.integers(0, G.dims[r][c]))] += 1
+        surj[r][c] = Matrix(field, data)
+    elif kind == "nonzero_composite":
+        if v == 0 or w == 0:
+            return None
+        # a row of the retraction onto span inj sends some column of inj to 1
+        _, inj_coords, _ = extend_basis(inj[r][c], G.dims[r][c])
+        data = surj[r][c].data.copy()
+        data[int(rng.integers(0, w))] += inj_coords.data[int(rng.integers(0, v))]
+        surj[r][c] = Matrix(field, data)
+    elif kind == "wrong_dims":
+        # drop the last V_c coordinate in every cell of column c, consistently
+        if v == 0:
+            return None
+        Vdims[c] -= 1
+        for rr in range(G.m):
+            inj[rr][c] = Matrix(field, inj[rr][c].data[:, :-1])
+        if c < G.n - 1:
+            Vmaps[c] = Matrix(field, Vmaps[c].data[:, :-1])
+        if c > 0:
+            Vmaps[c - 1] = Matrix(field, Vmaps[c - 1].data[:-1, :])
+    else:  # misshapen: one extra zero column on one inclusion
+        inj[r][c] = hstack([inj[r][c], Matrix.zeros(field, G.dims[r][c], 1)])
+    return SESWitness(Vdims, Vmaps, list(W.Wdims), list(W.Wmaps), inj, surj)
+
+
+class TestAgainstReferences:
+    def test_chain_limits_and_colimits(self):
+        rng = np.random.default_rng(101)
+        seen = set()
+        for trial in range(640):
+            field = FIELDS[trial % 4]
+            dims, maps = _rand_chain(rng, field, direct=False)
+            lim = chain_limit(field, dims, maps)
+            assert (lim.basis, lim.projections) == ref_chain_limit(field, dims, maps)
+            dims, maps = _rand_chain(rng, field, direct=True)
+            col = chain_colimit(field, dims, maps)
+            assert (col.classes, col.reps, col.injections, col.relations) == ref_chain_colimit(
+                field, dims, maps
+            )
+            seen.add((len(dims), 0 in dims))
+        assert {(1, False), (1, True), (5, False), (5, True)} <= seen
+
+    def test_limit_coords_match_solve(self):
+        rng = np.random.default_rng(103)
+        for trial in range(200):
+            field = FIELDS[trial % 4]
+            dims, maps = _rand_chain(rng, field, direct=False)
+            lim = chain_limit(field, dims, maps)
+            cols = int(rng.integers(0, 4))
+            inside = lim.basis @ Matrix(field, rng.integers(0, field.p, size=(lim.basis.cols, cols)))
+            anywhere = Matrix(field, rng.integers(0, field.p, size=(lim.basis.rows, cols)))
+            for X in (inside, anywhere):
+                assert lim.coords(X) == solve_linear(lim.basis, X)
+            assert lim.coords(inside) is not None
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"p{f.p}")
+    def test_validate_and_split_on_mutated_witnesses(self, field):
+        rng = np.random.default_rng(field.p)
+        invalid = 0
+        for trial in range(60):
+            planted = rand_grid(rng, field, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 5)), max_part=3)
+            G, W = planted.grid, planted.witness
+            for W2 in [W] + [_mutate(rng, G, W, kind) for kind in MUTATIONS]:
+                if W2 is None:
+                    continue
+                want = ref_validate_grid(G, W2)
+                got = validate_grid(G, W2)
+                assert got == want and got.violations == want.violations
+                if want.ok:
+                    S, R = split_grid(G, W2), ref_split_grid(G, W2)
+                    assert (S.basis, S.inverse) == (R.basis, R.inverse)
+                else:
+                    invalid += 1
+        assert invalid >= 150
+
+    @pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 5), (5, 2)])
+    def test_derived_dual_split(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        for field in FIELDS:
+            while True:  # nonzero V and W blocks, so that leaving them unswapped shows
+                planted = rand_grid(rng, field, m=m, n=n, max_part=3)
+                if min(planted.Vdims) > 0 and min(planted.Wdims) > 0:
+                    break
+            S = split_grid(planted.grid, planted.witness)
+            out = dual_grid(S)
+            S2 = out.split
+            assert (S2.grid, S2.witness) == (out.grid, out.witness)
+            assert check_split(out.grid, out.witness, S2.basis, S2.inverse) == S2
+            assert (out.certificate_ok, out.detail) == ref_dual_grid(S)
+            # the derived split and a fresh one both conjugate into the split form
+            fresh = ref_split_grid(out.grid, out.witness)
+            assert check_split(out.grid, out.witness, fresh.basis, fresh.inverse) == fresh
+            # C^-T without the block swap keeps the V block first: rejected
+            unswapped = [[S.inverse[c][r].T for c in range(m)] for r in range(n)]
+            inv_unswapped = [[S.basis[c][r].T for c in range(m)] for r in range(n)]
+            with pytest.raises(AssertionError, match=r"^split check failed: (right|up) map at \(\d+,\d+\)$"):
+                check_split(out.grid, out.witness, unswapped, inv_unswapped)
+

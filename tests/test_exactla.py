@@ -8,6 +8,7 @@ from tatevec.exactla import (
     FieldSpec,
     Matrix,
     ShapeMismatchError,
+    block_diag,
     complement_basis,
     extend_basis,
     factor_through,
@@ -74,6 +75,20 @@ class TestMatrixBasics:
     def test_matmul_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
             M(GF2, [[1]]) @ M(GF3, [[1]])
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_block_diag_field_mismatch(self, order):
+        blocks = [M(GF5, [[3]]), M(GF2, [[1]])][::order]
+        with pytest.raises(FieldMismatchError):
+            block_diag(blocks)
+
+    def test_block_diag_and_negation_stay_reduced(self):
+        D = block_diag([M(GF5, [[3, 4]]), M(GF5, [[1], [2]])])
+        assert D.data.tolist() == [[3, 4, 0], [0, 0, 1], [0, 0, 2]]
+        N = -M(GF5, [[0, 1, 4]])
+        assert N.data.tolist() == [[0, 4, 1]]
+        for A in (D, N):
+            assert A.field == GF5 and A.data.dtype == np.int64 and not A.data.flags.writeable
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

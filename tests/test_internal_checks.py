@@ -1,8 +1,8 @@
 """Internal checks on kernel results raise AssertionError("internal: ...").
 
 A plain `assert` vanishes under `python -O`; these checks must not.  Each
-case makes one `inverse` or `solve_linear` call report failure and expects
-the named internal error, not a crash further on.
+case makes one `inverse`, `solve_linear` or `ChainLimit.coords` call report
+failure and expects the named internal error, not a crash further on.
 """
 
 import ast
@@ -49,7 +49,8 @@ def test_no_assert_statements(module):
 
 
 def test_split_grid_change_of_basis(monkeypatch):
-    # the one inverse left per cell is that of surj @ E
+    # the one inverse per cell, that of surj @ E, is taken by the validation
+    # that split_grid runs; surj is onto, so a singular SE is internal
     planted = _planted(2, 2)
     _fail_call(monkeypatch, bidirected, "inverse")
     with pytest.raises(AssertionError, match="^internal: complement does not project onto W"):
@@ -61,10 +62,11 @@ def test_split_grid_change_of_basis(monkeypatch):
     [(2, "corner tuple is not in the column limit"), (3, "corner image is not in the iterated colimit")],
 )
 def test_kappa_check_corner(monkeypatch, which, message):
-    # on a 1 x 1 grid the solves are, in order: kappa, corner, corner image
+    # on a 1 x 1 grid the limit coordinates are read, in order, for: kappa,
+    # corner, corner image
     planted = _planted(1, 1)
     split = bidirected.split_grid(planted.grid, planted.witness)
-    _fail_call(monkeypatch, bidirected, "solve_linear", which)
+    _fail_call(monkeypatch, bidirected.ChainLimit, "coords", which)
     with pytest.raises(AssertionError, match=f"^internal: {message}"):
         bidirected.kappa_check(split)
 
