@@ -15,7 +15,6 @@ from typing import Optional
 from .exactla import (
     Matrix,
     complement_basis,
-    extend_basis,
     hstack,
     intersect_columns,
     inverse,
@@ -23,7 +22,6 @@ from .exactla import (
     kernel_basis,
     rank,
     rref,
-    solve_linear,
 )
 from .spaces import (
     FilteredSpace,
@@ -38,6 +36,7 @@ from .spaces import (
     lattice_check,
     materialize,
 )
+from .splitting import quotient_level
 
 
 def _dual_tail(tail: TailDescriptor) -> TailDescriptor:
@@ -224,26 +223,18 @@ def extend_functional(B: FilteredSpace, A: Matrix, f: Matrix, k: int) -> Matrix:
         raise ValueError("continuity witness index out of range")
     Uk = B.flags[k - 1]
 
-    meet = intersect_columns(A, Uk)
-    if meet.cols:
-        coords = solve_linear(A, meet)
-        if coords is None:
-            raise AssertionError("internal: A meet U_k is not inside A")
-        if not (f @ coords).is_zero():
-            raise ValueError("continuity witness fails: f does not kill A meet U_k")
+    # f kills A meet U_k, the kernel of the level's acoord, exactly when it
+    # factors through acoord; the extension is f on the image of A in B/U_k,
+    # 0 on its complement E, pulled back along qcoord
+    lvl = quotient_level(n, A, Uk)
+    fR = f @ lvl.R
+    if fR @ lvl.acoord != f:
+        raise ValueError("continuity witness fails: f does not kill A meet U_k")
+    g = fR @ lvl.incl_coords @ lvl.qcoord
 
-    Q, _, qcoord = extend_basis(Uk, n)  # qcoord: B -> B/U_k coordinates
-
-    Abar = qcoord @ A
-    _, pivots = rref(Abar)
-    P = Abar.take_cols(pivots)
-    # f on the P-coordinates, 0 on the complement of P in B/U_k
-    _, P_coords, _ = extend_basis(P, Q.cols)
-    g = f.take_cols(pivots) @ P_coords @ qcoord
-
-    if A.cols and g @ A != f:
+    if g @ A != f:
         raise AssertionError("internal: extension does not restrict to f")
-    if Uk.cols and not (g @ Uk).is_zero():
+    if not (g @ Uk).is_zero():
         raise AssertionError("internal: extension does not kill U_k")
     return g
 

@@ -1,15 +1,23 @@
 """Constructive splitting of short exact sequences at finite truncation.
 
-A short exact sequence of filtered spaces is split level by level along the
-flag chain: each discrete quotient inherits a splitting from the previous
-one through a ladder correction (factor the off-diagonal block through the
-surjective vertical map, replace the complement by the graph of the
-negated correction), and the last flag being zero makes the assembled
-retraction live on the whole space, compatible with every flag.
+A short exact sequence 0 -> A -> B -> B/A -> 0 of filtered spaces is split
+level by level along the flag chain.  `quotient_level` presents the
+discrete quotients at one flag U (B/U, A/(A meet U) and B/(A + U)) from
+three eliminations: a basis completion of U, one rref of A in B/U
+coordinates (whose kernel is A meet U) and a basis completion of A's image
+in B/U.  Each level inherits a splitting from the previous one through a
+ladder correction (factor the off-diagonal block through the surjection
+A/(A meet U_{k+1}) -> A/(A meet U_k), and replace the complement by the
+graph of the negated correction), and the last flag being zero makes the
+assembled retraction live on the whole space, compatible with every flag.
+`extend_functional` in `duality` reads the Hahn-Banach extension off the
+same quotient level.
 
 All choices of complements use the greedy standard-vector rule, so the
-output is reproducible; every claimed identity is verified by matrix
-multiplication before a certificate is returned.
+output is reproducible; the claimed identities of the assembled splitting
+are verified by matrix multiplication, once, before a certificate is
+returned.  `lift_splitting` lifts a splitting along an explicit, validated
+`SESLadder`.
 """
 
 from __future__ import annotations
@@ -20,13 +28,10 @@ from .exactla import (
     Matrix,
     extend_basis,
     factor_through,
-    hstack,
-    image_basis,
-    intersect_columns,
     inverse,
     kernel_basis,
     rank,
-    solve_linear,
+    rref,
     span_contains,
 )
 from .spaces import FilteredSpace
@@ -132,39 +137,41 @@ class SplitCertificate:
 
 
 @dataclass(frozen=True)
-class _QuotientLevel:
-    # coordinates of the three discrete quotients at one flag level
-    qcoord: Matrix  # B -> B/V_k
-    Q: Matrix  # representatives of B/V_k in B
-    acoord: Matrix  # A-coords -> A/(A meet V_k)
-    R: Matrix  # representatives of A/(A meet V_k) in A-coords
-    meet: Matrix  # basis of A meet V_k
-    ccoord: Matrix  # B -> B/(A + V_k)
-    P: Matrix  # representatives of B/(A + V_k) in B
-    incl: Matrix  # A/(A meet V_k) -> B/V_k
-    proj: Matrix  # B/V_k -> B/(A + V_k)
+class QuotientLevel:
+    """The discrete quotients at one flag U, read from three eliminations.
+
+    Q and qcoord present B/U; M = qcoord A has A meet U as its kernel (in
+    A-coordinates), and its pivot columns present A/(A meet U); E
+    completes the image of A in B/U, so Q E presents B/(A + U).  Every
+    matrix below is exact: qcoord Q = I, acoord R = I, qcoord A = incl
+    acoord, incl_coords incl = I, proj E = I and proj incl = 0.
+    """
+
+    qcoord: Matrix  # B -> B/U
+    Q: Matrix  # representatives of B/U in B
+    acoord: Matrix  # A-coords -> A/(A meet U)
+    R: Matrix  # representatives of A/(A meet U) in A-coords (unit columns)
+    incl: Matrix  # A/(A meet U) -> B/U
+    incl_coords: Matrix  # B/U -> A/(A meet U), zero on E
+    E: Matrix  # representatives of B/(A + U) in B/U
+    proj: Matrix  # B/U -> B/(A + U)
 
 
-def _quotient_level(B: FilteredSpace, A: Matrix, Uk: Matrix) -> _QuotientLevel:
-    field = B.field
-    n = B.dim
-    Q, _, qcoord = extend_basis(Uk, n)
+def quotient_level(n: int, A: Matrix, U: Matrix) -> QuotientLevel:
+    """The quotient level of the flag U in B = k^n with subspace A.
 
-    meet = intersect_columns(A, Uk)
-    if meet.cols:
-        I_k = solve_linear(A, meet)
-        if I_k is None:
-            raise AssertionError("internal: A meet V_k is not inside A")
-    else:
-        I_k = Matrix.zeros(field, A.cols, 0)
-    R, _, acoord = extend_basis(I_k, A.cols)
-
-    AV = image_basis(hstack([A, Uk])) if A.cols + Uk.cols else Matrix.zeros(field, n, 0)
-    P, _, ccoord = extend_basis(AV, n)
-
-    incl = qcoord @ (A @ R)
-    proj = ccoord @ Q
-    return _QuotientLevel(qcoord, Q, acoord, R, meet, ccoord, P, incl, proj)
+    A x lies in U exactly when qcoord A x = 0, so rref(qcoord A) has A meet
+    U as its kernel: its pivots pick R as unit columns and the image
+    representatives incl, and its top rows are the coordinates acoord.
+    """
+    Q, _, qcoord = extend_basis(U, n)
+    M = qcoord @ A
+    Rm, pivots = rref(M)
+    R = Matrix.identity(A.field, A.cols).take_cols(pivots)
+    acoord = Matrix._of(A.field, Rm.data[: len(pivots)])
+    incl = M.take_cols(pivots)
+    E, incl_coords, proj = extend_basis(incl, Q.cols)
+    return QuotientLevel(qcoord, Q, acoord, R, incl, incl_coords, E, proj)
 
 
 def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) -> SplitCertificate:
@@ -185,47 +192,34 @@ def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) ->
     if flags[-1].cols != 0:
         flags.append(Matrix.zeros(field, n, 0))
 
-    levels = [_quotient_level(B, A, U) for U in flags]
+    levels = [quotient_level(n, A, U) for U in flags]
 
-    lvl = levels[0]
-    _, pi, _ = extend_basis(lvl.incl, lvl.qcoord.rows)
-    s = None
-
+    # the first level splits along its greedy complement E; each next level
+    # corrects its own complement by theta, the factorization through the
+    # surjection f of what the previous retraction sees of it, so that
+    # pi = incl_coords + theta proj retracts along s = E - incl theta and
+    # proj s = I needs no inverse
+    pi, s = levels[0].incl_coords, levels[0].E
     for prev, cur in zip(levels, levels[1:]):
-        ladder = SESLadder(
-            i1=prev.incl,
-            p1=prev.proj,
-            i2=cur.incl,
-            p2=cur.proj,
-            f=prev.acoord @ cur.R,
-            g=prev.qcoord @ cur.Q,
-            h=prev.ccoord @ cur.P,
-            pi1=pi,
-        )
-        pi, _, s = lift_splitting(ladder)
+        f = prev.acoord @ cur.R
+        g = prev.qcoord @ cur.Q
+        theta = factor_through(f, pi @ (g @ cur.E))
+        pi = cur.incl_coords + theta @ cur.proj
+        s = cur.E - cur.incl @ theta
 
-    if s is None:  # single (zero) flag: split the one level directly
-        S1 = kernel_basis(pi)
-        s = S1 @ _inv_or_die(levels[0].proj @ S1)
-
-    # the terminal zero flag makes the last quotient the space itself
+    # the terminal zero flag makes the last quotient B itself (Q = qcoord = I)
     final = levels[-1]
-    pi_B = pi @ final.qcoord
-    s_B = final.Q @ s
-
-    if A.cols and pi_B @ A != Matrix.identity(field, A.cols):
+    if pi @ A != Matrix.identity(field, A.cols):
         raise AssertionError("internal: retraction does not restrict to the identity")
-    flag_ok = []
-    for k, U in enumerate(flags):
-        moved = A @ (pi_B @ U) if A.cols else Matrix.zeros(field, n, U.cols)
-        flag_ok.append(span_contains(levels[k].meet, moved))
+    # A pi U lies in A, so it lies in A meet U exactly when it lies in U
+    flag_ok = tuple(span_contains(U, A @ (pi @ U)) for U in flags)
     if not all(flag_ok):
         raise AssertionError("internal: retraction is not flag-compatible")
-    if not (pi_B @ s_B).is_zero():
+    if not (pi @ s).is_zero():
         raise AssertionError("internal: pi o s != 0")
     if final.proj @ s != Matrix.identity(field, s.cols):
         raise AssertionError("internal: section is not split by the projection")
-    return SplitCertificate(pi_B, s_B, final.P, tuple(flag_ok))
+    return SplitCertificate(pi, s, final.E, flag_ok)
 
 
 @dataclass(frozen=True)
@@ -240,16 +234,9 @@ class ComplementCertificate:
 
 def topological_complement(B: FilteredSpace, A: Matrix) -> ComplementCertificate:
     cert = split_filtered_ses(B, A)
-    field = B.field
-    n = B.dim
+    # pi A = I makes A + ker pi direct, and (1 - A pi) U lies in U exactly
+    # when A pi U does, so the retraction's flag checks cover the complement
     S = kernel_basis(cert.pi)
-    if A.cols + S.cols != n or rank(hstack([A, S])) != n:
+    if A.cols + S.cols != B.dim:
         raise AssertionError("internal: A + S is not a direct sum decomposition")
-    proj_S = Matrix.identity(field, n) - A @ cert.pi
-    flag_ok = []
-    for U in B.flags:
-        meet_S = intersect_columns(S, U)
-        flag_ok.append(span_contains(meet_S, proj_S @ U) if U.cols else True)
-    if not all(flag_ok):
-        raise AssertionError("internal: complementary projection is not flag-compatible")
-    return ComplementCertificate(S, cert.pi, tuple(flag_ok))
+    return ComplementCertificate(S, cert.pi, cert.flag_ok)

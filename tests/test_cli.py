@@ -89,7 +89,7 @@ class TestGenDecompose:
         assert code == 0
         assert calls == {"validate_grid": 1, "check_split": checks}
 
-    @pytest.mark.parametrize("cmd,calls", [("decompose", 94), ("dual", 72)])
+    @pytest.mark.parametrize("cmd,calls", [("decompose", 87), ("dual", 72)])
     def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
         # per cell, validation and split share one completion of inj and one
         # inverse of surj E (72 calls on this 6 x 6 grid); chain limits take

@@ -1,0 +1,51 @@
+"""Every name a library module imports is used in that module.
+
+An AST scan of each `tatevec` module except the package `__init__`, which
+re-exports what it imports.  A name counts as used when it is read
+anywhere in the module, as a bare name or as the root of an attribute
+chain, in code or in a string annotation.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import tatevec
+
+SRC = pathlib.Path(tatevec.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a quoted annotation such as "Matrix" or "Optional[Matrix]"
+            try:
+                used |= _used(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
+    assert unused == []

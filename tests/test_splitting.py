@@ -7,14 +7,18 @@ from tatevec.exactla import (
     hstack,
     image_basis,
     intersect_columns,
+    inverse,
     kernel_basis,
     rank,
+    solve_linear,
     span_contains,
 )
+from tatevec.generators import rand_filtered_space, rand_matrix
 from tatevec.spaces import FilteredSpace
 from tatevec.splitting import (
     SESLadder,
     lift_splitting,
+    quotient_level,
     split_filtered_ses,
     topological_complement,
 )
@@ -210,3 +214,104 @@ class TestTopologicalComplement:
             out = topological_complement(B, A)
             assert A.cols + out.S.cols == n
             assert intersect_columns(A, out.S).cols == 0
+
+
+def random_instances(seed, count=30):
+    """(B, A) pairs over GF(2), GF(5) and GF(65521); A has 0..n columns."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        field = FieldSpec((2, 5, 65521)[trial % 3])
+        B = rand_filtered_space(rng, field, max_dim=9, max_flags=5)
+        a = int(rng.integers(0, B.dim + 1))
+        A = image_basis(rand_matrix(rng, field, B.dim, a)) if a else Matrix.zeros(field, B.dim, 0)
+        yield B, A, rng
+
+
+class TestQuotientLevel:
+    def test_exact_identities(self):
+        for B, A, _ in random_instances(41):
+            field, n = B.field, B.dim
+            # every flag (the zero flag included) and the whole space
+            for U in B.flags + [Matrix.identity(field, n)]:
+                lvl = quotient_level(n, A, U)
+                r, q = lvl.incl.cols, lvl.Q.cols
+                assert q == n - U.cols
+                assert lvl.qcoord @ lvl.Q == Matrix.identity(field, q)
+                assert lvl.acoord @ lvl.R == Matrix.identity(field, r)
+                assert lvl.qcoord @ A == lvl.incl @ lvl.acoord
+                assert lvl.incl_coords @ lvl.incl == Matrix.identity(field, r)
+                assert lvl.proj @ lvl.E == Matrix.identity(field, lvl.E.cols)
+                assert (lvl.proj @ lvl.incl).is_zero()
+                # A meet U has dimension a - r: acoord's kernel is the meet
+                assert r == A.cols - intersect_columns(A, U).cols
+
+    def test_edge_levels(self):
+        field, n = GF5, 4
+        A = M(field, [[1, 0], [2, 1], [0, 3], [0, 0]])
+        whole = quotient_level(n, A, Matrix.identity(field, n))  # B/U = 0
+        assert whole.Q.shape == (4, 0) and whole.incl.shape == (0, 0) and whole.acoord.shape == (0, 2)
+        zero = quotient_level(n, A, Matrix.zeros(field, n, 0))  # B/U = B
+        assert zero.Q == Matrix.identity(field, n) and zero.qcoord == Matrix.identity(field, n)
+        assert zero.incl == A and zero.R == Matrix.identity(field, 2)
+        U = M(field, [[0, 0], [0, 0], [1, 0], [0, 1]])
+        empty = quotient_level(n, Matrix.zeros(field, n, 0), U)  # A = 0
+        assert empty.incl.shape == (2, 0) and empty.E == Matrix.identity(field, 2)
+
+
+def meet_flag_ok(A, pi, U):
+    """The reference check on a retraction: pi(U) inside A meet U."""
+    return span_contains(intersect_columns(A, U), A @ (pi @ U))
+
+
+def meet_complement_ok(A, pi, S, U):
+    """The reference check on its complement: (1 - A pi)(U) inside S meet U."""
+    if not U.cols:
+        return True
+    proj_S = Matrix.identity(A.field, A.rows) - A @ pi
+    return span_contains(intersect_columns(S, U), proj_S @ U)
+
+
+def random_retraction(rng, A):
+    """A retraction pi with pi A = I along a random complement of A."""
+    field, n = A.field, A.rows
+    while True:
+        C = rand_matrix(rng, field, n, n - A.cols)
+        T = inverse(hstack([A, C]))
+        if T is not None:
+            return Matrix(field, T.data[: A.cols])
+
+
+class TestMeetReferences:
+    def test_certificates_agree_with_meet_checks(self):
+        for B, A, _ in random_instances(43):
+            cert = split_filtered_ses(B, A)
+            assert cert.flag_ok == tuple(meet_flag_ok(A, cert.pi, U) for U in B.flags)
+            out = topological_complement(B, A)
+            assert out.flag_ok == tuple(meet_complement_ok(A, out.pi, out.S, U) for U in B.flags)
+            assert rank(hstack([A, out.S])) == B.dim
+
+    def test_same_booleans_on_arbitrary_retractions(self):
+        # not every retraction is flag-compatible: both forms of the check
+        # must say False on the same flags
+        seen = set()
+        for B, A, rng in random_instances(47, count=60):
+            pi = random_retraction(rng, A)
+            S = kernel_basis(pi)
+            for U in B.flags:
+                ok = span_contains(U, A @ (pi @ U))
+                assert ok == meet_flag_ok(A, pi, U) == meet_complement_ok(A, pi, S, U)
+                seen.add(ok)
+        assert seen == {True, False}
+
+    def test_continuity_test_agrees_with_meet(self):
+        seen = set()
+        for B, A, rng in random_instances(53, count=45):
+            for U in B.flags:
+                lvl = quotient_level(B.dim, A, U)
+                meet = intersect_columns(A, U)
+                coords = solve_linear(A, meet) if meet.cols else Matrix.zeros(B.field, A.cols, 0)
+                f = rand_matrix(rng, B.field, 1, A.cols)
+                kills = (f @ coords).is_zero()
+                assert kills == (f @ lvl.R @ lvl.acoord == f)
+                seen.add(kills)
+        assert seen == {True, False}
