@@ -29,7 +29,6 @@ from .exactla import (
     extend_basis,
     hstack,
     inverse,
-    is_invertible,
     kernel_basis,
     kron,
     rank,
@@ -103,8 +102,9 @@ class SplitGrid:
     inverse[r][c] is its inverse.  Conjugated by them, every right map is
     blockdiag(V-transition, identity) and every up map is
     blockdiag(identity, W-transition).  `check_split` verifies all of this
-    once and is the only constructor, so every phase that takes a SplitGrid
-    trusts it.
+    once and builds a SplitGrid; `dual_grid` builds one more by transposing
+    a checked one, whose identities are the transposes of those already
+    checked.  Every phase that takes a SplitGrid trusts it.
     """
 
     grid: BidirectedGrid
@@ -187,19 +187,8 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
 
 
 # ---------------------------------------------------------------------------
-# Block helpers
+# Block diagonalization (double induction with graph corrections)
 # ---------------------------------------------------------------------------
-
-
-def _blocks(M: Matrix, v1: int, v2: int):
-    d = M.data
-    f = M.field
-    return (
-        Matrix._of(f, d[:v1, :v2]),
-        Matrix._of(f, d[:v1, v2:]),
-        Matrix._of(f, d[v1:, :v2]),
-        Matrix._of(f, d[v1:, v2:]),
-    )
 
 
 def _upper_corr(field, v: int, w: int, off: np.ndarray) -> Matrix:
@@ -209,11 +198,6 @@ def _upper_corr(field, v: int, w: int, off: np.ndarray) -> Matrix:
     return Matrix._of(field, out)
 
 
-# ---------------------------------------------------------------------------
-# Block diagonalization (double induction with graph corrections)
-# ---------------------------------------------------------------------------
-
-
 def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     """Conjugate every cell into split (V_c block, W_r block) coordinates.
 
@@ -221,12 +205,16 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     and reuses the validation's per-cell eliminations.  After the returned
     change of basis, every right map is blockdiag(V-transition, identity)
     and every up map is blockdiag(identity, W-transition), exactly.  Row 1
-    is fixed by a column induction absorbing the off-diagonal block into a
-    graph correction; the remaining rows are fixed one at a time the same
-    way, and `check_split` re-verifies the result, including the forced
-    vanishing of the lower rows' right-map off-diagonal blocks.  Each
-    correction [[I, x], [0, I]] has inverse [[I, -x], [0, I]], so the
-    inverses are carried along.
+    is fixed by a column induction absorbing the off-diagonal block tau of
+    each right map into a graph correction; the remaining rows are fixed one
+    at a time the same way, absorbing the off-diagonal block sigma of each
+    up map.  The diagonal and lower-left blocks need no correction: the
+    naturality identities `validate_grid` checks force them, and a
+    correction changes only the upper-right block.  Each correction
+    [[I, x], [0, I]] has inverse [[I, -x], [0, I]], so the inverses are
+    carried along.  `check_split` is the one verification of the result,
+    including the forced vanishing of the lower rows' right-map
+    off-diagonal blocks; a failure names its cell.
     """
     rep = validate_grid(G, W)
     if not rep.ok:
@@ -254,20 +242,16 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
 
     # row 1: absorb the off-diagonal blocks of the right maps
     for c in range(G.n - 1):
-        v2, w2 = W.Vdims[c + 1], W.Wdims[0]
-        A, tau, Cc, D = _blocks(C[0][c + 1] @ G.right[0][c] @ C_inv[0][c], v2, W.Vdims[c])
-        if A != W.Vmaps[c] or not Cc.is_zero() or D != Matrix.identity(field, w2):
-            raise AssertionError("internal: right map lost its forced block shape")
-        correct(0, c + 1, v2, w2, -tau.data % field.p)
+        v2 = W.Vdims[c + 1]
+        tau = (C[0][c + 1] @ G.right[0][c] @ C_inv[0][c]).data[:v2, W.Vdims[c] :]
+        correct(0, c + 1, v2, W.Wdims[0], -tau % field.p)
 
     # remaining rows: absorb the up-map off-diagonal blocks row by row
     for r in range(G.m - 1):
         for c in range(G.n):
             v = W.Vdims[c]
-            A, sigma, Cc, D = _blocks(C[r][c] @ G.up[r][c] @ C_inv[r + 1][c], v, v)
-            if A != Matrix.identity(field, v) or not Cc.is_zero() or D != W.Wmaps[r]:
-                raise AssertionError("internal: up map lost its forced block shape")
-            correct(r + 1, c, v, W.Wdims[r + 1], sigma.data)
+            sigma = (C[r][c] @ G.up[r][c] @ C_inv[r + 1][c]).data[:v, v:]
+            correct(r + 1, c, v, W.Wdims[r + 1], sigma)
 
     return check_split(G, W, C, C_inv)
 
@@ -351,18 +335,13 @@ def grid_decomposition(S: SplitGrid) -> GridDecomposition:
     pi, opens, opens_grid = [], [], []
     corner = S.basis[m - 1][G.n - 1]
     corner_inv = S.inverse[m - 1][G.n - 1]
-    prev_dim = None
     for r in range(m):
-        # cutoff strictly above row r+1: project to V_n + W_r (W_0 = 0)
+        # cutoff strictly above row r+1: project to V_n + W_r (W_0 = 0); the
+        # kernel of proj is that of the tail, which grows with r
         tail = comp[r - 1] if r >= 1 else Matrix.zeros(field, 0, w_m)
         proj = block_diag([Matrix.identity(field, v_n), tail], field=field)
         ker_w = kernel_basis(tail)
         U = vstack([Matrix.zeros(field, v_n, ker_w.cols), ker_w])
-        if not (proj @ U).is_zero():
-            raise AssertionError("internal: compact stage does not die above the cutoff")
-        if prev_dim is not None and U.cols > prev_dim:
-            raise AssertionError("internal: open subspaces are not shrinking")
-        prev_dim = U.cols
         pi.append(proj)
         opens.append(U)
         opens_grid.append(corner_inv @ U)
@@ -450,6 +429,17 @@ class ExchangeCertificate:
 
 
 def kappa_check(S: SplitGrid) -> ExchangeCertificate:
+    """Compute the exchange map and compare it with the normal form.
+
+    The canonical map from the colimit of the column limits to the limit of
+    the row colimits is read off the two routes through the grid and
+    conjugated into normal-form coordinates through the corner cell.  The
+    commuting squares of the SplitGrid make the up maps descend to the row
+    colimits, and the construction of `chain_colimit` makes the map
+    constant on colimit classes, so neither is checked again; what is
+    checked is that every limit coordinate exists (`ChainLimit.coords`) and
+    that the corner spans the limit of the row colimits.
+    """
     G, W = S.grid, S.witness
     field = G.field
     m, n = G.m, G.n
@@ -478,11 +468,7 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
     colim_maps = []
     for r in range(m - 1):
         big_up = block_diag([G.up[r][c] for c in range(n)], field=field)
-        down = row_colims[r].classes @ (big_up @ row_colims[r + 1].reps)
-        # well-defined on classes
-        if row_colims[r].classes @ big_up != down @ row_colims[r + 1].classes:
-            raise AssertionError("internal: up maps do not descend to row colimits")
-        colim_maps.append(down)
+        colim_maps.append(row_colims[r].classes @ (big_up @ row_colims[r + 1].reps))
     target = chain_limit(field, colim_dims, colim_maps)
 
     # the canonical map: slice a column-limit tuple into rows, take classes
@@ -491,8 +477,6 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
         L = col_limits[c]
         blocks.append(vstack([row_colims[r].injections[c] @ L.projections[r] for r in range(m)]))
     phi = hstack(blocks)  # block sum of column limits -> block sum of row colimits
-    if not (phi @ source.relations).is_zero():
-        raise AssertionError("internal: exchange map is not constant on colimit classes")
     kappa = target.coords(phi @ source.reps)
     if kappa is None:
         raise AssertionError("internal: exchange image is not a compatible family")
@@ -504,13 +488,15 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
     # coordinates are the identity
     up_comp = col_limits[n - 1].projections
     corner_inv = S.inverse[m - 1][n - 1]
+    # the last injection of the colimit is the last block T of
+    # rref([F_1 | ... | I]) = T [F_1 | ... | I], so it is invertible and so is psi_source
     psi_source = source.injections[n - 1] @ corner_inv
     psi_target_raw = vstack([row_colims[r].injections[n - 1] @ up_comp[r] for r in range(m)])
     psi_target_lim = target.coords(psi_target_raw)
     if psi_target_lim is None:
         raise AssertionError("internal: corner image is not in the iterated colimit")
     psi_target_inv = inverse(psi_target_lim @ corner_inv)
-    if psi_target_inv is None or not is_invertible(psi_source):
+    if psi_target_inv is None:
         raise AssertionError("internal: corner does not span the iterated (co)limits")
     normal = psi_target_inv @ kappa @ psi_source
     # psi_source and psi_target_inv are invertible, so normal == I makes kappa so
@@ -529,7 +515,7 @@ class DualGridResult:
     witness: SESWitness
     certificate_ok: bool
     detail: str
-    split: SplitGrid  # the dual grid and witness with their derived, verified split
+    split: SplitGrid  # the dual grid and witness with the transpose of the checked split
 
 
 def dual_grid(S: SplitGrid) -> DualGridResult:
@@ -537,14 +523,16 @@ def dual_grid(S: SplitGrid) -> DualGridResult:
 
     Cell (r', c') of the dual is the dual of cell (c', r'); the witness
     systems swap roles with transposed maps, so the compact and discrete
-    parts trade places.  The dual grid's split is derived, not computed
-    again: if C splits cell (c', r') into (V, W) blocks, then swap C^-T
-    splits the dual cell into (W, V) blocks, with inverse C^T swap, where
-    swap exchanges the two blocks.  `check_split` on the dual grid, the
-    dual witness and this basis is the real verification; nothing is
-    validated or eliminated again.  The certificate then compares the Tate
-    object of the dual witness levelwise with the dual of the original's,
-    which agree by construction once the split checks out.
+    parts trade places.  The dual grid's split is derived, not computed or
+    checked again: if C splits cell (c', r') into (V, W) blocks, then swap
+    C^-T splits the dual cell into (W, V) blocks, with inverse C^T swap,
+    where swap exchanges the two blocks.  Each identity `check_split` would
+    verify is the transpose of one it already verified on S: the dual right
+    map up^T conjugates to swap C^-T up^T C^T swap = swap blockdiag(I, Wmap)^T
+    swap = blockdiag(Wmap^T, I), the dual up maps likewise, and
+    (swap C^-T)(C^T swap) = I.  So the result is wrapped as it stands.  The
+    certificate then compares the Tate object of the dual witness levelwise
+    with the dual of the original's, which agree by construction.
     """
     G, W = S.grid, S.witness
     field = G.field
@@ -570,9 +558,9 @@ def dual_grid(S: SplitGrid) -> DualGridResult:
             B, Ci, v = S.basis[c][r].data, S.inverse[c][r].data, W.Vdims[r]
             row.append(Matrix._of(field, np.vstack([Ci[:, v:].T, Ci[:, :v].T])))
             row_inv.append(Matrix._of(field, np.hstack([B.T[:, v:], B.T[:, :v]])))
-        basis2.append(row)
-        inverse2.append(row_inv)
-    S2 = check_split(G2, W2, basis2, inverse2)
+        basis2.append(tuple(row))
+        inverse2.append(tuple(row_inv))
+    S2 = SplitGrid(G2, W2, tuple(basis2), tuple(inverse2))
 
     # certificate: the Tate object of the dual witness == the dual Tate object
     dual = dual_object(_witness_tate(field, W))

@@ -189,16 +189,13 @@ def self_dual_decompose(V: FilteredSpace, phi: Matrix, L: Matrix) -> SelfDualSpl
         notes.append("D is zero")
     notes.append(f"finite correction dim {F.cols}")
 
-    change = hstack([K, D])
-    if not is_invertible(change):
-        raise AssertionError("internal: K + D is not a direct sum decomposition")
-    if K.cols and not ((phi @ K).T @ K).is_zero():
-        raise AssertionError("internal: pairing does not annihilate K against itself")
+    # D completes the independent K to a basis, so [K | D] is invertible.
+    # [K | F] is a basis of phi^{-1}(K-perp), as wide as D; if x lies there
+    # and D^T phi x = 0, then [K | D]^T phi x = 0 and x = 0, so iso is
+    # square and injective, hence invertible
     kf = hstack([K, F])
     iso = (D.T @ phi) @ kf if D.cols else Matrix.zeros(phi.field, 0, kf.cols)
-    if not is_invertible(iso):
-        raise AssertionError("internal: pairing does not identify K + F with functionals on D")
-    return SelfDualSplit(K, D, F, iso, change, tuple(notes))
+    return SelfDualSplit(K, D, F, iso, hstack([K, D]), tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix._of(self.field, (-self.data) % self.field.p)
 
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(self.field, self.data * (c % self.field.p))
-
     def col(self, j: int) -> "Matrix":
         return Matrix._of(self.field, self.data[:, j : j + 1])
 

@@ -71,9 +71,9 @@ class TestGenDecompose:
             assert code == 1
             assert json.loads(out)["violations"] == ["witness shapes wrong at (1,1)"]
 
-    # dual validates the input grid only; the dual grid's derived split is
-    # verified by a second check_split
-    @pytest.mark.parametrize("cmd,checks", [("decompose", 1), ("dual", 2)])
+    # dual validates and checks the input grid only; the dual grid's split
+    # is the transpose of the checked one and is not checked again
+    @pytest.mark.parametrize("cmd,checks", [("decompose", 1), ("dual", 1)])
     def test_each_grid_validated_and_checked_once(self, tmp_path, capsys, monkeypatch, cmd, checks):
         path = tmp_path / "g.json"
         run_cli(capsys, "gen", "--kind", "grid", "--seed", "7", "--m", "3", "--n", "3", "--out", str(path))
@@ -89,7 +89,7 @@ class TestGenDecompose:
         assert code == 0
         assert calls == {"validate_grid": 1, "check_split": checks}
 
-    @pytest.mark.parametrize("cmd,calls", [("decompose", 87), ("dual", 72)])
+    @pytest.mark.parametrize("cmd,calls", [("decompose", 86), ("dual", 72)])
     def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
         # per cell, validation and split share one completion of inj and one
         # inverse of surj E (72 calls on this 6 x 6 grid); chain limits take

@@ -436,8 +436,8 @@ class TestKernelMatchesReference:
             phi = rand_invertible(rng, field, V.dim)
             try:
                 out = self_dual_decompose(V, phi, V.flags[0])
-            except (ValueError, AssertionError):
-                continue  # L is no c-lattice, or K + F is not dual to D
+            except ValueError:
+                continue  # L is no c-lattice
             P = ref_inverse(phi) @ ref_kernel(out.K.T)
             assert out.F == P.take_cols(ref_greedy_cols(out.K, P))
             checked += 1

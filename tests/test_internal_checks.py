@@ -2,8 +2,9 @@
 
 A plain `assert` vanishes under `python -O`; these checks must not.  Each
 case makes one `inverse`, `solve_linear` or `ChainLimit.coords` call report
-failure, or drops the correction of the flag induction, and expects the
-named internal error, not a crash further on.
+failure, or drops the corrections of the flag induction or of the grid
+split, and expects the named internal error or split-check failure, not a
+crash further on.  The AST scan covers every module of the package.
 """
 
 import ast
@@ -12,12 +13,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from tatevec import bidirected, duality, exactla, generators, spaces, splitting
+import tatevec
+from tatevec import bidirected, spaces, splitting
 from tatevec.exactla import FieldSpec, Matrix
 from tatevec.generators import rand_grid
 from tatevec.spaces import FilteredSpace, Tower
 
 GF2 = FieldSpec(2)
+MODULES = sorted(pathlib.Path(tatevec.__file__).parent.glob("*.py"))
 
 
 def _fail_call(monkeypatch, module, name, which=1):
@@ -43,10 +46,19 @@ def _planted(m, n):
     return rand_grid(np.random.default_rng(0), GF2, m=m, n=n)
 
 
-@pytest.mark.parametrize("module", [exactla, splitting, duality, bidirected, spaces, generators])
-def test_no_assert_statements(module):
-    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+@pytest.mark.parametrize("path", MODULES, ids=[f"tatevec.{p.stem}" for p in MODULES])
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_split_grid_check_names_cell(monkeypatch):
+    # without its graph corrections the split leaves an off-diagonal block,
+    # which the one final check_split reports with its cell
+    planted = rand_grid(np.random.default_rng(0), FieldSpec(65521), m=3, n=3)
+    monkeypatch.setattr(bidirected, "_upper_corr", lambda field, v, w, off: Matrix.identity(field, v + w))
+    with pytest.raises(AssertionError, match=r"^split check failed: (right|up) map at \(\d+,\d+\)$"):
+        bidirected.split_grid(planted.grid, planted.witness)
 
 
 def test_split_grid_change_of_basis(monkeypatch):
