@@ -7,9 +7,10 @@ exhibits each cell as an extension of a constant inverse system W_r by a
 constant direct system V_c; `split_grid` then conjugates every cell into
 the split form by the double induction with graph corrections.  The result
 is one verified `SplitGrid` (basis and inverse per cell), from which the
-iterated limit/colimit data, the canonical exchange map, duality, and
-user-supplied multiplication/comultiplication windows are all read off and
-verified exactly.
+iterated limit/colimit data, the canonical exchange map and user-supplied
+multiplication/comultiplication windows are all read off and verified
+exactly.  The dual grid is the transpose of a validated grid and needs no
+split.
 
 All verification is exact mod p; reports use 1-based cell indices.
 """
@@ -102,9 +103,8 @@ class SplitGrid:
     inverse[r][c] is its inverse.  Conjugated by them, every right map is
     blockdiag(V-transition, identity) and every up map is
     blockdiag(identity, W-transition).  `check_split` verifies all of this
-    once and builds a SplitGrid; `dual_grid` builds one more by transposing
-    a checked one, whose identities are the transposes of those already
-    checked.  Every phase that takes a SplitGrid trusts it.
+    once and is the only place a SplitGrid is built.  Every phase that
+    takes a SplitGrid trusts it.
     """
 
     grid: BidirectedGrid
@@ -371,7 +371,6 @@ class ChainColimit:
     classes: Matrix  # block sum -> colimit coordinates
     reps: Matrix  # representative columns of the colimit basis
     injections: tuple[Matrix, ...]
-    relations: Matrix  # columns spanning the identified differences
 
 
 def chain_limit(field, dims: list[int], maps: list[Matrix]) -> ChainLimit:
@@ -405,11 +404,7 @@ def chain_colimit(field, dims: list[int], maps: list[Matrix]) -> ChainColimit:
     classes, pivots = rref(hstack(to_last[::-1]))
     reps = Matrix._of(field, np.eye(total, dtype=np.int64)[:, pivots])
     injections = tuple(Matrix._of(field, classes.data[:, offs[i] : offs[i + 1]]) for i in range(k))
-    rel = np.zeros((total, total - dims[-1]), dtype=np.int64)
-    for i, f in enumerate(maps):
-        rel[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = np.eye(dims[i], dtype=np.int64)
-        rel[offs[i + 1] : offs[i + 2], offs[i] : offs[i + 1]] = -f.data % field.p
-    return ChainColimit(classes, reps, injections, Matrix._of(field, rel))
+    return ChainColimit(classes, reps, injections)
 
 
 # ---------------------------------------------------------------------------
@@ -515,26 +510,22 @@ class DualGridResult:
     witness: SESWitness
     certificate_ok: bool
     detail: str
-    split: SplitGrid  # the dual grid and witness with the transpose of the checked split
 
 
-def dual_grid(S: SplitGrid) -> DualGridResult:
+def dual_grid(G: BidirectedGrid, W: SESWitness) -> DualGridResult:
     """Transpose all maps, exchanging the inverse and direct directions.
 
+    Validates the grid and witness once (GridValidationError on failure).
     Cell (r', c') of the dual is the dual of cell (c', r'); the witness
     systems swap roles with transposed maps, so the compact and discrete
-    parts trade places.  The dual grid's split is derived, not computed or
-    checked again: if C splits cell (c', r') into (V, W) blocks, then swap
-    C^-T splits the dual cell into (W, V) blocks, with inverse C^T swap,
-    where swap exchanges the two blocks.  Each identity `check_split` would
-    verify is the transpose of one it already verified on S: the dual right
-    map up^T conjugates to swap C^-T up^T C^T swap = swap blockdiag(I, Wmap)^T
-    swap = blockdiag(Wmap^T, I), the dual up maps likewise, and
-    (swap C^-T)(C^T swap) = I.  So the result is wrapped as it stands.  The
-    certificate then compares the Tate object of the dual witness levelwise
-    with the dual of the original's, which agree by construction.
+    parts trade places.  Nothing is split: the dual grid and witness are
+    the transposes of G and W, and the certificate compares the Tate object
+    of the dual witness levelwise with the dual of the original's, which
+    agree by construction.
     """
-    G, W = S.grid, S.witness
+    rep = validate_grid(G, W)
+    if not rep.ok:
+        raise GridValidationError(rep)
     field = G.field
     m2, n2 = G.n, G.m
     dims2 = [[G.dims[c][r] for c in range(n2)] for r in range(m2)]
@@ -549,18 +540,6 @@ def dual_grid(S: SplitGrid) -> DualGridResult:
         inj=[[W.surj[c][r].T for c in range(n2)] for r in range(m2)],
         surj=[[W.inj[c][r].T for c in range(n2)] for r in range(m2)],
     )
-
-    # dual cell (r, c) is split by swap C^-T with inverse C^T swap, C = S.basis[c][r]
-    basis2, inverse2 = [], []
-    for r in range(m2):
-        row, row_inv = [], []
-        for c in range(n2):
-            B, Ci, v = S.basis[c][r].data, S.inverse[c][r].data, W.Vdims[r]
-            row.append(Matrix._of(field, np.vstack([Ci[:, v:].T, Ci[:, :v].T])))
-            row_inv.append(Matrix._of(field, np.hstack([B.T[:, v:], B.T[:, :v]])))
-        basis2.append(tuple(row))
-        inverse2.append(tuple(row_inv))
-    S2 = SplitGrid(G2, W2, tuple(basis2), tuple(inverse2))
 
     # certificate: the Tate object of the dual witness == the dual Tate object
     dual = dual_object(_witness_tate(field, W))
@@ -578,7 +557,7 @@ def dual_grid(S: SplitGrid) -> DualGridResult:
     detail = "dual decomposition matches dualized decomposition levelwise" if ok else (
         "dual decomposition disagrees with the dualized decomposition"
     )
-    return DualGridResult(G2, W2, ok, detail, S2)
+    return DualGridResult(G2, W2, ok, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -50,16 +49,9 @@ def _load_doc(path: str):
         raise ParseError("$", f"invalid JSON: {e}")
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("TATESPACE_SEED")
-    return int(env) if env else 0
-
-
 def cmd_gen(args) -> int:
     field = parse_field({"field": args.field})
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(args.seed)
     if args.kind == "grid":
         planted = rand_grid(rng, field, m=args.m, n=args.n)
         truth = {
@@ -85,20 +77,22 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _split(doc, args, why):
-    """Parse and split a grid document; None once its validation report is out."""
+def _on_grid(doc, args, why, fn):
+    """Parse a grid document and return fn(G, W); None once the validation
+    report of a grid that fails is out."""
     G, W, _, _, _ = parse_grid(doc)
     if W is None:
         raise ParseError("$.ses", why)
     try:
-        return bd.split_grid(G, W)
+        return fn(G, W)
     except bd.GridValidationError as e:
         _emit(_dump({"kind": "validation", "ok": False, "violations": list(e.report.violations)}), args.out)
         return None
 
 
 def cmd_decompose(args) -> int:
-    S = _split(_load_doc(args.input), args, "decomposition needs a short-exact-sequence witness")
+    why = "decomposition needs a short-exact-sequence witness"
+    S = _on_grid(_load_doc(args.input), args, why, bd.split_grid)
     if S is None:
         return 1
     G = S.grid
@@ -123,10 +117,9 @@ def cmd_decompose(args) -> int:
 def cmd_dual(args) -> int:
     doc = _load_doc(args.input)
     if isinstance(doc, dict) and doc.get("kind") == "grid":
-        S = _split(doc, args, "dualizing a grid needs its witness")
-        if S is None:
+        out = _on_grid(doc, args, "dualizing a grid needs its witness", bd.dual_grid)
+        if out is None:
             return 1
-        out = bd.dual_grid(S)
         doc2 = grid_doc(out.grid, out.witness)
         doc2["dual_certificate"] = {"ok": out.certificate_ok, "detail": out.detail}
         _emit(_dump(doc2), args.out)
@@ -216,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="emit a random valid instance with ground truth")
     g.add_argument("--kind", required=True, choices=["grid", "tate", "tower", "indtower"])
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--field", type=int, default=2)
     g.add_argument("--depth", type=int, default=4)
     g.add_argument("--m", type=int, default=None)

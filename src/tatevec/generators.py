@@ -115,17 +115,18 @@ def rand_grid(
         Wmaps = [rand_matrix(rng, field, Wdims[r], Wdims[r + 1]) for r in range(m - 1)]
 
     S = [[rand_invertible(rng, field, Vdims[c] + Wdims[r]) for c in range(n)] for r in range(m)]
+    S_inv = [[_inv(M) for M in row] for row in S]  # draws nothing from rng
     dims = [[Vdims[c] + Wdims[r] for c in range(n)] for r in range(m)]
     right = [
         [
-            S[r][c + 1] @ block_diag([Vmaps[c], Matrix.identity(field, Wdims[r])]) @ _inv(S[r][c])
+            S[r][c + 1] @ block_diag([Vmaps[c], Matrix.identity(field, Wdims[r])]) @ S_inv[r][c]
             for c in range(n - 1)
         ]
         for r in range(m)
     ]
     up = [
         [
-            S[r][c] @ block_diag([Matrix.identity(field, Vdims[c]), Wmaps[r]]) @ _inv(S[r + 1][c])
+            S[r][c] @ block_diag([Matrix.identity(field, Vdims[c]), Wmaps[r]]) @ S_inv[r + 1][c]
             for c in range(n)
         ]
         for r in range(m - 1)
@@ -151,7 +152,7 @@ def rand_grid(
                     [np.zeros((Wdims[r], Vdims[c]), np.int64), np.eye(Wdims[r], dtype=np.int64)]
                 ),
             )
-            @ _inv(S[r][c])
+            @ S_inv[r][c]
             for c in range(n)
         ]
         for r in range(m)

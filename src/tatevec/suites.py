@@ -390,7 +390,7 @@ def check_grid_duality(seed=22):
         rng = np.random.default_rng(seed + field.p)
         for _ in range(10):
             planted = rand_grid(rng, field, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 4)))
-            out = bd.dual_grid(bd.split_grid(planted.grid, planted.witness))
+            out = bd.dual_grid(planted.grid, planted.witness)
             if not out.certificate_ok:
                 return False, "duality certificate failed"
     return True, "levelwise equality of the two routes"

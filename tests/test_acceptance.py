@@ -208,8 +208,8 @@ def test_c07_exchange_identity(grid_fleet):
 
 
 def test_c08_grid_duality(grid_fleet):
-    for _, split in grid_fleet:
-        out = bd.dual_grid(split)
+    for planted, _ in grid_fleet:
+        out = bd.dual_grid(planted.grid, planted.witness)
         if not out.certificate_ok:
             report(8, False, "dual decomposition differs from dualized decomposition")
     report(8, True, f"duality certificate holds levelwise on all {len(grid_fleet)} grids")

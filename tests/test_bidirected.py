@@ -59,6 +59,16 @@ def tiny_grid():
     return G, W
 
 
+def corrupted_square():
+    # a 2x2 grid whose square at (1,1) no longer commutes, with its witness
+    rng = np.random.default_rng(2)
+    planted = rand_grid(rng, GF5, m=2, n=2, max_part=2, constant_systems=True)
+    G = planted.grid
+    corrupted = G.right[0][0].data.copy()
+    corrupted[0, 0] = (corrupted[0, 0] + 1) % 5
+    return BidirectedGrid(GF5, G.dims, [[Matrix(GF5, corrupted)], G.right[1]], G.up), planted.witness
+
+
 class TestValidateGrid:
     def test_planted_grid_passes(self):
         rng = np.random.default_rng(1)
@@ -66,13 +76,7 @@ class TestValidateGrid:
         assert validate_grid(planted.grid, planted.witness).ok
 
     def test_corrupted_square_is_named(self):
-        rng = np.random.default_rng(2)
-        planted = rand_grid(rng, GF5, m=2, n=2, max_part=2, constant_systems=True)
-        G = planted.grid
-        corrupted = G.right[0][0].data.copy()
-        corrupted[0, 0] = (corrupted[0, 0] + 1) % 5
-        G2 = BidirectedGrid(GF5, G.dims, [[Matrix(GF5, corrupted)], G.right[1]], G.up)
-        rep = validate_grid(G2, planted.witness)
+        rep = validate_grid(*corrupted_square())
         assert not rep.ok
         assert any("(1,1)" in v for v in rep.violations)
 
@@ -126,15 +130,10 @@ class TestSplitGrid:
             check_split(planted.grid, planted.witness, S.basis, inverse)
 
     def test_invalid_grid_raises_with_report(self):
-        rng = np.random.default_rng(2)
-        planted = rand_grid(rng, GF5, m=2, n=2, max_part=2, constant_systems=True)
-        G = planted.grid
-        corrupted = G.right[0][0].data.copy()
-        corrupted[0, 0] = (corrupted[0, 0] + 1) % 5
-        G2 = BidirectedGrid(GF5, G.dims, [[Matrix(GF5, corrupted)], G.right[1]], G.up)
+        G, W = corrupted_square()
         with pytest.raises(GridValidationError) as err:
-            split_grid(G2, planted.witness)
-        assert err.value.report == validate_grid(G2, planted.witness)
+            split_grid(G, W)
+        assert err.value.report == validate_grid(G, W)
         assert not err.value.report.ok
 
     def test_many_random_grids(self):
@@ -234,8 +233,8 @@ class TestDualGrid:
     def test_double_dual_is_identity(self):
         rng = np.random.default_rng(29)
         planted = rand_grid(rng, GF2, m=2, n=3)
-        out = dual_grid(split_grid(planted.grid, planted.witness))
-        back = dual_grid(split_grid(out.grid, out.witness))
+        out = dual_grid(planted.grid, planted.witness)
+        back = dual_grid(out.grid, out.witness)
         G, B = planted.grid, back.grid
         assert B.dims == G.dims
         for r in range(G.m):
@@ -249,14 +248,14 @@ class TestDualGrid:
         rng = np.random.default_rng(31)
         for _ in range(5):
             planted = rand_grid(rng, GF5, m=2, n=2, max_part=3)
-            out = dual_grid(split_grid(planted.grid, planted.witness))
+            out = dual_grid(planted.grid, planted.witness)
             assert out.certificate_ok
 
     def test_decomposition_duality_levelwise(self):
         rng = np.random.default_rng(37)
         planted = rand_grid(rng, GF2, m=3, n=2)
         G, W = planted.grid, planted.witness
-        out = dual_grid(split_grid(G, W))
+        out = dual_grid(G, W)
         dec = grid_decomposition(split_grid(G, W))
         dec2 = grid_decomposition(split_grid(out.grid, out.witness))
         want = dual_object(dec.tate)
@@ -266,6 +265,13 @@ class TestDualGrid:
         got_d = materialize(dec2.tate.dLattice, G.m)
         want_d = materialize(want.dLattice, G.m)
         assert got_d.dims == want_d.dims and got_d.maps == want_d.maps
+
+    def test_invalid_grid_raises_with_report(self):
+        G, W = corrupted_square()
+        with pytest.raises(GridValidationError) as err:
+            dual_grid(G, W)
+        assert err.value.report == validate_grid(G, W)
+        assert not err.value.report.ok
 
 
 class TestPairings:
@@ -472,15 +478,15 @@ def ref_split_grid(G, W):
     return check_split(G, W, C, C_inv)
 
 
-def ref_dual_grid(S):
-    """The dual grid validated and split from scratch, certified by comparing
-    both decompositions."""
-    out = dual_grid(S)
+def ref_dual_grid(G, W):
+    """Both the grid and its dual validated and split from scratch, certified
+    by comparing the two decompositions."""
+    out = dual_grid(G, W)
     G2, W2 = out.grid, out.witness
-    dec, dec2 = grid_decomposition(S), grid_decomposition(ref_split_grid(G2, W2))
+    dec, dec2 = grid_decomposition(ref_split_grid(G, W)), grid_decomposition(ref_split_grid(G2, W2))
     want = dual_object(dec.tate)
-    got_c, want_c = materialize(dec2.tate.cLattice, S.grid.n), materialize(want.cLattice, S.grid.n)
-    got_d, want_d = materialize(dec2.tate.dLattice, S.grid.m), materialize(want.dLattice, S.grid.m)
+    got_c, want_c = materialize(dec2.tate.cLattice, G.n), materialize(want.cLattice, G.n)
+    got_d, want_d = materialize(dec2.tate.dLattice, G.m), materialize(want.dLattice, G.m)
     ok = got_c.dims == want_c.dims and got_c.maps == want_c.maps
     ok = ok and got_d.dims == want_d.dims and got_d.maps == want_d.maps
     detail = "dual decomposition matches dualized decomposition levelwise" if ok else (
@@ -557,9 +563,9 @@ class TestAgainstReferences:
             assert (lim.basis, lim.projections) == ref_chain_limit(field, dims, maps)
             dims, maps = _rand_chain(rng, field, direct=True)
             col = chain_colimit(field, dims, maps)
-            assert (col.classes, col.reps, col.injections, col.relations) == ref_chain_colimit(
-                field, dims, maps
-            )
+            classes, reps, injections, rel = ref_chain_colimit(field, dims, maps)
+            assert (col.classes, col.reps, col.injections) == (classes, reps, injections)
+            assert (col.classes @ rel).is_zero()  # the classes identify x with f_i(x)
             seen.add((len(dims), 0 in dims))
         assert {(1, False), (1, True), (5, False), (5, True)} <= seen
 
@@ -597,25 +603,17 @@ class TestAgainstReferences:
         assert invalid >= 150
 
     @pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 5), (5, 2)])
-    def test_derived_dual_split(self, m, n):
+    def test_dual_grid_against_reference(self, m, n):
         rng = np.random.default_rng(10 * m + n)
         for field in FIELDS:
-            while True:  # nonzero V and W blocks, so that leaving them unswapped shows
+            while True:  # nonzero V and W blocks, so that the swap of the two shows
                 planted = rand_grid(rng, field, m=m, n=n, max_part=3)
                 if min(planted.Vdims) > 0 and min(planted.Wdims) > 0:
                     break
-            S = split_grid(planted.grid, planted.witness)
-            out = dual_grid(S)
-            S2 = out.split
-            assert (S2.grid, S2.witness) == (out.grid, out.witness)
-            assert check_split(out.grid, out.witness, S2.basis, S2.inverse) == S2
-            assert (out.certificate_ok, out.detail) == ref_dual_grid(S)
-            # the derived split and a fresh one both conjugate into the split form
+            G, W = planted.grid, planted.witness
+            out = dual_grid(G, W)
+            assert (out.certificate_ok, out.detail) == ref_dual_grid(G, W)
+            # the dual grid splits afresh into the (W, V) block form
             fresh = ref_split_grid(out.grid, out.witness)
             assert check_split(out.grid, out.witness, fresh.basis, fresh.inverse) == fresh
-            # C^-T without the block swap keeps the V block first: rejected
-            unswapped = [[S.inverse[c][r].T for c in range(m)] for r in range(n)]
-            inv_unswapped = [[S.basis[c][r].T for c in range(m)] for r in range(n)]
-            with pytest.raises(AssertionError, match=r"^split check failed: (right|up) map at \(\d+,\d+\)$"):
-                check_split(out.grid, out.witness, unswapped, inv_unswapped)
 

@@ -71,13 +71,13 @@ class TestGenDecompose:
             assert code == 1
             assert json.loads(out)["violations"] == ["witness shapes wrong at (1,1)"]
 
-    # dual validates and checks the input grid only; the dual grid's split
-    # is the transpose of the checked one and is not checked again
-    @pytest.mark.parametrize("cmd,checks", [("decompose", 1), ("dual", 1)])
-    def test_each_grid_validated_and_checked_once(self, tmp_path, capsys, monkeypatch, cmd, checks):
+    # decompose splits and checks the grid once; dual validates it and
+    # transposes it, splitting and checking nothing
+    @pytest.mark.parametrize("cmd,splits", [("decompose", 1), ("dual", 0)])
+    def test_each_grid_validated_and_checked_once(self, tmp_path, capsys, monkeypatch, cmd, splits):
         path = tmp_path / "g.json"
         run_cli(capsys, "gen", "--kind", "grid", "--seed", "7", "--m", "3", "--n", "3", "--out", str(path))
-        calls = {"validate_grid": 0, "check_split": 0}
+        calls = {"validate_grid": 0, "split_grid": 0, "check_split": 0}
         for name in calls:
 
             def counted(*args, _real=getattr(bd, name), _name=name):
@@ -87,13 +87,13 @@ class TestGenDecompose:
             monkeypatch.setattr(bd, name, counted)
         code, _ = run_cli(capsys, cmd, str(path))
         assert code == 0
-        assert calls == {"validate_grid": 1, "check_split": checks}
+        assert calls == {"validate_grid": 1, "split_grid": splits, "check_split": splits}
 
     @pytest.mark.parametrize("cmd,calls", [("decompose", 86), ("dual", 72)])
     def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
         # per cell, validation and split share one completion of inj and one
         # inverse of surj E (72 calls on this 6 x 6 grid); chain limits take
-        # none and each chain colimit one; dual splits nothing again
+        # none and each chain colimit one; dual only validates
         path = tmp_path / "g.json"
         gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
         run_cli(capsys, *gen, "--out", str(path))
@@ -250,11 +250,10 @@ class TestDeterminism:
         _, out2 = run_cli(capsys, "gen", "--kind", "grid", "--seed", "11")
         assert out1 == out2
 
-    def test_env_seed_used_when_flag_absent(self, capsys, monkeypatch):
+    def test_environment_does_not_set_the_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("TATESPACE_SEED", "13")
         _, out_env = run_cli(capsys, "gen", "--kind", "tower")
-        monkeypatch.delenv("TATESPACE_SEED")
-        _, out_flag = run_cli(capsys, "gen", "--kind", "tower", "--seed", "13")
+        _, out_flag = run_cli(capsys, "gen", "--kind", "tower", "--seed", "0")
         assert out_env == out_flag
 
     def test_decompose_byte_identical(self, tmp_path, capsys):
@@ -265,8 +264,7 @@ class TestDeterminism:
         assert out1 == out2
 
 
-def test_parser_built_once(capsys, monkeypatch):
-    monkeypatch.delenv("TATESPACE_SEED", raising=False)
+def test_parser_built_once(capsys):
     build_parser.cache_clear()
     _, seeded = run_cli(capsys, "gen", "--kind", "tower", "--seed", "3")
     _, default = run_cli(capsys, "gen", "--kind", "tower")

@@ -100,7 +100,7 @@ def _parts(p: int, seed: int) -> dict[str, str]:
     S = bd.split_grid(planted.grid, planted.witness)
     dec = bd.grid_decomposition(S)
     cert = bd.kappa_check(S)
-    out = bd.dual_grid(S)
+    out = bd.dual_grid(S.grid, S.witness)
     G2, W2 = out.grid, out.witness
     return {
         "shape": f"{planted.grid.m}x{planted.grid.n}",

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level helper is used somewhere in the package.
 
 An AST scan of each `tatevec` module except the package `__init__`, which
 re-exports what it imports.  A name counts as used when it is read
@@ -48,4 +49,20 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = _used(tree)
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
+    assert unused == []
+
+
+def test_no_unused_private_helpers():
+    # a module-level _name function or class must be read somewhere in the
+    # package outside its own definition
+    trees = {p: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    unused = []
+    for path in MODULES:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_"):
+                continue
+            readers = [t for p, t in trees.items() if p != path]
+            readers += [stmt for stmt in trees[path].body if stmt is not node]
+            if not any(node.name in _used(t) for t in readers):
+                unused.append(f"{path.stem}.{node.name} (line {node.lineno})")
     assert unused == []
