@@ -68,14 +68,14 @@ class PlantedGrid:
     grid: BidirectedGrid
     witness: SESWitness
     scramble: tuple[tuple[Matrix, ...], ...]  # cell coords <- planted block coords
+    scramble_inv: tuple[tuple[Matrix, ...], ...]  # planted block coords <- cell coords
     Vdims: tuple[int, ...]
     Wdims: tuple[int, ...]
 
     @property
     def planted_split(self) -> SplitGrid:
         """The planted change of basis, verified: basis inv(S), inverse S."""
-        basis = [[_inv(S) for S in row] for row in self.scramble]
-        return check_split(self.grid, self.witness, basis, self.scramble)
+        return check_split(self.grid, self.witness, self.scramble_inv, self.scramble)
 
 
 def _inv(M: Matrix) -> Matrix:
@@ -159,7 +159,8 @@ def rand_grid(
     ]
     grid = BidirectedGrid(field, dims, right, up)
     witness = SESWitness(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
-    return PlantedGrid(grid, witness, tuple(tuple(row) for row in S), tuple(Vdims), tuple(Wdims))
+    scramble, scramble_inv = (tuple(map(tuple, table)) for table in (S, S_inv))
+    return PlantedGrid(grid, witness, scramble, scramble_inv, tuple(Vdims), tuple(Wdims))
 
 
 @dataclass(frozen=True)
@@ -185,20 +186,20 @@ def rand_pairings(rng, field: FieldSpec, m: int = 2, n: int = 2, max_part: int =
     d = planted.Vdims[0] + planted.Wdims[0]
     mu_hat = rand_matrix(rng, field, d, d * d)
     f_hat = rand_invertible(rng, field, d)
-    lam_hat = (f_hat @ mu_hat @ kron(_inv(f_hat), _inv(f_hat))).T
+    f_hat_inv = _inv(f_hat)
+    lam_hat = (f_hat @ mu_hat @ kron(f_hat_inv, f_hat_inv)).T
 
-    S = planted.scramble
+    S, S_inv = planted.scramble, planted.scramble_inv
     mu_entries, lam_entries, f_cells, g_cells = [], [], [], []
     for r in range(m):
         mu_row, lam_row, f_row, g_row = [], [], [], []
         for c in range(n):
-            Sx = S[r][c]
-            Sx_inv = _inv(Sx)
+            Sx, Sx_inv = S[r][c], S_inv[r][c]
             mu_row.append(PairingEntry((r, c), Sx @ mu_hat @ kron(Sx_inv, Sx_inv)))
             lam_row.append(PairingEntry((r, c), kron(Sx, Sx) @ lam_hat @ Sx_inv))
-            f_cell = _inv(Sx.T) @ f_hat @ Sx_inv
-            f_row.append(f_cell)
-            g_row.append(_inv(f_cell))
+            # f_cell = Sx^-T f_hat Sx^-1, so its inverse is Sx f_hat^-1 Sx^T
+            f_row.append(Sx_inv.T @ f_hat @ Sx_inv)
+            g_row.append(Sx @ f_hat_inv @ Sx.T)
         mu_entries.append(mu_row)
         lam_entries.append(lam_row)
         f_cells.append(f_row)

@@ -24,10 +24,9 @@ from .exactla import (
     Matrix,
     ShapeMismatchError,
     hstack,
-    image_basis,
     kernel_basis,
     rank,
-    solve_linear,
+    rref,
     span_contains,
 )
 
@@ -403,38 +402,35 @@ def tate_from_finvect(field: FieldSpec, fv: FinVect) -> TateObj:
 # ---------------------------------------------------------------------------
 
 
+def _image_levels(composites: list[Matrix]) -> tuple[list[Matrix], list[Matrix], list[list[int]]]:
+    """One rref per composite C: the basis C.take_cols(piv) of its image,
+    the coordinates R[:rank] with C = basis @ coords, and the pivots."""
+    bases, coords, pivots = [], [], []
+    for C in composites:
+        R, piv = rref(C)
+        bases.append(C.take_cols(piv))
+        coords.append(Matrix._of(C.field, R.data[: len(piv)]))
+        pivots.append(piv)
+    return bases, coords, pivots
+
+
 def normalize_indtower(T: IndTower, depth: int) -> tuple[SystemPrefix, list[Matrix]]:
     """Replace each level by its image in the top level; transitions become
     inclusions (injective).  Returns the normalized prefix plus comparison
     maps old level -> new level that commute with the transitions.
+
+    One elimination per level: the composite G_i into the top level is
+    basis_i coords_i, so coords_i is the comparison, and basis_i, the pivot
+    columns of G_{i+1} maps_i, is basis_{i+1} times the pivot columns of
+    coords_{i+1} maps_i; both are unique, the bases being independent.
     """
     pre = materialize(T, depth)
-    field = pre.field
-    N = depth
-    # composite up to the top: G[i]: level i+1 -> level N
-    G = [None] * N
-    G[N - 1] = Matrix.identity(field, pre.dims[N - 1])
-    for i in range(N - 2, -1, -1):
-        G[i] = G[i + 1] @ pre.maps[i]
-    bases = [image_basis(G[i]) for i in range(N)]
-    new_dims = tuple(b.cols for b in bases)
-    new_maps = []
-    for i in range(N - 1):
-        incl = solve_linear(bases[i + 1], bases[i])
-        if incl is None:
-            raise AssertionError("internal: ind-tower image levels are not nested")
-        new_maps.append(incl)
-    comparisons = []
-    for i in range(N):
-        cmp_i = solve_linear(bases[i], G[i])
-        if cmp_i is None:
-            raise AssertionError("internal: ind-tower level does not map into its image")
-        comparisons.append(cmp_i)
-    out = SystemPrefix(pre.kind, field, new_dims, tuple(new_maps))
-    for i in range(N - 1):
-        if new_maps[i] @ comparisons[i] != comparisons[i + 1] @ pre.maps[i]:
-            raise AssertionError("internal: ind-tower comparison is not natural")
-    return out, comparisons
+    G = [Matrix.identity(pre.field, pre.dims[-1])]  # G[i]: level i+1 -> top
+    for m in reversed(pre.maps):
+        G.insert(0, G[0] @ m)
+    bases, coords, piv = _image_levels(G)
+    maps = tuple((c @ m).take_cols(p) for c, m, p in zip(coords[1:], pre.maps, piv))
+    return SystemPrefix(pre.kind, pre.field, tuple(b.cols for b in bases), maps), coords
 
 
 def normalize_tower(T: Tower, depth: int) -> tuple[SystemPrefix, list[Matrix]]:
@@ -444,31 +440,18 @@ def normalize_tower(T: Tower, depth: int) -> tuple[SystemPrefix, list[Matrix]]:
     are the inclusions new level -> old level.  Correct relative to the
     prefix only: deeper data can shrink levels further unless the tail is
     declared stabilizing.
+
+    One elimination per level: the composite H_i from the top level is
+    maps_i H_{i+1}, so maps_i basis_{i+1} is basis_i times the columns of
+    coords_i at the pivots of H_{i+1}, and that transition is onto.
     """
     pre = materialize(T, depth)
-    field = pre.field
-    N = depth
-    # composite down from the top: H[i]: level N -> level i+1
-    H = [None] * N
-    H[N - 1] = Matrix.identity(field, pre.dims[N - 1])
-    for i in range(N - 2, -1, -1):
-        H[i] = pre.maps[i] @ H[i + 1]
-    bases = [image_basis(H[i]) for i in range(N)]
-    new_dims = tuple(b.cols for b in bases)
-    new_maps = []
-    for i in range(N - 1):
-        t = solve_linear(bases[i], pre.maps[i] @ bases[i + 1])
-        if t is None:
-            raise AssertionError("internal: tower transition leaves the image levels")
-        if rank(t) != new_dims[i]:
-            raise AssertionError("internal: normalized tower transition is not surjective")
-        new_maps.append(t)
-    out = SystemPrefix(pre.kind, field, new_dims, tuple(new_maps))
-    comparisons = list(bases)
-    for i in range(N - 1):
-        if pre.maps[i] @ bases[i + 1] != bases[i] @ new_maps[i]:
-            raise AssertionError("internal: tower comparison is not natural")
-    return out, comparisons
+    H = [Matrix.identity(pre.field, pre.dims[-1])]  # H[i]: top -> level i+1
+    for m in reversed(pre.maps):
+        H.insert(0, m @ H[0])
+    bases, coords, piv = _image_levels(H)
+    maps = tuple(c.take_cols(p) for c, p in zip(coords, piv[1:]))
+    return SystemPrefix(pre.kind, pre.field, tuple(b.cols for b in bases), maps), bases
 
 
 def tate_window(V: TateObj, depth: int) -> tuple[FilteredSpace, Matrix, Matrix]:

@@ -5,19 +5,19 @@ level by level along the flag chain.  `quotient_level` presents the
 discrete quotients at one flag U (B/U, A/(A meet U) and B/(A + U)) from
 three eliminations: a basis completion of U, one rref of A in B/U
 coordinates (whose kernel is A meet U) and a basis completion of A's image
-in B/U.  Each level inherits a splitting from the previous one through a
-ladder correction (factor the off-diagonal block through the surjection
+in B/U.  Each level inherits a splitting from the previous one through
+the one lifting step, `_lift`, that `lift_splitting` shares: factor what
+the previous retraction sees of the complement through the surjection
 A/(A meet U_{k+1}) -> A/(A meet U_k), and replace the complement by the
-graph of the negated correction), and the last flag being zero makes the
-assembled retraction live on the whole space, compatible with every flag.
-`extend_functional` in `duality` reads the Hahn-Banach extension off the
-same quotient level.
+graph of the negated correction.  The last flag being zero makes the
+assembled retraction live on the whole space.  `extend_functional` in
+`duality` reads the Hahn-Banach extension off the same quotient level.
 
 All choices of complements use the greedy standard-vector rule, so the
-output is reproducible; the claimed identities of the assembled splitting
-are verified by matrix multiplication, once, before a certificate is
-returned.  `lift_splitting` lifts a splitting along an explicit, validated
-`SESLadder`.
+output is reproducible.  The lifting step makes the splitting identities
+hold by construction; flag compatibility is verified, once, before a
+certificate is returned.  `lift_splitting` lifts a splitting along an
+explicit, validated `SESLadder`.
 """
 
 from __future__ import annotations
@@ -76,41 +76,38 @@ class SESLadder:
             raise ValueError("pi1 does not split row 1")
 
 
+def _lift(
+    f: Matrix, alpha: Matrix, incl: Matrix, incl_coords: Matrix, E: Matrix, proj: Matrix
+) -> tuple[Matrix, Matrix]:
+    """Lift a retraction one row down: theta factors alpha (what the previous
+    retraction sees on the complement E) through the surjection f, and
+    [incl | E - incl theta] = [incl | E] [[I, -theta], [0, I]] has the
+    inverse [incl_coords + theta proj; proj], which gives (pi, s)."""
+    theta = factor_through(f, alpha)
+    return incl_coords + theta @ proj, E - incl @ theta
+
+
 def lift_splitting(ladder: SESLadder) -> tuple[Matrix, Matrix, Matrix]:
     """Push a splitting of the first row down to the second.
 
     Returns (pi2, s1, s2) with pi2 o i2 = id, f o pi2 = pi1 o g, and
     sections commuting with h.  The complement of the image of i2 is chosen
-    greedily, then corrected to the graph of the negated factorization of
-    the off-diagonal block through f.
+    greedily, then corrected by the lifting step.
     """
+    # the validated ladder and the exact solves imply all five identities:
+    # - pi2 i2 = I and pi2 s2 = 0 by the lifting step;
+    # - p2 s2 = I by the inverse;
+    # - f pi2 = pi1 g by theta's equation on S2, and on i2 since
+    #   pi1 g i2 = pi1 i1 f = f;
+    # - g s2 = s1 h since both sides are 0 under pi1 and h under p1, and
+    #   [pi1; p1] is injective on the exact row 1 that pi1 splits
     ladder.validate()
-    field = ladder.i2.field
-    a2 = ladder.i2.cols
-
     S2, i2_coords, S2_coords = extend_basis(ladder.i2, ladder.i2.rows)
     alpha = ladder.pi1 @ (ladder.g @ S2)
-    theta = factor_through(ladder.f, alpha)
-    S2_corr = S2 - ladder.i2 @ theta
-    # [i2 | S2_corr] = [i2 | S2] [[I, -theta], [0, I]], whose inverse has the
-    # top rows i2_coords + theta S2_coords
-    pi2 = i2_coords + theta @ S2_coords
-
+    pi2, S2_corr = _lift(ladder.f, alpha, ladder.i2, i2_coords, S2, S2_coords)
     S1 = kernel_basis(ladder.pi1)
     s1 = S1 @ _inv_or_die(ladder.p1 @ S1)
     s2 = S2_corr @ _inv_or_die(ladder.p2 @ S2_corr)
-
-    ident = Matrix.identity(field, a2)
-    if pi2 @ ladder.i2 != ident:
-        raise AssertionError("internal: pi2 does not split row 2")
-    if ladder.f @ pi2 != ladder.pi1 @ ladder.g:
-        raise AssertionError("internal: lifted splitting does not commute")
-    if ladder.p2 @ s2 != Matrix.identity(field, ladder.p2.rows):
-        raise AssertionError("internal: s2 is not a section")
-    if not (pi2 @ s2).is_zero():
-        raise AssertionError("internal: pi2 o s2 != 0")
-    if ladder.g @ s2 != s1 @ ladder.h:
-        raise AssertionError("internal: sections do not commute")
     return pi2, s1, s2
 
 
@@ -195,31 +192,21 @@ def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) ->
     levels = [quotient_level(n, A, U) for U in flags]
 
     # the first level splits along its greedy complement E; each next level
-    # corrects its own complement by theta, the factorization through the
-    # surjection f of what the previous retraction sees of it, so that
-    # pi = incl_coords + theta proj retracts along s = E - incl theta and
-    # proj s = I needs no inverse
+    # lifts the previous retraction through the surjection f of its
+    # sub-objects.  At the terminal zero flag Q = qcoord = I, R = acoord = I
+    # and incl = A, so pi A = I, pi s = 0 and proj s = I hold by the lifting
+    # step; only the flag containments are left to check.
     pi, s = levels[0].incl_coords, levels[0].E
     for prev, cur in zip(levels, levels[1:]):
         f = prev.acoord @ cur.R
         g = prev.qcoord @ cur.Q
-        theta = factor_through(f, pi @ (g @ cur.E))
-        pi = cur.incl_coords + theta @ cur.proj
-        s = cur.E - cur.incl @ theta
+        pi, s = _lift(f, pi @ (g @ cur.E), cur.incl, cur.incl_coords, cur.E, cur.proj)
 
-    # the terminal zero flag makes the last quotient B itself (Q = qcoord = I)
-    final = levels[-1]
-    if pi @ A != Matrix.identity(field, A.cols):
-        raise AssertionError("internal: retraction does not restrict to the identity")
     # A pi U lies in A, so it lies in A meet U exactly when it lies in U
     flag_ok = tuple(span_contains(U, A @ (pi @ U)) for U in flags)
     if not all(flag_ok):
         raise AssertionError("internal: retraction is not flag-compatible")
-    if not (pi @ s).is_zero():
-        raise AssertionError("internal: pi o s != 0")
-    if final.proj @ s != Matrix.identity(field, s.cols):
-        raise AssertionError("internal: section is not split by the projection")
-    return SplitCertificate(pi, s, final.E, flag_ok)
+    return SplitCertificate(pi, s, levels[-1].E, flag_ok)
 
 
 @dataclass(frozen=True)

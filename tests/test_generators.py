@@ -6,7 +6,8 @@ every matrix of seeded `rand_pairings` fixtures: the product and
 coproduct windows with their targets, the duality isomorphisms and their
 inverses, and the global maps in planted coordinates.  They also pin the
 draw order: a generator that draws one more or one fewer number shows
-here.
+here.  The count test pins that each scramble and the global duality are
+inverted once.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from tatevec import generators
 from tatevec.exactla import FieldSpec, Matrix
 from tatevec.generators import rand_grid, rand_pairings
 
@@ -81,3 +83,16 @@ DIGESTS = {
 @pytest.mark.parametrize("p", [2, 5, 65521])
 def test_generator_digests(p):
     assert _parts(p) == DIGESTS[p]
+
+
+def test_each_scramble_inverted_once(monkeypatch):
+    # rand_grid inverts its m * n scrambles, rand_pairings the global duality
+    # f_hat; the cell dualities, their inverses and the planted split reuse
+    # these
+    calls = []
+    real = generators.inverse
+    monkeypatch.setattr(generators, "inverse", lambda M: calls.append(M.shape) or real(M))
+    fx = rand_pairings(np.random.default_rng(0), FieldSpec(5), m=2, n=2)
+    assert len(calls) == 5
+    fx.planted.planted_split
+    assert len(calls) == 5

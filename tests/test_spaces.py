@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from tatevec import exactla, spaces
 from tatevec.exactla import FieldSpec, Matrix, image_basis, rank
+from tatevec.generators import rand_indtower, rand_tower
 from tatevec.spaces import (
     DescriptorViolation,
     FilteredSpace,
@@ -185,6 +187,40 @@ class TestNormalizeTower:
             out, comps = normalize_tower(t, depth)
             for i, m in enumerate(out.maps):
                 assert rank(m) == out.dims[i]
+
+
+
+@pytest.mark.parametrize(
+    "normalize, builtin, rand",
+    [(normalize_indtower, polynomial_indtower, rand_indtower), (normalize_tower, power_series_tower, rand_tower)],
+)
+def test_normalize_one_rref_per_level(monkeypatch, normalize, builtin, rand):
+    # N levels cost N eliminations beyond the ones materialize makes (the
+    # tail checks of the built-in systems)
+    calls = {"rref": 0, "materialize": 0}
+    real_rref, real_materialize = exactla.rref, spaces.materialize
+
+    def rref(M):
+        calls["rref"] += 1
+        return real_rref(M)
+
+    def materialize(obj, depth):
+        before = calls["rref"]
+        out = real_materialize(obj, depth)
+        calls["materialize"] += calls["rref"] - before
+        return out
+
+    monkeypatch.setattr(exactla, "rref", rref)
+    monkeypatch.setattr(spaces, "rref", rref, raising=False)
+    monkeypatch.setattr(spaces, "materialize", materialize)
+    rng = np.random.default_rng(6)
+    for field in (GF2, GF5):
+        systems = [builtin(field)] + [rand(rng, field, depth=5) for _ in range(4)]
+        for T in systems:
+            for N in range(1, 6):
+                calls.update(rref=0, materialize=0)
+                normalize(T, N)
+                assert calls["rref"] - calls["materialize"] == N
 
 
 def laurent_window(field=GF2):
