@@ -19,14 +19,14 @@ import numpy as np
 from . import bidirected as bd
 from .duality import dual_object
 from .generators import rand_grid, rand_indtower, rand_tate, rand_tower
-from .serialize import ParseError, grid_doc, matrix_doc, parse_field, parse_grid, parse_space, space_doc
+from .serialize import ParseError, dumps, grid_tree, parse_field, parse_grid, parse_space, space_tree
 from .spaces import IndLCObj, IndTower, ProDiscObj, TateObj, Tower
 from .suites import SUITES, run_suite
 from .tensor import tensor_bang_tate, tensor_families, tensor_star_tate, tensor_systems
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return dumps(doc) + "\n"
 
 
 def _emit(text: str, out_path):
@@ -54,12 +54,8 @@ def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.kind == "grid":
         planted = rand_grid(rng, field, m=args.m, n=args.n)
-        truth = {
-            "Vdims": list(planted.Vdims),
-            "Wdims": list(planted.Wdims),
-            "scramble": [[matrix_doc(S) for S in row] for row in planted.scramble],
-        }
-        doc = grid_doc(planted.grid, planted.witness, truth=truth)
+        truth = {"Vdims": planted.Vdims, "Wdims": planted.Wdims, "scramble": planted.scramble}
+        doc = grid_tree(planted.grid, planted.witness, truth=truth)
         _emit(_dump(doc), args.out)
         if args.out:
             with open(args.out + ".truth.json", "w") as fh:
@@ -73,7 +69,7 @@ def cmd_gen(args) -> int:
         obj = rand_tate(rng, field, depth=args.depth)
     else:
         raise ParseError("$.kind", f"unknown kind {args.kind!r}")
-    _emit(_dump(space_doc(obj, args.depth)), args.out)
+    _emit(_dump(space_tree(obj, args.depth)), args.out)
     return 0
 
 
@@ -101,14 +97,14 @@ def cmd_decompose(args) -> int:
     out = {
         "kind": "decomposition",
         "field": G.field.p,
-        "tate": space_doc(dec.tate),
-        "iota": [matrix_doc(m) for m in dec.opens],  # the inclusions are the open bases
-        "pi": [matrix_doc(m) for m in dec.pi],
-        "opens": [matrix_doc(m) for m in dec.opens],
-        "opens_grid": [matrix_doc(m) for m in dec.opens_grid],
-        "corner_basis": matrix_doc(dec.corner_basis),
-        "basis": [[matrix_doc(B) for B in row] for row in S.basis],
-        "exchange": {"ok": cert.ok, "normal_form": matrix_doc(cert.normal_form)},
+        "tate": space_tree(dec.tate),
+        "iota": dec.opens,  # the inclusions are the open bases
+        "pi": dec.pi,
+        "opens": dec.opens,
+        "opens_grid": dec.opens_grid,
+        "corner_basis": dec.corner_basis,
+        "basis": S.basis,
+        "exchange": {"ok": cert.ok, "normal_form": cert.normal_form},
     }
     _emit(_dump(out), args.out)
     return 0
@@ -120,12 +116,12 @@ def cmd_dual(args) -> int:
         out = _on_grid(doc, args, "dualizing a grid needs its witness", bd.dual_grid)
         if out is None:
             return 1
-        doc2 = grid_doc(out.grid, out.witness)
+        doc2 = grid_tree(out.grid, out.witness)
         doc2["dual_certificate"] = {"ok": out.certificate_ok, "detail": out.detail}
         _emit(_dump(doc2), args.out)
         return 0 if out.certificate_ok else 1
     obj = parse_space(doc)
-    _emit(_dump(space_doc(dual_object(obj), args.depth)), args.out)
+    _emit(_dump(space_tree(dual_object(obj), args.depth)), args.out)
     return 0
 
 
@@ -145,7 +141,7 @@ def cmd_tensor(args) -> int:
         raise ParseError(
             "$", f"no {args.op} tensor for {type(a).__name__} and {type(b).__name__}"
         )
-    _emit(_dump(space_doc(fn(a, b), args.depth)), args.out)
+    _emit(_dump(space_tree(fn(a, b), args.depth)), args.out)
     return 0
 
 

@@ -3,12 +3,23 @@
 Documents are plain dicts; matrices are {"rows", "cols", "entries"} with
 entries reduced mod p on load, and every top-level document carries its
 field.  Parse errors name the path into the offending document.
+
+The builders (`space_tree`, `grid_tree`) return document trees: dicts,
+lists, tuples, strings, ints, booleans and None, with the `Matrix` itself
+wherever a matrix document goes, and never a float.  `dumps` is the one
+writer of canonical text (sorted keys, no spaces): a matrix over GF(p >= 11)
+is written from `Matrix.to_json`, and one over GF(p < 11), whose entries
+are single digits, straight from its array.  `space_doc`, `grid_doc` and
+`matrix_doc` return the plain JSON form of the same documents.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
 from typing import Optional
+
+import numpy as np
 
 from .bidirected import (
     BidirectedGrid,
@@ -83,6 +94,48 @@ def matrix_doc(M: Matrix) -> dict:
     return M.to_json()
 
 
+# In a tree with no floats the only NaN is a slot written by `dumps`, and the
+# text below, whose quotes are unescaped, cannot occur inside a string.
+_SLOT = '"entries":NaN'
+
+
+def dumps(tree) -> str:
+    """The canonical JSON text of a document tree.
+
+    The encoder calls `leaf` on the matrices in output order.  Over GF(p < 11)
+    `leaf` records the matrix and leaves a NaN slot for its entries; the
+    digits of all recorded arrays are written at once, and the k-th
+    matrix's digits replace the k-th slot.
+    """
+    small = []
+
+    def leaf(M: Matrix) -> dict:
+        if M.field.p >= 11:
+            return M.to_json()
+        small.append(M)
+        return {"rows": M.rows, "cols": M.cols, "entries": float("nan")}
+
+    text = json.dumps(tree, sort_keys=True, separators=(",", ":"), default=leaf)
+    if not small:
+        return text
+    flat = np.concatenate([M.data.reshape(-1) for M in small], dtype=np.uint8, casting="unsafe")
+    buf = np.full(2 * flat.size, ord(","), dtype=np.uint8)
+    np.add(flat, ord("0"), out=buf[::2])
+    digits = buf.tobytes().decode("ascii")  # "d,d,...,d," over every recorded matrix
+    parts = text.split(_SLOT)
+    out, start = [parts[0]], 0
+    for M, rest in zip(small, parts[1:]):
+        end = start + 2 * M.data.size
+        out += ['"entries":[', digits[start:end][:-1], "]", rest]  # [:-1] drops its last comma
+        start = end
+    return "".join(out)
+
+
+def _plain(tree):
+    """The plain JSON form of a tree, as a reader of its text gets it."""
+    return json.loads(dumps(tree))
+
+
 def tail_doc(t: TailDescriptor) -> dict:
     out = {"kind": t.kind}
     if t.bound is not None:
@@ -108,31 +161,37 @@ def parse_tail(doc, path="$") -> TailDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_doc(pre: SystemPrefix, tail: TailDescriptor) -> dict:
+def _prefix_tree(pre: SystemPrefix, tail: TailDescriptor) -> dict:
     return {
         "kind": pre.kind,
         "field": pre.field.p,
-        "dims": list(pre.dims),
-        "transitions": [matrix_doc(t) for t in pre.maps],
+        "dims": pre.dims,
+        "transitions": pre.maps,
         "tail": tail_doc(tail),
     }
 
 
 def space_doc(obj, depth: Optional[int] = None) -> dict:
-    """Serialize a presentation; lazy objects are materialized to `depth`."""
+    """The plain JSON document of a presentation (see `space_tree`)."""
+    return _plain(space_tree(obj, depth))
+
+
+def space_tree(obj, depth: Optional[int] = None) -> dict:
+    """The document tree of a presentation; lazy objects are materialized to
+    `depth`."""
     if isinstance(obj, FinVect):
         return {"kind": "finvect", "dim": obj.dim}
     if isinstance(obj, (Tower, IndTower)):
         d = obj.depth if obj.depth is not None else depth
         if d is None:
             raise ValueError("serializing an unbounded system needs a depth")
-        return _prefix_doc(materialize(obj, d), obj.tail)
+        return _prefix_tree(materialize(obj, d), obj.tail)
     if isinstance(obj, TateObj):
         return {
             "kind": "tate",
             "field": obj.field.p,
-            "c": space_doc(obj.cLattice, depth),
-            "d": space_doc(obj.dLattice, depth),
+            "c": space_tree(obj.cLattice, depth),
+            "d": space_tree(obj.dLattice, depth),
         }
     if isinstance(obj, (IndLCObj, ProDiscObj)):
         if obj.count is None and depth is None:
@@ -141,10 +200,10 @@ def space_doc(obj, depth: Optional[int] = None) -> dict:
         return {
             "kind": obj.kind,
             "field": obj.field.p,
-            obj.parts_key: [space_doc(obj.part(k), depth) for k in range(1, count + 1)],
+            obj.parts_key: [space_tree(obj.part(k), depth) for k in range(1, count + 1)],
         }
     if isinstance(obj, SystemPrefix):
-        return _prefix_doc(obj, TailDescriptor())
+        return _prefix_tree(obj, TailDescriptor())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -208,23 +267,40 @@ def grid_doc(
     pd: Optional[GridDualityWitness] = None,
     truth: Optional[dict] = None,
 ) -> dict:
+    """The plain JSON document of a grid (see `grid_tree`)."""
+    return _plain(grid_tree(G, W, pairings, pd, truth))
+
+
+def grid_tree(
+    G: BidirectedGrid,
+    W: Optional[SESWitness] = None,
+    pairings: Optional[dict] = None,
+    pd: Optional[GridDualityWitness] = None,
+    truth: Optional[dict] = None,
+) -> dict:
+    """The document tree of a grid, with its witness, pairings, duality
+    witness and ground truth when given."""
+
+    def table(maps, rows, cols):
+        return [[maps[r][c] for c in range(cols)] for r in range(rows)]
+
     out = {
         "kind": "grid",
         "field": G.field.p,
         "m": G.m,
         "n": G.n,
-        "dims": [list(row) for row in G.dims],
-        "right": [[matrix_doc(G.right[r][c]) for c in range(G.n - 1)] for r in range(G.m)],
-        "up": [[matrix_doc(G.up[r][c]) for c in range(G.n)] for r in range(G.m - 1)],
+        "dims": G.dims,
+        "right": table(G.right, G.m, G.n - 1),
+        "up": table(G.up, G.m - 1, G.n),
     }
     if W is not None:
         out["ses"] = {
-            "Vdims": list(W.Vdims),
-            "Vmaps": [matrix_doc(m) for m in W.Vmaps],
-            "Wdims": list(W.Wdims),
-            "Wmaps": [matrix_doc(m) for m in W.Wmaps],
-            "inj": [[matrix_doc(W.inj[r][c]) for c in range(G.n)] for r in range(G.m)],
-            "surj": [[matrix_doc(W.surj[r][c]) for c in range(G.n)] for r in range(G.m)],
+            "Vdims": W.Vdims,
+            "Vmaps": W.Vmaps,
+            "Wdims": W.Wdims,
+            "Wmaps": W.Wmaps,
+            "inj": table(W.inj, G.m, G.n),
+            "surj": table(W.surj, G.m, G.n),
         }
     if pairings is not None:
         out["pairings"] = {
@@ -234,7 +310,7 @@ def grid_doc(
                     if fam.at(r, c) is None
                     else {
                         "target": [fam.at(r, c).target[0] + 1, fam.at(r, c).target[1] + 1],
-                        "matrix": matrix_doc(fam.at(r, c).matrix),
+                        "matrix": fam.at(r, c).matrix,
                     }
                     for c in range(G.n)
                 ]
@@ -243,10 +319,7 @@ def grid_doc(
             for key, fam in pairings.items()
         }
     if pd is not None:
-        out["pd"] = {
-            "f": [[matrix_doc(pd.f[r][c]) for c in range(G.n)] for r in range(G.m)],
-            "g": [[matrix_doc(pd.g[r][c]) for c in range(G.n)] for r in range(G.m)],
-        }
+        out["pd"] = {"f": table(pd.f, G.m, G.n), "g": table(pd.g, G.m, G.n)}
     if truth is not None:
         out["truth"] = truth
     return out

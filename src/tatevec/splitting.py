@@ -182,7 +182,7 @@ def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) ->
     appended so the assembled map lives on B).
     """
     n = B.dim
-    if A.rows != n or rank(A) != A.cols:
+    if A.rows != n:
         raise ValueError("A must be given by independent columns in B")
     field = B.field
     flags = list(B.flags if depth is None else B.flags[:depth])
@@ -190,6 +190,10 @@ def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) ->
         flags.append(Matrix.zeros(field, n, 0))
 
     levels = [quotient_level(n, A, U) for U in flags]
+    # the terminal zero flag eliminates qcoord A = A itself: its pivots are
+    # all of A's columns exactly when A is independent
+    if levels[-1].R.cols != A.cols:
+        raise ValueError("A must be given by independent columns in B")
 
     # the first level splits along its greedy complement E; each next level
     # lifts the previous retraction through the surjection f of its

@@ -66,3 +66,25 @@ def test_no_unused_private_helpers():
             if not any(node.name in _used(t) for t in readers):
                 unused.append(f"{path.stem}.{node.name} (line {node.lineno})")
     assert unused == []
+
+
+
+def test_one_json_writer():
+    # the package calls json.dumps once, in serialize.dumps; each call is
+    # named by the innermost function around it
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            callers.extend(f"{where}: imports {a.name}" for a in node.names if a.name == "dumps")
+        f = node.func if isinstance(node, ast.Call) else None
+        if isinstance(f, ast.Attribute) and f.attr == "dumps" and isinstance(f.value, ast.Name) and f.value.id == "json":
+            callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert callers == ["serialize.dumps"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tatevec import exactla, splitting
 from tatevec.exactla import (
     FieldSpec,
     Matrix,
@@ -182,6 +183,45 @@ class TestSplitFilteredSES:
             for k, U in enumerate(B.flags):
                 moved = A @ (cert.pi @ U)
                 assert span_contains(intersect_columns(A, U), moved)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            M(GF2, [[1, 1], [0, 0], [1, 1]]),  # dependent columns
+            M(GF2, [[0, 0], [1, 0], [0, 1]]).take_cols([0, 0]),  # a repeated column
+            Matrix.zeros(GF2, 3, 1),
+            M(GF2, [[1], [0]]),  # two rows in a 3-dimensional space
+            Matrix.identity(GF2, 4),
+        ],
+    )
+    def test_rejects_dependent_or_misshapen_A(self, A):
+        with pytest.raises(ValueError, match="A must be given by independent columns in B"):
+            split_filtered_ses(monomial_space(), A)
+
+    def test_rref_calls_per_call(self, monkeypatch):
+        # per level: a completion of U, one rref of qcoord A and a completion of
+        # its image; per lift one factor_through; per flag but the zero one a
+        # span_contains.  The terminal level's pivots tell whether A is
+        # independent, so no rank(A) on entry (it made 5L - 1 calls).
+        count = 0
+
+        def counted(X, _real=exactla.rref):
+            nonlocal count
+            count += 1
+            return _real(X)
+
+        rng = np.random.default_rng(5)
+        instances = []
+        for _ in range(4):
+            B = rand_filtered_space(rng, GF5, 24, 8)
+            instances.append((B, image_basis(rand_matrix(rng, GF5, B.dim, int(rng.integers(1, B.dim + 1))))))
+        for module in (exactla, splitting):
+            monkeypatch.setattr(module, "rref", counted)
+        for B, A in instances:
+            assert B.flags[-1].cols == 0
+            count = 0
+            split_filtered_ses(B, A)
+            assert count == 5 * len(B.flags) - 2
 
 
 class TestTopologicalComplement:
