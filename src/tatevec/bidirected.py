@@ -544,16 +544,8 @@ def dual_grid(G: BidirectedGrid, W: SESWitness) -> DualGridResult:
     # certificate: the Tate object of the dual witness == the dual Tate object
     dual = dual_object(_witness_tate(field, W))
     tate2 = _witness_tate(field, W2)
-    dual_c = materialize(dual.cLattice, G.n)
-    dual_d = materialize(dual.dLattice, G.m)
-    got_c = materialize(tate2.cLattice, G.n)
-    got_d = materialize(tate2.dLattice, G.m)
-    ok = (
-        got_c.dims == dual_c.dims
-        and got_c.maps == dual_c.maps
-        and got_d.dims == dual_d.dims
-        and got_d.maps == dual_d.maps
-    )
+    want = (materialize(dual.cLattice, G.n), materialize(dual.dLattice, G.m))
+    ok = (materialize(tate2.cLattice, G.n), materialize(tate2.dLattice, G.m)) == want
     detail = "dual decomposition matches dualized decomposition levelwise" if ok else (
         "dual decomposition disagrees with the dualized decomposition"
     )

@@ -49,8 +49,17 @@ def _load_doc(path: str):
         raise ParseError("$", f"invalid JSON: {e}")
 
 
+def _at_least_one(args, *flags):
+    """Reject a size flag below 1 as malformed input, as `--field` is."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ParseError(f"$.{flag}", f"--{flag} must be at least 1, got {value}")
+
+
 def cmd_gen(args) -> int:
     field = parse_field({"field": args.field})
+    _at_least_one(args, "m", "n", "depth")
     rng = np.random.default_rng(args.seed)
     if args.kind == "grid":
         planted = rand_grid(rng, field, m=args.m, n=args.n)
@@ -111,6 +120,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    _at_least_one(args, "depth")
     doc = _load_doc(args.input)
     if isinstance(doc, dict) and doc.get("kind") == "grid":
         out = _on_grid(doc, args, "dualizing a grid needs its witness", bd.dual_grid)
@@ -126,6 +136,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    _at_least_one(args, "depth")
     a = parse_space(_load_doc(args.a))
     b = parse_space(_load_doc(args.b))
     pairs = {
@@ -141,6 +152,8 @@ def cmd_tensor(args) -> int:
         raise ParseError(
             "$", f"no {args.op} tensor for {type(a).__name__} and {type(b).__name__}"
         )
+    if a.field != b.field:
+        raise ParseError("$", f"no tensor of a GF({a.field.p}) and a GF({b.field.p}) document")
     _emit(_dump(space_tree(fn(a, b), args.depth)), args.out)
     return 0
 

@@ -131,32 +131,9 @@ def rand_grid(
         ]
         for r in range(m - 1)
     ]
-    inj = [
-        [
-            S[r][c]
-            @ Matrix(
-                field,
-                np.vstack(
-                    [np.eye(Vdims[c], dtype=np.int64), np.zeros((Wdims[r], Vdims[c]), np.int64)]
-                ),
-            )
-            for c in range(n)
-        ]
-        for r in range(m)
-    ]
-    surj = [
-        [
-            Matrix(
-                field,
-                np.hstack(
-                    [np.zeros((Wdims[r], Vdims[c]), np.int64), np.eye(Wdims[r], dtype=np.int64)]
-                ),
-            )
-            @ S_inv[r][c]
-            for c in range(n)
-        ]
-        for r in range(m)
-    ]
+    # S [I; 0] is the leading V columns of S, [0 I] S^-1 the trailing W rows of S^-1
+    inj = [[Matrix._of(field, S[r][c].data[:, : Vdims[c]]) for c in range(n)] for r in range(m)]
+    surj = [[Matrix._of(field, S_inv[r][c].data[Vdims[c] :]) for c in range(n)] for r in range(m)]
     grid = BidirectedGrid(field, dims, right, up)
     witness = SESWitness(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
     scramble, scramble_inv = (tuple(map(tuple, table)) for table in (S, S_inv))

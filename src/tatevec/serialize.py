@@ -77,6 +77,13 @@ def parse_field(doc, path="$") -> FieldSpec:
         raise ParseError(f"{path}.field", str(e))
 
 
+def _same_field(field: FieldSpec, parts, path):
+    """Every (key, part) of a document must live over the document's field."""
+    for key, part in parts:
+        if part.field != field:
+            raise ParseError(f"{path}.{key}.field", f"GF({part.field.p}) part of a GF({field.p}) document")
+
+
 def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
     rows = _int(_need(doc, "rows", path), f"{path}.rows")
     cols = _int(_need(doc, "cols", path), f"{path}.cols")
@@ -243,6 +250,7 @@ def parse_space(doc, path="$"):
         d = parse_space(_need(doc, "d", path), f"{path}.d")
         if not isinstance(c, Tower) or not isinstance(d, IndTower):
             raise ParseError(path, "tate object needs a tower 'c' and an indtower 'd'")
+        _same_field(field, (("c", c), ("d", d)), path)
         return TateObj(c, d)
     if kind in ("indlc", "prodisc"):
         family = IndLCObj if kind == "indlc" else ProDiscObj
@@ -251,6 +259,7 @@ def parse_space(doc, path="$"):
         parts = [parse_space(x, f"{path}.{key}[{i}]") for i, x in enumerate(raw)]
         if not all(isinstance(x, family.part_type) for x in parts):
             raise ParseError(f"{path}.{key}", f"every {key[:-1]} must be a {family.part_type.kind}")
+        _same_field(field, ((f"{key}[{i}]", x) for i, x in enumerate(parts)), path)
         return family.from_list(field, parts)
     raise ParseError(f"{path}.kind", f"unknown kind {kind!r}")
 
@@ -365,6 +374,9 @@ def parse_grid(doc, path="$"):
         raise ParseError(f"{path}.kind", "expected 'grid'")
     field = parse_field(doc, path)
     m, n = _int(_need(doc, "m", path), f"{path}.m"), _int(_need(doc, "n", path), f"{path}.n")
+    for key, size in (("m", m), ("n", n)):
+        if size < 1:
+            raise ParseError(f"{path}.{key}", "a grid needs at least one row and one column")
     dims = _table(_need(doc, "dims", path), m, n, f"{path}.dims", _int)
     right = _matrix_table(field, m, max(n - 1, 0), _need(doc, "right", path), f"{path}.right")
     up = _matrix_table(field, max(m - 1, 0), n, _need(doc, "up", path), f"{path}.up")
@@ -398,9 +410,12 @@ def parse_grid(doc, path="$"):
         tr, tc = (_int(x, f"{pth}.target") - 1 for x in target)
         return PairingEntry((tr, tc), parse_matrix(field, _need(cell, "matrix", pth), pth))
 
+    given = doc.get("pairings")
+    if given is not None and not isinstance(given, dict):
+        raise ParseError(f"{path}.pairings", "expected an object")
     pairings = {}
     for key, kind in (("mu", "product"), ("lambda", "coproduct")):
-        raw = (doc.get("pairings") or {}).get(key)
+        raw = (given or {}).get(key)
         if raw is None:
             continue
         pairings[key] = PairingFamily(kind, _table(raw, m, n, f"{path}.pairings.{key}", entry))

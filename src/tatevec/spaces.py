@@ -89,27 +89,25 @@ class TailDescriptor:
 UNSPECIFIED = TailDescriptor()
 
 
-def _ker_dim(t: Matrix) -> int:
-    return t.cols - rank(t)
+def _defects(t: Matrix) -> tuple[int, int]:
+    """The kernel and cokernel dimensions of a transition, from one rank."""
+    r = rank(t)
+    return t.cols - r, t.rows - r
 
 
-def _coker_dim(t: Matrix) -> int:
-    return t.rows - rank(t)
-
-
-# bounded tail kind -> (the transition dimension it bounds, how to measure it)
-_BOUNDED = {"bounded-ker": ("kernel", _ker_dim), "bounded-coker": ("cokernel", _coker_dim)}
+# bounded tail kind -> (the transition dimension it bounds, its index in _defects)
+_BOUNDED = {"bounded-ker": ("kernel", 0), "bounded-coker": ("cokernel", 1)}
 
 
 def _check_tail(tail: TailDescriptor, maps: list[Matrix]):
     if tail.kind not in _BOUNDED:
         return
-    what, dim_of = _BOUNDED[tail.kind]
+    what, at = _BOUNDED[tail.kind]
     for i, t in enumerate(maps):
-        if dim_of(t) > tail.bound:
+        dim = _defects(t)[at]
+        if dim > tail.bound:
             raise DescriptorViolation(
-                f"{tail.kind}({tail.bound}) but transition {i + 1} has "
-                f"{what} dimension {dim_of(t)}"
+                f"{tail.kind}({tail.bound}) but transition {i + 1} has {what} dimension {dim}"
             )
 
 
@@ -252,8 +250,8 @@ class ProDiscObj(_LazyFamily):
 class FilteredSpace:
     """A finite-dimensional space with a nested flag of open subspaces.
 
-    Flags U_1 >= U_2 >= ... >= U_N = 0 are column-span matrices; nesting is
-    rank-checked and the last flag must be zero.
+    Flags U_1 >= U_2 >= ... >= U_N = 0 are column-span matrices with
+    independent columns, each containing the next; the last must be zero.
     """
 
     def __init__(self, field: FieldSpec, dim: int, flags: list[Matrix]):
@@ -264,10 +262,16 @@ class FilteredSpace:
         for i, U in enumerate(flags):
             if U.rows != dim:
                 raise ShapeMismatchError(f"flag {i + 1} lives in the wrong ambient space")
-            if rank(U) != U.cols:
+        # one rref of [U_i | U_{i+1}] per flag: U_i's columns lead it exactly
+        # when they are independent, and U_{i+1} adds no pivot exactly when it
+        # lies in U_i
+        nexts = [*flags[1:], flags[-1].take_cols([])]
+        pivots = [rref(hstack([U, V]))[1] for U, V in zip(flags, nexts)]
+        for i, (U, piv) in enumerate(zip(flags, pivots)):
+            if piv[: U.cols] != list(range(U.cols)):
                 raise ValueError(f"flag {i + 1} has dependent columns")
-        for i in range(len(flags) - 1):
-            if not span_contains(flags[i], flags[i + 1]):
+        for i, (U, piv) in enumerate(zip(flags, pivots[:-1])):
+            if piv and piv[-1] >= U.cols:
                 raise ValueError(f"flag {i + 2} is not contained in flag {i + 1}")
         if flags[-1].cols != 0:
             raise ValueError("last flag must be the zero subspace")
@@ -326,6 +330,34 @@ def materialize(obj, depth: int, inner: Optional[int] = None):
         n = depth if obj.count is None else min(depth, obj.count)
         return FamilyPrefix(obj.kind, tuple(materialize(obj.part(k), inner) for k in range(1, n + 1)))
     raise TypeError(f"cannot materialize {type(obj).__name__}")
+
+
+def prefix_mismatch(a, b, label: Optional[str] = None) -> Optional[str]:
+    """The first levelwise difference of two prefixes of the same sort, or
+    None when they agree.
+
+    A system prefix is named by `label` (by default its kind), the parts of
+    a Tate prefix by their lattice and those of a family by their 1-based
+    component.
+    """
+    if isinstance(a, SystemPrefix):
+        label = label or a.kind
+        for i, (x, y) in enumerate(zip(a.dims, b.dims), start=1):
+            if x != y:
+                return f"{label}: level {i} dims differ ({x} vs {y})"
+        for i, (x, y) in enumerate(zip(a.maps, b.maps), start=1):
+            if x != y:
+                return f"{label}: transition {i} differs"
+        return None
+    if isinstance(a, TatePrefix):
+        return prefix_mismatch(a.c, b.c, "c-lattice") or prefix_mismatch(a.d, b.d, "d-lattice")
+    if len(a.parts) != len(b.parts):
+        return "component count changed"
+    for k, (x, y) in enumerate(zip(a.parts, b.parts), start=1):
+        bad = prefix_mismatch(x, y, f"component {k}")
+        if bad:
+            return bad
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +583,15 @@ def is_tate_verdict(sys, depth: int) -> TateVerdict:
     if not isinstance(sys, (Tower, IndTower)):
         raise TypeError("verdict applies to Tower or IndTower presentations")
     bounded_kind = "bounded-ker" if isinstance(sys, Tower) else "bounded-coker"
-    relevant, dim_of = _BOUNDED[bounded_kind]
+    relevant, at = _BOUNDED[bounded_kind]
     pre = materialize(sys, depth)
-    profile = [dim_of(t) for t in pre.maps]
+    defects = [_defects(t) for t in pre.maps]
+    profile = [d[at] for d in defects]
     evidence = {
         "relevant": relevant,
         "profile": profile,
-        "kernel_dims": [_ker_dim(t) for t in pre.maps],
-        "cokernel_dims": [_coker_dim(t) for t in pre.maps],
+        "kernel_dims": [k for k, _ in defects],
+        "cokernel_dims": [c for _, c in defects],
         "descriptor": sys.tail.kind,
         "bound": sys.tail.bound,
     }
@@ -600,7 +633,6 @@ def iso_certificate(X, Y, depth: int) -> Optional[list[Matrix]]:
     if not isinstance(X, (Tower, IndTower)):
         raise TypeError("iso certificates apply to Tower or IndTower presentations")
     a = materialize(X, depth)
-    b = materialize(Y, depth)
-    if a.dims != b.dims or a.maps != b.maps:
+    if a != materialize(Y, depth):
         return None
     return [Matrix.identity(X.field, d) for d in a.dims]

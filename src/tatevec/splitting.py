@@ -17,7 +17,7 @@ All choices of complements use the greedy standard-vector rule, so the
 output is reproducible.  The lifting step makes the splitting identities
 hold by construction; flag compatibility is verified, once, before a
 certificate is returned.  `lift_splitting` lifts a splitting along an
-explicit, validated `SESLadder`.
+explicit `SESLadder`, whose rank conditions its own eliminations decide.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .exactla import (
     factor_through,
     inverse,
     kernel_basis,
-    rank,
     rref,
     span_contains,
 )
@@ -44,7 +43,8 @@ class SESLadder:
     Rows are 0 -> A -> B -> C -> 0 with inclusion i and projection p; the
     vertical maps f: A2 -> A1, g: B2 -> B1, h: C2 -> C1 point from the
     second row to the first and must make both squares commute; f must be
-    surjective and pi1 must split the first row.
+    surjective and pi1 must split the first row.  `lift_splitting` checks
+    all of this.
     """
 
     i1: Matrix
@@ -55,25 +55,6 @@ class SESLadder:
     g: Matrix
     h: Matrix
     pi1: Matrix
-
-    def validate(self):
-        for name, (i, p) in (("row 1", (self.i1, self.p1)), ("row 2", (self.i2, self.p2))):
-            if rank(i) != i.cols:
-                raise ValueError(f"{name}: inclusion is not injective")
-            if rank(p) != p.rows:
-                raise ValueError(f"{name}: projection is not surjective")
-            if not (p @ i).is_zero():
-                raise ValueError(f"{name}: p o i != 0")
-            if i.cols + p.rows != i.rows:
-                raise ValueError(f"{name}: not exact in the middle")
-        if self.g @ self.i2 != self.i1 @ self.f:
-            raise ValueError("left square does not commute")
-        if self.h @ self.p2 != self.p1 @ self.g:
-            raise ValueError("right square does not commute")
-        if rank(self.f) != self.f.rows:
-            raise ValueError("f is not surjective")
-        if self.pi1 @ self.i1 != Matrix.identity(self.i1.field, self.i1.cols):
-            raise ValueError("pi1 does not split row 1")
 
 
 def _lift(
@@ -92,30 +73,47 @@ def lift_splitting(ladder: SESLadder) -> tuple[Matrix, Matrix, Matrix]:
 
     Returns (pi2, s1, s2) with pi2 o i2 = id, f o pi2 = pi1 o g, and
     sections commuting with h.  The complement of the image of i2 is chosen
-    greedily, then corrected by the lifting step.
+    greedily, then corrected by the lifting step.  A ladder that is not
+    one raises ValueError: the products and dimensions are checked first,
+    and each rank condition by the elimination that needs it.
     """
-    # the validated ladder and the exact solves imply all five identities:
-    # - pi2 i2 = I and pi2 s2 = 0 by the lifting step;
-    # - p2 s2 = I by the inverse;
+    L = ladder
+    for name, (i, p) in (("row 1", (L.i1, L.p1)), ("row 2", (L.i2, L.p2))):
+        if not (p @ i).is_zero():
+            raise ValueError(f"{name}: p o i != 0")
+        if i.cols + p.rows != i.rows:
+            raise ValueError(f"{name}: not exact in the middle")
+    if L.g @ L.i2 != L.i1 @ L.f:
+        raise ValueError("left square does not commute")
+    if L.h @ L.p2 != L.p1 @ L.g:
+        raise ValueError("right square does not commute")
+    # a left inverse of i1 also makes it injective
+    if L.pi1 @ L.i1 != Matrix.identity(L.i1.field, L.i1.cols):
+        raise ValueError("pi1 does not split row 1")
+    try:
+        S2, i2_coords, S2_coords = extend_basis(L.i2, L.i2.rows)
+    except ValueError:
+        raise ValueError("row 2: inclusion is not injective") from None
+    try:
+        pi2, S2_corr = _lift(L.f, L.pi1 @ (L.g @ S2), L.i2, i2_coords, S2, S2_coords)
+    except ValueError:
+        raise ValueError("f is not surjective") from None
+
+    # [i | S] is a basis of each row and p i = 0, so p is onto exactly when
+    # the square p S is invertible; s = S (p S)^-1 is then the section.
+    # The lifting step and the exact solves give the rest:
+    # - pi2 i2 = I and pi2 s2 = 0;
     # - f pi2 = pi1 g by theta's equation on S2, and on i2 since
     #   pi1 g i2 = pi1 i1 f = f;
     # - g s2 = s1 h since both sides are 0 under pi1 and h under p1, and
     #   [pi1; p1] is injective on the exact row 1 that pi1 splits
-    ladder.validate()
-    S2, i2_coords, S2_coords = extend_basis(ladder.i2, ladder.i2.rows)
-    alpha = ladder.pi1 @ (ladder.g @ S2)
-    pi2, S2_corr = _lift(ladder.f, alpha, ladder.i2, i2_coords, S2, S2_coords)
-    S1 = kernel_basis(ladder.pi1)
-    s1 = S1 @ _inv_or_die(ladder.p1 @ S1)
-    s2 = S2_corr @ _inv_or_die(ladder.p2 @ S2_corr)
-    return pi2, s1, s2
-
-
-def _inv_or_die(M: Matrix) -> Matrix:
-    out = inverse(M)
-    if out is None:
-        raise AssertionError("internal: expected invertible matrix")
-    return out
+    sections = []
+    for name, p, S in (("row 1", L.p1, kernel_basis(L.pi1)), ("row 2", L.p2, S2_corr)):
+        pS_inv = inverse(p @ S)
+        if pS_inv is None:
+            raise ValueError(f"{name}: projection is not surjective")
+        sections.append(S @ pS_inv)
+    return pi2, *sections
 
 
 @dataclass(frozen=True)

@@ -488,12 +488,12 @@ def check_appendix_ladders(seed=34):
         n = a + c
         T = rand_invertible(rng, field, n)
         T_inv = inverse(T)
-        i_cols = np.vstack([np.eye(a, dtype=np.int64), np.zeros((c, a), np.int64)])
-        p_rows = np.hstack([np.zeros((c, a), np.int64), np.eye(c, dtype=np.int64)])
-        i2 = T @ Matrix(field, i_cols)
-        p2 = Matrix(field, p_rows) @ T_inv
-        K = T @ Matrix(field, np.vstack([np.zeros((a, c), np.int64), np.eye(c, dtype=np.int64)]))
-        pi1 = Matrix(field, inverse(hstack([i2, K])).data[:a, :])
+        # the split row in the basis T: i2 is T's first a columns and its
+        # complement the rest, so [i2 | K] = T, and p2 and pi1 are the last c
+        # and the first a rows of T^-1
+        i2 = Matrix._of(field, T.data[:, :a])
+        p2 = Matrix._of(field, T_inv.data[a:])
+        pi1 = Matrix._of(field, T_inv.data[:a])
         ladder = SESLadder(
             i1=i2, p1=p2, i2=i2, p2=p2,
             f=Matrix.identity(field, a),

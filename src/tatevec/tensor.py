@@ -29,6 +29,7 @@ from .spaces import (
     constant_indtower,
     constant_tower,
     materialize,
+    prefix_mismatch,
 )
 
 
@@ -241,24 +242,12 @@ def check_tensor_duality(A: IndLCObj, B: IndLCObj, depth: int) -> TensorDualityR
     depth and aligned by the diagonal enumeration; dims and transition
     matrices must agree exactly.
     """
-    lhs = dual_object(tensor_families(A, B))
-    rhs = tensor_families(dual_object(A), dual_object(B))
-    pl = materialize(lhs, depth)
-    pr = materialize(rhs, depth)
-    if len(pl.parts) != len(pr.parts):
-        return TensorDualityReport(False, (), "factor counts differ")
-    alignment = []
-    for k in range(1, len(pl.parts) + 1):
-        alignment.append((k, pair_at(k, A.count, B.count)))
-        x, y = pl.parts[k - 1], pr.parts[k - 1]
-        if x.dims != y.dims:
-            return TensorDualityReport(False, (), f"factor {k}: dims {x.dims} vs {y.dims}")
-        for lvl, (mx, my) in enumerate(zip(x.maps, y.maps), start=1):
-            if mx != my:
-                return TensorDualityReport(
-                    False, (), f"factor {k}: transition {lvl} differs"
-                )
-    return TensorDualityReport(True, tuple(alignment), None)
+    lhs = materialize(dual_object(tensor_families(A, B)), depth)
+    bad = prefix_mismatch(lhs, materialize(tensor_families(dual_object(A), dual_object(B)), depth))
+    if bad:
+        return TensorDualityReport(False, (), bad)
+    alignment = tuple((k, pair_at(k, A.count, B.count)) for k in range(1, len(lhs.parts) + 1))
+    return TensorDualityReport(True, alignment, None)
 
 
 # ---------------------------------------------------------------------------

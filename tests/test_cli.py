@@ -115,6 +115,26 @@ class TestGenDecompose:
         assert code == 2
         assert json.loads(out)["path"] == "$.field"
 
+    @pytest.mark.parametrize(
+        "argv,path",
+        [
+            ("gen --kind grid --m 0", "$.m"),
+            ("gen --kind grid --m -1", "$.m"),
+            ("gen --kind grid --n 0", "$.n"),
+            ("gen --kind tate --depth 0", "$.depth"),
+            ("dual --depth 0 DOC", "$.depth"),
+            ("tensor --op star --depth 0 DOC DOC", "$.depth"),
+            ("tensor --op bang --depth -2 DOC DOC", "$.depth"),
+        ],
+    )
+    def test_size_flag_below_one_is_malformed(self, tmp_path, capsys, argv, path):
+        # a builtin has no depth of its own, so --depth 0 would reach the library
+        doc = tmp_path / "laurent.json"
+        doc.write_text(json.dumps({"kind": "builtin", "name": "laurent", "field": 2}))
+        code, out = run_cli(capsys, *(str(doc) if a == "DOC" else a for a in argv.split()))
+        assert code == 2
+        assert json.loads(out)["path"] == path
+
     def test_missing_witness_is_malformed(self, tmp_path, capsys):
         import numpy as np
 
@@ -170,10 +190,24 @@ SHAPE_DEFECTS = [
     ("$.up[1][2].cols", lambda d: d["up"][1][2].update(cols=True)),
     ("$.ses.inj[2][1].entries[0]", lambda d: d["ses"]["inj"][2][1]["entries"].__setitem__(0, 1.7)),
     ("$.pairings.lambda[0][0].target", lambda d: d["pairings"]["lambda"][0][0]["target"].__setitem__(0, 1.0)),
+    # empty grids and pairings that are not an object
+    ("$.m", lambda d: d.update(m=0)),
+    ("$.n", lambda d: d.update(n=0)),
+    ("$.m", lambda d: d.update(m=-1)),
+    ("$.pairings", lambda d: d.update(pairings=[1])),
+    ("$.pairings", lambda d: d.update(pairings="x")),
 ]
 
 
-@pytest.mark.parametrize("path,mutate", SHAPE_DEFECTS, ids=[p for p, _ in SHAPE_DEFECTS])
+def _ids(paths):
+    """The paths as test ids, a repeated path numbered from its second row."""
+    seen = {}
+    for path in paths:
+        seen[path] = seen.get(path, 0) + 1
+        yield path if seen[path] == 1 else f"{path}#{seen[path]}"
+
+
+@pytest.mark.parametrize("path,mutate", SHAPE_DEFECTS, ids=list(_ids(p for p, _ in SHAPE_DEFECTS)))
 def test_shape_defects_are_malformed(tmp_path, capsys, path, mutate):
     import numpy as np
 
@@ -213,6 +247,11 @@ SPACE_DEFECTS = [
     ("$.transitions[0].rows", _tower(dims=[1, 1], transitions=[{"rows": 1.0, "cols": 1, "entries": [1]}])),
     ("$.transitions[0].cols", _tower(dims=[1, 1], transitions=[{"rows": 1, "cols": True, "entries": [1]}])),
     ("$.transitions[0].entries[0]", _tower(dims=[1, 1], transitions=[{"rows": 1, "cols": 1, "entries": [1.7]}])),
+    # a part over another field than its document
+    ("$.c.field", {"kind": "tate", "field": 2, "c": _tower(field=3), "d": {**_tower(), "kind": "indtower"}}),
+    ("$.d.field", {"kind": "tate", "field": 2, "c": _tower(), "d": {**_tower(field=3), "kind": "indtower"}}),
+    ("$.summands[1].field", {"kind": "indlc", "field": 2, "summands": [_tower(), _tower(field=5)]}),
+    ("$.factors[0].field", {"kind": "prodisc", "field": 3, "factors": [{"kind": "builtin", "name": "polynomial", "field": 2}]}),
 ]
 
 
@@ -233,6 +272,16 @@ class TestTensorCommand:
         code, out = run_cli(capsys, "tensor", "--op", "star", "--depth", "3", str(path), str(path))
         assert code == 0
         assert json.loads(out)["dims"] == [1, 4, 9]
+
+    def test_field_mismatch_is_malformed(self, tmp_path, capsys):
+        paths = []
+        for p in (2, 3):
+            paths.append(tmp_path / f"ps{p}.json")
+            paths[-1].write_text(json.dumps({"kind": "builtin", "name": "laurent", "field": p}))
+        for op in ("star", "bang"):
+            code, out = run_cli(capsys, "tensor", "--op", op, *map(str, paths))
+            assert code == 2
+            assert json.loads(out) == {"error": "no tensor of a GF(2) and a GF(3) document", "path": "$"}
 
     def test_kind_mismatch_is_malformed(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -28,7 +28,7 @@ GEN = {
 def _commands(kind, path):
     if kind == "grid":
         return [["decompose", path], ["dual", path], ["report", path]]
-    return [["dual", path], ["report", path], ["tensor", "--op", "star", path, path]]
+    return [["dual", path], ["report", path]] + [["tensor", "--op", op, path, path] for op in ("star", "bang")]
 
 
 def _run(argv):

@@ -6,8 +6,10 @@ drops the corrections of the flag induction or of the grid split, and
 expects the named internal error or split-check failure, not a crash
 further on.  Identities that the construction itself proves (the lifted
 splitting's, the normalized systems' transitions and comparisons) are not
-re-checked, so they have no case here.  The AST scan covers every module
-of the package.
+re-checked, so they have no case here.  The inverses `lift_splitting`
+takes are no internal check either: each decides whether a projection of
+the ladder is onto, so a failed one is the caller's ValueError.  The AST
+scan covers every module of the package.
 """
 
 import ast
@@ -95,9 +97,10 @@ def test_lift_splitting_basis(monkeypatch):
         h=one,
         pi1=Matrix(GF2, [[1, 0]]),
     )
-    # pi2 needs no inverse; the first one left is that of p1 @ S1 for s1
+    # pi2 needs no inverse; the first one is that of p1 @ S1 for s1, which
+    # is singular exactly when p1 is not onto
     _fail_call(monkeypatch, splitting, "inverse")
-    with pytest.raises(AssertionError, match="^internal: expected invertible matrix"):
+    with pytest.raises(ValueError, match="^row 1: projection is not surjective$"):
         splitting.lift_splitting(ladder)
 
 

@@ -3,16 +3,19 @@ import pytest
 
 from tatevec import exactla, spaces
 from tatevec.exactla import FieldSpec, Matrix, image_basis, rank
-from tatevec.generators import rand_indtower, rand_tower
+from tatevec.generators import rand_filtered_space, rand_indtower, rand_tower
 from tatevec.spaces import (
     DescriptorViolation,
     FilteredSpace,
     FinVect,
+    IndLCObj,
     IndTower,
     LinMap,
     TailDescriptor,
+    TateObj,
     Tower,
     builtin_space,
+    constant_indtower,
     constant_tower,
     is_tate_verdict,
     iso_certificate,
@@ -23,6 +26,7 @@ from tatevec.spaces import (
     normalize_tower,
     polynomial_indtower,
     power_series_tower,
+    prefix_mismatch,
 )
 
 GF2 = FieldSpec(2)
@@ -31,6 +35,20 @@ GF5 = FieldSpec(5)
 
 def M(field, data):
     return Matrix(field, data)
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """calls[0] counts the rref calls made through exactla or spaces."""
+    calls = [0]
+
+    def counted(X, _real=exactla.rref):
+        calls[0] += 1
+        return _real(X)
+
+    monkeypatch.setattr(exactla, "rref", counted)
+    monkeypatch.setattr(spaces, "rref", counted)
+    return calls
 
 
 class TestTypes:
@@ -55,6 +73,31 @@ class TestTypes:
             FilteredSpace(GF2, 3, [U2, U1, zero])
         with pytest.raises(ValueError):  # last flag not zero
             FilteredSpace(GF2, 3, [U1, U2])
+
+    @pytest.mark.parametrize(
+        "message,flags",
+        [
+            ("flag 1 has dependent columns", [[[1, 1], [0, 0], [1, 1]], [[0], [0], [1]]]),
+            ("flag 2 has dependent columns", [[[0, 0], [1, 0], [0, 1]], [[0, 0], [0, 0], [1, 1]]]),
+            ("flag 2 is not contained in flag 1", [[[0], [1], [0]], [[1], [0], [0]]]),
+            # dependence is reported before containment, whatever the flag
+            ("flag 2 has dependent columns", [[[0], [1], [0]], [[1, 1], [0, 0], [0, 0]]]),
+        ],
+    )
+    def test_filtered_space_names_its_defect(self, message, flags):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FilteredSpace(GF2, 3, [M(GF2, U) for U in flags] + [Matrix.zeros(GF2, 3, 0)])
+
+    def test_filtered_space_one_rref_per_flag(self, rref_calls):
+        # rref([U_i | U_{i+1}]) decides both that U_i is independent and that
+        # U_{i+1} lies in it (a rank per flag and a span test per pair made
+        # 2L - 2 calls)
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            flags = rand_filtered_space(rng, GF5, 12, 6).flags
+            rref_calls[0] = 0
+            FilteredSpace(GF5, flags[0].rows, flags)
+            assert rref_calls[0] == len(flags)
 
 
 class TestMaterialize:
@@ -303,6 +346,14 @@ class TestTateVerdict:
         verdicts = {is_tate_verdict(t, d).verdict for d in range(1, 7)}
         assert verdicts == {"tate"}
 
+    def test_one_rank_per_transition(self, rref_calls):
+        # 5 tail checks in materialize, then 5 ranks give both defect lists
+        # (a rank per list made 20)
+        res = is_tate_verdict(power_series_tower(GF2), 6)
+        assert rref_calls[0] == 10
+        assert res.evidence["kernel_dims"] == res.evidence["profile"] == [1] * 5
+        assert res.evidence["cokernel_dims"] == [0] * 5
+
     def test_unbounded_inconsistent_prefix_errors(self):
         # kernel dims (1, 0): not nondecreasing, contradicting 'unbounded'
         t = Tower.from_prefix(
@@ -313,6 +364,29 @@ class TestTateVerdict:
         )
         with pytest.raises(DescriptorViolation):
             is_tate_verdict(t, 3)
+
+
+class TestPrefixMismatch:
+    def test_systems_name_first_level_then_transition(self):
+        a = materialize(Tower.from_prefix(GF2, [2, 1, 2], [M(GF2, [[1], [0]]), M(GF2, [[1, 1]])]), 3)
+        b = materialize(Tower.from_prefix(GF2, [2, 1, 1], [M(GF2, [[0], [1]]), M(GF2, [[1]])]), 3)
+        assert prefix_mismatch(a, a) is None
+        assert prefix_mismatch(a, b) == "tower: level 3 dims differ (2 vs 1)"
+        c = materialize(Tower.from_prefix(GF2, [2, 1, 2], [M(GF2, [[1], [0]]), M(GF2, [[0, 1]])]), 3)
+        assert prefix_mismatch(a, c) == "tower: transition 2 differs"
+        assert prefix_mismatch(a, c, "component 4") == "component 4: transition 2 differs"
+
+    def test_tate_and_families_name_the_part(self):
+        V = laurent_tate(GF2)
+        shifted = TateObj(V.cLattice, constant_indtower(GF2, 1))
+        assert prefix_mismatch(materialize(V, 3), materialize(V, 3)) is None
+        got = prefix_mismatch(materialize(V, 3), materialize(shifted, 3))
+        assert got == "d-lattice: level 2 dims differ (2 vs 1)"
+        one = IndLCObj.from_list(GF2, [power_series_tower(GF2)])
+        two = IndLCObj.from_list(GF2, [power_series_tower(GF2), constant_tower(GF2, 2)])
+        other = IndLCObj.from_list(GF2, [constant_tower(GF2, 1)])
+        assert prefix_mismatch(materialize(one, 2), materialize(two, 2)) == "component count changed"
+        assert prefix_mismatch(materialize(one, 2), materialize(other, 2)) == "component 1: level 2 dims differ (2 vs 1)"
 
 
 class TestIsoGuard:

@@ -13,6 +13,7 @@ from tatevec.exactla import (
     rank,
     solve_linear,
     span_contains,
+    vstack,
 )
 from tatevec.generators import rand_filtered_space, rand_matrix
 from tatevec.spaces import FilteredSpace
@@ -119,8 +120,6 @@ class TestLiftSplitting:
             f = Matrix.identity(field, a)
             h = Matrix.identity(field, c)
             g = Matrix.identity(field, n)
-            S = kernel_basis(p1)
-            pi1_full = inverse(hstack([i1, kernel_basis(Matrix(field, i1.data.T))])) if False else None
             # any valid splitting of row 1: solve pi1 on the basis [i1 | K]
             K = T @ Matrix(field, np.vstack([np.zeros((a, c), np.int64), np.eye(c, dtype=np.int64)]))
             B = hstack([i1, K])
@@ -129,6 +128,77 @@ class TestLiftSplitting:
                 ladder_from_rows(i1=i1, p1=p1, i2=i2, p2=p2, f=f, g=g, h=h, pi1=pi1)
             )
             assert ladder_ok(field, i2, p2, f, g, pi1, pi2, s1, s2, h)
+
+
+# (message, ladder over GF(2)) with every product and dimension check passing:
+# only the one rank condition named fails, so the elimination that needs it
+# must report it.  Rows are k -> k^2 -> k unless a map below breaks them.
+_I1, _P1, _PI1 = [[1], [0]], [[0, 1]], [[1, 0]]
+BROKEN_LADDERS = [
+    # a non-injective i1 has no left inverse
+    ("pi1 does not split row 1", dict(i1=[[0], [0]], f=[[1]], g=[[0, 0], [0, 1]], h=[[1]])),
+    # i2 = 0 makes the left square hold with f = 0; i2 is decided first
+    ("row 2: inclusion is not injective",
+     dict(i2=[[0], [0]], f=[[0]], g=[[1, 0], [0, 1]], h=[[1]])),
+    ("f is not surjective", dict(f=[[0]], g=[[0, 0], [0, 1]], h=[[1]])),
+    ("row 1: projection is not surjective", dict(p1=[[0, 0]], f=[[1]], g=[[1, 0], [0, 1]], h=[[0]])),
+    ("row 2: projection is not surjective", dict(p2=[[0, 0]], f=[[1]], g=[[1, 0], [0, 0]], h=[[0]])),
+]
+
+
+@pytest.mark.parametrize("message,maps", BROKEN_LADDERS, ids=[m for m, _ in BROKEN_LADDERS])
+def test_broken_ladder_names_its_defect(message, maps):
+    rows = {"i1": _I1, "p1": _P1, "i2": _I1, "p2": _P1, "pi1": _PI1, **maps}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lift_splitting(SESLadder(**{k: M(GF2, v) for k, v in rows.items()}))
+
+
+def scrambled_ladder(rng, field, a1, c1, a2, c2):
+    """Split rows 0 -> k^a -> k^(a+c) -> k^c -> 0 in random bases; in split
+    coordinates g is [[f, x], [0, h]] with f onto and pi1 is [I, y]."""
+    rows = []
+    for a, c in ((a1, c1), (a2, c2)):
+        while True:
+            T = rand_matrix(rng, field, a + c, a + c)
+            T_inv = inverse(T)
+            if T_inv is not None:
+                break
+        rows.append((T, T_inv, M(field, T.data[:, :a]), M(field, T_inv.data[a:])))
+    (T1, T1_inv, i1, p1), (T2, T2_inv, i2, p2) = rows
+    while True:
+        f = rand_matrix(rng, field, a1, a2)
+        if rank(f) == a1:
+            break
+    h = rand_matrix(rng, field, c1, c2)
+    g_split = vstack([hstack([f, rand_matrix(rng, field, a1, c2)]), hstack([Matrix.zeros(field, c1, a2), h])])
+    g = T1 @ g_split @ T2_inv
+    pi1 = hstack([Matrix.identity(field, a1), rand_matrix(rng, field, a1, c1)]) @ T1_inv
+    return SESLadder(i1=i1, p1=p1, i2=i2, p2=p2, f=f, g=g, h=h, pi1=pi1)
+
+
+def test_rref_calls_per_lift(monkeypatch):
+    # a basis completion of i2, one factor_through, the kernel of pi1 and the
+    # two inverses p S that decide the projections; the ladder's ranks are
+    # read off these (its own rank checks made 10 calls)
+    count = 0
+
+    def counted(X, _real=exactla.rref):
+        nonlocal count
+        count += 1
+        return _real(X)
+
+    rng = np.random.default_rng(5)
+    ladders = []
+    for _ in range(20):
+        a1, c1, c2 = (int(x) for x in rng.integers(0, 4, size=3))
+        ladders.append(scrambled_ladder(rng, GF5, a1, c1, a1 + int(rng.integers(0, 3)), c2))
+    for module in (exactla, splitting):
+        monkeypatch.setattr(module, "rref", counted)
+    for ladder in ladders:
+        count = 0
+        pi2, s1, s2 = lift_splitting(ladder)
+        assert count == 5
+        assert ladder_ok(GF5, ladder.i2, ladder.p2, ladder.f, ladder.g, ladder.pi1, pi2, s1, s2, ladder.h)
 
 
 def ladder_ok(field, i2, p2, f, g, pi1, pi2, s1, s2, h):
