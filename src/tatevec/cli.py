@@ -170,6 +170,13 @@ def cmd_check(args) -> int:
     return 1 if failures else 0
 
 
+def _shaped(value, kind: type, path: str):
+    """value, which a report reads as a JSON object (dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise ParseError(path, "expected an object" if kind is dict else "expected a list")
+    return value
+
+
 def cmd_report(args) -> int:
     doc = _load_doc(args.input)
     kind = doc.get("kind") if isinstance(doc, dict) else None
@@ -187,18 +194,22 @@ def cmd_report(args) -> int:
             print("ground truth sidecar present")
         return 0
     if kind == "decomposition":
-        tate = doc.get("tate", {})
-        c, d = tate.get("c", {}), tate.get("d", {})
+        tate = _shaped(doc.get("tate", {}), dict, "$.tate")
+        c = _shaped(tate.get("c", {}), dict, "$.tate.c")
+        d = _shaped(tate.get("d", {}), dict, "$.tate.d")
+        opens = _shaped(doc.get("opens", []), list, "$.opens")
+        open_cols = [_shaped(u, dict, f"$.opens[{i}]").get("cols") for i, u in enumerate(opens)]
+        ex = _shaped(doc.get("exchange", {}), dict, "$.exchange")
         print(f"decomposition over GF({doc.get('field')})")
         print(f"compact part dims: {c.get('dims')}")
         print(f"discrete part dims: {d.get('dims')}")
-        print(f"open subspace dims: {[u.get('cols') for u in doc.get('opens', [])]}")
-        ex = doc.get("exchange", {})
+        print(f"open subspace dims: {open_cols}")
         print(f"exchange certificate: {'identity' if ex.get('ok') else 'FAILED'}")
         return 0
     if kind == "validation":
+        violations = _shaped(doc.get("violations", []), list, "$.violations")
         print(f"validation: {'passes' if doc.get('ok') else 'FAILS'}")
-        for v in doc.get("violations", []):
+        for v in violations:
             print(f"  - {v}")
         return 0
     if kind in ("tower", "indtower", "tate", "indlc", "prodisc", "finvect", "builtin"):

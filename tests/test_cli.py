@@ -265,6 +265,47 @@ def test_space_defects_are_malformed(tmp_path, capsys, path, doc):
         assert json.loads(out)["path"] == path
 
 
+# (JSON path of the error, a decomposition or validation document for `report`)
+REPORT_DEFECTS = [
+    ("$.tate", {"kind": "decomposition", "tate": [1]}),
+    ("$.tate", {"kind": "decomposition", "tate": None}),
+    ("$.tate.c", {"kind": "decomposition", "tate": {"c": 3, "d": {}}}),
+    ("$.tate.d", {"kind": "decomposition", "tate": {"d": []}}),
+    ("$.opens", {"kind": "decomposition", "opens": "ab"}),
+    ("$.opens[0]", {"kind": "decomposition", "opens": [1]}),
+    ("$.opens[1]", {"kind": "decomposition", "opens": [{"cols": 2}, None]}),
+    ("$.exchange", {"kind": "decomposition", "exchange": True}),
+    ("$.violations", {"kind": "validation", "violations": 5}),
+    ("$.violations", {"kind": "validation", "ok": False, "violations": "ab"}),
+]
+
+
+@pytest.mark.parametrize("path,doc", REPORT_DEFECTS, ids=[json.dumps(d) for _, d in REPORT_DEFECTS])
+def test_report_defects_are_malformed(tmp_path, capsys, path, doc):
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "report", str(doc_path))
+    assert code == 2
+    assert json.loads(out)["path"] == path  # the error object is all of stdout
+
+
+def test_report_reads_decomposition_and_validation(tmp_path, capsys):
+    grid = tmp_path / "g.json"
+    run_cli(capsys, "gen", "--kind", "grid", "--seed", "7", "--out", str(grid))
+    _, out = run_cli(capsys, "decompose", str(grid))
+    dec = json.loads(out)
+    (tmp_path / "dec.json").write_text(out)
+    code, out = run_cli(capsys, "report", str(tmp_path / "dec.json"))
+    assert code == 0
+    assert f"open subspace dims: {[u['cols'] for u in dec['opens']]}" in out
+    assert "exchange certificate: identity" in out
+    _, out = run_cli(capsys, "decompose", str(_broken_square(tmp_path)))
+    (tmp_path / "val.json").write_text(out)
+    code, out = run_cli(capsys, "report", str(tmp_path / "val.json"))
+    assert code == 0
+    assert out.startswith("validation: FAILS\n  - ")
+
+
 class TestTensorCommand:
     def test_power_series_square_law(self, tmp_path, capsys):
         path = tmp_path / "ps.json"
