@@ -9,7 +9,10 @@ that repeated runs are byte-identical.
 Every elimination goes through the one `rref` kernel: rank, solve,
 kernel, image, basis completion (with its coordinates), inverse and span
 tests each read what they need from a single echelon form, of M itself or
-of M with a block appended.
+of M with a block appended.  Over GF(2) `rref` eliminates on bit-packed
+rows, one Python int per row, with a pivot clearing its column by one XOR
+per row; over GF(p > 2) by int64 rank-1 updates.  Both return the same
+read-only int64 echelon form, so nothing above `rref` depends on p.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# the rank-1 row update of `rref` holds values down to -(p-1)^2 and up to
-# p-1 in int64; larger moduli would overflow it
+# the rank-1 row update of `_rref_modp` holds values down to -(p-1)^2 and
+# up to p-1 in int64; larger moduli would overflow it
 _INT64_LIMIT = 2**63
 
 
@@ -247,35 +250,86 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form with lexicographic pivoting.
 
     Columns are scanned left to right; the pivot is the first row at or
-    below the current one with a nonzero entry.  Each pivot clears its
-    column with one rank-1 update, reduced mod p once per pivot; the
-    FieldSpec bound on p keeps that update inside int64.  Returns
-    (R, pivot_cols).
+    below the current one with a nonzero entry.  Returns (R, pivot_cols).
+    Over GF(2) the rows are eliminated bit-packed (`_rref_gf2`), over
+    GF(p > 2) by rank-1 updates in int64 (`_rref_modp`).  The RREF is
+    unique, so both give the same R and pivots as any exact elimination.
     """
-    p = M.field.p
-    A = M.data.copy()
+    if M.field.p == 2:
+        R, pivots = _rref_gf2(M.data)
+    else:
+        R, pivots = _rref_modp(M.data, M.field)
+    return Matrix._of(M.field, R), pivots
+
+
+def _rref_modp(data: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]:
+    """Each pivot clears its column with one rank-1 update, reduced mod p
+    once per pivot; the FieldSpec bound on p keeps that update inside int64."""
+    p = field.p
+    A = data.copy()
     m, n = A.shape
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        below = np.flatnonzero(A[r:, c])
+        below = A[r:, c].nonzero()[0]
         if below.size == 0:
             continue
         pivot = r + int(below[0])
         if pivot != r:
             A[[r, pivot]] = A[[pivot, r]]
         if A[r, c] != 1:
-            A[r, c:] = (A[r, c:] * M.field.inv(int(A[r, c]))) % p
+            A[r, c:] = (A[r, c:] * field.inv(int(A[r, c]))) % p
         col = A[:, c].copy()
         col[r] = 0
-        rows = np.flatnonzero(col)
+        rows = col.nonzero()[0]
         if rows.size:
-            A[rows, c:] = (A[rows, c:] - np.outer(col[rows], A[r, c:])) % p
+            A[rows, c:] = (A[rows, c:] - np.multiply.outer(col[rows], A[r, c:])) % p
         pivots.append(c)
         r += 1
-    return Matrix._of(M.field, A), pivots
+    return A, pivots
+
+
+def _rref_gf2(data: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The GF(2) elimination on rows packed into Python ints, column c at
+    bit c (packed by `np.packbits`, unpacked once at the end).
+
+    A pivot is found by a bit test and clears its column with one XOR per
+    row that has the bit.  When a column is zero at and below the current
+    row, the scan jumps to the next column that is not, read off the OR of
+    those rows, so every matrix costs O(rank) passes over its rows.
+    """
+    m, n = data.shape
+    nb = (n + 7) // 8
+    b = np.packbits(data.astype(np.uint8), axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(b[i * nb : i * nb + nb], "little") for i in range(m)]
+    pivots: list[int] = []
+    r = c = 0
+    while r < m and c < n:
+        bit = 1 << c
+        for i in range(r, m):
+            if rows[i] & bit:
+                break
+        else:
+            rest = 0
+            for x in rows[r:]:
+                rest |= x
+            rest >>= c
+            if not rest:
+                break
+            c += (rest & -rest).bit_length() - 1
+            continue
+        pivot = rows[i]
+        rows[i] = rows[r]
+        rows = [x ^ pivot if x & bit else x for x in rows]
+        rows[r] = pivot
+        pivots.append(c)
+        r += 1
+        c += 1
+    packed = np.frombuffer(b"".join([x.to_bytes(nb, "little") for x in rows]), dtype=np.uint8)
+    R = np.unpackbits(packed.reshape(m, nb), axis=1, count=n, bitorder="little")
+    return R.astype(np.int64), pivots
 
 
 def rank(M: Matrix) -> int:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tatevec import exactla
 from tatevec.duality import self_dual_decompose
 from tatevec.exactla import (
     FieldMismatchError,
@@ -323,10 +324,13 @@ def ref_kernel(A):
 def ref_greedy_cols(S, P):
     """Columns of P, in order, that raise the rank of the running span."""
     current, chosen = S, []
+    r = ref_rank(S)
     for j in range(P.cols):
+        if r == P.rows:
+            break  # the span is everything; no column raises its rank
         cand = hstack([current, P.col(j)])
-        if ref_rank(cand) == ref_rank(current) + 1:
-            current = cand
+        if ref_rank(cand) == r + 1:
+            current, r = cand, r + 1
             chosen.append(j)
     return chosen
 
@@ -359,13 +363,15 @@ def ref_span_contains(S, V):
 
 PRIMES = [2, 5, 101, 65521]
 SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (3, 9), (9, 3), (7, 7), (12, 5)]
+# column counts past the 8- and 64-bit boundaries of the packed GF(2) rows
+WIDE_SHAPES = [(2, 63), (3, 64), (5, 65), (40, 130)]
 
 
 def _matrices(p, count=3):
     """Seeded full-rank-ish, rank-deficient and sparse matrices of every shape."""
     field = FieldSpec(p)
     rng = np.random.default_rng(p)
-    for m, n in SHAPES:
+    for m, n in SHAPES + WIDE_SHAPES if p == 2 else SHAPES:
         for _ in range(count):
             yield Matrix(field, rng.integers(0, p, size=(m, n)))
             k = int(rng.integers(0, min(m, n) + 1))
@@ -442,6 +448,51 @@ class TestKernelMatchesReference:
             assert out.F == P.take_cols(ref_greedy_cols(out.K, P))
             checked += 1
         assert checked >= 20
+
+
+class TestPackedGF2:
+    def test_matches_the_general_loop(self):
+        # the general loop, itself checked against the reference above, on
+        # row and column counts around the 8- and 64-bit boundaries
+        rng = np.random.default_rng(11)
+        for m in (0, 1, 7, 8, 9, 33, 70):
+            for n in (0, 1, 8, 9, 63, 64, 65, 129):
+                k = int(rng.integers(0, min(m, n) + 1))
+                for a in (
+                    rng.integers(0, 2, size=(m, n)),
+                    rng.integers(0, 2, size=(m, k)) @ rng.integers(0, 2, size=(k, n)) % 2,
+                    rng.integers(0, 2, size=(m, n)) * (rng.random((m, n)) < 0.05),
+                ):
+                    R, pivots = exactla._rref_gf2(a)
+                    want, want_pivots = exactla._rref_modp(a, GF2)
+                    assert R.dtype == np.int64 and R.shape == (m, n)
+                    assert np.array_equal(R, want) and pivots == want_pivots
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_golden_outputs_never_reach_the_general_loop(self, monkeypatch, tmp_path, capsys, seed):
+        from test_golden import GOLDEN, _digests, _outputs, _stdout
+
+        general, packed = exactla._rref_modp, exactla._rref_gf2
+        calls = {"general": 0, "packed": 0}
+
+        class GeneralLoopOverGF2(Exception):
+            pass
+
+        def checked_general(data, field):
+            if field.p == 2:
+                calls["general"] += 1
+                raise GeneralLoopOverGF2(data.shape)
+            return general(data, field)
+
+        def counted_packed(data):
+            calls["packed"] += 1
+            return packed(data)
+
+        monkeypatch.setattr(exactla, "_rref_modp", checked_general)
+        monkeypatch.setattr(exactla, "_rref_gf2", counted_packed)
+        got = _digests(_outputs(tmp_path, lambda *argv: _stdout(capsys, *argv), 2, seed))
+        assert got == GOLDEN[(2, seed)]
+        assert calls["general"] == 0 and calls["packed"] > 0
 
 
 # ---------------------------------------------------------------------------
