@@ -170,16 +170,20 @@ def cmd_check(args) -> int:
     return 1 if failures else 0
 
 
+_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+
+
 def _shaped(value, kind: type, path: str):
-    """value, which a report reads as a JSON object (dict) or array (list)."""
+    """value, which a report reads as a JSON object (dict), array (list) or
+    string (str)."""
     if not isinstance(value, kind):
-        raise ParseError(path, "expected an object" if kind is dict else "expected a list")
+        raise ParseError(path, f"expected {_SHAPES[kind]}")
     return value
 
 
 def cmd_report(args) -> int:
-    doc = _load_doc(args.input)
-    kind = doc.get("kind") if isinstance(doc, dict) else None
+    doc = _shaped(_load_doc(args.input), dict, "$")
+    kind = doc.get("kind")
     if kind == "grid":
         G, W, pairings, pd, truth = parse_grid(doc)
         print(f"bidirected grid over GF({G.field.p}): {G.m} x {G.n}")
@@ -208,6 +212,7 @@ def cmd_report(args) -> int:
         return 0
     if kind == "validation":
         violations = _shaped(doc.get("violations", []), list, "$.violations")
+        violations = [_shaped(v, str, f"$.violations[{i}]") for i, v in enumerate(violations)]
         print(f"validation: {'passes' if doc.get('ok') else 'FAILS'}")
         for v in violations:
             print(f"  - {v}")
@@ -218,8 +223,7 @@ def cmd_report(args) -> int:
         if kind in ("tower", "indtower"):
             print(f"level dims: {doc.get('dims')}, tail: {doc.get('tail')}")
         return 0
-    print(f"unrecognized document kind: {kind!r}")
-    return 2
+    raise ParseError("$.kind", f"unrecognized document kind: {kind!r}")
 
 
 @functools.cache  # built on first use, not at import; parse_args leaves it unchanged

@@ -35,6 +35,7 @@ from .spaces import (
     TateObj,
     TatePrefix,
     Tower,
+    _window_blocks,
     lattice_check,
     materialize,
     prefix_mismatch,
@@ -61,7 +62,7 @@ def dual_object(X):
         dual_kind = IndTower if isinstance(X, Tower) else Tower
         return dual_kind(
             X.field,
-            lambda n: X.space(n).dim,
+            X.dim,
             lambda n: X.transition(n).T,
             tail=_dual_tail(X.tail),
             depth=X.depth,
@@ -226,20 +227,8 @@ class EvWitness:
 
 def ev_witness(V: TateObj, depth: int) -> EvWitness:
     pre = materialize(V, depth)
-    l, d = pre.c.dims[-1], pre.d.dims[-1]
-    field = V.field
-    U = vcat_identity(field, l, d)
+    U, _ = _window_blocks(V.field, pre.c.dims[-1], pre.d.dims[-1])
     U_perp = kernel_basis(U.T)
     if not (U_perp.T @ U).is_zero():
         raise AssertionError("internal: ev(U x U_perp) != 0")
     return EvWitness(depth, U, U_perp, True)
-
-
-def vcat_identity(field, l: int, d: int) -> Matrix:
-    """Columns spanning the first block of a window of size l + d."""
-    import numpy as np
-
-    out = np.zeros((l + d, l), dtype=np.int64)
-    for i in range(l):
-        out[i, i] = 1
-    return Matrix(field, out)

@@ -63,6 +63,13 @@ def _int(x, path) -> int:
     return int(x)
 
 
+def _dim(x, path) -> int:
+    d = _int(x, path)
+    if d < 0:
+        raise ParseError(path, "negative dimension")
+    return d
+
+
 def _list(raw, path) -> list:
     if not isinstance(raw, list):
         raise ParseError(path, "expected a list")
@@ -217,11 +224,7 @@ def space_tree(obj, depth: Optional[int] = None) -> dict:
 def parse_space(doc, path="$"):
     kind = _need(doc, "kind", path)
     if kind == "finvect":
-        dim = _int(_need(doc, "dim", path), f"{path}.dim")
-        try:
-            return FinVect(dim)
-        except ValueError as e:
-            raise ParseError(f"{path}.dim", str(e))
+        return FinVect(_dim(_need(doc, "dim", path), f"{path}.dim"))
     if kind == "builtin":
         field = parse_field(doc, path)
         name, n = _need(doc, "name", path), _int(doc.get("n", 0), f"{path}.n")
@@ -232,7 +235,7 @@ def parse_space(doc, path="$"):
     field = parse_field(doc, path)
     if kind in ("tower", "indtower"):
         raw = _list(_need(doc, "dims", path), f"{path}.dims")
-        dims = [_int(d, f"{path}.dims[{i}]") for i, d in enumerate(raw)]
+        dims = [_dim(d, f"{path}.dims[{i}]") for i, d in enumerate(raw)]
         raw = _list(_need(doc, "transitions", path), f"{path}.transitions")
         if len(raw) != max(len(dims) - 1, 0):
             raise ParseError(f"{path}.transitions", "one transition per adjacent level pair")
@@ -352,7 +355,7 @@ def _matrix_table(field, rows, cols, raw, path):
 def _dims(raw, length, path) -> list[int]:
     if not isinstance(raw, list) or len(raw) != length:
         raise ParseError(path, f"expected {length} dimensions")
-    return [_int(d, f"{path}[{i}]") for i, d in enumerate(raw)]
+    return [_dim(d, f"{path}[{i}]") for i, d in enumerate(raw)]
 
 
 def _chain(field, raw, shapes, path) -> list[Matrix]:
@@ -377,7 +380,7 @@ def parse_grid(doc, path="$"):
     for key, size in (("m", m), ("n", n)):
         if size < 1:
             raise ParseError(f"{path}.{key}", "a grid needs at least one row and one column")
-    dims = _table(_need(doc, "dims", path), m, n, f"{path}.dims", _int)
+    dims = _table(_need(doc, "dims", path), m, n, f"{path}.dims", _dim)
     right = _matrix_table(field, m, max(n - 1, 0), _need(doc, "right", path), f"{path}.right")
     up = _matrix_table(field, max(m - 1, 0), n, _need(doc, "up", path), f"{path}.up")
     try:

@@ -8,16 +8,19 @@ categories by lazy sums of Towers / products of IndTowers.  Topology is
 carried entirely by the presentation: flags, tower structure and category
 tags, never pointwise open sets.
 
-Levels are lazy and memoized; level functions must be pure, so concurrent
-duplicate evaluation is harmless.  Behaviour beyond the computed prefix is
-declared through a TailDescriptor, the single honest channel for claims
-about infinity.
+A level is known by its dimension, a plain int, and the blocks of a window
+are coordinate slices of one identity.  Levels are lazy and memoized; level
+functions must be pure, so concurrent duplicate evaluation is harmless.
+Behaviour beyond the computed prefix is declared through a TailDescriptor,
+the single honest channel for claims about infinity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .exactla import (
     FieldSpec,
@@ -131,14 +134,14 @@ class _LazySystem:
         if self.depth is not None and n > self.depth:
             raise IndexError(f"{self.kind} truncated at depth {self.depth}, level {n} requested")
 
-    def space(self, n: int) -> FinVect:
+    def dim(self, n: int) -> int:
         self._check_level(n)
         if n not in self._dims:
             d = int(self._dim_fn(n))
             if d < 0:
                 raise ValueError("negative level dimension")
             self._dims[n] = d
-        return FinVect(self._dims[n])
+        return self._dims[n]
 
     def _transition_shape(self, n: int) -> tuple[int, int]:
         raise NotImplementedError
@@ -181,7 +184,7 @@ class Tower(_LazySystem):
     kind = "tower"
 
     def _transition_shape(self, n):
-        return (self.space(n).dim, self.space(n + 1).dim)
+        return (self.dim(n), self.dim(n + 1))
 
 
 class IndTower(_LazySystem):
@@ -190,7 +193,7 @@ class IndTower(_LazySystem):
     kind = "indtower"
 
     def _transition_shape(self, n):
-        return (self.space(n + 1).dim, self.space(n).dim)
+        return (self.dim(n + 1), self.dim(n))
 
 
 @dataclass(frozen=True)
@@ -276,12 +279,8 @@ class FilteredSpace:
         if flags[-1].cols != 0:
             raise ValueError("last flag must be the zero subspace")
         self.field = field
-        self.ambient = FinVect(dim)
+        self.dim = dim
         self.flags = list(flags)
-
-    @property
-    def dim(self) -> int:
-        return self.ambient.dim
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def materialize(obj, depth: int, inner: Optional[int] = None):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if isinstance(obj, _LazySystem):
-        dims = tuple(obj.space(n).dim for n in range(1, depth + 1))
+        dims = tuple(obj.dim(n) for n in range(1, depth + 1))
         maps = tuple(obj.transition(n) for n in range(1, depth))
         _check_tail(obj.tail, list(maps))
         return SystemPrefix(obj.kind, obj.field, dims, maps)
@@ -377,12 +376,7 @@ def constant_indtower(field: FieldSpec, dim: int) -> IndTower:
 
 def _drop_last(field: FieldSpec, n: int) -> Matrix:
     # projection k[t]/t^(n+1) -> k[t]/t^n on the monomial basis 1, t, ...
-    import numpy as np
-
-    out = np.zeros((n, n + 1), dtype=np.int64)
-    for i in range(n):
-        out[i, i] = 1
-    return Matrix(field, out)
+    return Matrix._of(field, np.eye(n, n + 1, dtype=np.int64))
 
 
 def _include(field: FieldSpec, n: int) -> Matrix:
@@ -486,6 +480,13 @@ def normalize_tower(T: Tower, depth: int) -> tuple[SystemPrefix, list[Matrix]]:
     return SystemPrefix(pre.kind, pre.field, tuple(b.cols for b in bases), maps), bases
 
 
+def _window_blocks(field: FieldSpec, l: int, d: int) -> tuple[Matrix, Matrix]:
+    """The compact and discrete blocks of a window of size l + d: the first
+    l and the last d columns of one identity."""
+    ident = np.eye(l + d, dtype=np.int64)
+    return Matrix._of(field, ident[:, :l]), Matrix._of(field, ident[:, l:])
+
+
 def tate_window(V: TateObj, depth: int) -> tuple[FilteredSpace, Matrix, Matrix]:
     """The level-N window L_N + D_N of a Tate object as a filtered space.
 
@@ -493,37 +494,22 @@ def tate_window(V: TateObj, depth: int) -> tuple[FilteredSpace, Matrix, Matrix]:
     subspaces on the window), ending at zero; returns the window along with
     the column spans of the compact and discrete blocks.
     """
-    import numpy as np
-
     pre = materialize(V, depth)
     field = V.field
     l, d = pre.c.dims[-1], pre.d.dims[-1]
-    n = l + d
-
-    def l_block(cols: Matrix) -> Matrix:
-        out = np.zeros((n, cols.cols), dtype=np.int64)
-        out[:l, :] = cols.data
-        return Matrix(field, out)
-
+    c_cols, d_cols = _window_blocks(field, l, d)
     comp = Matrix.identity(field, l)
     kernels = []
     for k in range(depth - 1, 0, -1):
         comp = pre.c.maps[k - 1] @ comp  # L_N -> L_k
         kernels.append(kernel_basis(comp))
-    flags = [l_block(Matrix.identity(field, l))]
-    flags.extend(l_block(K) for K in reversed(kernels))
-    flags.append(Matrix.zeros(field, n, 0))
-    dedup = [flags[0]]
-    for U in flags[1:]:  # repeated ranks collapse to one flag
-        if U.cols < dedup[-1].cols:
-            dedup.append(U)
-    if dedup[-1].cols != 0:
-        dedup.append(Matrix.zeros(field, n, 0))
-    c_cols = l_block(Matrix.identity(field, l))
-    d_data = np.zeros((n, d), dtype=np.int64)
-    for i in range(d):
-        d_data[l + i, i] = 1
-    return FilteredSpace(field, n, dedup), c_cols, Matrix(field, d_data)
+    flags = [c_cols]
+    for K in reversed(kernels):  # repeated ranks collapse to one flag
+        if K.cols < flags[-1].cols:
+            flags.append(c_cols @ K)
+    if flags[-1].cols:
+        flags.append(Matrix.zeros(field, l + d, 0))
+    return FilteredSpace(field, l + d, flags), c_cols, d_cols
 
 
 # ---------------------------------------------------------------------------

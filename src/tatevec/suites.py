@@ -39,6 +39,7 @@ from .generators import (
     rand_tower,
 )
 from .spaces import (
+    FinVect,
     constant_tower,
     is_tate_verdict,
     iso_certificate,
@@ -47,6 +48,7 @@ from .spaces import (
     normalize_indtower,
     polynomial_indtower,
     power_series_tower,
+    tate_from_finvect,
 )
 from .splitting import SESLadder, lift_splitting, split_filtered_ses, topological_complement
 from .tensor import (
@@ -315,8 +317,6 @@ def check_adjunction(seed=16):
 @_check("tensor/hom-ev: evaluation tables injective and functorial")
 def check_hom_ev(seed=17):
     rng = np.random.default_rng(seed)
-    from tatevec.spaces import FinVect, tate_from_finvect
-
     hp = hom_via_tensor(tate_from_finvect(GF5, FinVect(3)), tate_from_finvect(GF5, FinVect(2)), 1)
     a, b = hp.window[0]
     ev = hp.ev[0]

@@ -57,21 +57,25 @@ def pair_from_index(n: int) -> tuple[int, int]:
 
 
 def pair_at(k: int, count_a: Optional[int], count_b: Optional[int]) -> tuple[int, int]:
-    """k-th pair of the diagonal order restricted to the given ranges."""
-    if (count_a is not None and count_a == 0) or (count_b is not None and count_b == 0):
+    """k-th pair of the diagonal order restricted to the given ranges.
+
+    Whole diagonals are counted: on diagonal s = i + j, i runs over
+    [max(1, s - count_b), min(count_a, s - 1)], in increasing order.
+    """
+    total = _pair_count(count_a, count_b)
+    if total == 0:
         raise IndexError("no pairs over an empty range")
-    seen = 0
-    n = 0
+    if k < 1 or (total is not None and k > total):
+        raise IndexError(f"pair {k} out of range")
+    s = 1
     while True:
-        n += 1
-        i, j = pair_from_index(n)
-        if count_a is not None and i > count_a:
-            continue
-        if count_b is not None and j > count_b:
-            continue
-        seen += 1
-        if seen == k:
-            return i, j
+        s += 1
+        lo = 1 if count_b is None else max(1, s - count_b)
+        hi = s - 1 if count_a is None else min(count_a, s - 1)
+        size = max(hi - lo + 1, 0)
+        if k <= size:
+            return lo + k - 1, s - lo - k + 1
+        k -= size
 
 
 def _pair_count(count_a: Optional[int], count_b: Optional[int]) -> Optional[int]:
@@ -115,7 +119,7 @@ def tensor_systems(A: _LazySystem, B: _LazySystem) -> _LazySystem:
     _same_kind(A, B)
     return type(A)(
         A.field,
-        lambda n: A.space(n).dim * B.space(n).dim,
+        lambda n: A.dim(n) * B.dim(n),
         lambda n: kron(A.transition(n), B.transition(n)),
         tail=_combine_tails(A.tail, B.tail),
         depth=_combine_depth(A.depth, B.depth),
@@ -159,9 +163,9 @@ def embed_tate(V: TateObj, target: str):
             return base
         step = k - 1
         if step == 1:
-            inc = other.space(1).dim
+            inc = other.dim(1)
         else:
-            inc = other.space(step).dim - rank(other.transition(step - 1))
+            inc = other.dim(step) - rank(other.transition(step - 1))
         return constant(V.field, inc)
 
     count = None if other.depth is None else other.depth + 1
@@ -256,12 +260,10 @@ def check_tensor_duality(A: IndLCObj, B: IndLCObj, depth: int) -> TensorDualityR
 
 
 def swap_matrix(field, m: int, n: int) -> Matrix:
-    """Permutation sending e_i (x) e_j in an m x n tensor to e_j (x) e_i."""
-    out = np.zeros((m * n, m * n), dtype=np.int64)
-    for i in range(m):
-        for j in range(n):
-            out[j * m + i, i * n + j] = 1
-    return Matrix(field, out)
+    """Permutation sending e_i (x) e_j in an m x n tensor to e_j (x) e_i:
+    row j*m + i of the result is row i*n + j of the identity."""
+    order = np.arange(m * n).reshape(m, n).T.reshape(-1)
+    return Matrix._of(field, np.eye(m * n, dtype=np.int64)[order])
 
 
 def curry(M: Matrix, a: int, b: int, c: int) -> Matrix:
@@ -273,20 +275,12 @@ def curry(M: Matrix, a: int, b: int, c: int) -> Matrix:
     """
     if M.shape != (c, a * b):
         raise ValueError(f"bilinear matrix must be {c} x {a * b}")
-    out = np.zeros((b * c, a), dtype=np.int64)
-    for k in range(c):
-        for i in range(a):
-            for j in range(b):
-                out[k * b + j, i] = M.data[k, i * b + j]
-    return Matrix(M.field, out)
+    # entry (k, i*b + j) moves to (k*b + j, i)
+    return Matrix._of(M.field, M.data.reshape(c, a, b).transpose(0, 2, 1).reshape(b * c, a))
 
 
 def uncurry(N: Matrix, a: int, b: int, c: int) -> Matrix:
     if N.shape != (b * c, a):
         raise ValueError(f"curried matrix must be {b * c} x {a}")
-    out = np.zeros((c, a * b), dtype=np.int64)
-    for k in range(c):
-        for i in range(a):
-            for j in range(b):
-                out[k, i * b + j] = N.data[k * b + j, i]
-    return Matrix(N.field, out)
+    # entry (k*b + j, i) moves back to (k, i*b + j)
+    return Matrix._of(N.field, N.data.reshape(c, b, a).transpose(0, 2, 1).reshape(c, a * b))

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from tatevec import bidirected as bd
-from tatevec import duality, exactla
+from tatevec import duality, exactla, spaces, tensor
 from tatevec.cli import build_parser, main
 from tatevec.exactla import FieldSpec
 from tatevec.generators import rand_grid, rand_indtower, rand_pairings, rand_tate, rand_tower
@@ -194,6 +194,11 @@ SHAPE_DEFECTS = [
     ("$.m", lambda d: d.update(m=0)),
     ("$.n", lambda d: d.update(n=0)),
     ("$.m", lambda d: d.update(m=-1)),
+    # negative dimensions
+    ("$.dims[0][0]", lambda d: d["dims"][0].__setitem__(0, -2)),
+    ("$.dims[2][1]", lambda d: d["dims"][2].__setitem__(1, -1)),
+    ("$.ses.Vdims[1]", lambda d: d["ses"]["Vdims"].__setitem__(1, -1)),
+    ("$.ses.Wdims[2]", lambda d: d["ses"]["Wdims"].__setitem__(2, -3)),
     ("$.pairings", lambda d: d.update(pairings=[1])),
     ("$.pairings", lambda d: d.update(pairings="x")),
 ]
@@ -220,6 +225,18 @@ def test_shape_defects_are_malformed(tmp_path, capsys, path, mutate):
         code, out = run_cli(capsys, cmd, str(doc_path))
         assert code == 2
         assert json.loads(out)["path"] == path
+
+
+def test_negative_cell_dimension_is_malformed(tmp_path, capsys):
+    doc = {"kind": "grid", "field": 2, "m": 1, "n": 1, "dims": [[-2]], "right": [[]], "up": []}
+    zero = {"rows": 0, "cols": 0, "entries": []}
+    witness = {"Vdims": [0], "Vmaps": [], "Wdims": [0], "Wmaps": [], "inj": [[zero]], "surj": [[zero]]}
+    for ses in (None, witness):
+        doc_path = tmp_path / "bad.json"
+        doc_path.write_text(json.dumps({**doc, "ses": ses}))
+        for cmd in ("report", "decompose", "dual"):
+            code, out = run_cli(capsys, cmd, str(doc_path))
+            assert (code, json.loads(out)["path"]) == (2, "$.dims[0][0]")
 
 
 def _tower(**fields):
@@ -252,6 +269,11 @@ SPACE_DEFECTS = [
     ("$.d.field", {"kind": "tate", "field": 2, "c": _tower(), "d": {**_tower(field=3), "kind": "indtower"}}),
     ("$.summands[1].field", {"kind": "indlc", "field": 2, "summands": [_tower(), _tower(field=5)]}),
     ("$.factors[0].field", {"kind": "prodisc", "field": 3, "factors": [{"kind": "builtin", "name": "polynomial", "field": 2}]}),
+    # negative level dimensions
+    ("$.dims[0]", _tower(dims=[-3])),
+    ("$.dims[1]", _tower(dims=[1, -1], transitions=[{"rows": 1, "cols": 0, "entries": []}])),
+    ("$.dims[0]", {**_tower(dims=[-2]), "kind": "indtower"}),
+    ("$.c.dims[0]", {"kind": "tate", "field": 2, "c": _tower(dims=[-1]), "d": {**_tower(), "kind": "indtower"}}),
 ]
 
 
@@ -277,6 +299,14 @@ REPORT_DEFECTS = [
     ("$.exchange", {"kind": "decomposition", "exchange": True}),
     ("$.violations", {"kind": "validation", "violations": 5}),
     ("$.violations", {"kind": "validation", "ok": False, "violations": "ab"}),
+    ("$.violations[0]", {"kind": "validation", "ok": False, "violations": [3]}),
+    ("$.violations[1]", {"kind": "validation", "ok": False, "violations": ["x", {"a": 1}]}),
+    # documents that are not an object, or of no kind report reads
+    ("$", [1, 2]),
+    ("$", "grid"),
+    ("$", None),
+    ("$.kind", {"kind": "x"}),
+    ("$.kind", {"field": 2}),
 ]
 
 
@@ -332,6 +362,31 @@ class TestTensorCommand:
         code, out = run_cli(capsys, "tensor", "--op", "star", str(a), str(b))
         assert code == 2
         assert "path" in json.loads(out)
+
+    def test_star_builds_no_level_objects(self, tmp_path, capsys, monkeypatch):
+        # a level is read as its dimension, and pair_at counts whole
+        # diagonals instead of walking the unrestricted enumeration
+        import numpy as np
+
+        calls = {"FinVect": 0, "pair_from_index": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(spaces.FinVect, "__post_init__", counted("FinVect", spaces.FinVect.__post_init__))
+        monkeypatch.setattr(tensor, "pair_from_index", counted("pair_from_index", tensor.pair_from_index))
+        rng = np.random.default_rng(3)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            path.write_text(json.dumps(space_doc(rand_tate(rng, GF2, depth=4, max_dim=16))))
+        code, out = run_cli(capsys, "tensor", "--op", "star", *map(str, paths))
+        assert code == 0
+        assert len(json.loads(out)["summands"]) == 25
+        assert calls == {"FinVect": 0, "pair_from_index": 0}
 
 
 class TestDeterminism:

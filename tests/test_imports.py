@@ -68,6 +68,20 @@ def test_no_unused_private_helpers():
     assert unused == []
 
 
+def test_no_imports_inside_functions():
+    # every import of the package sits at module level, where it is done
+    # once and seen by the unused-import scan
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    f"{path.stem}.{fn.name} (line {node.lineno})"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert nested == []
+
 
 def test_one_json_writer():
     # the package calls json.dumps once, in serialize.dumps; each call is

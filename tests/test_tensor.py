@@ -59,6 +59,22 @@ class TestPairIndexing:
         assert pair_at(1, 1, None) == (1, 1)
         assert pair_at(3, 1, None) == (1, 3)
 
+    def test_restricted_ranges_match_the_filtered_scan(self):
+        # reference: the unrestricted enumeration with out-of-range pairs skipped
+        def scan(k, a, b):
+            kept = (p for p in map(pair_from_index, range(1, 200)) if (a is None or p[0] <= a) and (b is None or p[1] <= b))
+            return next(p for n, p in enumerate(kept, start=1) if n == k)
+
+        for a in (None, 1, 2, 3, 5):
+            for b in (None, 1, 2, 4):
+                n = 12 if a is None or b is None else a * b
+                assert [pair_at(k, a, b) for k in range(1, n + 1)] == [scan(k, a, b) for k in range(1, n + 1)]
+
+    def test_out_of_range_is_an_index_error(self):
+        for k, a, b in ((1, 0, None), (0, 2, 2), (5, 2, 2), (7, 3, 2)):
+            with pytest.raises(IndexError):
+                pair_at(k, a, b)
+
 
 class TestTowerTensor:
     def test_square_law(self):
@@ -316,6 +332,17 @@ class TestStructureLaws:
             y = Matrix(GF5, rng.integers(0, 5, size=(b, 1)))
             hom_x = Matrix(GF5, (N @ x).data.reshape(c, b))
             assert hom_x @ y == M @ kron(x, y)
+
+    def test_reshapes_match_their_entry_formulas(self):
+        rng = np.random.default_rng(20)
+        for a, b, c in ((0, 2, 3), (2, 0, 1), (3, 2, 0), (2, 3, 4), (1, 1, 1)):
+            M = Matrix(GF5, rng.integers(0, 5, size=(c, a * b)))
+            N = curry(M, a, b, c)
+            assert all(N.data[k * b + j, i] == M.data[k, i * b + j] for k in range(c) for i in range(a) for j in range(b))
+            assert uncurry(N, a, b, c) == M
+            S = swap_matrix(GF5, a, b)
+            assert S.shape == (a * b, a * b) and int(S.data.sum()) == a * b
+            assert all(S.data[j * a + i, i * b + j] == 1 for i in range(a) for j in range(b))
 
 
 
