@@ -12,6 +12,15 @@ multiplication/comultiplication windows are all read off and verified
 exactly.  The dual grid is the transpose of a validated grid and needs no
 split.
 
+Each table of maps of a grid or witness is one `MatrixStack`, a
+zero-padded int64 array with a table of shapes, and the tables of
+`Matrix` objects (`G.right[r][c]`, `W.inj[r][c]`, ...) are read-only
+views of it.  `validate_grid` and `check_split` check each identity for
+all cells at once as one product of stacks, `validate_grid` completes and
+inverts all witness cells in two eliminations of stacks, and `dual_grid`
+transposes the stacks.  Failing cells are read off boolean tables in
+row-major order.
+
 All verification is exact mod p; reports use 1-based cell indices.
 """
 
@@ -19,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,14 +36,16 @@ import numpy as np
 from .duality import dual_object
 from .exactla import (
     Matrix,
+    MatrixStack,
+    ShapeMismatchError,
     block_diag,
-    extend_basis,
     hstack,
     inverse,
     kernel_basis,
     kron,
     rank,
     rref,
+    rref_stack,
     vstack,
 )
 from .spaces import IndTower, TateObj, Tower, materialize
@@ -44,47 +56,151 @@ from .spaces import IndTower, TateObj, Tower, materialize
 # ---------------------------------------------------------------------------
 
 
+def _lengths(dims) -> np.ndarray:
+    """Dimensions as an int64 array, for comparing with matrix shapes.  One
+    past the int64 range, which no matrix axis has, reads as -1, which no
+    shape equals."""
+    try:
+        return np.array(dims, dtype=np.int64)
+    except OverflowError:
+        D = np.array(dims, dtype=object)
+        return np.where(D < 2**63, D, -1).astype(np.int64)
+
+
+def _first_misfit(stack_shapes, rows, cols) -> Optional[list[int]]:
+    """The first table index, row-major, where a (rows, cols) table of map
+    shapes differs from the wanted rows and cols; None if none does."""
+    bad = np.argwhere((stack_shapes[0] != rows) | (stack_shapes[1] != cols))
+    return bad[0].tolist() if bad.size else None
+
+
+def misshapen_map(dims, right: tuple, up: tuple) -> Optional[tuple[str, str]]:
+    """The first map whose shape disagrees with the cell dimensions, right
+    maps row by row before up maps, as (where, message) with `where` like
+    "right[r][c]" (0-based); None if all agree.  `right` and `up` are
+    (rows, cols) tables of the maps' shapes."""
+    D = _lengths(dims).reshape(len(dims), len(dims[0]) if len(dims) else 0)
+    for name, shapes, rows, cols in (("right", right, D[:, 1:], D[:, :-1]), ("up", up, D[:-1], D[1:])):
+        at = _first_misfit(shapes, rows, cols)
+        if at is not None:
+            r, c = at
+            return f"{name}[{r}][{c}]", f"{name} map at ({r + 1},{c + 1}) has the wrong shape"
+    return None
+
+
 class BidirectedGrid:
-    """m x n grid of spaces; right[r][c]: (r,c)->(r,c+1), up[r][c]: (r+1,c)->(r,c)."""
+    """m x n grid of spaces; right[r][c]: (r,c)->(r,c+1), up[r][c]: (r+1,c)->(r,c).
+
+    Each family of maps is one `MatrixStack`: `right_stack`, an m x (n-1)
+    table, and `up_stack`, an (m-1) x n table.  `right` and `up` are tables
+    of read-only `Matrix` views of them.  The constructor checks every
+    shape against `dims`; `from_stacks` trusts stacks that agree with them.
+    """
 
     def __init__(self, field, dims, right, up):
-        self.field = field
-        self.dims = [[int(d) for d in row] for row in dims]
-        self.m = len(self.dims)
-        self.n = len(self.dims[0]) if self.m else 0
-        if any(len(row) != self.n for row in self.dims):
+        dims = [[int(d) for d in row] for row in dims]
+        m = len(dims)
+        n = len(dims[0]) if m else 0
+        if any(len(row) != n for row in dims):
             raise ValueError("ragged grid")
-        self.right = right
-        self.up = up
-        for r in range(self.m):
-            for c in range(self.n - 1):
-                if right[r][c].shape != (self.dims[r][c + 1], self.dims[r][c]):
-                    raise ValueError(f"right map at ({r + 1},{c + 1}) has the wrong shape")
-        for r in range(self.m - 1):
-            for c in range(self.n):
-                if up[r][c].shape != (self.dims[r][c], self.dims[r + 1][c]):
-                    raise ValueError(f"up map at ({r + 1},{c + 1}) has the wrong shape")
+        right = MatrixStack.of(field, right, (m, max(n - 1, 0)))
+        up = MatrixStack.of(field, up, (max(m - 1, 0), n))
+        wrong = misshapen_map(dims, (right.rows, right.cols), (up.rows, up.cols))
+        if wrong is not None:
+            raise ValueError(wrong[1])
+        self._adopt(field, dims, right, up)
+
+    def _adopt(self, field, dims, right: MatrixStack, up: MatrixStack):
+        self.field = field
+        self.dims = dims
+        self.m = len(dims)
+        self.n = len(dims[0]) if self.m else 0
+        self.right_stack = right
+        self.up_stack = up
+
+    @classmethod
+    def from_stacks(cls, field, dims: list[list[int]], right: MatrixStack, up: MatrixStack) -> "BidirectedGrid":
+        """A grid of stacks whose shapes agree with `dims`, unchecked."""
+        G = object.__new__(cls)
+        G._adopt(field, dims, right, up)
+        return G
+
+    @cached_property
+    def right(self) -> tuple[tuple[Matrix, ...], ...]:
+        return self.right_stack.matrices()
+
+    @cached_property
+    def up(self) -> tuple[tuple[Matrix, ...], ...]:
+        return self.up_stack.matrices()
 
 
 class SESWitness:
-    """Constant systems V_c, W_r with per-cell inclusion and projection."""
+    """Constant systems V_c, W_r with per-cell inclusion and projection.
+
+    Vmaps[c]: V_c -> V_{c+1}, Wmaps[r]: W_{r+1} -> W_r, inj[r][c]: V_c ->
+    cell and surj[r][c]: cell -> W_r.  As in `BidirectedGrid`, each family
+    is one `MatrixStack` (`Vmaps_stack`, `Wmaps_stack`, `inj_stack`,
+    `surj_stack`) and the tables of `Matrix` views are read off it.  The
+    constructor checks the transition shapes against the dimensions; those
+    of inj and surj depend on the grid and are `validate_grid`'s to check.
+    """
 
     def __init__(self, Vdims, Vmaps, Wdims, Wmaps, inj, surj):
-        self.Vdims = [int(d) for d in Vdims]
-        self.Vmaps = Vmaps  # Vmaps[c]: V_c -> V_{c+1}
-        self.Wdims = [int(d) for d in Wdims]
-        self.Wmaps = Wmaps  # Wmaps[r]: W_{r+1} -> W_r
-        self.inj = inj  # inj[r][c]: V_c -> cell
-        self.surj = surj  # surj[r][c]: cell -> W_r
+        Vdims, Wdims = [int(d) for d in Vdims], [int(d) for d in Wdims]
+        m, n = len(Wdims), len(Vdims)
+        if not (m and n):
+            raise ValueError("a witness needs at least one cell")
+        field = inj[0][0].field
+        stacks = [
+            MatrixStack.of(field, Vmaps, (n - 1,)),
+            MatrixStack.of(field, Wmaps, (m - 1,)),
+            MatrixStack.of(field, inj, (m, n)),
+            MatrixStack.of(field, surj, (m, n)),
+        ]
+        V, Wd = _lengths(Vdims), _lengths(Wdims)
+        for name, S, rows, cols in (("V", stacks[0], V[1:], V[:-1]), ("W", stacks[1], Wd[:-1], Wd[1:])):
+            at = _first_misfit((S.rows, S.cols), rows, cols)
+            if at is not None:
+                raise ValueError(f"{name} map {at[0] + 1} has the wrong shape")
+        self._adopt(Vdims, stacks[0], Wdims, *stacks[1:])
+
+    def _adopt(self, Vdims, Vmaps: MatrixStack, Wdims, Wmaps: MatrixStack, inj: MatrixStack, surj: MatrixStack):
+        self.Vdims, self.Wdims = Vdims, Wdims
+        self.Vmaps_stack, self.Wmaps_stack = Vmaps, Wmaps
+        self.inj_stack, self.surj_stack = inj, surj
+
+    @classmethod
+    def from_stacks(cls, Vdims, Vmaps: MatrixStack, Wdims, Wmaps: MatrixStack, inj: MatrixStack, surj: MatrixStack):
+        """A witness of stacks whose transitions agree with the dimensions, unchecked."""
+        W = object.__new__(cls)
+        W._adopt(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
+        return W
+
+    @cached_property
+    def Vmaps(self) -> tuple[Matrix, ...]:
+        return self.Vmaps_stack.matrices()
+
+    @cached_property
+    def Wmaps(self) -> tuple[Matrix, ...]:
+        return self.Wmaps_stack.matrices()
+
+    @cached_property
+    def inj(self) -> tuple[tuple[Matrix, ...], ...]:
+        return self.inj_stack.matrices()
+
+    @cached_property
+    def surj(self) -> tuple[tuple[Matrix, ...], ...]:
+        return self.surj_stack.matrices()
 
 
 @dataclass(frozen=True)
 class GridReport:
     ok: bool
     violations: tuple[str, ...]
-    # completions[r][c] = (E, inj_coords, SE^-1) of a well-shaped witness cell,
-    # the eliminations of the witness checks that `split_grid` reuses
-    completions: tuple = dataclass_field(default=(), compare=False, repr=False)
+    # bases[r][c] = (C, C^-1), the change of basis of cell (r, c) that the
+    # witness eliminations give (`_eliminate_cells`), which `split_grid` reuses;
+    # set on a valid grid only
+    bases: tuple = dataclass_field(default=(), compare=False, repr=False)
 
 
 class GridValidationError(ValueError):
@@ -118,72 +234,168 @@ class SplitGrid:
 # ---------------------------------------------------------------------------
 
 
+def _identities(field, dims: np.ndarray) -> MatrixStack:
+    """The table of identity matrices of the sizes in `dims`."""
+    R = int(dims.max(initial=0))
+    data = np.eye(R, dtype=np.int64) * (np.arange(R) < dims[..., None, None])
+    return MatrixStack(field, data, dims, dims)
+
+
+def _place(out: np.ndarray, B: np.ndarray, r0: np.ndarray, c0: np.ndarray):
+    """Write each B[i] of a (k, ., .) stack into out[i] at (r0[i], c0[i]),
+    padding and all; out must have room for it there."""
+    k, Rb, Cb = B.shape
+    i = r0.reshape(k, 1, 1) + np.arange(Rb)[:, None]
+    j = c0.reshape(k, 1, 1) + np.arange(Cb)
+    out[np.arange(k)[:, None, None], i, j] = B
+
+
+def _block_diags(A: MatrixStack, B: MatrixStack) -> MatrixStack:
+    """The table of blockdiag(A[i], B[i]), the two tables broadcast."""
+    ra, ca, rb, cb = np.broadcast_arrays(A.rows, A.cols, B.rows, B.cols)
+    rows, cols = ra + rb, ca + cb
+    R, C = MatrixStack._corner(rows, cols)
+    (Ra, Ca), (Rb, Cb) = A.data.shape[-2:], B.data.shape[-2:]
+    # room for B's whole padding at every offset; the corner is cut out last
+    out = np.zeros(rows.shape + (R + Rb, C + Cb), dtype=np.int64)
+    out[..., :Ra, :Ca] = A.data[..., : R + Rb, : C + Cb]
+    k = rows.size
+    out = out.reshape(k, R + Rb, C + Cb)
+    _place(out, np.broadcast_to(B.data, rows.shape + (Rb, Cb)).reshape(k, Rb, Cb), ra, ca)
+    return MatrixStack(A.field, out[:, :R, :C].reshape(rows.shape + (R, C)), rows, cols)
+
+
+def _leads(pivots: list[list[int]], lead: np.ndarray) -> np.ndarray:
+    """Whether each echelon form's pivots begin with columns 0, 1, ..., lead - 1."""
+    return np.array([piv[:k] == list(range(k)) for piv, k in zip(pivots, lead.tolist())], dtype=bool)
+
+
+def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composite_zero):
+    """The witness eliminations of k well-shaped cells, all cells at once.
+
+    inj and surj are (k, ., .) padded stacks of the cells' maps, d, v, w and
+    composite_zero per-cell arrays.  One elimination of every [inj | I]
+    decides injectivity and completes inj to a basis [inj | E]; one of every
+    [surj E | I] inverts surj E.  surj [inj | E] = [0 | SE] with [inj | E]
+    invertible, so where the composite is zero and E has |W| columns, surj
+    is onto iff SE is invertible; every other cell is decided by the rank
+    of its surj.  Returns (injective, onto, bases): bases[i] is the change of
+    basis (C, C^-1) of a cell where all of this holds, else None.
+
+    C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1).  As
+    surj [inj | E] = [0 | SE], the bottom rows of C are surj itself, so C
+    stacks the inj-coordinate rows of [inj | E]^-1 on surj, and C^-1 =
+    [inj | E SE^-1].
+    """
+    k, (Ri, Cv), (Rs, Cs) = len(d), inj.shape[-2:], surj.shape[-2:]
+    Rd = int(d.max(initial=0))
+    ext = np.zeros((k, Rd, Cv + Rd), dtype=np.int64)
+    ext[:, :Ri, :Cv] = inj[:, :Rd]
+    ext[:, :, Cv:] = np.eye(Rd, dtype=np.int64) * (np.arange(Rd) < d[:, None, None])
+    X, pivots = rref_stack(field, ext)
+    injective = _leads(pivots, v)
+    # E takes the unit columns at the pivots in the identity block
+    Ecols = [[c - Cv for c in piv[n:]] if ok else [] for piv, n, ok in zip(pivots, v.tolist(), injective)]
+    e = np.array([len(cols) for cols in Ecols], dtype=np.int64)
+    Ce = int(e.max(initial=0))
+    E = np.zeros((k, Rd, Ce), dtype=np.int64)
+    for i, cols in enumerate(Ecols):
+        E[i, cols, range(len(cols))] = 1
+    E = MatrixStack(field, E, d, e)
+
+    SE = MatrixStack(field, surj, w, d) @ E
+    Rw = SE.data.shape[-2]
+    aug = np.zeros((k, Rw, Ce + Rw), dtype=np.int64)
+    aug[:, :, :Ce] = SE.data
+    aug[:, :, Ce:] = np.eye(Rw, dtype=np.int64) * (np.arange(Rw) < w[:, None, None])
+    Y, se_pivots = rref_stack(field, aug)
+    usable = injective & composite_zero & (e == w)
+    onto = usable & _leads(se_pivots, w)
+    # the cells SE leaves undecided have a broken witness; each takes a rank
+    for i in (~onto).nonzero()[0].tolist():
+        onto[i] = rank(Matrix._of(field, surj[i, : w[i], : d[i]])) == w[i]
+        if onto[i] and usable[i]:
+            raise AssertionError("internal: complement does not project onto W")
+
+    top = int(v.max(initial=0))  # room for a block placed below or right of v
+    C = np.zeros((k, max(Rd, top + Rs), max(Rd, Cs)), dtype=np.int64)
+    C[:, :Rd, :Rd] = X[:, :, Cv:] * (np.arange(Rd)[:, None] < v[:, None, None])
+    _place(C, surj, v, np.zeros_like(v))
+    C_inv = np.zeros((k, max(Rd, Ri), max(Cv, top + Rw)), dtype=np.int64)
+    C_inv[:, :Ri, :Cv] = inj
+    _place(C_inv, (E @ MatrixStack(field, Y[:, :, Ce:], w, w)).data, np.zeros_like(v), v)
+    bases = [
+        (Matrix._of(field, C[i, :di, :di]), Matrix._of(field, C_inv[i, :di, :di])) if ok else None
+        for i, (di, ok) in enumerate(zip(d.tolist(), onto & usable))
+    ]
+    return injective, onto, bases
+
+
 def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridReport:
     """Check square commutation and, with a witness, exactness and naturality.
 
-    Every violated identity is listed with its 1-based cell indices.  Each
-    witness cell costs one completion of inj to a basis [inj | E] and, on
-    an exact cell, one inverse of surj E; the report carries both for
-    `split_grid`.
+    Every violated identity is listed with its 1-based cell indices, each
+    kind of identity cell by cell in row-major order.  Each identity is one
+    product of stacks over all cells, and the witness cells are completed
+    and inverted together (`_eliminate_cells`).  The report of a valid grid
+    carries those eliminations for `split_grid`.
     """
     bad: list[str] = []
-    completions: list[list[tuple]] = []
-    for r in range(G.m - 1):
-        for c in range(G.n - 1):
-            if G.up[r][c + 1] @ G.right[r + 1][c] != G.right[r][c] @ G.up[r][c]:
-                bad.append(f"square at ({r + 1},{c + 1}) does not commute")
-    if W is not None:
-        misshapen = False
-        for r in range(G.m):
-            row = []
-            completions.append(row)
-            for c in range(G.n):
-                inj, surj = W.inj[r][c], W.surj[r][c]
-                v, w, d = W.Vdims[c], W.Wdims[r], G.dims[r][c]
-                cell = f"({r + 1},{c + 1})"
-                if inj.shape != (d, v) or surj.shape != (w, d):
-                    bad.append(f"witness shapes wrong at {cell}")
-                    misshapen = True
-                    continue
-                # inj is injective iff its columns lead rref([inj | I])
-                try:
-                    E, inj_coords, _ = extend_basis(inj, d)
-                except ValueError:
-                    E = inj_coords = None
-                    bad.append(f"inclusion not injective at {cell}")
-                composite_zero = (surj @ inj).is_zero()
-                SE_inv = None
-                if E is not None and composite_zero and E.cols == w:
-                    # surj [inj | E] = [0 | SE] with [inj | E] invertible, so
-                    # rank surj = rank SE: surj is onto iff SE is invertible
-                    SE_inv = inverse(surj @ E)
-                    if SE_inv is None and rank(surj) == w:
-                        raise AssertionError("internal: complement does not project onto W")
-                    onto = SE_inv is not None
-                else:
-                    onto = rank(surj) == w
-                if not onto:
-                    bad.append(f"projection not surjective at {cell}")
-                if not composite_zero:
-                    bad.append(f"composite V -> W nonzero at {cell}")
-                if v + w != d:
-                    bad.append(f"cell dimension is not |V|+|W| at {cell}")
-                row.append((E, inj_coords, SE_inv))
-        if misshapen:  # the naturality identities below need composable maps
-            return GridReport(False, tuple(bad))
-        for r in range(G.m):
-            for c in range(G.n - 1):
-                if G.right[r][c] @ W.inj[r][c] != W.inj[r][c + 1] @ W.Vmaps[c]:
-                    bad.append(f"inclusion not natural for right map at ({r + 1},{c + 1})")
-                if W.surj[r][c + 1] @ G.right[r][c] != W.surj[r][c]:
-                    bad.append(f"projection not natural for right map at ({r + 1},{c + 1})")
-        for r in range(G.m - 1):
-            for c in range(G.n):
-                if G.up[r][c] @ W.inj[r + 1][c] != W.inj[r][c]:
-                    bad.append(f"inclusion not natural for up map at ({r + 1},{c + 1})")
-                if W.surj[r][c] @ G.up[r][c] != W.Wmaps[r] @ W.surj[r + 1][c]:
-                    bad.append(f"projection not natural for up map at ({r + 1},{c + 1})")
-    return GridReport(not bad, tuple(bad), tuple(tuple(row) for row in completions))
+    right, up = G.right_stack, G.up_stack
+    square = (up[:, 1:] @ right[1:]).differs(right[:-1] @ up[:, :-1])
+    bad += [f"square at ({r + 1},{c + 1}) does not commute" for r, c in np.argwhere(square).tolist()]
+    if W is None:
+        return GridReport(not bad, tuple(bad))
+    inj, surj = W.inj_stack, W.surj_stack
+    if inj.rows.shape != (G.m, G.n):
+        raise ShapeMismatchError(f"a {inj.rows.shape} witness of a {(G.m, G.n)} grid")
+    D = _lengths(G.dims)
+    V = np.broadcast_to(_lengths(W.Vdims), D.shape)
+    Wd = np.broadcast_to(_lengths(W.Wdims)[:, None], D.shape)
+    misshapen = (inj.rows != D) | (inj.cols != V) | (surj.rows != Wd) | (surj.cols != D)
+    composite_zero = ~(surj @ inj).nonzero()
+    cells = tuple(np.argwhere(~misshapen).T)
+    injective, onto = np.zeros_like(misshapen), np.zeros_like(misshapen)
+    injective[cells], onto[cells], bases = _eliminate_cells(
+        G.field, inj.data[cells], surj.data[cells], D[cells], V[cells], Wd[cells], composite_zero[cells]
+    )
+    for r, c in np.ndindex(D.shape):
+        cell = f"({r + 1},{c + 1})"
+        if misshapen[r, c]:
+            bad.append(f"witness shapes wrong at {cell}")
+            continue
+        if not injective[r, c]:
+            bad.append(f"inclusion not injective at {cell}")
+        if not onto[r, c]:
+            bad.append(f"projection not surjective at {cell}")
+        if not composite_zero[r, c]:
+            bad.append(f"composite V -> W nonzero at {cell}")
+        if W.Vdims[c] + W.Wdims[r] != G.dims[r][c]:
+            bad.append(f"cell dimension is not |V|+|W| at {cell}")
+    if misshapen.any():  # the naturality identities below need composable maps
+        return GridReport(False, tuple(bad))
+
+    Vmaps, Wmaps = W.Vmaps_stack, W.Wmaps_stack
+    natural = {
+        "right": (
+            (right @ inj[:, :-1]).differs(inj[:, 1:] @ Vmaps[None]),
+            (surj[:, 1:] @ right).differs(surj[:, :-1]),
+        ),
+        "up": (
+            (up @ inj[1:]).differs(inj[:-1]),
+            (surj[:-1] @ up).differs(Wmaps[:, None] @ surj[1:]),
+        ),
+    }
+    for family, (inclusion, projection) in natural.items():
+        for r, c in np.argwhere(inclusion | projection).tolist():
+            cell = f"{family} map at ({r + 1},{c + 1})"
+            if inclusion[r, c]:
+                bad.append(f"inclusion not natural for {cell}")
+            if projection[r, c]:
+                bad.append(f"projection not natural for {cell}")
+    if bad:
+        return GridReport(False, tuple(bad))
+    return GridReport(True, (), tuple(tuple(bases[r * G.n : (r + 1) * G.n]) for r in range(G.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +433,8 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
         raise GridValidationError(rep)
     field = G.field
 
-    # C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1).  As
-    # surj [inj | E] = [0 | SE], the bottom rows of C are surj itself, so C
-    # stacks the inj-coordinate rows of [inj | E]^-1 on surj, and C^-1 = [inj | E SE^-1].
-    C: list[list[Matrix]] = []
-    C_inv: list[list[Matrix]] = []
-    for r in range(G.m):
-        row, row_inv = [], []
-        for c in range(G.n):
-            E, inj_coords, SE_inv = rep.completions[r][c]
-            row.append(vstack([inj_coords, W.surj[r][c]]))
-            row_inv.append(hstack([W.inj[r][c], E @ SE_inv]))
-        C.append(row)
-        C_inv.append(row_inv)
+    C = [[basis for basis, _ in row] for row in rep.bases]
+    C_inv = [[inv for _, inv in row] for row in rep.bases]
 
     def correct(r, c, v, w, off):
         # [[I, off], [0, I]] has inverse [[I, -off], [0, I]]
@@ -261,28 +462,29 @@ def check_split(G: BidirectedGrid, W: SESWitness, basis, inverse) -> SplitGrid:
 
     Checks exactly that basis[r][c] @ inverse[r][c] is the identity of a
     cell of dimension |V_c| + |W_r|, and the split form of every right and
-    up map.  The first failure raises AssertionError naming its cell.
+    up map, each as one product of stacks over all cells.  The first
+    failure, in the order of the checks and then row-major, raises
+    AssertionError naming its cell.
     """
     field = G.field
     basis = tuple(tuple(row) for row in basis)
     inverse = tuple(tuple(row) for row in inverse)
-    for r in range(G.m):
-        for c in range(G.n):
-            B, B_inv, d = basis[r][c], inverse[r][c], G.dims[r][c]
-            if d != W.Vdims[c] + W.Wdims[r] or B.shape != (d, d) or B_inv.shape != (d, d):
-                raise AssertionError(f"split check failed: basis shape wrong at ({r + 1},{c + 1})")
-            if B @ B_inv != Matrix.identity(field, d):
-                raise AssertionError(f"split check failed: inverse wrong at ({r + 1},{c + 1})")
-    for r in range(G.m):
-        for c in range(G.n - 1):
-            want = block_diag([W.Vmaps[c], Matrix.identity(field, W.Wdims[r])])
-            if basis[r][c + 1] @ G.right[r][c] @ inverse[r][c] != want:
-                raise AssertionError(f"split check failed: right map at ({r + 1},{c + 1})")
-    for r in range(G.m - 1):
-        for c in range(G.n):
-            want = block_diag([Matrix.identity(field, W.Vdims[c]), W.Wmaps[r]])
-            if basis[r][c] @ G.up[r][c] @ inverse[r + 1][c] != want:
-                raise AssertionError(f"split check failed: up map at ({r + 1},{c + 1})")
+    B = MatrixStack.of(field, basis, (G.m, G.n))
+    B_inv = MatrixStack.of(field, inverse, (G.m, G.n))
+    D, V, Wd = _lengths(G.dims), _lengths(W.Vdims), _lengths(W.Wdims)[:, None]
+    shape = (D != V + Wd) | (B.rows != D) | (B.cols != D) | (B_inv.rows != D) | (B_inv.cols != D)
+    wrong = shape | (B @ B_inv).differs(_identities(field, D))
+    for r, c in np.argwhere(wrong)[:1].tolist():
+        what = "basis shape" if shape[r, c] else "inverse"
+        raise AssertionError(f"split check failed: {what} wrong at ({r + 1},{c + 1})")
+    split_right = _block_diags(W.Vmaps_stack[None], _identities(field, Wd))
+    split_up = _block_diags(_identities(field, V[None]), W.Wmaps_stack[:, None])
+    for family, conj, want in (
+        ("right", B[:, 1:] @ G.right_stack @ B_inv[:, :-1], split_right),
+        ("up", B[:-1] @ G.up_stack @ B_inv[1:], split_up),
+    ):
+        for r, c in np.argwhere(conj.differs(want))[:1].tolist():
+            raise AssertionError(f"split check failed: {family} map at ({r + 1},{c + 1})")
     return SplitGrid(G, W, basis, inverse)
 
 
@@ -527,18 +729,10 @@ def dual_grid(G: BidirectedGrid, W: SESWitness) -> DualGridResult:
     if not rep.ok:
         raise GridValidationError(rep)
     field = G.field
-    m2, n2 = G.n, G.m
-    dims2 = [[G.dims[c][r] for c in range(n2)] for r in range(m2)]
-    right2 = [[G.up[c][r].T for c in range(n2 - 1)] for r in range(m2)]
-    up2 = [[G.right[c][r].T for c in range(n2)] for r in range(m2 - 1)]
-    G2 = BidirectedGrid(field, dims2, right2, up2)
-    W2 = SESWitness(
-        Vdims=list(W.Wdims),
-        Vmaps=[w.T for w in W.Wmaps],
-        Wdims=list(W.Vdims),
-        Wmaps=[v.T for v in W.Vmaps],
-        inj=[[W.surj[c][r].T for c in range(n2)] for r in range(m2)],
-        surj=[[W.inj[c][r].T for c in range(n2)] for r in range(m2)],
+    dims2 = [list(col) for col in zip(*G.dims)]
+    G2 = BidirectedGrid.from_stacks(field, dims2, G.up_stack.T, G.right_stack.T)
+    W2 = SESWitness.from_stacks(
+        list(W.Wdims), W.Wmaps_stack.T, list(W.Vdims), W.Vmaps_stack.T, W.surj_stack.T, W.inj_stack.T
     )
 
     # certificate: the Tate object of the dual witness == the dual Tate object

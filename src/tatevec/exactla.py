@@ -205,6 +205,134 @@ class Matrix:
         }
 
 
+class MatrixStack:
+    """A table of matrices over one field, held as one zero-padded int64 array.
+
+    `data` has the table's shape followed by (R, C), and `rows` and `cols`
+    are int arrays of the table's shape.  The matrix at table index i has
+    shape (rows[i], cols[i]); its top-left corner is data[i] and it is zero
+    outside that corner.  R and C are the largest shape among the matrices
+    with entries, so an empty matrix never widens the padding.  The padding
+    is inert: a product of two stacks of composable matrices holds each
+    product in its corner, and zero rows and columns are never pivots, so
+    `rref_stack` gives each matrix its own echelon form and pivots.  The
+    constructor trusts its data: reduced mod p, zero outside every matrix.
+    """
+
+    __slots__ = ("field", "data", "rows", "cols")
+
+    def __init__(self, field: FieldSpec, data: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        data.flags.writeable = False
+        self.field, self.data, self.rows, self.cols = field, data, rows, cols
+
+    @staticmethod
+    def _corner(rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
+        """The padding of a table of shapes: the largest rows and cols among
+        the matrices with entries."""
+        if not rows.size:
+            return 0, 0
+        full = (rows * cols) != 0
+        return int((rows * full).max()), int((cols * full).max())
+
+    @classmethod
+    def of(cls, field: FieldSpec, table, shape: tuple[int, ...]) -> "MatrixStack":
+        """Stack a table of the given shape (nested sequences of Matrix)."""
+        mats = list(table)
+        for size in shape[1:]:
+            if any(len(row) != size for row in mats):
+                raise ShapeMismatchError(f"expected a table of shape {shape}")
+            mats = [M for row in mats for M in row]
+        if len(mats) != int(np.prod(shape)):
+            raise ShapeMismatchError(f"expected a table of shape {shape}")
+        for M in mats:
+            if M.field != field:
+                raise FieldMismatchError(f"{M.field} matrix in a {field} table")
+        rows = np.array([M.rows for M in mats], dtype=np.int64).reshape(shape)
+        cols = np.array([M.cols for M in mats], dtype=np.int64).reshape(shape)
+        data = np.zeros((len(mats),) + cls._corner(rows, cols), dtype=np.int64)
+        for out, M in zip(data, mats):
+            if M.data.size:
+                out[: M.rows, : M.cols] = M.data
+        return cls(field, data.reshape(shape + data.shape[1:]), rows, cols)
+
+    @classmethod
+    def from_entries(cls, field: FieldSpec, rows: np.ndarray, cols: np.ndarray, entries: np.ndarray) -> "MatrixStack":
+        """Stack the matrices whose row-major entries, reduced mod p, follow
+        one another in `entries`; `rows` and `cols` give the table."""
+        R, C = cls._corner(rows, cols)
+        data = np.zeros(rows.shape + (R, C), dtype=np.int64)
+        flat = data.reshape(rows.size, R, C)
+        start = 0
+        for out, r, c in zip(flat, rows.reshape(-1).tolist(), cols.reshape(-1).tolist()):
+            if r * c:
+                out[:r, :c] = entries[start : start + r * c].reshape(r, c)
+                start += r * c
+        return cls(field, data, rows, cols)
+
+    def __getitem__(self, index) -> "MatrixStack":
+        """The sub-table at `index`, which indexes table axes only."""
+        return MatrixStack(self.field, self.data[index], self.rows[index], self.cols[index])
+
+    @property
+    def T(self) -> "MatrixStack":
+        """The transposed table of the transposed matrices."""
+        t = self.rows.ndim
+        axes = tuple(range(t))[::-1] + (t + 1, t)
+        return MatrixStack(self.field, self.data.transpose(axes), self.cols.T, self.rows.T)
+
+    def __matmul__(self, other: "MatrixStack") -> "MatrixStack":
+        """Every product self[i] @ other[i], the tables broadcast.  Each pair
+        must be composable, so the padding past the smaller inner size is
+        zero on both sides and is dropped."""
+        p = self.field.p
+        k = min(self.data.shape[-1], other.data.shape[-2])
+        a, b = self.data[..., :k], other.data[..., :k, :]
+        # as in Matrix.__matmul__: an inner dimension k with k (p-1)^2 >= 2^63
+        # could overflow the int64 dot product, and Python ints cannot.  The
+        # widest inner dimension is at most the padding k, so only a padding
+        # past the bound needs the exact maximum.
+        bound = (p - 1) ** 2
+        if k * bound >= _INT64_LIMIT and int(self.cols.max(initial=0)) * bound >= _INT64_LIMIT:
+            a, b = a.astype(object), b.astype(object)
+        rows, cols = self.rows, other.cols
+        if rows.shape != cols.shape:
+            rows, cols = np.broadcast_arrays(rows, cols)
+        return MatrixStack(self.field, ((a @ b) % p).astype(np.int64, copy=False), rows, cols)
+
+    def differs(self, other: "MatrixStack") -> np.ndarray:
+        """Boolean table: True where the two matrices differ, in shape or entries."""
+        R = max(self.data.shape[-2], other.data.shape[-2])
+        C = max(self.data.shape[-1], other.data.shape[-1])
+        entries = (self._padded(R, C) != other._padded(R, C)).any(axis=(-2, -1))
+        return entries | (self.rows != other.rows) | (self.cols != other.cols)
+
+    def _padded(self, R: int, C: int) -> np.ndarray:
+        """data padded with zeros to R x C matrices."""
+        if self.data.shape[-2:] == (R, C):
+            return self.data
+        out = np.zeros(self.data.shape[:-2] + (R, C), dtype=np.int64)
+        out[..., : self.data.shape[-2], : self.data.shape[-1]] = self.data
+        return out
+
+    def nonzero(self) -> np.ndarray:
+        """Boolean table: True where the matrix has a nonzero entry."""
+        return self.data.any(axis=(-2, -1))
+
+    def matrices(self):
+        """The table, of one or two axes, as (nested) tuples of read-only
+        `Matrix` views."""
+        field, (R, C), shape = self.field, self.data.shape[-2:], self.rows.shape
+        # an empty matrix may lie past the padding
+        mats = [
+            Matrix._of(field, data[:r, :c]) if r <= R and c <= C else Matrix.zeros(field, r, c)
+            for data, r, c in zip(self.data.reshape((self.rows.size, R, C)), self.rows.flat, self.cols.flat)
+        ]
+        if len(shape) == 1:
+            return tuple(mats)
+        m, n = shape
+        return tuple(tuple(mats[r * n : (r + 1) * n]) for r in range(m))
+
+
 def hstack(mats: list[Matrix]) -> Matrix:
     field = mats[0].field
     for m in mats[1:]:
@@ -262,6 +390,22 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix._of(M.field, R), pivots
 
 
+def rref_stack(field: FieldSpec, data: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """The `rref` of every matrix of a (k, m, n) int64 stack reduced mod p.
+
+    Returns the (k, m, n) stack of echelon forms and each matrix's pivot
+    columns.  A matrix zero-padded at the bottom or the right gets the
+    padded echelon form of the matrix itself and the same pivots; so does a
+    matrix with zero columns inserted, its pivots then counted in the
+    padded columns.  Over GF(p > 2) the stack is eliminated at once; over
+    GF(2) each matrix runs through `_rref_gf2`.
+    """
+    if field.p == 2:
+        out = [_rref_gf2(A) for A in data]
+        return np.array([R for R, _ in out], dtype=np.int64).reshape(data.shape), [piv for _, piv in out]
+    return _rref_modp_stack(data, field)
+
+
 def _rref_modp(data: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]:
     """Each pivot clears its column with one rank-1 update, reduced mod p
     once per pivot; the FieldSpec bound on p keeps that update inside int64."""
@@ -288,6 +432,48 @@ def _rref_modp(data: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int
             A[rows, c:] = (A[rows, c:] - np.multiply.outer(col[rows], A[r, c:])) % p
         pivots.append(c)
         r += 1
+    return A, pivots
+
+
+def _rref_modp_stack(data: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[list[int]]]:
+    """Eliminate a (k, m, n) stack one pivot at a time, all matrices at once.
+
+    Rows t and below are zero left of every pivot found so far, so the t-th
+    pivot of a matrix is in the first column with a nonzero entry in rows t
+    and below, at the first such row.  That row moves to row t, is scaled to
+    1 and clears its column with one rank-1 update, reduced mod p once per
+    step; the FieldSpec bound on p keeps that update inside int64.  A
+    matrix whose rows t and below are zero has all its pivots, and the step
+    leaves it as it is: it scales and subtracts a zero row.
+    """
+    p = field.p
+    A = data.copy()
+    k, m, n = A.shape
+    pivots: list[list[int]] = [[] for _ in range(k)]
+    at = np.arange(k)
+    for t in range(min(m, n)):
+        nonzero = A[:, t:] != 0
+        found = nonzero.any(axis=1)
+        c = found.argmax(axis=1)
+        has = found[at, c].tolist()
+        if not any(has):
+            break
+        below = nonzero[at, :, c].argmax(axis=1)
+        if any(below.tolist()):  # swap each pivot row up to row t
+            row = below + t
+            top = A[at, row]
+            A[at, row] = A[:, t]
+            A[:, t] = top
+        top = A[:, t]
+        inv = [pow(x, -1, p) if x else 0 for x in top[at, c].tolist()]
+        top = (top * np.array(inv, dtype=np.int64)[:, None]) % p
+        # the update clears column c in row t too; row t is then the scaled pivot row
+        A -= A[at, :, c][:, :, None] * top[:, None, :]
+        A %= p
+        A[:, t] = top
+        for piv, ci, h in zip(pivots, c.tolist(), has):
+            if h:
+                piv.append(ci)
     return A, pivots
 
 

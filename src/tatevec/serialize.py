@@ -27,8 +27,9 @@ from .bidirected import (
     PairingEntry,
     PairingFamily,
     SESWitness,
+    misshapen_map,
 )
-from .exactla import FieldSpec, Matrix
+from .exactla import FieldSpec, Matrix, MatrixStack
 from .spaces import (
     FinVect,
     IndLCObj,
@@ -227,7 +228,7 @@ def parse_space(doc, path="$"):
         return FinVect(_dim(_need(doc, "dim", path), f"{path}.dim"))
     if kind == "builtin":
         field = parse_field(doc, path)
-        name, n = _need(doc, "name", path), _int(doc.get("n", 0), f"{path}.n")
+        name, n = _need(doc, "name", path), _dim(doc.get("n", 0), f"{path}.n")
         try:
             return builtin_space(name, field, n)
         except ValueError as e:
@@ -352,23 +353,75 @@ def _matrix_table(field, rows, cols, raw, path):
     return _table(raw, rows, cols, path, lambda x, p: parse_matrix(field, x, p))
 
 
+def _well_formed(x):
+    """(rows, cols, entries) of a matrix document of moderate shape that
+    `parse_matrix` takes as it is if its entries are ints, else None."""
+    if type(x) is dict:
+        rows, cols, entries = x.get("rows"), x.get("cols"), x.get("entries")
+        if type(rows) is int and type(cols) is int and type(entries) is list:
+            if 0 <= rows < 2**31 and 0 <= cols < 2**31 and len(entries) == rows * cols:
+                return rows, cols, entries
+    return None
+
+
+def _matrices(field, raw: list, path_of, check=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shapes and entries of a list of matrix documents, for
+    `MatrixStack.from_entries`: (rows, cols, row-major entries of all of
+    them, reduced mod p).
+
+    When every document is well formed, all entries are type-checked at
+    once and converted by one `np.array`.  Otherwise each document runs
+    through `parse_matrix`, whose error names its path (`path_of(i)`).
+    `check(i, rows, cols)` sees each shape, in order, either way.
+    """
+    cells = [_well_formed(x) for x in raw]
+    if None not in cells:
+        entries = [e for _, _, es in cells for e in es]
+        if not set(map(type, entries)) - {int}:
+            try:
+                values = np.array(entries, dtype=np.int64)
+            except OverflowError:  # parse_matrix names the matrix
+                pass
+            else:
+                if check is not None:
+                    for i, (rows, cols, _) in enumerate(cells):
+                        check(i, rows, cols)
+                shapes = np.array([cell[:2] for cell in cells], dtype=np.int64).reshape(-1, 2)
+                return shapes[:, 0], shapes[:, 1], np.mod(values, field.p)
+    mats = []
+    for i, x in enumerate(raw):
+        M = parse_matrix(field, x, path_of(i))
+        if check is not None:
+            check(i, *M.shape)
+        mats.append(M)
+    shapes = np.array([M.shape for M in mats], dtype=np.int64).reshape(-1, 2)
+    values = np.concatenate([M.data.reshape(-1) for M in mats] + [np.zeros(0, dtype=np.int64)])
+    return shapes[:, 0], shapes[:, 1], values
+
+
+def _matrix_grid(field, rows, cols, raw, path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_matrices` of a rows x cols table of matrix documents, shapes as tables."""
+    flat = [x for row in _table(raw, rows, cols, path, lambda x, p: x) for x in row]
+    r, c, entries = _matrices(field, flat, lambda i: f"{path}[{i // cols}][{i % cols}]")
+    return r.reshape(rows, cols), c.reshape(rows, cols), entries
+
+
 def _dims(raw, length, path) -> list[int]:
     if not isinstance(raw, list) or len(raw) != length:
         raise ParseError(path, f"expected {length} dimensions")
     return [_dim(d, f"{path}[{i}]") for i, d in enumerate(raw)]
 
 
-def _chain(field, raw, shapes, path) -> list[Matrix]:
+def _chain(field, raw, shapes, path) -> MatrixStack:
     """Transition matrices of a constant system, checked against `shapes`."""
     if not isinstance(raw, list) or len(raw) != len(shapes):
         raise ParseError(path, f"expected {len(shapes)} maps")
-    out = []
-    for i, (x, shape) in enumerate(zip(raw, shapes)):
-        M = parse_matrix(field, x, f"{path}[{i}]")
-        if M.shape != shape:
-            raise ParseError(f"{path}[{i}]", f"expected shape {shape}, got {M.shape}")
-        out.append(M)
-    return out
+
+    def check(i, rows, cols):
+        if (rows, cols) != shapes[i]:
+            raise ParseError(f"{path}[{i}]", f"expected shape {shapes[i]}, got {(rows, cols)}")
+
+    return MatrixStack.from_entries(field, *_matrices(field, raw, lambda i: f"{path}[{i}]", check))
 
 
 def parse_grid(doc, path="$"):
@@ -381,12 +434,16 @@ def parse_grid(doc, path="$"):
         if size < 1:
             raise ParseError(f"{path}.{key}", "a grid needs at least one row and one column")
     dims = _table(_need(doc, "dims", path), m, n, f"{path}.dims", _dim)
-    right = _matrix_table(field, m, max(n - 1, 0), _need(doc, "right", path), f"{path}.right")
-    up = _matrix_table(field, max(m - 1, 0), n, _need(doc, "up", path), f"{path}.up")
-    try:
-        G = BidirectedGrid(field, dims, right, up)
-    except ValueError as e:
-        raise ParseError(path, str(e))
+    # every map is read before any shape is compared with dims, and the
+    # stacks are padded only to shapes that agree with them
+    right = _matrix_grid(field, m, max(n - 1, 0), _need(doc, "right", path), f"{path}.right")
+    up = _matrix_grid(field, max(m - 1, 0), n, _need(doc, "up", path), f"{path}.up")
+    wrong = misshapen_map(dims, right[:2], up[:2])
+    if wrong is not None:
+        raise ParseError(f"{path}.{wrong[0]}", wrong[1])
+    G = BidirectedGrid.from_stacks(
+        field, dims, MatrixStack.from_entries(field, *right), MatrixStack.from_entries(field, *up)
+    )
     W = None
     if doc.get("ses") is not None:
         s = doc["ses"]
@@ -395,13 +452,13 @@ def parse_grid(doc, path="$"):
         Wdims = _dims(_need(s, "Wdims", sp), m, f"{sp}.Wdims")
         Vshapes = [(Vdims[c + 1], Vdims[c]) for c in range(n - 1)]
         Wshapes = [(Wdims[r], Wdims[r + 1]) for r in range(m - 1)]
-        W = SESWitness(
-            Vdims=Vdims,
-            Vmaps=_chain(field, _need(s, "Vmaps", sp), Vshapes, f"{sp}.Vmaps"),
-            Wdims=Wdims,
-            Wmaps=_chain(field, _need(s, "Wmaps", sp), Wshapes, f"{sp}.Wmaps"),
-            inj=_matrix_table(field, m, n, _need(s, "inj", sp), f"{sp}.inj"),
-            surj=_matrix_table(field, m, n, _need(s, "surj", sp), f"{sp}.surj"),
+        W = SESWitness.from_stacks(
+            Vdims,
+            _chain(field, _need(s, "Vmaps", sp), Vshapes, f"{sp}.Vmaps"),
+            Wdims,
+            _chain(field, _need(s, "Wmaps", sp), Wshapes, f"{sp}.Wmaps"),
+            MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj")),
+            MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj")),
         )
 
     def entry(cell, pth):

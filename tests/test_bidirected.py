@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tatevec import bidirected, exactla
 from tatevec.bidirected import (
     BidirectedGrid,
     GridReport,
@@ -84,6 +85,32 @@ class TestValidateGrid:
         G, W = tiny_grid()
         assert validate_grid(G).ok
         assert validate_grid(G, W).ok
+
+    def test_identities_are_products_of_stacks(self, monkeypatch):
+        # every identity of validate_grid and check_split is a product of
+        # stacks over all cells, and validate_grid completes and inverts the
+        # cells in two stacked eliminations, not two per cell
+        planted = rand_grid(np.random.default_rng(0), FieldSpec(65521), m=4, n=4)
+        G, W = planted.grid, planted.witness
+        S = split_grid(G, W)
+        calls = {"matmul": 0, "elimination": 0}
+
+        def counted(kind, real):
+            def call(*args):
+                calls[kind] += 1
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted("matmul", Matrix.__matmul__))
+        for name, real in [(name, getattr(exactla, name)) for name in ("rref", "rref_stack")]:
+            for module in (exactla, bidirected):
+                monkeypatch.setattr(module, name, counted("elimination", real))
+        assert validate_grid(G, W).ok
+        assert calls["matmul"] == 0 and calls["elimination"] <= 2
+        calls.update(matmul=0, elimination=0)
+        assert check_split(G, W, S.basis, S.inverse) == S
+        assert calls == {"matmul": 0, "elimination": 0}
 
 
 class TestSplitGrid:
@@ -354,6 +381,10 @@ class TestPairings:
 # ---------------------------------------------------------------------------
 
 FIELDS = [FieldSpec(p) for p in (2, 5, 101, 65521)]
+LARGEST_PRIME = 3037000493  # the largest p with (p-1)^2 + (p-1) < 2^63
+# the grid references also run at the largest prime, where every product
+# with an inner dimension of 2 or more must fall back to Python ints
+GRID_FIELDS = FIELDS + [FieldSpec(LARGEST_PRIME)]
 
 
 def ref_chain_limit(field, dims, maps):
@@ -582,7 +613,7 @@ class TestAgainstReferences:
                 assert lim.coords(X) == solve_linear(lim.basis, X)
             assert lim.coords(inside) is not None
 
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"p{f.p}")
+    @pytest.mark.parametrize("field", GRID_FIELDS, ids=lambda f: f"p{f.p}")
     def test_validate_and_split_on_mutated_witnesses(self, field):
         rng = np.random.default_rng(field.p)
         invalid = 0
@@ -605,7 +636,7 @@ class TestAgainstReferences:
     @pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 5), (5, 2)])
     def test_dual_grid_against_reference(self, m, n):
         rng = np.random.default_rng(10 * m + n)
-        for field in FIELDS:
+        for field in GRID_FIELDS:
             while True:  # nonzero V and W blocks, so that the swap of the two shows
                 planted = rand_grid(rng, field, m=m, n=n, max_part=3)
                 if min(planted.Vdims) > 0 and min(planted.Wdims) > 0:

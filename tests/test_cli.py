@@ -89,23 +89,30 @@ class TestGenDecompose:
         assert code == 0
         assert calls == {"validate_grid": 1, "split_grid": splits, "check_split": splits}
 
-    @pytest.mark.parametrize("cmd,calls", [("decompose", 86), ("dual", 72)])
+    @pytest.mark.parametrize("cmd,calls", [("decompose", 16), ("dual", 2)])
     def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
-        # per cell, validation and split share one completion of inj and one
-        # inverse of surj E (72 calls on this 6 x 6 grid); chain limits take
+        # validation completes inj in every cell with one elimination of the
+        # stack of all cells and inverts every surj E with one more, and the
+        # split reuses both (2 calls on this 6 x 6 grid); chain limits take
         # none and each chain colimit one; dual only validates
         path = tmp_path / "g.json"
         gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
         run_cli(capsys, *gen, "--out", str(path))
         count = 0
 
-        def counted(M, _real=exactla.rref):
-            nonlocal count
-            count += 1
-            return _real(M)
+        def counted(real):
+            def call(*args):
+                nonlocal count
+                count += 1
+                return real(*args)
 
+            return call
+
+        reals = {name: getattr(exactla, name) for name in ("rref", "rref_stack")}
         for module in (exactla, duality, bd):
-            monkeypatch.setattr(module, "rref", counted)
+            for name, real in reals.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(real))
         code, _ = run_cli(capsys, cmd, str(path))
         assert (code, count) == (0, calls)
 
@@ -201,6 +208,9 @@ SHAPE_DEFECTS = [
     ("$.ses.Wdims[2]", lambda d: d["ses"]["Wdims"].__setitem__(2, -3)),
     ("$.pairings", lambda d: d.update(pairings=[1])),
     ("$.pairings", lambda d: d.update(pairings="x")),
+    # a map whose shape disagrees with the cell dimensions, at the map's own path
+    ("$.right[1][0]", lambda d: d["dims"][1].__setitem__(0, 10**6)),
+    ("$.up[1][2]", lambda d: d["up"][1].__setitem__(2, _widen(d["up"][1][2]))),
 ]
 
 
@@ -274,6 +284,7 @@ SPACE_DEFECTS = [
     ("$.dims[1]", _tower(dims=[1, -1], transitions=[{"rows": 1, "cols": 0, "entries": []}])),
     ("$.dims[0]", {**_tower(dims=[-2]), "kind": "indtower"}),
     ("$.c.dims[0]", {"kind": "tate", "field": 2, "c": _tower(dims=[-1]), "d": {**_tower(), "kind": "indtower"}}),
+    ("$.n", {"kind": "builtin", "name": "constant", "field": 2, "n": -1}),
 ]
 
 

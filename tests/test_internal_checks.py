@@ -1,10 +1,10 @@
 """Internal checks on kernel results raise AssertionError("internal: ...").
 
 A plain `assert` vanishes under `python -O`; these checks must not.  Each
-case makes one `inverse` or `ChainLimit.coords` call report failure, or
-drops the corrections of the flag induction or of the grid split, and
-expects the named internal error or split-check failure, not a crash
-further on.  Identities that the construction itself proves (the lifted
+case makes one `inverse`, `rref_stack` or `ChainLimit.coords` call report
+failure, or drops the corrections of the flag induction or of the grid
+split, and expects the named internal error or split-check failure, not a
+crash further on.  Identities that the construction itself proves (the lifted
 splitting's, the normalized systems' transitions and comparisons) are not
 re-checked, so they have no case here.  The inverses `lift_splitting`
 takes are no internal check either: each decides whether a projection of
@@ -67,10 +67,18 @@ def test_split_grid_check_names_cell(monkeypatch):
 
 
 def test_split_grid_change_of_basis(monkeypatch):
-    # the one inverse per cell, that of surj @ E, is taken by the validation
-    # that split_grid runs; surj is onto, so a singular SE is internal
+    # the one inverse per cell, that of surj @ E, is read off the second
+    # elimination of the validation that split_grid runs, of every
+    # [surj E | I] at once; surj is onto, so a singular SE is internal
     planted = _planted(2, 2)
-    _fail_call(monkeypatch, bidirected, "inverse")
+    real, calls = bidirected.rref_stack, []
+
+    def fake(field, data):
+        calls.append(data)
+        R, pivots = real(field, data)
+        return R, [[] for _ in pivots] if len(calls) == 2 else pivots
+
+    monkeypatch.setattr(bidirected, "rref_stack", fake)
     with pytest.raises(AssertionError, match="^internal: complement does not project onto W"):
         bidirected.split_grid(planted.grid, planted.witness)
 
