@@ -293,7 +293,7 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     ext[:, :Ri, :Cv] = inj[:, :Rd]
     ext[:, :, Cv:] = np.eye(Rd, dtype=np.int64) * (np.arange(Rd) < d[:, None, None])
     X, pivots = rref_stack(field, ext)
-    injective = _leads(pivots, v)
+    injective = _leads(pivots, v)  # inj is injective iff its columns lead rref([inj | I])
     # E takes the unit columns at the pivots in the identity block
     Ecols = [[c - Cv for c in piv[n:]] if ok else [] for piv, n, ok in zip(pivots, v.tolist(), injective)]
     e = np.array([len(cols) for cols in Ecols], dtype=np.int64)

@@ -13,6 +13,12 @@ of M with a block appended.  Over GF(2) `rref` eliminates on bit-packed
 rows, one Python int per row, with a pivot clearing its column by one XOR
 per row; over GF(p > 2) by int64 rank-1 updates.  Both return the same
 read-only int64 echelon form, so nothing above `rref` depends on p.
+
+Many small independent problems go through stacks instead: a
+`MatrixStack` holds a table of matrices as one zero-padded int64 array,
+its products are one batched product, and `rref_stack` eliminates a whole
+stack over GF(p > 2) one pivot step at a time for all matrices at once.
+A single matrix keeps the per-matrix loop, which is faster on it.
 """
 
 from __future__ import annotations
