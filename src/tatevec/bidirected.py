@@ -67,6 +67,14 @@ def _lengths(dims) -> np.ndarray:
         return np.where(D < 2**63, D, -1).astype(np.int64)
 
 
+def misshapen_cells(dims, Vdims, Wdims, inj: tuple, surj: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean tables of the cells whose inclusion, and whose projection, is
+    not of the shape (|cell|, |V_c|), resp. (|W_r|, |cell|); `inj` and
+    `surj` are (rows, cols) tables of the maps' shapes."""
+    D, V, Wd = _lengths(dims), _lengths(Vdims), _lengths(Wdims)[:, None]
+    return (inj[0] != D) | (inj[1] != V), (surj[0] != Wd) | (surj[1] != D)
+
+
 def _first_misfit(stack_shapes, rows, cols) -> Optional[list[int]]:
     """The first table index, row-major, where a (rows, cols) table of map
     shapes differs from the wanted rows and cols; None if none does."""
@@ -349,10 +357,11 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
     inj, surj = W.inj_stack, W.surj_stack
     if inj.rows.shape != (G.m, G.n):
         raise ShapeMismatchError(f"a {inj.rows.shape} witness of a {(G.m, G.n)} grid")
+    inj_wrong, surj_wrong = misshapen_cells(G.dims, W.Vdims, W.Wdims, (inj.rows, inj.cols), (surj.rows, surj.cols))
+    misshapen = inj_wrong | surj_wrong
     D = _lengths(G.dims)
     V = np.broadcast_to(_lengths(W.Vdims), D.shape)
     Wd = np.broadcast_to(_lengths(W.Wdims)[:, None], D.shape)
-    misshapen = (inj.rows != D) | (inj.cols != V) | (surj.rows != Wd) | (surj.cols != D)
     composite_zero = ~(surj @ inj).nonzero()
     cells = tuple(np.argwhere(~misshapen).T)
     injective, onto = np.zeros_like(misshapen), np.zeros_like(misshapen)

@@ -223,13 +223,20 @@ class MatrixStack:
     product in its corner, and zero rows and columns are never pivots, so
     `rref_stack` gives each matrix its own echelon form and pivots.  The
     constructor trusts its data: reduced mod p, zero outside every matrix.
+
+    `apart` maps flat table positions to matrices held outside the array,
+    whose data there is zero: `from_entries` keeps there the matrices a
+    caller marks as not belonging to the table, so they neither widen the
+    padding nor take part in products and eliminations.  Only `matrices`
+    reads them; sub-tables, transposes and products hold none.
     """
 
-    __slots__ = ("field", "data", "rows", "cols")
+    __slots__ = ("field", "data", "rows", "cols", "apart")
 
-    def __init__(self, field: FieldSpec, data: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    def __init__(self, field: FieldSpec, data: np.ndarray, rows: np.ndarray, cols: np.ndarray, apart=None):
         data.flags.writeable = False
         self.field, self.data, self.rows, self.cols = field, data, rows, cols
+        self.apart = apart or {}
 
     @staticmethod
     def _corner(rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
@@ -262,18 +269,25 @@ class MatrixStack:
         return cls(field, data.reshape(shape + data.shape[1:]), rows, cols)
 
     @classmethod
-    def from_entries(cls, field: FieldSpec, rows: np.ndarray, cols: np.ndarray, entries: np.ndarray) -> "MatrixStack":
+    def from_entries(cls, field: FieldSpec, rows, cols, entries: np.ndarray, apart=None) -> "MatrixStack":
         """Stack the matrices whose row-major entries, reduced mod p, follow
-        one another in `entries`; `rows` and `cols` give the table."""
-        R, C = cls._corner(rows, cols)
+        one another in `entries`; `rows` and `cols` give the table.  Where
+        the boolean table `apart` is set, the matrix is kept apart."""
+        flags = [False] * rows.size if apart is None else apart.reshape(-1).tolist()
+        R, C = cls._corner(rows, cols) if apart is None else cls._corner(rows * ~apart, cols * ~apart)
         data = np.zeros(rows.shape + (R, C), dtype=np.int64)
         flat = data.reshape(rows.size, R, C)
-        start = 0
-        for out, r, c in zip(flat, rows.reshape(-1).tolist(), cols.reshape(-1).tolist()):
-            if r * c:
-                out[:r, :c] = entries[start : start + r * c].reshape(r, c)
+        held, start = {}, 0
+        shapes = zip(rows.reshape(-1).tolist(), cols.reshape(-1).tolist(), flags)
+        for i, (out, (r, c, away)) in enumerate(zip(flat, shapes)):
+            if r * c:  # an empty matrix needs no room
+                block = entries[start : start + r * c].reshape(r, c)
                 start += r * c
-        return cls(field, data, rows, cols)
+                if away:
+                    held[i] = Matrix._of(field, block)
+                else:
+                    out[:r, :c] = block
+        return cls(field, data, rows, cols, held)
 
     def __getitem__(self, index) -> "MatrixStack":
         """The sub-table at `index`, which indexes table axes only."""
@@ -330,8 +344,9 @@ class MatrixStack:
         field, (R, C), shape = self.field, self.data.shape[-2:], self.rows.shape
         # an empty matrix may lie past the padding
         mats = [
-            Matrix._of(field, data[:r, :c]) if r <= R and c <= C else Matrix.zeros(field, r, c)
-            for data, r, c in zip(self.data.reshape((self.rows.size, R, C)), self.rows.flat, self.cols.flat)
+            self.apart[i] if i in self.apart
+            else Matrix._of(field, data[:r, :c]) if r <= R and c <= C else Matrix.zeros(field, r, c)
+            for i, (data, r, c) in enumerate(zip(self.data.reshape((self.rows.size, R, C)), self.rows.flat, self.cols.flat))
         ]
         if len(shape) == 1:
             return tuple(mats)

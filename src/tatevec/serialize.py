@@ -27,6 +27,7 @@ from .bidirected import (
     PairingEntry,
     PairingFamily,
     SESWitness,
+    misshapen_cells,
     misshapen_map,
 )
 from .exactla import FieldSpec, Matrix, MatrixStack
@@ -452,14 +453,15 @@ def parse_grid(doc, path="$"):
         Wdims = _dims(_need(s, "Wdims", sp), m, f"{sp}.Wdims")
         Vshapes = [(Vdims[c + 1], Vdims[c]) for c in range(n - 1)]
         Wshapes = [(Wdims[r], Wdims[r + 1]) for r in range(m - 1)]
-        W = SESWitness.from_stacks(
-            Vdims,
-            _chain(field, _need(s, "Vmaps", sp), Vshapes, f"{sp}.Vmaps"),
-            Wdims,
-            _chain(field, _need(s, "Wmaps", sp), Wshapes, f"{sp}.Wmaps"),
-            MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj")),
-            MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj")),
-        )
+        Vmaps = _chain(field, _need(s, "Vmaps", sp), Vshapes, f"{sp}.Vmaps")
+        Wmaps = _chain(field, _need(s, "Wmaps", sp), Wshapes, f"{sp}.Wmaps")
+        inj = _matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj")
+        surj = _matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj")
+        # a map whose shape is not its cell's is validate_grid's to report;
+        # it is kept apart, so that it cannot widen the padding of its table
+        wrong = misshapen_cells(dims, Vdims, Wdims, inj[:2], surj[:2])
+        inj, surj = (MatrixStack.from_entries(field, *x, bad if bad.any() else None) for x, bad in zip((inj, surj), wrong))
+        W = SESWitness.from_stacks(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
 
     def entry(cell, pth):
         if cell is None:

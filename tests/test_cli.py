@@ -71,6 +71,25 @@ class TestGenDecompose:
             assert code == 1
             assert json.loads(out)["violations"] == ["witness shapes wrong at (1,1)"]
 
+    def test_mis_sized_witness_maps_stay_out_of_the_stack(self, tmp_path, capsys):
+        # witness maps whose shapes are not their cells' are kept apart from
+        # the padded stack, which a 1 x N and an N x 1 inclusion in one table
+        # would otherwise pad to N x N per cell; they still read back as given
+        N = 300
+        one = {"rows": 1, "cols": 1, "entries": [1]}
+        wide, tall = {"rows": 1, "cols": N, "entries": [1] * N}, {"rows": N, "cols": 1, "entries": [2] * N}
+        witness = {"Vdims": [1, 1], "Vmaps": [one], "Wdims": [0], "Wmaps": [],
+                   "inj": [[wide, tall]], "surj": [[_zeros(0, 1), _zeros(0, 1)]]}
+        doc = {"kind": "grid", "field": 5, "m": 1, "n": 2, "dims": [[1, 1]], "right": [[one]], "up": [], "ses": witness}
+        _, W, _, _, _ = parse_grid(doc)
+        assert W.inj_stack.data.size == 0
+        assert [M.to_json() for M in W.inj[0]] == [wide, tall]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "decompose", str(path))
+        assert code == 1
+        assert json.loads(out)["violations"] == ["witness shapes wrong at (1,1)", "witness shapes wrong at (1,2)"]
+
     # decompose splits and checks the grid once; dual validates it and
     # transposes it, splitting and checking nothing
     @pytest.mark.parametrize("cmd,splits", [("decompose", 1), ("dual", 0)])
