@@ -12,14 +12,14 @@ multiplication/comultiplication windows are all read off and verified
 exactly.  The dual grid is the transpose of a validated grid and needs no
 split.
 
-Each table of maps of a grid or witness is one `MatrixStack`, a
-zero-padded int64 array with a table of shapes, and the tables of
-`Matrix` objects (`G.right[r][c]`, `W.inj[r][c]`, ...) are read-only
-views of it.  `validate_grid` and `check_split` check each identity for
-all cells at once as one product of stacks, `validate_grid` completes and
-inverts all witness cells in two eliminations of stacks, and `dual_grid`
-transposes the stacks.  Failing cells are read off boolean tables in
-row-major order.
+Each table of maps of a grid or witness is one `MatrixStack`: zero-padded
+int64 arrays, one per bucket of like sizes, with a table of shapes.  The
+tables of `Matrix` objects (`G.right[r][c]`, `W.inj[r][c]`, ...) are
+read-only views of it.  `validate_grid` and `check_split` check each
+identity for all cells at once as one product of stacks, `validate_grid`
+completes and inverts the witness cells of like sizes in two
+eliminations of stacks, and `dual_grid` transposes the stacks.  Failing
+cells are read off boolean tables in row-major order.
 
 All verification is exact mod p; reports use 1-based cell indices.
 """
@@ -43,6 +43,7 @@ from .exactla import (
     inverse,
     kernel_basis,
     kron,
+    pad_buckets,
     rank,
     rref,
     rref_stack,
@@ -65,14 +66,6 @@ def _lengths(dims) -> np.ndarray:
     except OverflowError:
         D = np.array(dims, dtype=object)
         return np.where(D < 2**63, D, -1).astype(np.int64)
-
-
-def misshapen_cells(dims, Vdims, Wdims, inj: tuple, surj: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean tables of the cells whose inclusion, and whose projection, is
-    not of the shape (|cell|, |V_c|), resp. (|W_r|, |cell|); `inj` and
-    `surj` are (rows, cols) tables of the maps' shapes."""
-    D, V, Wd = _lengths(dims), _lengths(Vdims), _lengths(Wdims)[:, None]
-    return (inj[0] != D) | (inj[1] != V), (surj[0] != Wd) | (surj[1] != D)
 
 
 def _first_misfit(stack_shapes, rows, cols) -> Optional[list[int]]:
@@ -244,9 +237,12 @@ class SplitGrid:
 
 def _identities(field, dims: np.ndarray) -> MatrixStack:
     """The table of identity matrices of the sizes in `dims`."""
-    R = int(dims.max(initial=0))
-    data = np.eye(R, dtype=np.int64) * (np.arange(R) < dims[..., None, None])
-    return MatrixStack(field, data, dims, dims)
+
+    def fill(at, tops):
+        d = dims if at is None else dims.reshape(-1)[at]
+        return np.eye(tops[0], dtype=np.int64) * (np.arange(tops[0]) < d[..., None, None])
+
+    return MatrixStack._build(field, dims, dims, pad_buckets(dims), fill)
 
 
 def _place(out: np.ndarray, B: np.ndarray, r0: np.ndarray, c0: np.ndarray):
@@ -261,16 +257,24 @@ def _place(out: np.ndarray, B: np.ndarray, r0: np.ndarray, c0: np.ndarray):
 def _block_diags(A: MatrixStack, B: MatrixStack) -> MatrixStack:
     """The table of blockdiag(A[i], B[i]), the two tables broadcast."""
     ra, ca, rb, cb = np.broadcast_arrays(A.rows, A.cols, B.rows, B.cols)
-    rows, cols = ra + rb, ca + cb
-    R, C = MatrixStack._corner(rows, cols)
-    (Ra, Ca), (Rb, Cb) = A.data.shape[-2:], B.data.shape[-2:]
-    # room for B's whole padding at every offset; the corner is cut out last
-    out = np.zeros(rows.shape + (R + Rb, C + Cb), dtype=np.int64)
-    out[..., :Ra, :Ca] = A.data[..., : R + Rb, : C + Cb]
-    k = rows.size
-    out = out.reshape(k, R + Rb, C + Cb)
-    _place(out, np.broadcast_to(B.data, rows.shape + (Rb, Cb)).reshape(k, Rb, Cb), ra, ca)
-    return MatrixStack(A.field, out[:, :R, :C].reshape(rows.shape + (R, C)), rows, cols)
+    shape = ra.shape
+
+    def fill(at, tops):
+        Ra, Ca, Rb, Cb = tops
+        if at is None:  # the two tables broadcast
+            a = np.broadcast_to(A._take(Ra, Ca), shape + (Ra, Ca))
+            b = np.broadcast_to(B._take(Rb, Cb), shape + (Rb, Cb))
+            r0, c0 = ra, ca
+        else:
+            a, b = A._take(Ra, Ca, at, shape), B._take(Rb, Cb, at, shape)
+            r0, c0 = ra.reshape(-1)[at], ca.reshape(-1)[at]
+        k = r0.size
+        out = np.zeros((k, Ra + Rb, Ca + Cb), dtype=np.int64)
+        out[:, :Ra, :Ca] = a.reshape(k, Ra, Ca)
+        _place(out, b.reshape(k, Rb, Cb), r0, c0)  # B's padding fits past any offset
+        return out
+
+    return MatrixStack._build(A.field, ra + rb, ca + cb, pad_buckets(ra, ca, rb, cb), fill)
 
 
 def _leads(pivots: list[list[int]], lead: np.ndarray) -> np.ndarray:
@@ -281,24 +285,25 @@ def _leads(pivots: list[list[int]], lead: np.ndarray) -> np.ndarray:
 def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composite_zero):
     """The witness eliminations of k well-shaped cells, all cells at once.
 
-    inj and surj are (k, ., .) padded stacks of the cells' maps, d, v, w and
-    composite_zero per-cell arrays.  One elimination of every [inj | I]
+    inj and surj are the cells' maps padded to (k, Rd, Cv) and (k, Rw, Rd)
+    arrays, where Rd, Cv and Rw are the largest d, v and w, and d, v, w and
+    composite_zero are per-cell arrays.  One elimination of every [inj | I]
     decides injectivity and completes inj to a basis [inj | E]; one of every
-    [surj E | I] inverts surj E.  surj [inj | E] = [0 | SE] with [inj | E]
-    invertible, so where the composite is zero and E has |W| columns, surj
-    is onto iff SE is invertible; every other cell is decided by the rank
-    of its surj.  Returns (injective, onto, bases): bases[i] is the change of
-    basis (C, C^-1) of a cell where all of this holds, else None.
+    square [surj E | I] inverts surj E.  surj [inj | E] = [0 | SE] with
+    [inj | E] invertible, so where the composite is zero and E has |W|
+    columns, surj is onto iff SE is invertible; every other cell is decided
+    by the rank of its surj.  Returns (injective, onto, bases): bases[i] is
+    the change of basis (C, C^-1) of a cell where all of this holds, else
+    None.
 
     C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1).  As
     surj [inj | E] = [0 | SE], the bottom rows of C are surj itself, so C
     stacks the inj-coordinate rows of [inj | E]^-1 on surj, and C^-1 =
     [inj | E SE^-1].
     """
-    k, (Ri, Cv), (Rs, Cs) = len(d), inj.shape[-2:], surj.shape[-2:]
-    Rd = int(d.max(initial=0))
+    k, Rd, Cv = inj.shape
     ext = np.zeros((k, Rd, Cv + Rd), dtype=np.int64)
-    ext[:, :Ri, :Cv] = inj[:, :Rd]
+    ext[:, :, :Cv] = inj
     ext[:, :, Cv:] = np.eye(Rd, dtype=np.int64) * (np.arange(Rd) < d[:, None, None])
     X, pivots = rref_stack(field, ext)
     injective = _leads(pivots, v)  # inj is injective iff its columns lead rref([inj | I])
@@ -309,33 +314,37 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     E = np.zeros((k, Rd, Ce), dtype=np.int64)
     for i, cols in enumerate(Ecols):
         E[i, cols, range(len(cols))] = 1
-    E = MatrixStack(field, E, d, e)
-
-    SE = MatrixStack(field, surj, w, d) @ E
-    Rw = SE.data.shape[-2]
-    aug = np.zeros((k, Rw, Ce + Rw), dtype=np.int64)
-    aug[:, :, :Ce] = SE.data
-    aug[:, :, Ce:] = np.eye(Rw, dtype=np.int64) * (np.arange(Rw) < w[:, None, None])
-    Y, se_pivots = rref_stack(field, aug)
     usable = injective & composite_zero & (e == w)
-    onto = usable & _leads(se_pivots, w)
+
+    # only where E has |W| columns is SE square; there |W| <= |cell|
+    cells = usable.nonzero()[0]
+    u = slice(None) if cells.size == k else cells
+    du, vu, wu = d[u], v[u], w[u]
+    Ru = int(wu.max(initial=0))
+    Eu = MatrixStack.dense(field, E[u, :, :Ru], du, wu)
+    aug = np.zeros((cells.size, Ru, 2 * Ru), dtype=np.int64)
+    aug[:, :, :Ru] = (MatrixStack.dense(field, surj[u, :Ru], wu, du) @ Eu)._take(Ru, Ru)
+    aug[:, :, Ru:] = np.eye(Ru, dtype=np.int64) * (np.arange(Ru) < wu[:, None, None])
+    Y, se_pivots = rref_stack(field, aug)
+    onto = np.zeros(k, dtype=bool)
+    onto[u] = _leads(se_pivots, wu)
     # the cells SE leaves undecided have a broken witness; each takes a rank
     for i in (~onto).nonzero()[0].tolist():
         onto[i] = rank(Matrix._of(field, surj[i, : w[i], : d[i]])) == w[i]
         if onto[i] and usable[i]:
             raise AssertionError("internal: complement does not project onto W")
 
-    top = int(v.max(initial=0))  # room for a block placed below or right of v
-    C = np.zeros((k, max(Rd, top + Rs), max(Rd, Cs)), dtype=np.int64)
-    C[:, :Rd, :Rd] = X[:, :, Cv:] * (np.arange(Rd)[:, None] < v[:, None, None])
-    _place(C, surj, v, np.zeros_like(v))
-    C_inv = np.zeros((k, max(Rd, Ri), max(Cv, top + Rw)), dtype=np.int64)
-    C_inv[:, :Ri, :Cv] = inj
-    _place(C_inv, (E @ MatrixStack(field, Y[:, :, Ce:], w, w)).data, np.zeros_like(v), v)
-    bases = [
-        (Matrix._of(field, C[i, :di, :di]), Matrix._of(field, C_inv[i, :di, :di])) if ok else None
-        for i, (di, ok) in enumerate(zip(d.tolist(), onto & usable))
-    ]
+    # room for a block placed below or right of v
+    C = np.zeros((cells.size, max(Rd, Cv + Ru), Rd), dtype=np.int64)
+    C[:, :Rd, :Rd] = X[u, :, Cv:] * (np.arange(Rd)[:, None] < vu[:, None, None])
+    _place(C, surj[u, :Ru], vu, np.zeros_like(vu))
+    C_inv = np.zeros((cells.size, Rd, Cv + Ru), dtype=np.int64)
+    C_inv[:, :, :Cv] = inj[u]
+    _place(C_inv, (Eu @ MatrixStack.dense(field, Y[:, :, Ru:], wu, wu))._take(Rd, Ru), np.zeros_like(vu), vu)
+    bases = [None] * k
+    for j, (i, di) in enumerate(zip(cells.tolist(), du.tolist())):
+        if onto[i]:
+            bases[i] = (Matrix._of(field, C[j, :di, :di]), Matrix._of(field, C_inv[j, :di, :di]))
     return injective, onto, bases
 
 
@@ -357,17 +366,28 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
     inj, surj = W.inj_stack, W.surj_stack
     if inj.rows.shape != (G.m, G.n):
         raise ShapeMismatchError(f"a {inj.rows.shape} witness of a {(G.m, G.n)} grid")
-    inj_wrong, surj_wrong = misshapen_cells(G.dims, W.Vdims, W.Wdims, (inj.rows, inj.cols), (surj.rows, surj.cols))
-    misshapen = inj_wrong | surj_wrong
     D = _lengths(G.dims)
     V = np.broadcast_to(_lengths(W.Vdims), D.shape)
     Wd = np.broadcast_to(_lengths(W.Wdims)[:, None], D.shape)
+    misshapen = (inj.rows != D) | (inj.cols != V) | (surj.rows != Wd) | (surj.cols != D)
     composite_zero = ~(surj @ inj).nonzero()
-    cells = tuple(np.argwhere(~misshapen).T)
-    injective, onto = np.zeros_like(misshapen), np.zeros_like(misshapen)
-    injective[cells], onto[cells], bases = _eliminate_cells(
-        G.field, inj.data[cells], surj.data[cells], D[cells], V[cells], Wd[cells], composite_zero[cells]
-    )
+    cells = np.flatnonzero(~misshapen)
+    injective, onto = np.zeros(misshapen.size, dtype=bool), np.zeros(misshapen.size, dtype=bool)
+    bases = [None] * misshapen.size
+    d, v, w = (x.reshape(-1)[cells] for x in (D, V, Wd))
+    # cells of like sizes are eliminated together: each array of a cell's
+    # eliminations is at most |cell| x (|cell| + |V| + |W|)
+    for at, _ in pad_buckets(d, np.maximum(d, v + w)):
+        at = slice(None) if at is None else at
+        where = cells[at]
+        Rd, Cv, Rw = (int(x[at].max(initial=0)) for x in (d, v, w))
+        injective[where], onto[where], found = _eliminate_cells(
+            G.field, inj._take(Rd, Cv, where), surj._take(Rw, Rd, where), d[at], v[at], w[at],
+            composite_zero.reshape(-1)[where],
+        )
+        for i, basis in zip(where.tolist(), found):
+            bases[i] = basis
+    injective, onto = injective.reshape(D.shape), onto.reshape(D.shape)
     for r, c in np.ndindex(D.shape):
         cell = f"({r + 1},{c + 1})"
         if misshapen[r, c]:

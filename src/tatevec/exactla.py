@@ -15,14 +15,17 @@ per row; over GF(p > 2) by int64 rank-1 updates.  Both return the same
 read-only int64 echelon form, so nothing above `rref` depends on p.
 
 Many small independent problems go through stacks instead: a
-`MatrixStack` holds a table of matrices as one zero-padded int64 array,
-its products are one batched product, and `rref_stack` eliminates a whole
-stack over GF(p > 2) one pivot step at a time for all matrices at once.
-A single matrix keeps the per-matrix loop, which is faster on it.
+`MatrixStack` holds a table of matrices as zero-padded int64 arrays, one
+per bucket of like sizes (`pad_buckets`; a table of like sizes is one
+array), its products are one batched product per bucket, and `rref_stack`
+eliminates a whole stack over GF(p > 2) one pivot step at a time for all
+matrices at once.  A single matrix keeps the per-matrix loop, which is
+faster on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -211,41 +214,104 @@ class Matrix:
         }
 
 
+# items are padded to one shape while that takes at most _ROOM entries
+_ROOM = 1 << 16
+
+
+def pad_buckets(*sizes: np.ndarray) -> list[tuple[Optional[np.ndarray], tuple[int, ...]]]:
+    """The buckets in which to pad items of the given sizes, with their padding.
+
+    `sizes` holds one int array per padded axis, all of one shape, whose
+    items are numbered in row-major order.  An item needs the product of
+    its sizes, an empty axis counted as 1, so that an array padded on some
+    of the axes takes no more.  Padding every item to the largest
+    size on every axis is one bucket, (None, tops), when that takes at
+    most `_ROOM` entries or 2^axes times what the items need.  Otherwise
+    the items whose sizes have the same bit lengths share a bucket (flat
+    positions, tops): no item is padded past twice its size on an axis, so
+    the padding never takes more than 2^axes times what the items need.
+    A stack's matrices, every product, comparison and table built from
+    stacks, and the witness eliminations are padded this way.
+    """
+    tops = tuple([int(s.max(initial=0)) for s in sizes])
+    if _fits(sizes[0].size, tops):
+        return [(None, tops)]
+    room = sizes[0].size * math.prod(top or 1 for top in tops)
+    if room <= 2 ** len(sizes) * np.prod([np.maximum(s, 1) for s in sizes], axis=0, dtype=float).sum():
+        return [(None, tops)]
+    sizes = [s.reshape(-1) for s in sizes]
+    # 7 bits hold the bit length of any int64 size
+    key = sum(np.frexp(s.astype(float))[1].astype(np.int64) << (7 * i) for i, s in enumerate(sizes))
+    keys, which = np.unique(key, return_inverse=True)
+    buckets = [np.flatnonzero(which == j) for j in range(keys.size)]
+    return [(at, tuple(int(s[at].max()) for s in sizes)) for at in buckets]
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int, widest: int) -> np.ndarray:
+    """a @ b mod p for padded int64 stacks whose widest inner dimension is
+    `widest`."""
+    # as in Matrix.__matmul__: an inner dimension k with k (p-1)^2 >= 2^63
+    # could overflow the int64 dot product, and Python ints cannot
+    if widest * (p - 1) ** 2 >= _INT64_LIMIT:
+        a, b = a.astype(object), b.astype(object)
+    return ((a @ b) % p).astype(np.int64, copy=False)
+
+
+def _fits(k: int, tops) -> bool:
+    """Whether k items padded to `tops` take at most `_ROOM` entries, an
+    empty axis counted as 1."""
+    for top in tops:
+        k *= top or 1
+    return k <= _ROOM
+
+
 class MatrixStack:
-    """A table of matrices over one field, held as one zero-padded int64 array.
+    """A table of matrices over one field, held in zero-padded int64 parts.
 
-    `data` has the table's shape followed by (R, C), and `rows` and `cols`
-    are int arrays of the table's shape.  The matrix at table index i has
-    shape (rows[i], cols[i]); its top-left corner is data[i] and it is zero
-    outside that corner.  R and C are the largest shape among the matrices
-    with entries, so an empty matrix never widens the padding.  The padding
-    is inert: a product of two stacks of composable matrices holds each
-    product in its corner, and zero rows and columns are never pivots, so
-    `rref_stack` gives each matrix its own echelon form and pivots.  The
-    constructor trusts its data: reduced mod p, zero outside every matrix.
-
-    `apart` maps flat table positions to matrices held outside the array,
-    whose data there is zero: `from_entries` keeps there the matrices a
-    caller marks as not belonging to the table, so they neither widen the
-    padding nor take part in products and eliminations.  Only `matrices`
-    reads them; sub-tables, transposes and products hold none.
+    `rows` and `cols` are int arrays of the table's shape, and the matrix
+    at table index i has shape (rows[i], cols[i]) and is the top-left
+    corner of its padded block; every part is zero outside its matrices.
+    A table's matrices share one part, laid out as the table (its shape
+    followed by (R, C)), unless `pad_buckets` splits them by size: then
+    each bucket is a (k, R, C) part and the block of i is
+    parts[part[i]][slot[i]] (`part` and `slot` are None for one part).
+    Every product, comparison and table built from stacks pads by the same
+    rule, so no stack takes more than a fixed multiple of the entries its
+    matrices hold.  The padding is inert: a product of two stacks of
+    composable matrices holds each product in its corner, and zero rows
+    and columns are never pivots, so `rref_stack` gives each matrix its own
+    echelon form and pivots.  The constructor trusts its parts: reduced
+    mod p, zero outside every matrix.
     """
 
-    __slots__ = ("field", "data", "rows", "cols", "apart")
+    __slots__ = ("field", "rows", "cols", "parts", "part", "slot")
 
-    def __init__(self, field: FieldSpec, data: np.ndarray, rows: np.ndarray, cols: np.ndarray, apart=None):
-        data.flags.writeable = False
-        self.field, self.data, self.rows, self.cols = field, data, rows, cols
-        self.apart = apart or {}
+    def __init__(self, field: FieldSpec, rows, cols, parts: tuple, part=None, slot=None):
+        for P in parts:
+            P.flags.writeable = False
+        self.field, self.rows, self.cols = field, rows, cols
+        self.parts, self.part, self.slot = parts, part, slot
 
-    @staticmethod
-    def _corner(rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
-        """The padding of a table of shapes: the largest rows and cols among
-        the matrices with entries."""
-        if not rows.size:
-            return 0, 0
-        full = (rows * cols) != 0
-        return int((rows * full).max()), int((cols * full).max())
+    @classmethod
+    def dense(cls, field: FieldSpec, data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> "MatrixStack":
+        """The table whose matrices are padded in `data`, of the table's
+        shape (or flat) followed by (R, C)."""
+        if data.shape[:-2] != rows.shape:
+            data = data.reshape(rows.shape + data.shape[-2:])
+        return cls(field, rows, cols, (data,))
+
+    @classmethod
+    def _build(cls, field: FieldSpec, rows, cols, buckets, fill) -> "MatrixStack":
+        """The table of the given shapes whose padded data `fill(at, tops)`
+        gives for each of the `pad_buckets`: at None, the table (its own
+        shape or flat), else the flat positions at."""
+        if buckets[0][0] is None:
+            return cls.dense(field, fill(None, buckets[0][1]), rows, cols)
+        part, slot = np.empty(rows.size, dtype=np.intp), np.empty(rows.size, dtype=np.intp)
+        for j, (at, _) in enumerate(buckets):
+            part[at], slot[at] = j, np.arange(at.size)
+        parts = tuple(fill(at, tops) for at, tops in buckets)
+        return cls(field, rows, cols, parts, part.reshape(rows.shape), slot.reshape(rows.shape))
 
     @classmethod
     def of(cls, field: FieldSpec, table, shape: tuple[int, ...]) -> "MatrixStack":
@@ -262,92 +328,147 @@ class MatrixStack:
                 raise FieldMismatchError(f"{M.field} matrix in a {field} table")
         rows = np.array([M.rows for M in mats], dtype=np.int64).reshape(shape)
         cols = np.array([M.cols for M in mats], dtype=np.int64).reshape(shape)
-        data = np.zeros((len(mats),) + cls._corner(rows, cols), dtype=np.int64)
-        for out, M in zip(data, mats):
-            if M.data.size:
-                out[: M.rows, : M.cols] = M.data
-        return cls(field, data.reshape(shape + data.shape[1:]), rows, cols)
+        entries = np.concatenate([M.data.reshape(-1) for M in mats] + [np.zeros(0, dtype=np.int64)])
+        return cls.from_entries(field, rows, cols, entries)
 
     @classmethod
-    def from_entries(cls, field: FieldSpec, rows, cols, entries: np.ndarray, apart=None) -> "MatrixStack":
+    def from_entries(cls, field: FieldSpec, rows: np.ndarray, cols: np.ndarray, entries: np.ndarray) -> "MatrixStack":
         """Stack the matrices whose row-major entries, reduced mod p, follow
-        one another in `entries`; `rows` and `cols` give the table.  Where
-        the boolean table `apart` is set, the matrix is kept apart."""
-        flags = [False] * rows.size if apart is None else apart.reshape(-1).tolist()
-        R, C = cls._corner(rows, cols) if apart is None else cls._corner(rows * ~apart, cols * ~apart)
-        data = np.zeros(rows.shape + (R, C), dtype=np.int64)
-        flat = data.reshape(rows.size, R, C)
-        held, start = {}, 0
-        shapes = zip(rows.reshape(-1).tolist(), cols.reshape(-1).tolist(), flags)
-        for i, (out, (r, c, away)) in enumerate(zip(flat, shapes)):
-            if r * c:  # an empty matrix needs no room
-                block = entries[start : start + r * c].reshape(r, c)
-                start += r * c
-                if away:
-                    held[i] = Matrix._of(field, block)
-                else:
-                    out[:r, :c] = block
-        return cls(field, data, rows, cols, held)
+        one another in `entries`; `rows` and `cols` give the table."""
+        r, c = rows.reshape(-1), cols.reshape(-1)
+
+        def fill(at, tops):
+            R, C = tops
+            rr, cc = (r, c) if at is None else (r[at], c[at])
+            out = np.zeros((rr.size, R, C), dtype=np.int64)
+            if not R * C:  # no entries, whatever the length of the other axis
+                return out
+            inside = (np.arange(R)[:, None] < rr[:, None, None]) & (np.arange(C) < cc[:, None, None])
+            if at is None:
+                out[inside] = entries
+            else:  # each matrix's entries, from its start on
+                size = r * c
+                n = size[at]
+                start = np.cumsum(size) - size
+                out[inside] = entries[np.repeat(start[at] - (np.cumsum(n) - n), n) + np.arange(n.sum())]
+            return out
+
+        return cls._build(field, rows, cols, pad_buckets(rows, cols), fill)
+
+    @property
+    def size(self) -> int:
+        """The entries its parts hold, padding included."""
+        return sum(P.size for P in self.parts)
+
+    def _take(self, R: int, C: int, at=None, shape=None) -> np.ndarray:
+        """The matrices padded or cut to R x C, which must hold them: as the
+        table if `at` is None, else at the flat positions `at` of the table
+        broadcast to `shape` (its own if None)."""
+        part, slot, P = self.part, self.slot, self.parts[0]
+        if at is not None and shape is not None and self.rows.shape != shape:
+            if slot is None:
+                P = np.broadcast_to(P, shape + P.shape[-2:])
+            else:
+                part, slot = np.broadcast_to(part, shape), np.broadcast_to(slot, shape)
+        if slot is None:  # one part, laid out as the table
+            if P.shape[-2:] != (R, C):
+                P = P[..., :R, :C]
+            if at is not None:
+                P = P.reshape((math.prod(P.shape[:-2]),) + P.shape[-2:])[at]
+            if P.shape[-2:] == (R, C):
+                return P
+            out = np.zeros(P.shape[:-2] + (R, C), dtype=np.int64)
+            out[..., : P.shape[-2], : P.shape[-1]] = P
+            return out
+        if at is not None:
+            part, slot = part.reshape(-1)[at], slot.reshape(-1)[at]
+        out = np.zeros(slot.shape + (R, C), dtype=np.int64)
+        for j, P in enumerate(self.parts):
+            P = P[:, :R, :C]
+            held = part == j
+            out[held, : P.shape[1], : P.shape[2]] = P[slot[held]]
+        return out
+
+    def _bound(self) -> tuple[int, int]:
+        """The largest padding of its parts, which bounds every matrix."""
+        if self.slot is None:
+            return self.parts[0].shape[-2:]
+        return max(P.shape[-2] for P in self.parts), max(P.shape[-1] for P in self.parts)
 
     def __getitem__(self, index) -> "MatrixStack":
         """The sub-table at `index`, which indexes table axes only."""
-        return MatrixStack(self.field, self.data[index], self.rows[index], self.cols[index])
+        if self.slot is None:
+            return MatrixStack(self.field, self.rows[index], self.cols[index], (self.parts[0][index],))
+        rows, cols, part, slot = (x[index] for x in (self.rows, self.cols, self.part, self.slot))
+        return MatrixStack(self.field, rows, cols, self.parts, part, slot)
 
     @property
     def T(self) -> "MatrixStack":
         """The transposed table of the transposed matrices."""
-        t = self.rows.ndim
-        axes = tuple(range(t))[::-1] + (t + 1, t)
-        return MatrixStack(self.field, self.data.transpose(axes), self.cols.T, self.rows.T)
+        if self.slot is None:
+            t = self.rows.ndim
+            data = self.parts[0].transpose(tuple(range(t))[::-1] + (t + 1, t))
+            return MatrixStack(self.field, self.cols.T, self.rows.T, (data,))
+        parts = tuple(P.transpose(0, 2, 1) for P in self.parts)
+        return MatrixStack(self.field, self.cols.T, self.rows.T, parts, self.part.T, self.slot.T)
 
     def __matmul__(self, other: "MatrixStack") -> "MatrixStack":
         """Every product self[i] @ other[i], the tables broadcast.  Each pair
-        must be composable, so the padding past the smaller inner size is
-        zero on both sides and is dropped."""
+        must be composable: where one matrix of a pair is padded past the
+        inner size of the other, its padding is zero and is dropped."""
         p = self.field.p
-        k = min(self.data.shape[-1], other.data.shape[-2])
-        a, b = self.data[..., :k], other.data[..., :k, :]
-        # as in Matrix.__matmul__: an inner dimension k with k (p-1)^2 >= 2^63
-        # could overflow the int64 dot product, and Python ints cannot.  The
-        # widest inner dimension is at most the padding k, so only a padding
-        # past the bound needs the exact maximum.
-        bound = (p - 1) ** 2
-        if k * bound >= _INT64_LIMIT and int(self.cols.max(initial=0)) * bound >= _INT64_LIMIT:
-            a, b = a.astype(object), b.astype(object)
         rows, cols = self.rows, other.cols
         if rows.shape != cols.shape:
             rows, cols = np.broadcast_arrays(rows, cols)
-        return MatrixStack(self.field, ((a @ b) % p).astype(np.int64, copy=False), rows, cols)
+        (R, K), (K2, C) = self._bound(), other._bound()
+        K = min(K, K2)
+        if _fits(rows.size, (R, K, C)):
+            # the padding K bounds every inner dimension; only past the
+            # overflow bound is the widest one needed
+            wide = K * (p - 1) ** 2 >= _INT64_LIMIT
+            widest = int(np.minimum(self.cols, other.rows).max(initial=0)) if wide else K
+            return MatrixStack.dense(self.field, _product(self._take(R, K), other._take(K, C), p, widest), rows, cols)
+        inner = np.broadcast_to(np.minimum(self.cols, other.rows), rows.shape)
+
+        def fill(at, tops):
+            R, K, C = tops  # K is the widest inner dimension of the bucket
+            return _product(self._take(R, K, at, rows.shape), other._take(K, C, at, rows.shape), p, K)
+
+        return MatrixStack._build(self.field, rows, cols, pad_buckets(rows, inner, cols), fill)
 
     def differs(self, other: "MatrixStack") -> np.ndarray:
         """Boolean table: True where the two matrices differ, in shape or entries."""
-        R = max(self.data.shape[-2], other.data.shape[-2])
-        C = max(self.data.shape[-1], other.data.shape[-1])
-        entries = (self._padded(R, C) != other._padded(R, C)).any(axis=(-2, -1))
-        return entries | (self.rows != other.rows) | (self.cols != other.cols)
-
-    def _padded(self, R: int, C: int) -> np.ndarray:
-        """data padded with zeros to R x C matrices."""
-        if self.data.shape[-2:] == (R, C):
-            return self.data
-        out = np.zeros(self.data.shape[:-2] + (R, C), dtype=np.int64)
-        out[..., : self.data.shape[-2], : self.data.shape[-1]] = self.data
-        return out
+        wrong = (self.rows != other.rows) | (self.cols != other.cols)
+        (R, C), (R2, C2) = self._bound(), other._bound()
+        tops = (max(R, R2), max(C, C2))
+        if _fits(wrong.size, tops):
+            return wrong | (self._take(*tops) != other._take(*tops)).any(axis=(-2, -1))
+        rows, cols = np.maximum(self.rows, other.rows), np.maximum(self.cols, other.cols)
+        for at, (R, C) in pad_buckets(rows, cols):
+            at = slice(None) if at is None else at
+            entries = self._take(R, C, at, wrong.shape) != other._take(R, C, at, wrong.shape)
+            wrong.reshape(-1)[at] |= entries.any(axis=(-2, -1))
+        return wrong
 
     def nonzero(self) -> np.ndarray:
         """Boolean table: True where the matrix has a nonzero entry."""
-        return self.data.any(axis=(-2, -1))
+        if self.slot is None:
+            return self.parts[0].any(axis=(-2, -1))
+        held = np.concatenate([P.any(axis=(1, 2)) for P in self.parts])
+        start = np.cumsum([0] + [len(P) for P in self.parts])
+        return held[start[self.part] + self.slot]
 
     def matrices(self):
         """The table, of one or two axes, as (nested) tuples of read-only
         `Matrix` views."""
-        field, (R, C), shape = self.field, self.data.shape[-2:], self.rows.shape
-        # an empty matrix may lie past the padding
-        mats = [
-            self.apart[i] if i in self.apart
-            else Matrix._of(field, data[:r, :c]) if r <= R and c <= C else Matrix.zeros(field, r, c)
-            for i, (data, r, c) in enumerate(zip(self.data.reshape((self.rows.size, R, C)), self.rows.flat, self.cols.flat))
-        ]
+        field, shape = self.field, self.rows.shape
+        if self.slot is None:
+            k = self.rows.size
+            parts, part, slot = (self.parts[0].reshape((k,) + self.parts[0].shape[-2:]),), [0] * k, range(k)
+        else:
+            parts, part, slot = self.parts, self.part.reshape(-1).tolist(), self.slot.reshape(-1).tolist()
+        at = zip(part, slot, self.rows.reshape(-1).tolist(), self.cols.reshape(-1).tolist())
+        mats = [Matrix._of(field, parts[j][s, :r, :c]) for j, s, r, c in at]
         if len(shape) == 1:
             return tuple(mats)
         m, n = shape

@@ -27,7 +27,6 @@ from .bidirected import (
     PairingEntry,
     PairingFamily,
     SESWitness,
-    misshapen_cells,
     misshapen_map,
 )
 from .exactla import FieldSpec, Matrix, MatrixStack
@@ -354,50 +353,32 @@ def _matrix_table(field, rows, cols, raw, path):
     return _table(raw, rows, cols, path, lambda x, p: parse_matrix(field, x, p))
 
 
-def _well_formed(x):
-    """(rows, cols, entries) of a matrix document of moderate shape that
-    `parse_matrix` takes as it is if its entries are ints, else None."""
-    if type(x) is dict:
-        rows, cols, entries = x.get("rows"), x.get("cols"), x.get("entries")
-        if type(rows) is int and type(cols) is int and type(entries) is list:
-            if 0 <= rows < 2**31 and 0 <= cols < 2**31 and len(entries) == rows * cols:
-                return rows, cols, entries
-    return None
-
-
 def _matrices(field, raw: list, path_of, check=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shapes and entries of a list of matrix documents, for
     `MatrixStack.from_entries`: (rows, cols, row-major entries of all of
-    them, reduced mod p).
-
-    When every document is well formed, all entries are type-checked at
-    once and converted by one `np.array`.  Otherwise each document runs
-    through `parse_matrix`, whose error names its path (`path_of(i)`).
-    `check(i, rows, cols)` sees each shape, in order, either way.
+    them, reduced mod p).  Each document is checked in order: one that
+    `parse_matrix` would not take as it is goes through it, which names
+    its error at `path_of(i)`, and `check(i, rows, cols)` sees its shape.
+    The entries of all of them are converted by one `np.array`.
     """
-    cells = [_well_formed(x) for x in raw]
-    if None not in cells:
-        entries = [e for _, _, es in cells for e in es]
-        if not set(map(type, entries)) - {int}:
-            try:
-                values = np.array(entries, dtype=np.int64)
-            except OverflowError:  # parse_matrix names the matrix
-                pass
-            else:
-                if check is not None:
-                    for i, (rows, cols, _) in enumerate(cells):
-                        check(i, rows, cols)
-                shapes = np.array([cell[:2] for cell in cells], dtype=np.int64).reshape(-1, 2)
-                return shapes[:, 0], shapes[:, 1], np.mod(values, field.p)
-    mats = []
+    shapes, entries = [], []
     for i, x in enumerate(raw):
-        M = parse_matrix(field, x, path_of(i))
+        rows = cols = values = None
+        if type(x) is dict:
+            rows, cols, values = x.get("rows"), x.get("cols"), x.get("entries")
+        plain = type(rows) is int and type(cols) is int and type(values) is list
+        plain = plain and 0 <= rows < 2**31 and 0 <= cols < 2**31 and len(values) == rows * cols
+        plain = plain and not set(map(type, values)) - {int}
+        if not (plain and (not values or -(2**63) <= min(values) and max(values) < 2**63)):
+            # parse_matrix takes the document or names what is wrong with it
+            M = parse_matrix(field, x, path_of(i))
+            rows, cols, values = M.rows, M.cols, M.data.reshape(-1).tolist()
         if check is not None:
-            check(i, *M.shape)
-        mats.append(M)
-    shapes = np.array([M.shape for M in mats], dtype=np.int64).reshape(-1, 2)
-    values = np.concatenate([M.data.reshape(-1) for M in mats] + [np.zeros(0, dtype=np.int64)])
-    return shapes[:, 0], shapes[:, 1], values
+            check(i, rows, cols)
+        shapes.append((rows, cols))
+        entries += values
+    shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
+    return shapes[:, 0], shapes[:, 1], np.mod(np.array(entries, dtype=np.int64), field.p)
 
 
 def _matrix_grid(field, rows, cols, raw, path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -435,8 +416,7 @@ def parse_grid(doc, path="$"):
         if size < 1:
             raise ParseError(f"{path}.{key}", "a grid needs at least one row and one column")
     dims = _table(_need(doc, "dims", path), m, n, f"{path}.dims", _dim)
-    # every map is read before any shape is compared with dims, and the
-    # stacks are padded only to shapes that agree with them
+    # every map is read before any shape is compared with dims
     right = _matrix_grid(field, m, max(n - 1, 0), _need(doc, "right", path), f"{path}.right")
     up = _matrix_grid(field, max(m - 1, 0), n, _need(doc, "up", path), f"{path}.up")
     wrong = misshapen_map(dims, right[:2], up[:2])
@@ -455,12 +435,8 @@ def parse_grid(doc, path="$"):
         Wshapes = [(Wdims[r], Wdims[r + 1]) for r in range(m - 1)]
         Vmaps = _chain(field, _need(s, "Vmaps", sp), Vshapes, f"{sp}.Vmaps")
         Wmaps = _chain(field, _need(s, "Wmaps", sp), Wshapes, f"{sp}.Wmaps")
-        inj = _matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj")
-        surj = _matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj")
-        # a map whose shape is not its cell's is validate_grid's to report;
-        # it is kept apart, so that it cannot widen the padding of its table
-        wrong = misshapen_cells(dims, Vdims, Wdims, inj[:2], surj[:2])
-        inj, surj = (MatrixStack.from_entries(field, *x, bad if bad.any() else None) for x, bad in zip((inj, surj), wrong))
+        inj = MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj"))
+        surj = MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj"))
         W = SESWitness.from_stacks(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
 
     def entry(cell, pth):

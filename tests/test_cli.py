@@ -71,10 +71,9 @@ class TestGenDecompose:
             assert code == 1
             assert json.loads(out)["violations"] == ["witness shapes wrong at (1,1)"]
 
-    def test_mis_sized_witness_maps_stay_out_of_the_stack(self, tmp_path, capsys):
-        # witness maps whose shapes are not their cells' are kept apart from
-        # the padded stack, which a 1 x N and an N x 1 inclusion in one table
-        # would otherwise pad to N x N per cell; they still read back as given
+    def test_mis_sized_witness_maps_take_no_padding(self, tmp_path, capsys):
+        # a 1 x N and an N x 1 inclusion in one table are padded apart, by
+        # their sizes, not to N x N each; they read back as given
         N = 300
         one = {"rows": 1, "cols": 1, "entries": [1]}
         wide, tall = {"rows": 1, "cols": N, "entries": [1] * N}, {"rows": N, "cols": 1, "entries": [2] * N}
@@ -82,13 +81,46 @@ class TestGenDecompose:
                    "inj": [[wide, tall]], "surj": [[_zeros(0, 1), _zeros(0, 1)]]}
         doc = {"kind": "grid", "field": 5, "m": 1, "n": 2, "dims": [[1, 1]], "right": [[one]], "up": [], "ses": witness}
         _, W, _, _, _ = parse_grid(doc)
-        assert W.inj_stack.data.size == 0
+        assert W.inj_stack.size == 2 * N
         assert [M.to_json() for M in W.inj[0]] == [wide, tall]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out = run_cli(capsys, "decompose", str(path))
         assert code == 1
         assert json.loads(out)["violations"] == ["witness shapes wrong at (1,1)", "witness shapes wrong at (1,2)"]
+
+    @pytest.mark.parametrize("case", ["grid", "witness"])
+    def test_maps_of_mixed_sizes_take_memory_linear_in_the_document(self, tmp_path, capsys, case):
+        # maps of very different sizes in one table are not padded to the
+        # largest: right maps 1 x N and N x 1, or inclusions M x 0 and 1 x N,
+        # would take 2 N^2, or 2 M (M + N) entries in the completions
+        import tracemalloc
+
+        if case == "grid":
+            N = 2000
+            doc = {"kind": "grid", "field": 5, "m": 1, "n": 3, "dims": [[N, 1, N]], "up": [],
+                   "right": [[{"rows": 1, "cols": N, "entries": [1] * N}, {"rows": N, "cols": 1, "entries": [3] * N}]]}
+            lines = []
+        else:
+            N, M = 20000, 30
+            witness = {"Vdims": [0, N], "Vmaps": [_zeros(N, 0)], "Wdims": [0], "Wmaps": [],
+                       "inj": [[_zeros(M, 0), {"rows": 1, "cols": N, "entries": [1] * N}]],
+                       "surj": [[_zeros(0, M), _zeros(0, 1)]]}
+            doc = {"kind": "grid", "field": 65521, "m": 1, "n": 2, "dims": [[M, 1]], "up": [],
+                   "right": [[{"rows": 1, "cols": M, "entries": [1] * M}]], "ses": witness}
+            lines = ["  - cell dimension is not |V|+|W| at (1,1)", "  - inclusion not injective at (1,2)",
+                     "  - cell dimension is not |V|+|W| at (1,2)"]
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, "report", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("  - ")] == lines
+        assert peak < 4 * 2**20
 
     # decompose splits and checks the grid once; dual validates it and
     # transposes it, splitting and checking nothing
