@@ -122,6 +122,20 @@ class TestGenDecompose:
         assert [line for line in out.splitlines() if line.startswith("  - ")] == lines
         assert peak < 4 * 2**20
 
+    def test_stacks_split_by_size_give_the_same_output(self, tmp_path, capsys, monkeypatch):
+        # with no room to pad regardless of need, tables of mixed sizes are
+        # split into buckets, and every product, comparison and elimination
+        # runs bucket by bucket
+        path = tmp_path / "g.json"
+        gen = ["gen", "--kind", "grid", "--m", "4", "--n", "4", "--field", "65521", "--seed", "34"]
+        run_cli(capsys, *gen, "--out", str(path))
+        want = [run_cli(capsys, cmd, str(path)) for cmd in ("decompose", "dual")]
+        monkeypatch.setattr(exactla, "_ROOM", 0)
+        G, W, _, _, _ = parse_grid(json.loads(path.read_text()))
+        assert len(W.inj_stack.parts) > 1 and len(G.right_stack.parts) > 1
+        assert [run_cli(capsys, cmd, str(path)) for cmd in ("decompose", "dual")] == want
+        assert want[0][0] == want[1][0] == 0
+
     # decompose splits and checks the grid once; dual validates it and
     # transposes it, splitting and checking nothing
     @pytest.mark.parametrize("cmd,splits", [("decompose", 1), ("dual", 0)])
