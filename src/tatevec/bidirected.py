@@ -261,17 +261,11 @@ def _block_diags(A: MatrixStack, B: MatrixStack) -> MatrixStack:
 
     def fill(at, tops):
         Ra, Ca, Rb, Cb = tops
-        if at is None:  # the two tables broadcast
-            a = np.broadcast_to(A._take(Ra, Ca), shape + (Ra, Ca))
-            b = np.broadcast_to(B._take(Rb, Cb), shape + (Rb, Cb))
-            r0, c0 = ra, ca
-        else:
-            a, b = A._take(Ra, Ca, at, shape), B._take(Rb, Cb, at, shape)
-            r0, c0 = ra.reshape(-1)[at], ca.reshape(-1)[at]
-        k = r0.size
-        out = np.zeros((k, Ra + Rb, Ca + Cb), dtype=np.int64)
-        out[:, :Ra, :Ca] = a.reshape(k, Ra, Ca)
-        _place(out, b.reshape(k, Rb, Cb), r0, c0)  # B's padding fits past any offset
+        at = np.arange(ra.size) if at is None else at
+        out = np.zeros((at.size, Ra + Rb, Ca + Cb), dtype=np.int64)
+        out[:, :Ra, :Ca] = A._take(Ra, Ca, at, shape)
+        # B's padding fits past any offset
+        _place(out, B._take(Rb, Cb, at, shape), ra.reshape(-1)[at], ca.reshape(-1)[at])
         return out
 
     return MatrixStack._build(A.field, ra + rb, ca + cb, pad_buckets(ra, ca, rb, cb), fill)

@@ -355,11 +355,6 @@ class MatrixStack:
 
         return cls._build(field, rows, cols, pad_buckets(rows, cols), fill)
 
-    @property
-    def size(self) -> int:
-        """The entries its parts hold, padding included."""
-        return sum(P.size for P in self.parts)
-
     def _take(self, R: int, C: int, at=None, shape=None) -> np.ndarray:
         """The matrices padded or cut to R x C, which must hold them: as the
         table if `at` is None, else at the flat positions `at` of the table

@@ -81,7 +81,7 @@ class TestGenDecompose:
                    "inj": [[wide, tall]], "surj": [[_zeros(0, 1), _zeros(0, 1)]]}
         doc = {"kind": "grid", "field": 5, "m": 1, "n": 2, "dims": [[1, 1]], "right": [[one]], "up": [], "ses": witness}
         _, W, _, _, _ = parse_grid(doc)
-        assert W.inj_stack.size == 2 * N
+        assert sum(part.size for part in W.inj_stack.parts) == 2 * N
         assert [M.to_json() for M in W.inj[0]] == [wide, tall]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
