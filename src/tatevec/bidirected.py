@@ -49,7 +49,7 @@ from .exactla import (
     rref_stack,
     vstack,
 )
-from .spaces import IndTower, TateObj, Tower, materialize
+from .spaces import IndTower, TateObj, Tower, _map_shape, materialize
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +142,9 @@ class SESWitness:
     cell and surj[r][c]: cell -> W_r.  As in `BidirectedGrid`, each family
     is one `MatrixStack` (`Vmaps_stack`, `Wmaps_stack`, `inj_stack`,
     `surj_stack`) and the tables of `Matrix` views are read off it.  The
-    constructor checks the transition shapes against the dimensions; those
-    of inj and surj depend on the grid and are `validate_grid`'s to check.
+    constructor checks the transition shapes by `spaces._map_shape`, V
+    being a direct and W an inverse system; those of inj and surj depend
+    on the grid and are `validate_grid`'s to check.
     """
 
     def __init__(self, Vdims, Vmaps, Wdims, Wmaps, inj, surj):
@@ -159,8 +160,8 @@ class SESWitness:
             MatrixStack.of(field, surj, (m, n)),
         ]
         V, Wd = _lengths(Vdims), _lengths(Wdims)
-        for name, S, rows, cols in (("V", stacks[0], V[1:], V[:-1]), ("W", stacks[1], Wd[:-1], Wd[1:])):
-            at = _first_misfit((S.rows, S.cols), rows, cols)
+        for name, kind, S, D in (("V", "indtower", stacks[0], V), ("W", "tower", stacks[1], Wd)):
+            at = _first_misfit((S.rows, S.cols), *_map_shape(kind, D[:-1], D[1:]))
             if at is not None:
                 raise ValueError(f"{name} map {at[0] + 1} has the wrong shape")
         self._adopt(Vdims, stacks[0], Wdims, *stacks[1:])

@@ -41,11 +41,11 @@ def _load_doc(path: str):
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ParseError("$", f"no such file: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:  # no such file, a directory, no permission
+        raise ParseError("$", f"cannot read {path}: {e.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ParseError("$", f"invalid JSON: {e}")
 
 

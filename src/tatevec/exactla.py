@@ -177,11 +177,7 @@ class Matrix:
         self._check_field(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"{self.shape} @ {other.shape}")
-        a, b = self.data, other.data
-        if self.cols * (self.field.p - 1) ** 2 >= _INT64_LIMIT:
-            # the int64 dot product could overflow; Python ints cannot
-            a, b = a.astype(object), b.astype(object)
-        return Matrix._of(self.field, ((a @ b) % self.field.p).astype(np.int64, copy=False))
+        return Matrix._of(self.field, _product(self.data, other.data, self.field.p, self.cols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -248,10 +244,10 @@ def pad_buckets(*sizes: np.ndarray) -> list[tuple[Optional[np.ndarray], tuple[in
 
 
 def _product(a: np.ndarray, b: np.ndarray, p: int, widest: int) -> np.ndarray:
-    """a @ b mod p for padded int64 stacks whose widest inner dimension is
-    `widest`."""
-    # as in Matrix.__matmul__: an inner dimension k with k (p-1)^2 >= 2^63
-    # could overflow the int64 dot product, and Python ints cannot
+    """a @ b mod p for int64 matrices or padded stacks of them whose widest
+    inner dimension is `widest`."""
+    # an inner dimension k with k (p-1)^2 >= 2^63 could overflow the int64
+    # dot product, and Python ints cannot
     if widest * (p - 1) ** 2 >= _INT64_LIMIT:
         a, b = a.astype(object), b.astype(object)
     return ((a @ b) % p).astype(np.int64, copy=False)

@@ -22,7 +22,7 @@ from .bidirected import (
     check_split,
 )
 from .exactla import FieldSpec, Matrix, block_diag, image_basis, inverse, is_invertible, kron
-from .spaces import FilteredSpace, IndTower, TateObj, Tower
+from .spaces import FilteredSpace, IndTower, TateObj, Tower, _map_shape
 
 
 def rand_matrix(rng, field: FieldSpec, rows: int, cols: int) -> Matrix:
@@ -38,13 +38,13 @@ def rand_invertible(rng, field: FieldSpec, n: int) -> Matrix:
 
 def rand_tower(rng, field: FieldSpec, depth: int = 4, max_dim: int = 8) -> Tower:
     dims = [int(d) for d in rng.integers(0, max_dim + 1, size=depth)]
-    maps = [rand_matrix(rng, field, dims[i], dims[i + 1]) for i in range(depth - 1)]
+    maps = [rand_matrix(rng, field, r, c) for r, c in zip(*_map_shape("tower", dims[:-1], dims[1:]))]
     return Tower.from_prefix(field, dims, maps)
 
 
 def rand_indtower(rng, field: FieldSpec, depth: int = 4, max_dim: int = 8) -> IndTower:
     dims = [int(d) for d in rng.integers(0, max_dim + 1, size=depth)]
-    maps = [rand_matrix(rng, field, dims[i + 1], dims[i]) for i in range(depth - 1)]
+    maps = [rand_matrix(rng, field, r, c) for r, c in zip(*_map_shape("indtower", dims[:-1], dims[1:]))]
     return IndTower.from_prefix(field, dims, maps)
 
 
@@ -111,8 +111,8 @@ def rand_grid(
     else:
         Vdims = [int(d) for d in rng.integers(0, max_part + 1, size=n)]
         Wdims = [int(d) for d in rng.integers(0, max_part + 1, size=m)]
-        Vmaps = [rand_matrix(rng, field, Vdims[c + 1], Vdims[c]) for c in range(n - 1)]
-        Wmaps = [rand_matrix(rng, field, Wdims[r], Wdims[r + 1]) for r in range(m - 1)]
+        Vmaps = [rand_matrix(rng, field, r, c) for r, c in zip(*_map_shape("indtower", Vdims[:-1], Vdims[1:]))]
+        Wmaps = [rand_matrix(rng, field, r, c) for r, c in zip(*_map_shape("tower", Wdims[:-1], Wdims[1:]))]
 
     S = [[rand_invertible(rng, field, Vdims[c] + Wdims[r]) for c in range(n)] for r in range(m)]
     S_inv = [[_inv(M) for M in row] for row in S]  # draws nothing from rng

@@ -31,6 +31,7 @@ from .bidirected import (
 )
 from .exactla import FieldSpec, Matrix, MatrixStack
 from .spaces import (
+    DescriptorViolation,
     FinVect,
     IndLCObj,
     IndTower,
@@ -39,6 +40,7 @@ from .spaces import (
     TailDescriptor,
     TateObj,
     Tower,
+    _map_shape,
     builtin_space,
     materialize,
 )
@@ -52,7 +54,9 @@ class ParseError(ValueError):
 
 
 def _need(doc, key, path):
-    if not isinstance(doc, dict) or key not in doc:
+    if not isinstance(doc, dict):
+        raise ParseError(path, "expected an object")
+    if key not in doc:
         raise ParseError(f"{path}.{key}", "missing")
     return doc[key]
 
@@ -85,13 +89,6 @@ def parse_field(doc, path="$") -> FieldSpec:
         raise ParseError(f"{path}.field", str(e))
 
 
-def _same_field(field: FieldSpec, parts, path):
-    """Every (key, part) of a document must live over the document's field."""
-    for key, part in parts:
-        if part.field != field:
-            raise ParseError(f"{path}.{key}.field", f"GF({part.field.p}) part of a GF({field.p}) document")
-
-
 def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
     rows = _int(_need(doc, "rows", path), f"{path}.rows")
     cols = _int(_need(doc, "cols", path), f"{path}.cols")
@@ -101,7 +98,7 @@ def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
             _int(x, f"{path}.entries[{i}]")
     try:
         return Matrix.from_entries(field, rows, cols, entries)
-    except Exception as e:
+    except (ValueError, OverflowError) as e:
         raise ParseError(path, f"bad matrix: {e}")
 
 
@@ -222,6 +219,30 @@ def space_tree(obj, depth: Optional[int] = None) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _system_maps(kind: str, dims: list[int], raw, path):
+    """The map documents of a system, and check(i, rows, cols), which names a
+    map that breaks the rule of `_map_shape` at its own path."""
+    rows, cols = _map_shape(kind, dims[:-1], dims[1:])
+    if not isinstance(raw, list) or len(raw) != len(rows):
+        raise ParseError(path, f"expected {len(rows)} maps")
+
+    def check(i, r, c):
+        if (r, c) != (rows[i], cols[i]):
+            raise ParseError(f"{path}[{i}]", f"expected shape {(rows[i], cols[i])}, got {(r, c)}")
+
+    return raw, check
+
+
+def _part(field: FieldSpec, cls: type, doc, path):
+    """The part at `path`, a `cls` over `field`; one made of parts is rejected unread."""
+    part = None if _need(doc, "kind", path) in ("tate", "indlc", "prodisc") else parse_space(doc, path)
+    if not isinstance(part, cls):
+        raise ParseError(path, f"expected kind {cls.kind!r}")
+    if part.field != field:
+        raise ParseError(f"{path}.field", f"GF({part.field.p}) part of a GF({field.p}) document")
+    return part
+
+
 def parse_space(doc, path="$"):
     kind = _need(doc, "kind", path)
     if kind == "finvect":
@@ -232,38 +253,34 @@ def parse_space(doc, path="$"):
         try:
             return builtin_space(name, field, n)
         except ValueError as e:
-            raise ParseError(path, str(e))
+            raise ParseError(f"{path}.name", str(e))
     field = parse_field(doc, path)
     if kind in ("tower", "indtower"):
         raw = _list(_need(doc, "dims", path), f"{path}.dims")
+        if not raw:
+            raise ParseError(f"{path}.dims", "a system needs at least one level")
         dims = [_dim(d, f"{path}.dims[{i}]") for i, d in enumerate(raw)]
-        raw = _list(_need(doc, "transitions", path), f"{path}.transitions")
-        if len(raw) != max(len(dims) - 1, 0):
-            raise ParseError(f"{path}.transitions", "one transition per adjacent level pair")
+        raw, check = _system_maps(kind, dims, _need(doc, "transitions", path), f"{path}.transitions")
         maps = [parse_matrix(field, m, f"{path}.transitions[{i}]") for i, m in enumerate(raw)]
+        for i, M in enumerate(maps):
+            check(i, *M.shape)
         tail = parse_tail(doc.get("tail"), f"{path}.tail")
-        cls = Tower if kind == "tower" else IndTower
+        obj = (Tower if kind == "tower" else IndTower).from_prefix(field, dims, maps, tail=tail)
         try:
-            obj = cls.from_prefix(field, dims, maps, tail=tail)
-            materialize(obj, len(dims))  # validates shapes against dims
-        except Exception as e:
-            raise ParseError(path, f"bad {kind}: {e}")
+            for n in range(1, len(dims)):
+                obj.transition(n)  # memoized, with its one check against the tail
+        except DescriptorViolation as e:
+            raise ParseError(f"{path}.tail", str(e))
         return obj
     if kind == "tate":
-        c = parse_space(_need(doc, "c", path), f"{path}.c")
-        d = parse_space(_need(doc, "d", path), f"{path}.d")
-        if not isinstance(c, Tower) or not isinstance(d, IndTower):
-            raise ParseError(path, "tate object needs a tower 'c' and an indtower 'd'")
-        _same_field(field, (("c", c), ("d", d)), path)
+        c = _part(field, Tower, _need(doc, "c", path), f"{path}.c")
+        d = _part(field, IndTower, _need(doc, "d", path), f"{path}.d")
         return TateObj(c, d)
     if kind in ("indlc", "prodisc"):
         family = IndLCObj if kind == "indlc" else ProDiscObj
         key = family.parts_key
         raw = _list(_need(doc, key, path), f"{path}.{key}")
-        parts = [parse_space(x, f"{path}.{key}[{i}]") for i, x in enumerate(raw)]
-        if not all(isinstance(x, family.part_type) for x in parts):
-            raise ParseError(f"{path}.{key}", f"every {key[:-1]} must be a {family.part_type.kind}")
-        _same_field(field, ((f"{key}[{i}]", x) for i, x in enumerate(parts)), path)
+        parts = [_part(field, family.part_type, x, f"{path}.{key}[{i}]") for i, x in enumerate(raw)]
         return family.from_list(field, parts)
     raise ParseError(f"{path}.kind", f"unknown kind {kind!r}")
 
@@ -394,15 +411,9 @@ def _dims(raw, length, path) -> list[int]:
     return [_dim(d, f"{path}[{i}]") for i, d in enumerate(raw)]
 
 
-def _chain(field, raw, shapes, path) -> MatrixStack:
-    """Transition matrices of a constant system, checked against `shapes`."""
-    if not isinstance(raw, list) or len(raw) != len(shapes):
-        raise ParseError(path, f"expected {len(shapes)} maps")
-
-    def check(i, rows, cols):
-        if (rows, cols) != shapes[i]:
-            raise ParseError(f"{path}[{i}]", f"expected shape {shapes[i]}, got {(rows, cols)}")
-
+def _chain(field, kind, dims, raw, path) -> MatrixStack:
+    """The maps of a constant system of a witness, as one stack."""
+    raw, check = _system_maps(kind, dims, raw, path)
     return MatrixStack.from_entries(field, *_matrices(field, raw, lambda i: f"{path}[{i}]", check))
 
 
@@ -431,10 +442,9 @@ def parse_grid(doc, path="$"):
         sp = f"{path}.ses"
         Vdims = _dims(_need(s, "Vdims", sp), n, f"{sp}.Vdims")
         Wdims = _dims(_need(s, "Wdims", sp), m, f"{sp}.Wdims")
-        Vshapes = [(Vdims[c + 1], Vdims[c]) for c in range(n - 1)]
-        Wshapes = [(Wdims[r], Wdims[r + 1]) for r in range(m - 1)]
-        Vmaps = _chain(field, _need(s, "Vmaps", sp), Vshapes, f"{sp}.Vmaps")
-        Wmaps = _chain(field, _need(s, "Wmaps", sp), Wshapes, f"{sp}.Wmaps")
+        # V is a direct system, W an inverse one (see SESWitness)
+        Vmaps = _chain(field, "indtower", Vdims, _need(s, "Vmaps", sp), f"{sp}.Vmaps")
+        Wmaps = _chain(field, "tower", Wdims, _need(s, "Wmaps", sp), f"{sp}.Wmaps")
         inj = MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj"))
         surj = MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj"))
         W = SESWitness.from_stacks(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
@@ -461,6 +471,6 @@ def parse_grid(doc, path="$"):
     if doc.get("pd") is not None:
         pd = GridDualityWitness(
             f=_matrix_table(field, m, n, _need(doc["pd"], "f", f"{path}.pd"), f"{path}.pd.f"),
-            g=_matrix_table(field, m, n, _need(doc["pd"], "g", f"{path}.pd.g"), f"{path}.pd.g"),
+            g=_matrix_table(field, m, n, _need(doc["pd"], "g", f"{path}.pd"), f"{path}.pd.g"),
         )
     return G, W, pairings, pd, doc.get("truth")

@@ -12,7 +12,8 @@ A level is known by its dimension, a plain int, and the blocks of a window
 are coordinate slices of one identity.  Levels are lazy and memoized; level
 functions must be pure, so concurrent duplicate evaluation is harmless.
 Behaviour beyond the computed prefix is declared through a TailDescriptor,
-the single honest channel for claims about infinity.
+the single honest channel for claims about infinity.  A system checks each
+transition (shape, field, bounded tail) once, when it is first computed.
 """
 
 from __future__ import annotations
@@ -102,16 +103,12 @@ def _defects(t: Matrix) -> tuple[int, int]:
 _BOUNDED = {"bounded-ker": ("kernel", 0), "bounded-coker": ("cokernel", 1)}
 
 
-def _check_tail(tail: TailDescriptor, maps: list[Matrix]):
-    if tail.kind not in _BOUNDED:
-        return
-    what, at = _BOUNDED[tail.kind]
-    for i, t in enumerate(maps):
-        dim = _defects(t)[at]
-        if dim > tail.bound:
-            raise DescriptorViolation(
-                f"{tail.kind}({tail.bound}) but transition {i + 1} has {what} dimension {dim}"
-            )
+def _map_shape(kind: str, lower, upper):
+    """The (rows, cols) of a system map: map i joins levels i+1 and i+2
+    (1-based), of dimensions `lower` and `upper`, from the upper to the
+    lower in a tower and the other way in a direct system; on dims[:-1]
+    and dims[1:] (lists or int arrays), the rows and columns of every map."""
+    return (lower, upper) if kind == "tower" else (upper, lower)
 
 
 class _LazySystem:
@@ -143,22 +140,24 @@ class _LazySystem:
             self._dims[n] = d
         return self._dims[n]
 
-    def _transition_shape(self, n: int) -> tuple[int, int]:
-        raise NotImplementedError
-
     def transition(self, n: int) -> Matrix:
+        """Transition n, checked (shape, field, bounded tail) once, when first computed."""
         self._check_level(n)
         if self.depth is not None and n + 1 > self.depth:
             raise IndexError(f"transition {n} needs level {n + 1} beyond depth {self.depth}")
         if n not in self._maps:
             t = self._transition_fn(n)
-            expect = self._transition_shape(n)
+            expect = _map_shape(self.kind, self.dim(n), self.dim(n + 1))
             if t.shape != expect:
-                raise ShapeMismatchError(
-                    f"{self.kind} transition {n}: expected shape {expect}, got {t.shape}"
-                )
+                raise ShapeMismatchError(f"{self.kind} transition {n}: expected shape {expect}, got {t.shape}")
             if t.field != self.field:
                 raise ValueError("transition over the wrong field")
+            kind, bound = self.tail.kind, self.tail.bound
+            if kind in _BOUNDED:
+                what, at = _BOUNDED[kind]
+                dim = _defects(t)[at]
+                if dim > bound:
+                    raise DescriptorViolation(f"{kind}({bound}) but transition {n} has {what} dimension {dim}")
             self._maps[n] = t
         return self._maps[n]
 
@@ -168,14 +167,7 @@ class _LazySystem:
         maps = list(maps)
         if len(maps) != max(len(dims) - 1, 0):
             raise ShapeMismatchError("prefix needs one transition per adjacent level pair")
-
-        def dim_fn(n, _dims=dims):
-            return _dims[n - 1]
-
-        def trans_fn(n, _maps=maps):
-            return _maps[n - 1]
-
-        return cls(field, dim_fn, trans_fn, tail=tail, depth=len(dims))
+        return cls(field, lambda n: dims[n - 1], lambda n: maps[n - 1], tail=tail, depth=len(dims))
 
 
 class Tower(_LazySystem):
@@ -183,17 +175,11 @@ class Tower(_LazySystem):
 
     kind = "tower"
 
-    def _transition_shape(self, n):
-        return (self.dim(n), self.dim(n + 1))
-
 
 class IndTower(_LazySystem):
     """Direct system V_1 -> V_2 -> ...; transition(n): level n -> level n+1."""
 
     kind = "indtower"
-
-    def _transition_shape(self, n):
-        return (self.dim(n + 1), self.dim(n))
 
 
 @dataclass(frozen=True)
@@ -282,6 +268,13 @@ class FilteredSpace:
         self.dim = dim
         self.flags = list(flags)
 
+    @classmethod
+    def _of(cls, field: FieldSpec, dim: int, flags: list[Matrix]) -> "FilteredSpace":
+        """Wrap flags nested, independent and ending at zero by construction, unchecked."""
+        F = object.__new__(cls)
+        F.field, F.dim, F.flags = field, dim, list(flags)
+        return F
+
 
 # ---------------------------------------------------------------------------
 # Materialization (truncation functor)
@@ -312,15 +305,13 @@ def materialize(obj, depth: int, inner: Optional[int] = None):
     """First `depth` levels of a presentation, transitions included.
 
     Two-layer objects (IndLCObj / ProDiscObj) take `inner` for the level
-    depth of each summand or factor (defaulting to `depth`).  Materialized
-    prefixes are checked against the object's TailDescriptor.
+    depth of each summand or factor (defaulting to `depth`).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if isinstance(obj, _LazySystem):
         dims = tuple(obj.dim(n) for n in range(1, depth + 1))
         maps = tuple(obj.transition(n) for n in range(1, depth))
-        _check_tail(obj.tail, list(maps))
         return SystemPrefix(obj.kind, obj.field, dims, maps)
     if isinstance(obj, TateObj):
         return TatePrefix(materialize(obj.cLattice, depth), materialize(obj.dLattice, depth))
@@ -509,7 +500,8 @@ def tate_window(V: TateObj, depth: int) -> tuple[FilteredSpace, Matrix, Matrix]:
             flags.append(c_cols @ K)
     if flags[-1].cols:
         flags.append(Matrix.zeros(field, l + d, 0))
-    return FilteredSpace(field, l + d, flags), c_cols, d_cols
+    # kernels of L_N -> L_k shrink as k grows, and c_cols is injective
+    return FilteredSpace._of(field, l + d, flags), c_cols, d_cols
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,9 @@ SHAPE_DEFECTS = [
     ("$.ses.Wdims[2]", lambda d: d["ses"]["Wdims"].__setitem__(2, -3)),
     ("$.pairings", lambda d: d.update(pairings=[1])),
     ("$.pairings", lambda d: d.update(pairings="x")),
+    # a duality witness that is not an object, or lacks one of its tables
+    ("$.pd", lambda d: d.update(pd=3)),
+    ("$.pd.g", lambda d: d.update(pd={"f": d["ses"]["inj"]})),
     # a map whose shape disagrees with the cell dimensions, at the map's own path
     ("$.right[1][0]", lambda d: d["dims"][1].__setitem__(0, 10**6)),
     ("$.up[1][2]", lambda d: d["up"][1].__setitem__(2, _widen(d["up"][1][2]))),
@@ -324,7 +327,7 @@ SPACE_DEFECTS = [
     ("$.dim", {"kind": "finvect", "dim": -1}),
     ("$.dim", {"kind": "finvect", "dim": float("inf")}),
     ("$.n", {"kind": "builtin", "name": "constant", "field": 2, "n": "x"}),
-    ("$", {"kind": "builtin", "name": "nope", "field": 2}),
+    ("$.name", {"kind": "builtin", "name": "nope", "field": 2}),
     ("$.dims[0]", _tower(dims=["x"])),
     ("$.dims", _tower(dims=5)),
     ("$.transitions", _tower(transitions=5)),
@@ -350,6 +353,19 @@ SPACE_DEFECTS = [
     ("$.dims[0]", {**_tower(dims=[-2]), "kind": "indtower"}),
     ("$.c.dims[0]", {"kind": "tate", "field": 2, "c": _tower(dims=[-1]), "d": {**_tower(), "kind": "indtower"}}),
     ("$.n", {"kind": "builtin", "name": "constant", "field": 2, "n": -1}),
+    # each node decided at its own path: a map against the level dimensions,
+    # a system of no level, a violated tail, a scalar for an object, a part
+    # of the wrong kind
+    ("$.transitions[0]", _tower(dims=[1, 2], transitions=[_zeros(2, 2)])),
+    ("$.transitions[1]", _tower(dims=[1, 2, 5], transitions=[_zeros(1, 2), _zeros(2, 3)])),
+    ("$.transitions[0]", {**_tower(dims=[2, 1], transitions=[_zeros(2, 1)]), "kind": "indtower"}),
+    ("$.dims", _tower(dims=[])),
+    ("$.tail", _tower(dims=[1, 2], transitions=[_zeros(1, 2)], tail={"kind": "bounded-ker", "c": 0})),
+    ("$.transitions[0]", _tower(dims=[1, 1], transitions=[3])),
+    ("$.tail", _tower(tail=3)),
+    ("$.c", {"kind": "tate", "field": 2, "c": {**_tower(), "kind": "indtower"}, "d": {**_tower(), "kind": "indtower"}}),
+    ("$.d", {"kind": "tate", "field": 2, "c": _tower(), "d": _tower()}),
+    ("$.summands[1]", {"kind": "indlc", "field": 2, "summands": [_tower(), {"kind": "finvect", "dim": 1}]}),
 ]
 
 
@@ -361,6 +377,32 @@ def test_space_defects_are_malformed(tmp_path, capsys, path, doc):
         code, out = run_cli(capsys, *argv, str(doc_path))
         assert code == 2
         assert json.loads(out)["path"] == path
+
+
+def test_nested_parts_are_rejected_unread(tmp_path, capsys):
+    # a Tate part that is itself a Tate document, 700 deep: its parts are never read
+    doc = _tower()
+    for _ in range(700):
+        doc = {"kind": "tate", "field": 2, "c": doc, "d": {**_tower(), "kind": "indtower"}}
+    doc_path = tmp_path / "deep.json"
+    doc_path.write_text(json.dumps(doc))
+    for argv in (("dual",), ("report",), ("tensor", "--op", "star", str(doc_path))):
+        code, out = run_cli(capsys, *argv, str(doc_path))
+        assert (code, json.loads(out)["path"]) == (2, "$.c")
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8", "nested"])
+def test_unreadable_input_is_malformed(tmp_path, capsys, case):
+    doc_path = tmp_path / "doc.json"
+    if case == "directory":
+        doc_path.mkdir()
+    elif case == "not utf-8":
+        doc_path.write_bytes(b'{"kind": "\xff"}')
+    elif case == "nested":
+        doc_path.write_text("[" * 10**5 + "]" * 10**5)
+    for cmd in ("decompose", "dual", "report"):
+        code, out = run_cli(capsys, cmd, str(doc_path))
+        assert (code, json.loads(out)["path"]) == (2, "$")
 
 
 # (JSON path of the error, a decomposition or validation document for `report`)

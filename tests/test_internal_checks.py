@@ -9,7 +9,8 @@ splitting's, the normalized systems' transitions and comparisons) are not
 re-checked, so they have no case here.  The inverses `lift_splitting`
 takes are no internal check either: each decides whether a projection of
 the ladder is onto, so a failed one is the caller's ValueError.  The AST
-scan covers every module of the package.
+scans, for `assert` statements and for catch-all handlers, cover every
+module of the package.
 """
 
 import ast
@@ -55,6 +56,20 @@ def _planted(m, n):
 def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[f"tatevec.{p.stem}" for p in MODULES])
+def test_no_catch_all_handlers(path):
+    # a bare `except:` or `except Exception:` would turn any defect into the
+    # error its handler reports
+    def catch_all(handler):
+        if handler.type is None:
+            return True
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(ast.unparse(t) in ("Exception", "BaseException") for t in types)
+
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and catch_all(node)] == []
 
 
 def test_split_grid_check_names_cell(monkeypatch):

@@ -27,6 +27,7 @@ from tatevec.spaces import (
     polynomial_indtower,
     power_series_tower,
     prefix_mismatch,
+    tate_window,
 )
 
 GF2 = FieldSpec(2)
@@ -126,6 +127,16 @@ class TestMaterialize:
     def test_memoized_levels_identical(self):
         t = power_series_tower(GF2)
         assert t.transition(2) is t.transition(2)
+
+    def test_tail_checked_once_per_transition(self, rref_calls):
+        # the first materialize checks each of the 10 transitions against its
+        # bounded tail as it is computed; a repeat re-checks none
+        V = laurent_tate(GF2)
+        materialize(V, 6)
+        assert rref_calls[0] == 10
+        rref_calls[0] = 0
+        materialize(V, 6)
+        assert rref_calls[0] == 0
 
     def test_descriptor_violation(self):
         # claims bounded-ker(1) but the level-1 transition kills 2 dimensions
@@ -274,6 +285,18 @@ def laurent_window(field=GF2):
     return FilteredSpace(field, 4, [U1, U2, zero])
 
 
+def test_tate_window_trusts_its_flags(rref_calls):
+    # fresh: 10 tail checks and 5 kernels; the flags, nested by construction,
+    # are not re-checked (7 more calls); a repeat makes only the 5 kernels
+    V = laurent_tate(GF2)
+    F, _, _ = tate_window(V, 6)
+    assert rref_calls[0] == 15
+    rref_calls[0] = 0
+    assert tate_window(V, 6)[0].flags == F.flags
+    assert rref_calls[0] == 5
+    assert FilteredSpace(GF2, F.dim, F.flags).flags == F.flags
+
+
 class TestLatticeCheck:
     def test_power_series_part_is_c_lattice(self):
         F = laurent_window()
@@ -347,7 +370,7 @@ class TestTateVerdict:
         assert verdicts == {"tate"}
 
     def test_one_rank_per_transition(self, rref_calls):
-        # 5 tail checks in materialize, then 5 ranks give both defect lists
+        # 5 tail checks as the transitions are computed, then 5 ranks give both defect lists
         # (a rank per list made 20)
         res = is_tate_verdict(power_series_tower(GF2), 6)
         assert rref_calls[0] == 10
