@@ -38,6 +38,7 @@ from .exactla import (
     Matrix,
     MatrixStack,
     ShapeMismatchError,
+    _product,
     block_diag,
     hstack,
     inverse,
@@ -316,9 +317,9 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     u = slice(None) if cells.size == k else cells
     du, vu, wu = d[u], v[u], w[u]
     Ru = int(wu.max(initial=0))
-    Eu = MatrixStack.dense(field, E[u, :, :Ru], du, wu)
+    Eu = E[u, :, :Ru]
     aug = np.zeros((cells.size, Ru, 2 * Ru), dtype=np.int64)
-    aug[:, :, :Ru] = (MatrixStack.dense(field, surj[u, :Ru], wu, du) @ Eu)._take(Ru, Ru)
+    aug[:, :, :Ru] = _product(surj[u, :Ru], Eu, field.p, Rd)
     aug[:, :, Ru:] = np.eye(Ru, dtype=np.int64) * (np.arange(Ru) < wu[:, None, None])
     Y, se_pivots = rref_stack(field, aug)
     onto = np.zeros(k, dtype=bool)
@@ -335,7 +336,7 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     _place(C, surj[u, :Ru], vu, np.zeros_like(vu))
     C_inv = np.zeros((cells.size, Rd, Cv + Ru), dtype=np.int64)
     C_inv[:, :, :Cv] = inj[u]
-    _place(C_inv, (Eu @ MatrixStack.dense(field, Y[:, :, Ru:], wu, wu))._take(Rd, Ru), np.zeros_like(vu), vu)
+    _place(C_inv, _product(Eu, Y[:, :, Ru:], field.p, Ru), np.zeros_like(vu), vu)
     bases = [None] * k
     for j, (i, di) in enumerate(zip(cells.tolist(), du.tolist())):
         if onto[i]:
@@ -831,6 +832,19 @@ def _path_map(G: BidirectedGrid, src: tuple[int, int], dst: tuple[int, int]) -> 
     return out
 
 
+def _in_grid(G: BidirectedGrid, P: PairingFamily, skipped: list[str], absent: str, outside: str):
+    """The recorded windows of P whose targets lie in the grid, as (r, c,
+    entry) in row-major order; each other cell is noted in `skipped` as it
+    is passed, with the reason `absent` or `outside`."""
+    for r in range(G.m):
+        for c in range(G.n):
+            e = P.at(r, c)
+            if e is None or not (0 <= e.target[0] < G.m and 0 <= e.target[1] < G.n):
+                skipped.append(f"cell ({r + 1},{c + 1}): {absent if e is None else outside}")
+                continue
+            yield r, c, e
+
+
 def assemble_pairing(S: SplitGrid, P: PairingFamily) -> PairingAssembly:
     """Check naturality of pairing windows and read off the induced map on
     the normal form.
@@ -857,24 +871,14 @@ def assemble_pairing(S: SplitGrid, P: PairingFamily) -> PairingAssembly:
     residuals: list[Matrix] = []
     skipped: list[str] = []
     cells = {}
-    for r in range(G.m):
-        for c in range(G.n):
-            e = P.at(r, c)
-            if e is None:
-                skipped.append(f"cell ({r + 1},{c + 1}): no window recorded")
-                continue
-            tr, tc = e.target
-            if not (0 <= tr < G.m and 0 <= tc < G.n):
-                skipped.append(f"cell ({r + 1},{c + 1}): target outside the grid")
-                continue
-            d, dt = G.dims[r][c], G.dims[tr][tc]
-            want = (dt, d * d) if product else (dt * dt, d)
-            if e.matrix.shape != want:
-                bad.append(f"cell ({r + 1},{c + 1}): window matrix has shape "
-                           f"{e.matrix.shape}, expected {want}")
-                residuals.append(e.matrix)
-                continue
-            cells[(r, c)] = e
+    for r, c, e in _in_grid(G, P, skipped, "no window recorded", "target outside the grid"):
+        d, dt = G.dims[r][c], G.dims[e.target[0]][e.target[1]]
+        want = (dt, d * d) if product else (dt * dt, d)
+        if e.matrix.shape != want:
+            bad.append(f"cell ({r + 1},{c + 1}): window matrix has shape {e.matrix.shape}, expected {want}")
+            residuals.append(e.matrix)
+            continue
+        cells[(r, c)] = e
 
     for (r, c), e in sorted(cells.items()):
         for (r2, c2), move in (((r, c + 1), "right"), ((r - 1, c), "up")):
@@ -960,31 +964,21 @@ def check_pd_intertwine(
             if f.shape != (d, d) or g.shape != (d, d) or f @ g != Matrix.identity(G.field, d):
                 bad.append(f"duality witness at ({r + 1},{c + 1}) is not an isomorphism pair")
                 residuals.append(f @ g - Matrix.identity(G.field, d) if f.shape == g.shape == (d, d) else f)
-    for r in range(G.m):
-        for c in range(G.n):
-            e = P_mu.at(r, c)
-            if e is None:
-                skipped.append(f"cell ({r + 1},{c + 1}): no product window")
-                continue
-            tr, tc = e.target
-            if not (0 <= tr < G.m and 0 <= tc < G.n):
-                skipped.append(f"cell ({r + 1},{c + 1}): product target outside the grid")
-                continue
-            lam = P_lambda.at(tr, tc)
-            if lam is None:
-                skipped.append(f"cell ({r + 1},{c + 1}): no coproduct window at the target")
-                continue
-            lhs = PD.f[tr][tc] @ e.matrix
-            rhs_t = lam.matrix.T
-            fx = PD.f[r][c]
-            if rhs_t.cols != fx.rows * fx.rows or rhs_t.rows != lhs.rows:
-                skipped.append(
-                    f"cell ({r + 1},{c + 1}): window shapes do not line up under reflection"
-                )
-                continue
-            checked += 1
-            rhs = rhs_t @ kron(fx, fx)
-            if lhs != rhs:
-                bad.append(f"duality square fails at cell ({r + 1},{c + 1})")
-                residuals.append(lhs - rhs)
+    for r, c, e in _in_grid(G, P_mu, skipped, "no product window", "product target outside the grid"):
+        tr, tc = e.target
+        lam = P_lambda.at(tr, tc)
+        if lam is None:
+            skipped.append(f"cell ({r + 1},{c + 1}): no coproduct window at the target")
+            continue
+        lhs = PD.f[tr][tc] @ e.matrix
+        rhs_t = lam.matrix.T
+        fx = PD.f[r][c]
+        if rhs_t.cols != fx.rows * fx.rows or rhs_t.rows != lhs.rows:
+            skipped.append(f"cell ({r + 1},{c + 1}): window shapes do not line up under reflection")
+            continue
+        checked += 1
+        rhs = rhs_t @ kron(fx, fx)
+        if lhs != rhs:
+            bad.append(f"duality square fails at cell ({r + 1},{c + 1})")
+            residuals.append(lhs - rhs)
     return IntertwineReport(not bad, tuple(bad), tuple(residuals), tuple(skipped), checked)

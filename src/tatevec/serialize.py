@@ -36,7 +36,6 @@ from .spaces import (
     IndLCObj,
     IndTower,
     ProDiscObj,
-    SystemPrefix,
     TailDescriptor,
     TateObj,
     Tower,
@@ -173,16 +172,6 @@ def parse_tail(doc, path="$") -> TailDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_tree(pre: SystemPrefix, tail: TailDescriptor) -> dict:
-    return {
-        "kind": pre.kind,
-        "field": pre.field.p,
-        "dims": pre.dims,
-        "transitions": pre.maps,
-        "tail": tail_doc(tail),
-    }
-
-
 def space_doc(obj, depth: Optional[int] = None) -> dict:
     """The plain JSON document of a presentation (see `space_tree`)."""
     return _plain(space_tree(obj, depth))
@@ -197,7 +186,14 @@ def space_tree(obj, depth: Optional[int] = None) -> dict:
         d = obj.depth if obj.depth is not None else depth
         if d is None:
             raise ValueError("serializing an unbounded system needs a depth")
-        return _prefix_tree(materialize(obj, d), obj.tail)
+        pre = materialize(obj, d)
+        return {
+            "kind": pre.kind,
+            "field": pre.field.p,
+            "dims": pre.dims,
+            "transitions": pre.maps,
+            "tail": tail_doc(obj.tail),
+        }
     if isinstance(obj, TateObj):
         return {
             "kind": "tate",
@@ -214,8 +210,6 @@ def space_tree(obj, depth: Optional[int] = None) -> dict:
             "field": obj.field.p,
             obj.parts_key: [space_tree(obj.part(k), depth) for k in range(1, count + 1)],
         }
-    if isinstance(obj, SystemPrefix):
-        return _prefix_tree(obj, TailDescriptor())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -309,19 +303,16 @@ def grid_tree(
     truth: Optional[dict] = None,
 ) -> dict:
     """The document tree of a grid, with its witness, pairings, duality
-    witness and ground truth when given."""
-
-    def table(maps, rows, cols):
-        return [[maps[r][c] for c in range(cols)] for r in range(rows)]
-
+    witness and ground truth when given.  Every table of maps is written as
+    the row-major table it is held as."""
     out = {
         "kind": "grid",
         "field": G.field.p,
         "m": G.m,
         "n": G.n,
         "dims": G.dims,
-        "right": table(G.right, G.m, G.n - 1),
-        "up": table(G.up, G.m - 1, G.n),
+        "right": G.right,
+        "up": G.up,
     }
     if W is not None:
         out["ses"] = {
@@ -329,27 +320,17 @@ def grid_tree(
             "Vmaps": W.Vmaps,
             "Wdims": W.Wdims,
             "Wmaps": W.Wmaps,
-            "inj": table(W.inj, G.m, G.n),
-            "surj": table(W.surj, G.m, G.n),
+            "inj": W.inj,
+            "surj": W.surj,
         }
     if pairings is not None:
-        out["pairings"] = {
-            key: [
-                [
-                    None
-                    if fam.at(r, c) is None
-                    else {
-                        "target": [fam.at(r, c).target[0] + 1, fam.at(r, c).target[1] + 1],
-                        "matrix": fam.at(r, c).matrix,
-                    }
-                    for c in range(G.n)
-                ]
-                for r in range(G.m)
-            ]
-            for key, fam in pairings.items()
-        }
+
+        def window(e):
+            return None if e is None else {"target": [e.target[0] + 1, e.target[1] + 1], "matrix": e.matrix}
+
+        out["pairings"] = {key: [[window(e) for e in row] for row in fam.entries] for key, fam in pairings.items()}
     if pd is not None:
-        out["pd"] = {"f": table(pd.f, G.m, G.n), "g": table(pd.g, G.m, G.n)}
+        out["pd"] = {"f": pd.f, "g": pd.g}
     if truth is not None:
         out["truth"] = truth
     return out
@@ -364,10 +345,6 @@ def _table(raw, rows, cols, path, parse):
             raise ParseError(f"{path}[{r}]", f"expected {cols} entries")
         out.append([parse(x, f"{path}[{r}][{c}]") for c, x in enumerate(row)])
     return out
-
-
-def _matrix_table(field, rows, cols, raw, path):
-    return _table(raw, rows, cols, path, lambda x, p: parse_matrix(field, x, p))
 
 
 def _matrices(field, raw: list, path_of, check=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,11 +375,11 @@ def _matrices(field, raw: list, path_of, check=None) -> tuple[np.ndarray, np.nda
     return shapes[:, 0], shapes[:, 1], np.mod(np.array(entries, dtype=np.int64), field.p)
 
 
-def _matrix_grid(field, rows, cols, raw, path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_matrices` of a rows x cols table of matrix documents, shapes as tables."""
+def _matrix_grid(field, rows, cols, raw, path) -> MatrixStack:
+    """The stack of a rows x cols table of matrix documents."""
     flat = [x for row in _table(raw, rows, cols, path, lambda x, p: x) for x in row]
     r, c, entries = _matrices(field, flat, lambda i: f"{path}[{i // cols}][{i % cols}]")
-    return r.reshape(rows, cols), c.reshape(rows, cols), entries
+    return MatrixStack.from_entries(field, r.reshape(rows, cols), c.reshape(rows, cols), entries)
 
 
 def _dims(raw, length, path) -> list[int]:
@@ -430,12 +407,10 @@ def parse_grid(doc, path="$"):
     # every map is read before any shape is compared with dims
     right = _matrix_grid(field, m, max(n - 1, 0), _need(doc, "right", path), f"{path}.right")
     up = _matrix_grid(field, max(m - 1, 0), n, _need(doc, "up", path), f"{path}.up")
-    wrong = misshapen_map(dims, right[:2], up[:2])
+    wrong = misshapen_map(dims, (right.rows, right.cols), (up.rows, up.cols))
     if wrong is not None:
         raise ParseError(f"{path}.{wrong[0]}", wrong[1])
-    G = BidirectedGrid.from_stacks(
-        field, dims, MatrixStack.from_entries(field, *right), MatrixStack.from_entries(field, *up)
-    )
+    G = BidirectedGrid.from_stacks(field, dims, right, up)
     W = None
     if doc.get("ses") is not None:
         s = doc["ses"]
@@ -445,8 +420,8 @@ def parse_grid(doc, path="$"):
         # V is a direct system, W an inverse one (see SESWitness)
         Vmaps = _chain(field, "indtower", Vdims, _need(s, "Vmaps", sp), f"{sp}.Vmaps")
         Wmaps = _chain(field, "tower", Wdims, _need(s, "Wmaps", sp), f"{sp}.Wmaps")
-        inj = MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj"))
-        surj = MatrixStack.from_entries(field, *_matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj"))
+        inj = _matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj")
+        surj = _matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj")
         W = SESWitness.from_stacks(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
 
     def entry(cell, pth):
@@ -469,8 +444,7 @@ def parse_grid(doc, path="$"):
         pairings[key] = PairingFamily(kind, _table(raw, m, n, f"{path}.pairings.{key}", entry))
     pd = None
     if doc.get("pd") is not None:
-        pd = GridDualityWitness(
-            f=_matrix_table(field, m, n, _need(doc["pd"], "f", f"{path}.pd"), f"{path}.pd.f"),
-            g=_matrix_table(field, m, n, _need(doc["pd"], "g", f"{path}.pd"), f"{path}.pd.g"),
-        )
+        # f is read in full before g is looked up
+        f, g = (_matrix_grid(field, m, n, _need(doc["pd"], k, f"{path}.pd"), f"{path}.pd.{k}") for k in "fg")
+        pd = GridDualityWitness(f.matrices(), g.matrices())
     return G, W, pairings, pd, doc.get("truth")

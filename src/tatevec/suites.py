@@ -65,9 +65,16 @@ GF2 = FieldSpec(2)
 GF5 = FieldSpec(5)
 
 
-def _check(name):
+# suite name -> its checks, in definition order, the order `run_suite` runs them
+SUITES: dict[str, list] = {"laws": [], "grid": [], "appendix": []}
+
+
+def _check(suite, name):
+    """Name a check and add it to its suite."""
+
     def wrap(fn):
         fn.check_name = name
+        SUITES[suite].append(fn)
         return fn
 
     return wrap
@@ -78,7 +85,7 @@ def _check(name):
 # ---------------------------------------------------------------------------
 
 
-@_check("exactla/solve-linear: 1000 random consistent systems per field")
+@_check("laws", "exactla/solve-linear: 1000 random consistent systems per field")
 def check_solve_linear(seed=0):
     for p in (2, 3, 5, 101):
         field = FieldSpec(p)
@@ -93,7 +100,7 @@ def check_solve_linear(seed=0):
     return True, "MX = B entrywise for every instance"
 
 
-@_check("exactla/kernel-image: orthogonality and rank additivity")
+@_check("laws", "exactla/kernel-image: orthogonality and rank additivity")
 def check_kernel_image(seed=1):
     rng = np.random.default_rng(seed)
     for _ in range(200):
@@ -105,7 +112,7 @@ def check_kernel_image(seed=1):
     return True, "M.kernel = 0 and rank(ker) + rank(im) = cols"
 
 
-@_check("exactla/complement: deterministic greedy direct sums")
+@_check("laws", "exactla/complement: deterministic greedy direct sums")
 def check_complement(seed=2):
     rng = np.random.default_rng(seed)
     for _ in range(200):
@@ -119,7 +126,7 @@ def check_complement(seed=2):
     return True, "byte-identical reruns; span + complement = ambient"
 
 
-@_check("exactla/kron: mixed product law on random composable triples")
+@_check("laws", "exactla/kron: mixed product law on random composable triples")
 def check_kron_mixed(seed=3):
     rng = np.random.default_rng(seed)
     for _ in range(200):
@@ -132,7 +139,7 @@ def check_kron_mixed(seed=3):
     return True, "kron(AB, CD) = kron(A,C) kron(B,D)"
 
 
-@_check("spaces/truncation: prefixes restrict byte-for-byte")
+@_check("laws", "spaces/truncation: prefixes restrict byte-for-byte")
 def check_truncation(seed=4):
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -144,7 +151,7 @@ def check_truncation(seed=4):
     return True, "materialize(obj, N)|_{N'} = materialize(obj, N')"
 
 
-@_check("spaces/normalize: injective transitions, top level preserved")
+@_check("laws", "spaces/normalize: injective transitions, top level preserved")
 def check_normalize(seed=5):
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -157,7 +164,7 @@ def check_normalize(seed=5):
     return True, "images stabilize into inclusions"
 
 
-@_check("spaces/lattices: complementary pairs pass both checks (200 spaces)")
+@_check("laws", "spaces/lattices: complementary pairs pass both checks (200 spaces)")
 def check_lattice_pairs(seed=6):
     rng = np.random.default_rng(seed)
     done = 0
@@ -177,7 +184,7 @@ def check_lattice_pairs(seed=6):
     return True, "S >= flag and complement meet it trivially"
 
 
-@_check("spaces/verdict: power series is Tate at every depth")
+@_check("laws", "spaces/verdict: power series is Tate at every depth")
 def check_verdict_monotone(seed=7):
     verdicts = {is_tate_verdict(power_series_tower(GF2), d).verdict for d in range(1, 7)}
     if verdicts != {"tate"}:
@@ -185,7 +192,7 @@ def check_verdict_monotone(seed=7):
     return True, "verdict never flips as the depth grows"
 
 
-@_check("duality/involution: 200 random objects per kind, levelwise equality")
+@_check("laws", "duality/involution: 200 random objects per kind, levelwise equality")
 def check_involution(seed=8):
     for field in (GF2, GF5):
         rng = np.random.default_rng(seed + field.p)
@@ -201,7 +208,7 @@ def check_involution(seed=8):
     return True, "dual(dual(X)) = X after double transpose"
 
 
-@_check("duality/contravariance: dual reverses composition exactly")
+@_check("laws", "duality/contravariance: dual reverses composition exactly")
 def check_contravariance(seed=9):
     rng = np.random.default_rng(seed)
     for _ in range(200):
@@ -214,7 +221,7 @@ def check_contravariance(seed=9):
     return True, "dual(fg) = dual(g) dual(f)"
 
 
-@_check("duality/iso-reflection: map invertible iff its dual is")
+@_check("laws", "duality/iso-reflection: map invertible iff its dual is")
 def check_iso_reflection(seed=10):
     rng = np.random.default_rng(seed)
     for _ in range(200):
@@ -226,7 +233,7 @@ def check_iso_reflection(seed=10):
     return True, "rank check agrees both ways"
 
 
-@_check("duality/self-dual: 50 scrambled models recover the planted dimension")
+@_check("laws", "duality/self-dual: 50 scrambled models recover the planted dimension")
 def check_selfdual(seed=11):
     rng = np.random.default_rng(seed)
     for _ in range(50):
@@ -240,7 +247,7 @@ def check_selfdual(seed=11):
     return True, "K + D decompositions certified, planted dims recovered"
 
 
-@_check("duality/hahn-banach: 200 extensions restrict and kill the witness flag")
+@_check("laws", "duality/hahn-banach: 200 extensions restrict and kill the witness flag")
 def check_extend(seed=12):
     rng = np.random.default_rng(seed)
     done = 0
@@ -263,7 +270,7 @@ def check_extend(seed=12):
     return True, "g|_A = f on every basis vector; g kills U_k columnwise"
 
 
-@_check("tensor/pair-indexing: diagonal enumeration bijective on 10^4 prefix")
+@_check("laws", "tensor/pair-indexing: diagonal enumeration bijective on 10^4 prefix")
 def check_pair_indexing(seed=13):
     seen = set()
     for n in range(1, 10_001):
@@ -274,7 +281,7 @@ def check_pair_indexing(seed=13):
     return True, "prefix bijective both ways"
 
 
-@_check("tensor/symmetry: swap and associator identities, unit laws")
+@_check("laws", "tensor/symmetry: swap and associator identities, unit laws")
 def check_tensor_symmetry(seed=14):
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -296,7 +303,7 @@ def check_tensor_symmetry(seed=14):
     return True, "swap conjugates transitions; associator is the identity"
 
 
-@_check("tensor/adjunction: curry and uncurry are inverse dimension-preserving maps")
+@_check("laws", "tensor/adjunction: curry and uncurry are inverse dimension-preserving maps")
 def check_adjunction(seed=16):
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -314,7 +321,7 @@ def check_adjunction(seed=16):
     return True, "B(AxB,C) = Hom(A, Hom(B,C)) entrywise at finite level"
 
 
-@_check("tensor/hom-ev: evaluation tables injective and functorial")
+@_check("laws", "tensor/hom-ev: evaluation tables injective and functorial")
 def check_hom_ev(seed=17):
     rng = np.random.default_rng(seed)
     hp = hom_via_tensor(tate_from_finvect(GF5, FinVect(3)), tate_from_finvect(GF5, FinVect(2)), 1)
@@ -332,33 +339,13 @@ def check_hom_ev(seed=17):
     return True, "phi (x) b acts as a -> phi(a) b on every sample"
 
 
-LAWS = [
-    check_solve_linear,
-    check_kernel_image,
-    check_complement,
-    check_kron_mixed,
-    check_truncation,
-    check_normalize,
-    check_lattice_pairs,
-    check_verdict_monotone,
-    check_involution,
-    check_contravariance,
-    check_iso_reflection,
-    check_selfdual,
-    check_extend,
-    check_pair_indexing,
-    check_tensor_symmetry,
-    check_adjunction,
-    check_hom_ev,
-]
-
 
 # ---------------------------------------------------------------------------
 # grid suite
 # ---------------------------------------------------------------------------
 
 
-@_check("grid/scramble-recover: 100 planted grids block-diagonalize exactly")
+@_check("grid", "grid/scramble-recover: 100 planted grids block-diagonalize exactly")
 def check_grid_recover(seed=20):
     for field in (GF2, GF5):
         rng = np.random.default_rng(seed + field.p)
@@ -372,7 +359,7 @@ def check_grid_recover(seed=20):
     return True, "all right/up maps exactly block diagonal; planted dims recovered"
 
 
-@_check("grid/kappa: exchange certificate is the identity in normal form")
+@_check("grid", "grid/kappa: exchange certificate is the identity in normal form")
 def check_grid_kappa(seed=21):
     for field in (GF2, GF5):
         rng = np.random.default_rng(seed + field.p)
@@ -384,7 +371,7 @@ def check_grid_kappa(seed=21):
     return True, "colim-lim equals lim-colim through the corner"
 
 
-@_check("grid/duality: dual decomposition equals dualized decomposition")
+@_check("grid", "grid/duality: dual decomposition equals dualized decomposition")
 def check_grid_duality(seed=22):
     for field in (GF2, GF5):
         rng = np.random.default_rng(seed + field.p)
@@ -396,7 +383,7 @@ def check_grid_duality(seed=22):
     return True, "levelwise equality of the two routes"
 
 
-@_check("grid/opens: shrinking flags with exact kernel-image agreement")
+@_check("grid", "grid/opens: shrinking flags with exact kernel-image agreement")
 def check_grid_opens(seed=23):
     rng = np.random.default_rng(seed)
     for _ in range(20):
@@ -411,7 +398,7 @@ def check_grid_opens(seed=23):
     return True, "dim U_r nonincreasing; im iota = ker pi exactly"
 
 
-@_check("grid/pairings: plant-and-recover with corruption localization")
+@_check("grid", "grid/pairings: plant-and-recover with corruption localization")
 def check_grid_pairings(seed=24):
     rng = np.random.default_rng(seed)
     for trial in range(25):
@@ -446,21 +433,13 @@ def check_grid_pairings(seed=24):
     return True, "windows verified; every corrupted entry localized"
 
 
-GRID = [
-    check_grid_recover,
-    check_grid_kappa,
-    check_grid_duality,
-    check_grid_opens,
-    check_grid_pairings,
-]
-
 
 # ---------------------------------------------------------------------------
 # appendix suite
 # ---------------------------------------------------------------------------
 
 
-@_check("appendix/splitting: 100 filtered SES instances split flag-compatibly")
+@_check("appendix", "appendix/splitting: 100 filtered SES instances split flag-compatibly")
 def check_appendix_split(seed=30):
     for field in (GF2, GF5):
         rng = np.random.default_rng(seed + field.p)
@@ -479,7 +458,7 @@ def check_appendix_split(seed=30):
     return True, "pi o i = id; pi(U_k) in A meet U_k; complements certified"
 
 
-@_check("appendix/lift: lifted splittings commute on random ladders")
+@_check("appendix", "appendix/lift: lifted splittings commute on random ladders")
 def check_appendix_ladders(seed=34):
     rng = np.random.default_rng(seed)
     for _ in range(50):
@@ -507,7 +486,7 @@ def check_appendix_ladders(seed=34):
     return True, "f o pi2 = pi1 o g and sections commute on every ladder"
 
 
-@_check("appendix/lift: the worked GF(2) ladder instance")
+@_check("appendix", "appendix/lift: the worked GF(2) ladder instance")
 def check_appendix_worked(seed=31):
     one = Matrix.identity(GF2, 1)
     ladder = SESLadder(
@@ -526,7 +505,7 @@ def check_appendix_worked(seed=31):
     return True, "pi2 = [1,1]; both commuting identities verified"
 
 
-@_check("appendix/open-mapping-guard: no certificate across category tags")
+@_check("appendix", "appendix/open-mapping-guard: no certificate across category tags")
 def check_open_mapping_guard(seed=33):
     compact = power_series_tower(GF2)
     discrete = polynomial_indtower(GF2)
@@ -540,16 +519,6 @@ def check_open_mapping_guard(seed=33):
             return False, "identity certificate missing"
         return True, "refused the cross-tag certificate, granted the honest one"
     return False, "a cross-tag certificate was emitted"
-
-
-APPENDIX = [
-    check_appendix_split,
-    check_appendix_ladders,
-    check_appendix_worked,
-    check_open_mapping_guard,
-]
-
-SUITES = {"laws": LAWS, "grid": GRID, "appendix": APPENDIX}
 
 
 def run_suite(name: str):
