@@ -60,7 +60,8 @@ def rand_filtered_space(rng, field: FieldSpec, max_dim: int = 12, max_flags: int
     flags = [base.take_cols(range(d)) for d in cuts]
     if not flags or flags[-1].cols != 0:
         flags.append(Matrix.zeros(field, n, 0))
-    return FilteredSpace(field, n, flags)
+    # prefixes of one image basis: independent and nested by construction
+    return FilteredSpace._of(field, n, flags)
 
 
 @dataclass(frozen=True)
@@ -240,5 +241,6 @@ def rand_selfdual(rng, field: FieldSpec, max_half: int = 4) -> PlantedSelfDual:
     phi_s = T.T @ phi @ T
     flags_s = [image_basis(T_inv @ U) if U.cols else U for U in flags]
     L = image_basis(T_inv @ flags[0])
-    space = FilteredSpace(field, n, flags_s)
+    # images of nested, independent flags under the invertible T_inv
+    space = FilteredSpace._of(field, n, flags_s)
     return PlantedSelfDual(space, phi_s, L, d)

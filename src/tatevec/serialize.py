@@ -67,8 +67,19 @@ def _int(x, path) -> int:
     return int(x)
 
 
-def _dim(x, path) -> int:
+# an axis below 2^31 keeps the Kronecker product of two axes inside int64
+_AXIS_LIMIT = 2**31
+
+
+def _axis(x, path) -> int:
     d = _int(x, path)
+    if d >= _AXIS_LIMIT:
+        raise ParseError(path, "dimension of 2^31 or more")
+    return d
+
+
+def _dim(x, path) -> int:
+    d = _axis(x, path)
     if d < 0:
         raise ParseError(path, "negative dimension")
     return d
@@ -89,8 +100,8 @@ def parse_field(doc, path="$") -> FieldSpec:
 
 
 def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
-    rows = _int(_need(doc, "rows", path), f"{path}.rows")
-    cols = _int(_need(doc, "cols", path), f"{path}.cols")
+    rows = _axis(_need(doc, "rows", path), f"{path}.rows")
+    cols = _axis(_need(doc, "cols", path), f"{path}.cols")
     entries = _list(_need(doc, "entries", path), f"{path}.entries")
     if set(map(type, entries)) - {int}:  # JSON gives plain ints; name the first other
         for i, x in enumerate(entries):
@@ -361,7 +372,7 @@ def _matrices(field, raw: list, path_of, check=None) -> tuple[np.ndarray, np.nda
         if type(x) is dict:
             rows, cols, values = x.get("rows"), x.get("cols"), x.get("entries")
         plain = type(rows) is int and type(cols) is int and type(values) is list
-        plain = plain and 0 <= rows < 2**31 and 0 <= cols < 2**31 and len(values) == rows * cols
+        plain = plain and 0 <= rows < _AXIS_LIMIT and 0 <= cols < _AXIS_LIMIT and len(values) == rows * cols
         plain = plain and not set(map(type, values)) - {int}
         if not (plain and (not values or -(2**63) <= min(values) and max(values) < 2**63)):
             # parse_matrix takes the document or names what is wrong with it

@@ -124,6 +124,7 @@ class _LazySystem:
         self.depth = depth
         self._dims: dict[int, int] = {}
         self._maps: dict[int, Matrix] = {}
+        self._defects: dict[int, tuple[int, int]] = {}
 
     def _check_level(self, n: int):
         if n < 1:
@@ -155,11 +156,20 @@ class _LazySystem:
             kind, bound = self.tail.kind, self.tail.bound
             if kind in _BOUNDED:
                 what, at = _BOUNDED[kind]
-                dim = _defects(t)[at]
-                if dim > bound:
-                    raise DescriptorViolation(f"{kind}({bound}) but transition {n} has {what} dimension {dim}")
+                defects = _defects(t)
+                if defects[at] > bound:
+                    raise DescriptorViolation(f"{kind}({bound}) but transition {n} has {what} dimension {defects[at]}")
+                self._defects[n] = defects
             self._maps[n] = t
         return self._maps[n]
+
+    def defects(self, n: int) -> tuple[int, int]:
+        """The kernel and cokernel dimensions of transition n, from its one
+        rank, which the tail check reuses."""
+        t = self.transition(n)
+        if n not in self._defects:
+            self._defects[n] = _defects(t)
+        return self._defects[n]
 
     @classmethod
     def from_prefix(cls, field, dims, maps, tail=None):
@@ -485,14 +495,14 @@ def tate_window(V: TateObj, depth: int) -> tuple[FilteredSpace, Matrix, Matrix]:
     subspaces on the window), ending at zero; returns the window along with
     the column spans of the compact and discrete blocks.
     """
-    pre = materialize(V, depth)
+    pre = materialize(V.cLattice, depth)
     field = V.field
-    l, d = pre.c.dims[-1], pre.d.dims[-1]
+    l, d = pre.dims[-1], V.dLattice.dim(depth)  # of the d-lattice only its top level is read
     c_cols, d_cols = _window_blocks(field, l, d)
     comp = Matrix.identity(field, l)
     kernels = []
     for k in range(depth - 1, 0, -1):
-        comp = pre.c.maps[k - 1] @ comp  # L_N -> L_k
+        comp = pre.maps[k - 1] @ comp  # L_N -> L_k
         kernels.append(kernel_basis(comp))
     flags = [c_cols]
     for K in reversed(kernels):  # repeated ranks collapse to one flag
@@ -562,8 +572,8 @@ def is_tate_verdict(sys, depth: int) -> TateVerdict:
         raise TypeError("verdict applies to Tower or IndTower presentations")
     bounded_kind = "bounded-ker" if isinstance(sys, Tower) else "bounded-coker"
     relevant, at = _BOUNDED[bounded_kind]
-    pre = materialize(sys, depth)
-    defects = [_defects(t) for t in pre.maps]
+    materialize(sys, depth)  # checks the depth
+    defects = [sys.defects(n) for n in range(1, depth)]
     profile = [d[at] for d in defects]
     evidence = {
         "relevant": relevant,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .duality import dual_object
-from .exactla import FieldMismatchError, Matrix, kron, rank
+from .exactla import FieldMismatchError, Matrix, kron
 from .spaces import (
     IndLCObj,
     ProDiscObj,
@@ -164,8 +164,9 @@ def embed_tate(V: TateObj, target: str):
         step = k - 1
         if step == 1:
             inc = other.dim(1)
-        else:
-            inc = other.dim(step) - rank(other.transition(step - 1))
+        else:  # dim(step) - rank(transition(step - 1)): a tower's kernel, an ind-tower's cokernel
+            kernel, cokernel = other.defects(step - 1)
+            inc = kernel if other.kind == "tower" else cokernel
         return constant(V.field, inc)
 
     count = None if other.depth is None else other.depth + 1

@@ -279,6 +279,11 @@ SHAPE_DEFECTS = [
     # a map whose shape disagrees with the cell dimensions, at the map's own path
     ("$.right[1][0]", lambda d: d["dims"][1].__setitem__(0, 10**6)),
     ("$.up[1][2]", lambda d: d["up"][1].__setitem__(2, _widen(d["up"][1][2]))),
+    # dimensions of 2^31 or more, at their own paths
+    ("$.dims[0][1]", lambda d: d["dims"][0].__setitem__(1, 2**31)),
+    ("$.ses.Wdims[0]", lambda d: d["ses"]["Wdims"].__setitem__(0, 2**40)),
+    ("$.right[0][0].rows", lambda d: d["right"][0][0].update(rows=2**31, cols=0, entries=[])),
+    ("$.pd.f[0][0].cols", lambda d: d.update(pd={"f": [[_zeros(0, 2**31)] * 3] * 3, "g": d["ses"]["inj"]})),
 ]
 
 
@@ -366,6 +371,11 @@ SPACE_DEFECTS = [
     ("$.c", {"kind": "tate", "field": 2, "c": {**_tower(), "kind": "indtower"}, "d": {**_tower(), "kind": "indtower"}}),
     ("$.d", {"kind": "tate", "field": 2, "c": _tower(), "d": _tower()}),
     ("$.summands[1]", {"kind": "indlc", "field": 2, "summands": [_tower(), {"kind": "finvect", "dim": 1}]}),
+    # dimensions of 2^31 or more, at their own paths
+    ("$.dim", {"kind": "finvect", "dim": 2**31}),
+    ("$.n", {"kind": "builtin", "name": "constant", "field": 2, "n": 2**40}),
+    ("$.dims[1]", _tower(dims=[0, 2**40], transitions=[_zeros(0, 2**40)])),
+    ("$.transitions[0].cols", _tower(dims=[0, 0], transitions=[_zeros(0, 2**31)])),
 ]
 
 
@@ -471,6 +481,16 @@ class TestTensorCommand:
             code, out = run_cli(capsys, "tensor", "--op", op, *map(str, paths))
             assert code == 2
             assert json.loads(out) == {"error": "no tensor of a GF(2) and a GF(3) document", "path": "$"}
+
+    def test_axes_of_2_31_or_more_are_malformed(self, tmp_path, capsys):
+        # the Kronecker product of two such axes would not fit int64: each
+        # document is rejected at the dimension, before any product is built
+        tower = _tower(dims=[0, 2**40], transitions=[_zeros(0, 2**40)])
+        for op, doc in (("star", tower), ("bang", {**tower, "kind": "indtower", "transitions": [_zeros(2**40, 0)]})):
+            path = tmp_path / f"{op}.json"
+            path.write_text(json.dumps(doc))
+            code, out = run_cli(capsys, "tensor", "--op", op, str(path), str(path))
+            assert (code, json.loads(out)) == (2, {"error": "dimension of 2^31 or more", "path": "$.dims[1]"})
 
     def test_kind_mismatch_is_malformed(self, tmp_path, capsys):
         a = tmp_path / "a.json"

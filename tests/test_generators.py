@@ -6,8 +6,9 @@ every matrix of seeded `rand_pairings` fixtures: the product and
 coproduct windows with their targets, the duality isomorphisms and their
 inverses, and the global maps in planted coordinates.  They also pin the
 draw order: a generator that draws one more or one fewer number shows
-here.  The count test pins that each scramble and the global duality are
-inverted once.
+here.  The count tests pin that each scramble and the global duality are
+inverted once, and that the filtered spaces are built without re-checking
+flags nested by construction.
 """
 
 import hashlib
@@ -16,9 +17,9 @@ import json
 import numpy as np
 import pytest
 
-from tatevec import generators
+from tatevec import exactla, generators, spaces
 from tatevec.exactla import FieldSpec, Matrix
-from tatevec.generators import rand_grid, rand_pairings
+from tatevec.generators import rand_filtered_space, rand_grid, rand_pairings, rand_selfdual
 
 
 def _doc(x):
@@ -96,3 +97,25 @@ def test_each_scramble_inverted_once(monkeypatch):
     assert len(calls) == 5
     fx.planted.planted_split
     assert len(calls) == 5
+
+
+def test_filtered_spaces_are_wrapped_unchecked(monkeypatch):
+    # rand_filtered_space's one rref is its image basis: its flags, prefixes
+    # of that basis, are not re-checked (one rref per flag made 4)
+    calls = [0]
+    real = exactla.rref
+
+    def counted(X):
+        calls[0] += 1
+        return real(X)
+
+    monkeypatch.setattr(exactla, "rref", counted)
+    monkeypatch.setattr(spaces, "rref", counted)
+    F = rand_filtered_space(np.random.default_rng(0), FieldSpec(2), 24, 8)
+    assert calls[0] == 1
+    # the flags the generators build unchecked pass the checking constructor
+    for seed in range(40):
+        for field in (FieldSpec(2), FieldSpec(5)):
+            rng = np.random.default_rng(seed)
+            for F in (rand_filtered_space(rng, field, 24, 8), rand_selfdual(rng, field).space):
+                assert spaces.FilteredSpace(field, F.dim, F.flags).flags == F.flags
