@@ -497,7 +497,7 @@ def tate_window(V: TateObj, depth: int) -> tuple[FilteredSpace, Matrix, Matrix]:
     """
     pre = materialize(V.cLattice, depth)
     field = V.field
-    l, d = pre.dims[-1], V.dLattice.dim(depth)  # of the d-lattice only its top level is read
+    l, d = pre.dims[-1], V.dLattice.dim(depth)
     c_cols, d_cols = _window_blocks(field, l, d)
     comp = Matrix.identity(field, l)
     kernels = []
@@ -572,7 +572,7 @@ def is_tate_verdict(sys, depth: int) -> TateVerdict:
         raise TypeError("verdict applies to Tower or IndTower presentations")
     bounded_kind = "bounded-ker" if isinstance(sys, Tower) else "bounded-coker"
     relevant, at = _BOUNDED[bounded_kind]
-    materialize(sys, depth)  # checks the depth
+    materialize(sys, depth)  # checks the depth and every transition
     defects = [sys.defects(n) for n in range(1, depth)]
     profile = [d[at] for d in defects]
     evidence = {

@@ -101,7 +101,7 @@ def test_each_scramble_inverted_once(monkeypatch):
 
 def test_filtered_spaces_are_wrapped_unchecked(monkeypatch):
     # rand_filtered_space's one rref is its image basis: its flags, prefixes
-    # of that basis, are not re-checked (one rref per flag made 4)
+    # of that basis, are not re-checked
     calls = [0]
     real = exactla.rref
 

@@ -287,9 +287,8 @@ def laurent_window(field=GF2):
 
 def test_tate_window_trusts_its_flags(rref_calls):
     # fresh: the c-lattice's 5 tail checks and 5 kernels; the flags, nested
-    # by construction, are not re-checked (7 more calls), and of the
-    # d-lattice only the top dimension is read (its 5 tail checks made 15);
-    # a repeat makes only the 5 kernels
+    # by construction, are not re-checked, and of the d-lattice only the top
+    # dimension is read; a repeat makes only the 5 kernels
     V = laurent_tate(GF2)
     F, _, _ = tate_window(V, 6)
     assert rref_calls[0] == 10
@@ -372,8 +371,7 @@ class TestTateVerdict:
         assert verdicts == {"tate"}
 
     def test_one_rank_per_transition(self, rref_calls):
-        # the 5 tail checks as the transitions are computed give both defect
-        # lists (re-ranking them made 10, a rank per list 20)
+        # the 5 tail checks as the transitions are computed give both defect lists
         res = is_tate_verdict(power_series_tower(GF2), 6)
         assert rref_calls[0] == 5
         assert res.evidence["kernel_dims"] == res.evidence["profile"] == [1] * 5
