@@ -970,14 +970,15 @@ def check_pd_intertwine(
         if lam is None:
             skipped.append(f"cell ({r + 1},{c + 1}): no coproduct window at the target")
             continue
-        lhs = PD.f[tr][tc] @ e.matrix
-        rhs_t = lam.matrix.T
-        fx = PD.f[r][c]
-        if rhs_t.cols != fx.rows * fx.rows or rhs_t.rows != lhs.rows:
+        ft, fx = PD.f[tr][tc], PD.f[r][c]
+        dt, dx = G.dims[tr][tc], G.dims[r][c]
+        # every shape before any product: f_target mu_x = lambda_target^T (f_x (x) f_x)
+        if (ft.shape, fx.shape, e.matrix.shape, lam.matrix.shape) != ((dt, dt), (dx, dx), (dt, dx * dx), (dx * dx, dt)):
             skipped.append(f"cell ({r + 1},{c + 1}): window shapes do not line up under reflection")
             continue
         checked += 1
-        rhs = rhs_t @ kron(fx, fx)
+        lhs = ft @ e.matrix
+        rhs = lam.matrix.T @ kron(fx, fx)
         if lhs != rhs:
             bad.append(f"duality square fails at cell ({r + 1},{c + 1})")
             residuals.append(lhs - rhs)

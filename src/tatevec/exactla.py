@@ -738,11 +738,15 @@ def factor_through(f: Matrix, alpha: Matrix) -> Matrix:
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product; basis order e_i (x) e_j with the left factor major.
 
-    One broadcast product, exact in int64 since (p-1)^2 < 2^63.
+    One broadcast product, exact in int64 since (p-1)^2 < 2^63.  Over GF(2)
+    it is left unreduced: reduced entries are 0 or 1, and so is every
+    product of two of them.
     """
     A._check_field(B)
     a, b = A.data, B.data
-    out = (a[:, None, :, None] * b[None, :, None, :]) % A.field.p
+    out = a[:, None, :, None] * b[None, :, None, :]
+    if A.field.p != 2:
+        out %= A.field.p
     return Matrix._of(A.field, out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
 
 

@@ -115,12 +115,22 @@ def _same_kind(A, B):
 def tensor_systems(A: _LazySystem, B: _LazySystem) -> _LazySystem:
     """Tensor of two towers (linearly compact) or two ind-towers (discrete);
     all completed tensors agree on either kind: levelwise Kronecker products
-    on the diagonal, of the same kind as the inputs."""
+    on the diagonal, of the same kind as the inputs.  A transition whose two
+    factors are the very objects of the last one computed (a constant
+    system's one identity) reuses its product."""
     _same_kind(A, B)
+    last = [None, None, None]  # (a, b, kron(a, b)) of the last transition computed
+
+    def transition(n):
+        a, b = A.transition(n), B.transition(n)
+        if a is not last[0] or b is not last[1]:
+            last[:] = a, b, kron(a, b)
+        return last[2]
+
     return type(A)(
         A.field,
         lambda n: A.dim(n) * B.dim(n),
-        lambda n: kron(A.transition(n), B.transition(n)),
+        transition,
         tail=_combine_tails(A.tail, B.tail),
         depth=_combine_depth(A.depth, B.depth),
     )

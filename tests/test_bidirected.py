@@ -373,6 +373,25 @@ class TestPairings:
         assert not rep2.ok
         assert any(f"({r + 1},{c + 1})" in v for v in rep2.violations)
 
+    def test_pd_intertwine_skips_misshapen_windows(self):
+        fx = rand_pairings(np.random.default_rng(0), GF2, m=2, n=3)
+        split = fx.planted.planted_split
+        planted = check_pd_intertwine(split, fx.mu, fx.lam, fx.pd)
+        assert planted.ok
+        # the product window at (1,2) one column short; the coproduct window at its target is kept
+        e = fx.mu.at(0, 1)
+        assert fx.lam.at(*e.target) is not None
+        entries = [list(row) for row in fx.mu.entries]
+        entries[0][1] = PairingEntry(e.target, Matrix(GF2, e.matrix.data[:, 1:]))
+        rep = check_pd_intertwine(split, PairingFamily("product", entries), fx.lam, fx.pd)
+        assert rep.ok and rep.checked == planted.checked - 1
+        assert rep.skipped == planted.skipped + ("cell (1,2): window shapes do not line up under reflection",)
+        # a witness matrix of the wrong shape is reported, and its cells are not multiplied
+        f = [list(row) for row in fx.pd.f]
+        f[0][1] = Matrix(GF2, f[0][1].data[:, 1:])
+        rep = check_pd_intertwine(split, fx.mu, fx.lam, bidirected.GridDualityWitness(f, fx.pd.g))
+        assert rep.violations == ("duality witness at (1,2) is not an isomorphism pair",)
+
 
 # ---------------------------------------------------------------------------
 # Exact references: the elimination-based implementations that the closed

@@ -221,6 +221,13 @@ class TestKron:
         assert kron(M(GF2, [[1]]), M(GF2, [[1]])) == M(GF2, [[1]])
         assert kron(M(GF3, [[2]]), M(GF3, [[2]])) == M(GF3, [[1]])
 
+    def test_gf2_products_stay_zero_one(self):
+        ones = Matrix(GF2, np.ones((16, 16), dtype=np.int64))
+        K = kron(ones, ones)
+        assert K.shape == (256, 256) and K.data.dtype == np.int64
+        assert np.array_equal(K.data, np.ones((256, 256), dtype=np.int64))
+        assert not K.data.flags.writeable
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 1000))
     def test_mixed_product_law(self, seed):
@@ -523,7 +530,7 @@ class TestDataPath:
     def test_kron_matches_numpy(self, p):
         field = FieldSpec(p)
         rng = np.random.default_rng(p)
-        shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+        shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2), (4, 4)] + [(16, 16)] * (p == 2)
         for sa in shapes:
             for sb in shapes:
                 a = rng.integers(0, p, size=sa)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tatevec import tensor
 from tatevec.exactla import FieldSpec, Matrix, kron
 from tatevec.duality import dual_object
 from tatevec.spaces import (
@@ -97,6 +98,20 @@ class TestTowerTensor:
         t = power_series_tower(GF2)
         tt = tensor_systems(t, t)
         assert materialize(tt, 3).maps[0] == kron(t.transition(1), t.transition(1))
+
+    def test_one_kron_per_distinct_pair_of_transitions(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return kron(a, b)
+
+        monkeypatch.setattr(tensor, "kron", counted)
+        maps = materialize(tensor_systems(constant_tower(GF2, 3), constant_tower(GF2, 2)), 4).maps
+        # every transition of a constant tower is one shared identity
+        assert len(calls) == 1
+        assert maps[1] is maps[2]
+        assert maps[0] == Matrix.identity(GF2, 6)
 
 
 class TestIndTowerTensor:
