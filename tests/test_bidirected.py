@@ -113,6 +113,35 @@ class TestValidateGrid:
         assert calls == {"matmul": 0, "elimination": 0}
 
 
+class TestCheckingConstructors:
+    """The shape checks of the public constructors, which library callers
+    reach and the generators and the parser do not."""
+
+    def test_ragged_grid(self):
+        with pytest.raises(ValueError, match="^ragged grid$"):
+            BidirectedGrid(GF2, [[1, 1], [1]], [[Matrix.zeros(GF2, 1, 1)], []], [[Matrix.zeros(GF2, 1, 1)]])
+
+    def test_grid_map_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^up map at \(1,2\) has the wrong shape$"):
+            # the up map into (1,2) must be 2 x 2
+            BidirectedGrid(GF2, [[1, 2], [1, 2]], [[M(GF2, [[1], [0]])]] * 2, [[Matrix.identity(GF2, 1)] * 2])
+
+    def test_dimension_past_int64_fits_no_map(self):
+        # a dimension of 2^63 or more reads as -1, which no map's shape equals
+        with pytest.raises(ValueError, match=r"^right map at \(1,1\) has the wrong shape$"):
+            BidirectedGrid(GF2, [[1, 2**63]], [[Matrix.zeros(GF2, 1, 1)]], [])
+
+    def test_witness_needs_a_cell(self):
+        with pytest.raises(ValueError, match="^a witness needs at least one cell$"):
+            SESWitness([], [], [1], [], [[]], [[]])
+
+    def test_witness_V_map_of_the_wrong_shape(self):
+        inj = [[M(GF2, [[1], [0]]), M(GF2, [[1, 0], [0, 1], [0, 0]])]]
+        surj = [[M(GF2, [[0, 1]]), M(GF2, [[0, 0, 1]])]]
+        with pytest.raises(ValueError, match="^V map 1 has the wrong shape$"):
+            SESWitness([1, 2], [Matrix.identity(GF2, 1)], [1], [], inj, surj)
+
+
 class TestSplitGrid:
     def test_1x1_deterministic(self):
         G, W = tiny_grid()

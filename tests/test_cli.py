@@ -580,7 +580,8 @@ class TestRoundTrip:
 
 
 class TestCheckCommand:
-    def test_appendix_suite_green(self, capsys):
-        code, out = run_cli(capsys, "check", "--suite", "appendix")
+    @pytest.mark.parametrize("suite", ["laws", "grid", "appendix"])
+    def test_suite_green(self, capsys, suite):
+        code, out = run_cli(capsys, "check", "--suite", suite)
         assert code == 0
         assert "[ok]" in out and "[FAIL]" not in out
