@@ -5,7 +5,8 @@ along rows (up maps toward row 1, row r encoding the r-th action cutoff
 below zero) and direct along columns.  A short-exact-sequence witness
 exhibits each cell as an extension of a constant inverse system W_r by a
 constant direct system V_c; `split_grid` then conjugates every cell into
-the split form by the double induction with graph corrections.  The result
+the split form (`split_form`) by the double induction with graph
+corrections.  The result
 is one verified `SplitGrid` (basis and inverse per cell), from which the
 iterated limit/colimit data, the canonical exchange map and user-supplied
 multiplication/comultiplication windows are all read off and verified
@@ -50,7 +51,7 @@ from .exactla import (
     rref_stack,
     vstack,
 )
-from .spaces import IndTower, TateObj, Tower, _map_shape, materialize
+from .spaces import IndTower, TateObj, Tower, _composites, _map_shape, materialize
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +429,16 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
 # ---------------------------------------------------------------------------
 
 
-def _upper_corr(field, v: int, w: int, off: np.ndarray) -> Matrix:
-    # [[I, off], [0, I]] with off: w-block -> v-block, reduced mod p
-    out = np.eye(v + w, dtype=np.int64)
-    out[:v, v:] = off
-    return Matrix._of(field, out)
+def _correct(field, C: Matrix, C_inv: Matrix, x: np.ndarray) -> tuple[Matrix, Matrix]:
+    """A cell's change of basis after the graph correction [[I, x], [0, I]],
+    x reduced mod p: [[I, x], [0, I]] C adds x times C's bottom rows to its
+    top v rows, and C^-1 [[I, -x], [0, I]], the new inverse, subtracts C^-1's
+    left v columns times x from its right columns."""
+    p, (v, w) = field.p, x.shape
+    B, B_inv = C.data.copy(), C_inv.data.copy()
+    B[:v] = (B[:v] + _product(x, C.data[v:], p, w)) % p
+    B_inv[:, v:] = (B_inv[:, v:] - _product(C_inv.data[:, :v], x, p, v)) % p
+    return Matrix._of(field, B), Matrix._of(field, B_inv)
 
 
 def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
@@ -447,39 +453,48 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     at a time the same way, absorbing the off-diagonal block sigma of each
     up map.  The diagonal and lower-left blocks need no correction: the
     naturality identities `validate_grid` checks force them, and a
-    correction changes only the upper-right block.  Each correction
-    [[I, x], [0, I]] has inverse [[I, -x], [0, I]], so the inverses are
-    carried along.  `check_split` is the one verification of the result,
-    including the forced vanishing of the lower rows' right-map
-    off-diagonal blocks; a failure names its cell.
+    correction changes only the upper-right block, so tau and sigma are
+    products of the blocks they come from.  Each correction [[I, x], [0, I]]
+    has inverse [[I, -x], [0, I]], so the inverses are carried along;
+    `_correct` applies both as block updates.  `check_split` is the one
+    verification of the result, including the forced vanishing of the lower
+    rows' right-map off-diagonal blocks; a failure names its cell.
     """
     rep = validate_grid(G, W)
     if not rep.ok:
         raise GridValidationError(rep)
-    field = G.field
-
+    field, p = G.field, G.field.p
     C = [[basis for basis, _ in row] for row in rep.bases]
     C_inv = [[inv for _, inv in row] for row in rep.bases]
 
-    def correct(r, c, v, w, off):
-        # [[I, off], [0, I]] has inverse [[I, -off], [0, I]]
-        C[r][c] = _upper_corr(field, v, w, off) @ C[r][c]
-        C_inv[r][c] = C_inv[r][c] @ _upper_corr(field, v, w, -off % field.p)
+    def off_diagonal(L: Matrix, M: Matrix, R: Matrix, v: int, left: int) -> np.ndarray:
+        # the block of L M R at its top v rows and its columns past `left`,
+        # as the product of those rows of L, M and those columns of R
+        return _product(_product(L.data[:v], M.data, p, M.rows), R.data[:, left:], p, M.cols)
 
     # row 1: absorb the off-diagonal blocks of the right maps
     for c in range(G.n - 1):
-        v2 = W.Vdims[c + 1]
-        tau = (C[0][c + 1] @ G.right[0][c] @ C_inv[0][c]).data[:v2, W.Vdims[c] :]
-        correct(0, c + 1, v2, W.Wdims[0], -tau % field.p)
+        tau = off_diagonal(C[0][c + 1], G.right[0][c], C_inv[0][c], W.Vdims[c + 1], W.Vdims[c])
+        C[0][c + 1], C_inv[0][c + 1] = _correct(field, C[0][c + 1], C_inv[0][c + 1], -tau % p)
 
     # remaining rows: absorb the up-map off-diagonal blocks row by row
     for r in range(G.m - 1):
         for c in range(G.n):
             v = W.Vdims[c]
-            sigma = (C[r][c] @ G.up[r][c] @ C_inv[r + 1][c]).data[:v, v:]
-            correct(r + 1, c, v, W.Wdims[r + 1], sigma)
+            sigma = off_diagonal(C[r][c], G.up[r][c], C_inv[r + 1][c], v, v)
+            C[r + 1][c], C_inv[r + 1][c] = _correct(field, C[r + 1][c], C_inv[r + 1][c], sigma)
 
     return check_split(G, W, C, C_inv)
+
+
+def split_form(field, W: SESWitness) -> tuple[MatrixStack, MatrixStack]:
+    """The maps of a grid in the split coordinates of witness W: the m x
+    (n-1) table of right maps blockdiag(V-transition, I) and the (m-1) x n
+    table of up maps blockdiag(I, W-transition)."""
+    V, Wd = _lengths(W.Vdims), _lengths(W.Wdims)[:, None]
+    right = _block_diags(W.Vmaps_stack[None], _identities(field, Wd))
+    up = _block_diags(_identities(field, V[None]), W.Wmaps_stack[:, None])
+    return right, up
 
 
 def check_split(G: BidirectedGrid, W: SESWitness, basis, inverse) -> SplitGrid:
@@ -502,8 +517,7 @@ def check_split(G: BidirectedGrid, W: SESWitness, basis, inverse) -> SplitGrid:
     for r, c in np.argwhere(wrong)[:1].tolist():
         what = "basis shape" if shape[r, c] else "inverse"
         raise AssertionError(f"split check failed: {what} wrong at ({r + 1},{c + 1})")
-    split_right = _block_diags(W.Vmaps_stack[None], _identities(field, Wd))
-    split_up = _block_diags(_identities(field, V[None]), W.Wmaps_stack[:, None])
+    split_right, split_up = split_form(field, W)
     for family, conj, want in (
         ("right", B[:, 1:] @ G.right_stack @ B_inv[:, :-1], split_right),
         ("up", B[:-1] @ G.up_stack @ B_inv[1:], split_up),
@@ -553,11 +567,7 @@ def grid_decomposition(S: SplitGrid) -> GridDecomposition:
     v_n = W.Vdims[-1]
     w_m = W.Wdims[-1]
     m = G.m
-    # composite W_m -> W_r along the tower
-    comp = [None] * m
-    comp[m - 1] = Matrix.identity(field, w_m)
-    for r in range(m - 2, -1, -1):
-        comp[r] = W.Wmaps[r] @ comp[r + 1]
+    comp = _composites("tower", field, w_m, W.Wmaps)  # W_m -> W_r along the tower
 
     pi, opens, opens_grid = [], [], []
     corner = S.basis[m - 1][G.n - 1]
@@ -607,10 +617,7 @@ def chain_limit(field, dims: list[int], maps: list[Matrix]) -> ChainLimit:
     vstack(f_1...f_{k-1}, ..., f_{k-1}, I): the canonical kernel basis of
     [I -f_1 0 ...; 0 I -f_2 ...; ...], whose free columns are the last block.
     """
-    projections = [Matrix.identity(field, dims[-1])]
-    for f in reversed(maps):
-        projections.append(f @ projections[-1])
-    projections.reverse()
+    projections = _composites("tower", field, dims[-1], maps)
     return ChainLimit(vstack(projections), tuple(projections))
 
 
@@ -625,10 +632,7 @@ def chain_colimit(field, dims: list[int], maps: list[Matrix]) -> ChainColimit:
     k = len(dims)
     offs = np.cumsum([0] + dims).tolist()
     total = offs[-1]
-    to_last = [Matrix.identity(field, dims[-1])]
-    for f in reversed(maps):
-        to_last.append(to_last[-1] @ f)
-    classes, pivots = rref(hstack(to_last[::-1]))
+    classes, pivots = rref(hstack(_composites("indtower", field, dims[-1], maps)))
     reps = Matrix._of(field, np.eye(total, dtype=np.int64)[:, pivots])
     injections = tuple(Matrix._of(field, classes.data[:, offs[i] : offs[i + 1]]) for i in range(k))
     return ChainColimit(classes, reps, injections)
@@ -655,7 +659,9 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
 
     The canonical map from the colimit of the column limits to the limit of
     the row colimits is read off the two routes through the grid and
-    conjugated into normal-form coordinates through the corner cell.  The
+    conjugated into normal-form coordinates through the corner cell.  Route
+    1's colimit is route 2's colimit of row m and the corner's image is the
+    last block of the map, so neither is computed twice.  The
     commuting squares of the SplitGrid make the up maps descend to the row
     colimits, and the construction of `chain_colimit` makes the map
     constant on colimit classes, so neither is checked again; what is
@@ -671,21 +677,20 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
         chain_limit(field, [G.dims[r][c] for r in range(m)], [G.up[r][c] for r in range(m - 1)])
         for c in range(n)
     ]
-    lim_dims = [L.basis.cols for L in col_limits]
-    lim_maps = []
     for c in range(n - 1):
         big_right = block_diag([G.right[r][c] for r in range(m)], field=field)
-        nxt = col_limits[c + 1].coords(big_right @ col_limits[c].basis)
-        if nxt is None:
+        if col_limits[c + 1].coords(big_right @ col_limits[c].basis) is None:
             raise AssertionError("internal: right maps do not preserve column limits")
-        lim_maps.append(nxt)
-    source = chain_colimit(field, lim_dims, lim_maps)
 
     # route 2: colimits of the rows, then the limit of those colimits
     row_colims = [
         chain_colimit(field, [G.dims[r][c] for c in range(n)], [G.right[r][c] for c in range(n - 1)])
         for r in range(m)
     ]
+    # a column limit's basis ends in the identity, so its coordinates are
+    # the last row's, the right maps of the last row are the maps between
+    # the column limits, and route 1's colimit is that of the last row
+    source = row_colims[-1]
     colim_dims = [Cr.reps.cols for Cr in row_colims]
     colim_maps = []
     for r in range(m - 1):
@@ -707,14 +712,12 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
     v_n, w_m = W.Vdims[-1], W.Wdims[-1]
     # the limit of column n is the corner cell itself: its basis is the
     # tuple of the corner's images up the column, so the corner's limit
-    # coordinates are the identity
-    up_comp = col_limits[n - 1].projections
+    # coordinates are the identity, and phi's last block is its image
     corner_inv = S.inverse[m - 1][n - 1]
     # the last injection of the colimit is the last block T of
     # rref([F_1 | ... | I]) = T [F_1 | ... | I], so it is invertible and so is psi_source
     psi_source = source.injections[n - 1] @ corner_inv
-    psi_target_raw = vstack([row_colims[r].injections[n - 1] @ up_comp[r] for r in range(m)])
-    psi_target_lim = target.coords(psi_target_raw)
+    psi_target_lim = target.coords(blocks[-1])
     if psi_target_lim is None:
         raise AssertionError("internal: corner image is not in the iterated colimit")
     psi_target_inv = inverse(psi_target_lim @ corner_inv)

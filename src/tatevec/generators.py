@@ -1,9 +1,10 @@
 """Seeded random instances with planted ground truth.
 
-Every generated grid is built as a block-diagonal model and then scrambled
-cell by cell, so the planted dimensions and scramble matrices ride along as
-a ground-truth record; consumers that recover the structure can be checked
-against it exactly.  All generation is a pure function of the seed.
+Every generated grid is its witness's split form (`bidirected.split_form`)
+conjugated by a scramble per cell, as products of stacks, so the planted
+dimensions and scramble matrices ride along as a ground-truth record;
+consumers that recover the structure can be checked against it exactly.
+All generation is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .bidirected import (
     SESWitness,
     SplitGrid,
     check_split,
+    split_form,
 )
-from .exactla import FieldSpec, Matrix, block_diag, image_basis, inverse, is_invertible, kron
+from .exactla import FieldSpec, Matrix, MatrixStack, image_basis, inverse, is_invertible, kron
 from .spaces import FilteredSpace, IndTower, TateObj, Tower, _map_shape
 
 
@@ -118,25 +120,17 @@ def rand_grid(
     S = [[rand_invertible(rng, field, Vdims[c] + Wdims[r]) for c in range(n)] for r in range(m)]
     S_inv = [[_inv(M) for M in row] for row in S]  # draws nothing from rng
     dims = [[Vdims[c] + Wdims[r] for c in range(n)] for r in range(m)]
-    right = [
-        [
-            S[r][c + 1] @ block_diag([Vmaps[c], Matrix.identity(field, Wdims[r])]) @ S_inv[r][c]
-            for c in range(n - 1)
-        ]
-        for r in range(m)
-    ]
-    up = [
-        [
-            S[r][c] @ block_diag([Matrix.identity(field, Vdims[c]), Wmaps[r]]) @ S_inv[r + 1][c]
-            for c in range(n)
-        ]
-        for r in range(m - 1)
-    ]
     # S [I; 0] is the leading V columns of S, [0 I] S^-1 the trailing W rows of S^-1
     inj = [[Matrix._of(field, S[r][c].data[:, : Vdims[c]]) for c in range(n)] for r in range(m)]
     surj = [[Matrix._of(field, S_inv[r][c].data[Vdims[c] :]) for c in range(n)] for r in range(m)]
-    grid = BidirectedGrid(field, dims, right, up)
-    witness = SESWitness(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
+    witness = SESWitness.from_stacks(
+        Vdims, MatrixStack.of(field, Vmaps, (n - 1,)), Wdims, MatrixStack.of(field, Wmaps, (m - 1,)),
+        MatrixStack.of(field, inj, (m, n)), MatrixStack.of(field, surj, (m, n)),
+    )
+    # every map is its split form conjugated by the scrambles of its ends
+    A, A_inv = MatrixStack.of(field, S, (m, n)), MatrixStack.of(field, S_inv, (m, n))
+    right, up = split_form(field, witness)
+    grid = BidirectedGrid.from_stacks(field, dims, A[:, 1:] @ right @ A_inv[:, :-1], A[:-1] @ up @ A_inv[1:])
     scramble, scramble_inv = (tuple(map(tuple, table)) for table in (S, S_inv))
     return PlantedGrid(grid, witness, scramble, scramble_inv, tuple(Vdims), tuple(Wdims))
 

@@ -111,6 +111,17 @@ def _map_shape(kind: str, lower, upper):
     return (lower, upper) if kind == "tower" else (upper, lower)
 
 
+def _composites(kind: str, field: FieldSpec, top: int, maps) -> list[Matrix]:
+    """The composites of a chain with its last level, of dimension `top`,
+    oriented as `_map_shape` orients map i: composite i runs from level i+1
+    to the last in a direct system and back in a tower; the last is the
+    identity."""
+    out = [Matrix.identity(field, top)]
+    for f in reversed(maps):
+        out.append(f @ out[-1] if kind == "tower" else out[-1] @ f)
+    return out[::-1]
+
+
 class _LazySystem:
     """Shared machinery of Tower and IndTower: memoized 1-based levels."""
 
@@ -452,10 +463,7 @@ def normalize_indtower(T: IndTower, depth: int) -> tuple[SystemPrefix, list[Matr
     coords_{i+1} maps_i; both are unique, the bases being independent.
     """
     pre = materialize(T, depth)
-    G = [Matrix.identity(pre.field, pre.dims[-1])]  # G[i]: level i+1 -> top
-    for m in reversed(pre.maps):
-        G.insert(0, G[0] @ m)
-    bases, coords, piv = _image_levels(G)
+    bases, coords, piv = _image_levels(_composites("indtower", pre.field, pre.dims[-1], pre.maps))
     maps = tuple((c @ m).take_cols(p) for c, m, p in zip(coords[1:], pre.maps, piv))
     return SystemPrefix(pre.kind, pre.field, tuple(b.cols for b in bases), maps), coords
 
@@ -473,10 +481,7 @@ def normalize_tower(T: Tower, depth: int) -> tuple[SystemPrefix, list[Matrix]]:
     coords_i at the pivots of H_{i+1}, and that transition is onto.
     """
     pre = materialize(T, depth)
-    H = [Matrix.identity(pre.field, pre.dims[-1])]  # H[i]: top -> level i+1
-    for m in reversed(pre.maps):
-        H.insert(0, m @ H[0])
-    bases, coords, piv = _image_levels(H)
+    bases, coords, piv = _image_levels(_composites("tower", pre.field, pre.dims[-1], pre.maps))
     maps = tuple(c.take_cols(p) for c, p in zip(coords, piv[1:]))
     return SystemPrefix(pre.kind, pre.field, tuple(b.cols for b in bases), maps), bases
 
@@ -499,14 +504,10 @@ def tate_window(V: TateObj, depth: int) -> tuple[FilteredSpace, Matrix, Matrix]:
     field = V.field
     l, d = pre.dims[-1], V.dLattice.dim(depth)
     c_cols, d_cols = _window_blocks(field, l, d)
-    comp = Matrix.identity(field, l)
-    kernels = []
-    for k in range(depth - 1, 0, -1):
-        comp = pre.maps[k - 1] @ comp  # L_N -> L_k
-        kernels.append(kernel_basis(comp))
     flags = [c_cols]
-    for K in reversed(kernels):  # repeated ranks collapse to one flag
-        if K.cols < flags[-1].cols:
+    for H in _composites("tower", field, l, pre.maps)[:-1]:  # L_N -> L_k, k = 1, ..., N - 1
+        K = kernel_basis(H)
+        if K.cols < flags[-1].cols:  # repeated ranks collapse to one flag
             flags.append(c_cols @ K)
     if flags[-1].cols:
         flags.append(Matrix.zeros(field, l + d, 0))

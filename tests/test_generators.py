@@ -7,7 +7,8 @@ coproduct windows with their targets, the duality isomorphisms and their
 inverses, and the global maps in planted coordinates.  They also pin the
 draw order: a generator that draws one more or one fewer number shows
 here.  The count tests pin that each scramble and the global duality are
-inverted once, and that the filtered spaces are built without re-checking
+inverted once, that grids and witnesses are built without the checking
+constructors, and that the filtered spaces are built without re-checking
 flags nested by construction.
 """
 
@@ -17,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from tatevec import exactla, generators, spaces
+from tatevec import bidirected, exactla, generators, spaces
 from tatevec.exactla import FieldSpec, Matrix
 from tatevec.generators import rand_filtered_space, rand_grid, rand_pairings, rand_selfdual
 
@@ -97,6 +98,26 @@ def test_each_scramble_inverted_once(monkeypatch):
     assert len(calls) == 5
     fx.planted.planted_split
     assert len(calls) == 5
+
+
+def test_grids_are_built_unchecked(monkeypatch):
+    # rand_grid builds its grid and witness through from_stacks, never
+    # through the checking constructors; what it builds passes them
+    calls = []
+    for cls in (bidirected.BidirectedGrid, bidirected.SESWitness):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _cls=cls: calls.append(_cls))
+    planted = [
+        rand_grid(np.random.default_rng(seed), field, constant_systems=constant)
+        for seed in range(20)
+        for field in (FieldSpec(2), FieldSpec(5))
+        for constant in (False, True)
+    ]
+    assert calls == []
+    monkeypatch.undo()
+    for P in planted:
+        G, W = P.grid, P.witness
+        assert bidirected.BidirectedGrid(G.field, G.dims, G.right, G.up).dims == G.dims
+        assert bidirected.SESWitness(W.Vdims, W.Vmaps, W.Wdims, W.Wmaps, W.inj, W.surj).inj == W.inj
 
 
 def test_filtered_spaces_are_wrapped_unchecked(monkeypatch):

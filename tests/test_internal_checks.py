@@ -76,7 +76,7 @@ def test_split_grid_check_names_cell(monkeypatch):
     # without its graph corrections the split leaves an off-diagonal block,
     # which the one final check_split reports with its cell
     planted = rand_grid(np.random.default_rng(0), FieldSpec(65521), m=3, n=3)
-    monkeypatch.setattr(bidirected, "_upper_corr", lambda field, v, w, off: Matrix.identity(field, v + w))
+    monkeypatch.setattr(bidirected, "_correct", lambda field, C, C_inv, x: (C, C_inv))
     with pytest.raises(AssertionError, match=r"^split check failed: (right|up) map at \(\d+,\d+\)$"):
         bidirected.split_grid(planted.grid, planted.witness)
 
