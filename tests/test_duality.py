@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tatevec import duality, exactla, spaces
 from tatevec.exactla import FieldSpec, Matrix, image_basis, is_invertible, spans_equal
 from tatevec.duality import (
     bidual_check,
@@ -10,6 +11,7 @@ from tatevec.duality import (
     extend_functional,
     self_dual_decompose,
 )
+from tatevec.generators import rand_tate
 from tatevec.spaces import (
     FilteredSpace,
     FinVect,
@@ -108,6 +110,18 @@ class TestBidualCheck:
 
     def test_laurent(self):
         assert bidual_check(laurent_tate(GF2), 4).ok
+
+    def test_identity_pairings_not_ranked(self, monkeypatch):
+        # every pairing of the witness is an identity, so nothing is
+        # eliminated: the check compares the prefixes and builds them
+        X = rand_tate(np.random.default_rng(0), GF2, depth=6)
+        calls = []
+        real = exactla.rref
+        for module in (exactla, duality, spaces):
+            monkeypatch.setattr(module, "rref", lambda A: calls.append(A.shape) or real(A))
+        rep = bidual_check(X, 6)
+        assert rep.ok and len(rep.witness.pairings) == 12
+        assert calls == []
 
     def test_finvect(self):
         assert bidual_check(FinVect(3), 1).ok
