@@ -9,8 +9,8 @@ lists, tuples, strings, ints, booleans and None, with the `Matrix` itself
 wherever a matrix document goes, and never a float.  `dumps` is the one
 writer of canonical text (sorted keys, no spaces): a matrix over GF(p >= 11)
 is written from `Matrix.to_json`, and one over GF(p < 11), whose entries
-are single digits, straight from its array.  `space_doc`, `grid_doc` and
-`matrix_doc` return the plain JSON form of the same documents.
+are single digits, straight from its array.  `space_doc` and `grid_doc`
+return the plain JSON form of the same documents.
 """
 
 from __future__ import annotations
@@ -110,10 +110,6 @@ def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
         return Matrix.from_entries(field, rows, cols, entries)
     except (ValueError, OverflowError) as e:
         raise ParseError(path, f"bad matrix: {e}")
-
-
-def matrix_doc(M: Matrix) -> dict:
-    return M.to_json()
 
 
 # In a tree with no floats the only NaN is a slot written by `dumps`, and the

@@ -15,7 +15,7 @@ import pytest
 from tatevec import cli
 from tatevec.exactla import FieldSpec, Matrix
 from tatevec.generators import rand_grid, rand_tate
-from tatevec.serialize import dumps, grid_doc, matrix_doc, space_doc
+from tatevec.serialize import dumps, grid_doc, space_doc
 
 PRIMES = [2, 3, 5, 7, 11, 65521, 3037000493]
 SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (8, 8), (64, 65)]
@@ -99,8 +99,8 @@ def test_public_docs_are_the_plain_json_of_stdout(tmp_path, capsys):
     assert doc == json.loads(capsys.readouterr().out)
 
     M = _matrices(5)[4]
-    assert _is_plain(matrix_doc(M))
-    assert matrix_doc(M) == json.loads(dumps(M))
+    assert _is_plain(M.to_json())
+    assert M.to_json() == json.loads(dumps(M))
 
 
 def _count_to_json(monkeypatch) -> list:
