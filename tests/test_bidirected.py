@@ -24,6 +24,7 @@ from tatevec.duality import dual_object
 from tatevec.exactla import (
     FieldSpec,
     Matrix,
+    block_diag,
     extend_basis,
     hstack,
     image_basis,
@@ -660,6 +661,23 @@ class TestAgainstReferences:
             for X in (inside, anywhere):
                 assert lim.coords(X) == solve_linear(lim.basis, X)
             assert lim.coords(inside) is not None
+
+    @pytest.mark.parametrize("field", GRID_FIELDS, ids=lambda f: f"p{f.p}")
+    def test_planted_maps_are_conjugated_split_forms(self, field):
+        # rand_grid's maps, products of stacks, against one product per cell:
+        # S blockdiag(V-transition, I) S^-1 and S blockdiag(I, W-transition) S^-1
+        rng = np.random.default_rng(field.p % 1000)
+        for trial in range(12):
+            P = rand_grid(rng, field, max_part=3, constant_systems=trial % 3 == 0)
+            G, W, S, S_inv = P.grid, P.witness, P.scramble, P.scramble_inv
+            for r in range(G.m):
+                for c in range(G.n - 1):
+                    split = block_diag([W.Vmaps[c], Matrix.identity(field, W.Wdims[r])])
+                    assert G.right[r][c] == S[r][c + 1] @ split @ S_inv[r][c]
+            for r in range(G.m - 1):
+                for c in range(G.n):
+                    split = block_diag([Matrix.identity(field, W.Vdims[c]), W.Wmaps[r]])
+                    assert G.up[r][c] == S[r][c] @ split @ S_inv[r + 1][c]
 
     @pytest.mark.parametrize("field", GRID_FIELDS, ids=lambda f: f"p{f.p}")
     def test_validate_and_split_on_mutated_witnesses(self, field):
