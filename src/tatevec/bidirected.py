@@ -6,12 +6,12 @@ below zero) and direct along columns.  A short-exact-sequence witness
 exhibits each cell as an extension of a constant inverse system W_r by a
 constant direct system V_c; `split_grid` then conjugates every cell into
 the split form (`split_form`) by the double induction with graph
-corrections.  The result
-is one verified `SplitGrid` (basis and inverse per cell), from which the
-iterated limit/colimit data, the canonical exchange map and user-supplied
-multiplication/comultiplication windows are all read off and verified
-exactly.  The dual grid is the transpose of a validated grid and needs no
-split.
+corrections.  The result is one verified `SplitGrid` (basis and inverse
+per cell), from which the iterated limit/colimit data and user-supplied
+multiplication/comultiplication windows are read off and verified
+exactly; the canonical exchange map is then the identity in normal form
+(`exchange_normal_form`, checked by `kappa_check`).  The dual grid is
+the transpose of a validated grid and needs no split.
 
 Each table of maps of a grid or witness is one `MatrixStack`: zero-padded
 int64 arrays, one per bucket of like sizes, with a table of shapes.  The
@@ -645,17 +645,34 @@ def chain_colimit(field, dims: list[int], maps: list[Matrix]) -> ChainColimit:
 
 @dataclass(frozen=True)
 class ExchangeCertificate:
-    """The canonical map colim-of-limits -> limit-of-colimits, computed on
-    the grid and compared against the normal form; in normal-form
-    coordinates it must be the identity."""
+    """The canonical map colim-of-limits -> limit-of-colimits and its normal
+    form, as the oracle `kappa_check` computes them; on a SplitGrid the
+    normal form is the identity (`exchange_normal_form`)."""
 
     matrix: Matrix
     normal_form: Matrix
     ok: bool
 
 
+def exchange_normal_form(S: SplitGrid) -> Matrix:
+    """The normal form of the exchange map, the identity of size |V_n| +
+    |W_m|, which `decompose` prints: it follows from `validate_grid` and
+    `check_split`, which made S.  In `kappa_check`'s names, C the corner's
+    change of basis:
+    - psi_source = source.injections[n-1] C^-1, the corner's limit
+      coordinates being the identity;
+    - the commuting squares make phi constant on row m's colimit classes,
+      so phi reps injections[n-1] is phi's last block: kappa psi_source =
+      psi_target, and psi_target^-1 kappa psi_source = I;
+    - both inverses exist: the last injection of a chain colimit is the
+      last block T of rref([F_1 | ... | I]) = T [F_1 | ... | I].
+    """
+    return Matrix.identity(S.grid.field, S.witness.Vdims[-1] + S.witness.Wdims[-1])
+
+
 def kappa_check(S: SplitGrid) -> ExchangeCertificate:
-    """Compute the exchange map and compare it with the normal form.
+    """Compute the exchange map and compare it with the normal form: the
+    oracle for `exchange_normal_form`, which `check --suite grid` runs.
 
     The canonical map from the colimit of the column limits to the limit of
     the row colimits is read off the two routes through the grid and
@@ -708,14 +725,10 @@ def kappa_check(S: SplitGrid) -> ExchangeCertificate:
     if kappa is None:
         raise AssertionError("internal: exchange image is not a compatible family")
 
-    # normal-form comparison through the corner cell
+    # normal-form comparison through the corner cell, whose limit
+    # coordinates are the identity (see `exchange_normal_form`)
     v_n, w_m = W.Vdims[-1], W.Wdims[-1]
-    # the limit of column n is the corner cell itself: its basis is the
-    # tuple of the corner's images up the column, so the corner's limit
-    # coordinates are the identity, and phi's last block is its image
     corner_inv = S.inverse[m - 1][n - 1]
-    # the last injection of the colimit is the last block T of
-    # rref([F_1 | ... | I]) = T [F_1 | ... | I], so it is invertible and so is psi_source
     psi_source = source.injections[n - 1] @ corner_inv
     psi_target_lim = target.coords(blocks[-1])
     if psi_target_lim is None:
@@ -749,29 +762,29 @@ def dual_grid(G: BidirectedGrid, W: SESWitness) -> DualGridResult:
     Cell (r', c') of the dual is the dual of cell (c', r'); the witness
     systems swap roles with transposed maps, so the compact and discrete
     parts trade places.  Nothing is split: the dual grid and witness are
-    the transposes of G and W, and the certificate compares the Tate object
-    of the dual witness levelwise with the dual of the original's, which
-    agree by construction.
+    the transposes of G and W, so the dual witness's Tate object is the
+    dual of the original's by construction and the certificate holds
+    without comparing them; `dual_grid_check`, the oracle, compares them.
     """
     rep = validate_grid(G, W)
     if not rep.ok:
         raise GridValidationError(rep)
-    field = G.field
     dims2 = [list(col) for col in zip(*G.dims)]
-    G2 = BidirectedGrid.from_stacks(field, dims2, G.up_stack.T, G.right_stack.T)
+    G2 = BidirectedGrid.from_stacks(G.field, dims2, G.up_stack.T, G.right_stack.T)
     W2 = SESWitness.from_stacks(
         list(W.Wdims), W.Wmaps_stack.T, list(W.Vdims), W.Vmaps_stack.T, W.surj_stack.T, W.inj_stack.T
     )
+    return DualGridResult(G2, W2, True, "dual decomposition matches dualized decomposition levelwise")
 
-    # certificate: the Tate object of the dual witness == the dual Tate object
-    dual = dual_object(_witness_tate(field, W))
-    tate2 = _witness_tate(field, W2)
-    want = (materialize(dual.cLattice, G.n), materialize(dual.dLattice, G.m))
-    ok = (materialize(tate2.cLattice, G.n), materialize(tate2.dLattice, G.m)) == want
-    detail = "dual decomposition matches dualized decomposition levelwise" if ok else (
-        "dual decomposition disagrees with the dualized decomposition"
-    )
-    return DualGridResult(G2, W2, ok, detail)
+
+def dual_grid_check(W: SESWitness, W2: SESWitness) -> bool:
+    """Whether the Tate object of W2, the witness `dual_grid` returns for
+    W, equals the dual of W's levelwise, through every level of the grid."""
+    field = W.inj_stack.field
+    dual, tate2 = dual_object(_witness_tate(field, W)), _witness_tate(field, W2)
+    n, m = len(W.Vdims), len(W.Wdims)
+    want = (materialize(dual.cLattice, n), materialize(dual.dLattice, m))
+    return (materialize(tate2.cLattice, n), materialize(tate2.dLattice, m)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def test_c07_exchange_identity(grid_fleet):
 def test_c08_grid_duality(grid_fleet):
     for planted, _ in grid_fleet:
         out = bd.dual_grid(planted.grid, planted.witness)
-        if not out.certificate_ok:
+        if not (out.certificate_ok and bd.dual_grid_check(planted.witness, out.witness)):
             report(8, False, "dual decomposition differs from dualized decomposition")
     report(8, True, f"duality certificate holds levelwise on all {len(grid_fleet)} grids")
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from tatevec.bidirected import (
     check_pd_intertwine,
     check_split,
     dual_grid,
+    dual_grid_check,
+    exchange_normal_form,
     grid_decomposition,
     kappa_check,
     split_grid,
@@ -306,7 +310,7 @@ class TestDualGrid:
         for _ in range(5):
             planted = rand_grid(rng, GF5, m=2, n=2, max_part=3)
             out = dual_grid(planted.grid, planted.witness)
-            assert out.certificate_ok
+            assert out.certificate_ok and dual_grid_check(planted.witness, out.witness)
 
     def test_decomposition_duality_levelwise(self):
         rng = np.random.default_rng(37)
@@ -714,3 +718,36 @@ class TestAgainstReferences:
             fresh = ref_split_grid(out.grid, out.witness)
             assert check_split(out.grid, out.witness, fresh.basis, fresh.inverse) == fresh
 
+
+
+class TestClosedFormsAgainstOracles:
+    """`decompose` prints `exchange_normal_form` and `dual_grid` certifies
+    without comparing; `kappa_check` and `dual_grid_check` compute what
+    those closed forms state, and must agree with them on every grid."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 65521, LARGEST_PRIME])
+    def test_fleet(self, p):
+        field = FieldSpec(p)
+        rng = np.random.default_rng(p % 1009)
+        grids, zero_parts = 0, 0
+        # every shape with m, n in 1..5, parts of at most 0, 1, 2 or 3 dimensions
+        for (m, n), max_part in itertools.product(itertools.product(range(1, 6), repeat=2), (0, 1, 2, 3, 3)):
+            planted = rand_grid(rng, field, m=m, n=n, max_part=max_part)
+            G, W = planted.grid, planted.witness
+            S = split_grid(G, W)
+            cert = kappa_check(S)
+            assert cert.ok and exchange_normal_form(S) == cert.normal_form
+            out = dual_grid(G, W)
+            assert out.certificate_ok and dual_grid_check(W, out.witness)
+            grids += 1
+            zero_parts += 0 in planted.Vdims + planted.Wdims
+        assert grids == 125 and zero_parts >= 50
+
+    def test_dual_oracle_rejects_a_witness_that_is_not_the_dual(self):
+        rng = np.random.default_rng(41)
+        planted = rand_grid(rng, GF5, m=3, n=3, max_part=3)
+        W = planted.witness
+        assert planted.Vdims != planted.Wdims
+        assert dual_grid_check(W, dual_grid(planted.grid, W).witness)
+        # W in place of its dual: the systems keep their roles
+        assert not dual_grid_check(W, W)

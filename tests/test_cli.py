@@ -154,13 +154,13 @@ class TestGenDecompose:
         assert code == 0
         assert calls == {"validate_grid": 1, "split_grid": splits, "check_split": splits}
 
-    @pytest.mark.parametrize("cmd,calls", [("decompose", 15), ("dual", 2)])
+    @pytest.mark.parametrize("cmd,calls", [("decompose", 8), ("dual", 2)])
     def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
         # validation completes inj in every cell with one elimination of the
         # stack of all cells and inverts every surj E with one more, and the
-        # split reuses both (2 calls on this 6 x 6 grid); chain limits take
-        # none and each row's chain colimit one, the colimit of the column
-        # limits being the last row's; dual only validates
+        # split reuses both (2 calls on this 6 x 6 grid); the decomposition
+        # takes one kernel basis per row and the exchange certificate none;
+        # dual only validates
         path = tmp_path / "g.json"
         gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
         run_cli(capsys, *gen, "--out", str(path))
@@ -181,6 +181,18 @@ class TestGenDecompose:
                     monkeypatch.setattr(module, name, counted(real))
         code, _ = run_cli(capsys, cmd, str(path))
         assert (code, count) == (0, calls)
+
+    def test_kappa_check_runs_in_the_grid_suite_only(self, tmp_path, capsys, monkeypatch):
+        # decompose prints the exchange certificate in closed form; the grid
+        # suite still runs the oracle that computes it
+        path = tmp_path / "g.json"
+        run_cli(capsys, "gen", "--kind", "grid", "--seed", "7", "--m", "3", "--n", "3", "--out", str(path))
+        calls = []
+        monkeypatch.setattr(bd, "kappa_check", lambda S, _real=bd.kappa_check: calls.append(S) or _real(S))
+        assert run_cli(capsys, "decompose", str(path))[0] == 0
+        assert calls == []
+        assert run_cli(capsys, "check", "--suite", "grid")[0] == 0
+        assert calls
 
     @pytest.mark.parametrize("field", ["4", "1", str(10**18 + 3)])
     def test_gen_bad_field_is_malformed(self, capsys, field):
