@@ -22,6 +22,14 @@ completes and inverts the witness cells of like sizes in two
 eliminations of stacks, and `dual_grid` transposes the stacks.  Failing
 cells are read off boolean tables in row-major order.
 
+The changes of basis are stacks too, from end to end: `validate_grid`
+hands them to `split_grid` as two m x n stacks padded by its buckets,
+the corrections update those padded arrays (row 1 a cell at a time,
+every later row in one stacked step), `check_split` takes the stacks as
+they are, and a `SplitGrid` holds them, with `Matrix` views built only
+when read.  `grid_decomposition` eliminates the tails of all its row
+cutoffs in one stack.
+
 All verification is exact mod p; reports use 1-based cell indices.
 """
 
@@ -39,11 +47,12 @@ from .exactla import (
     Matrix,
     MatrixStack,
     ShapeMismatchError,
+    _gather,
+    _kernel,
     _product,
     block_diag,
     hstack,
     inverse,
-    kernel_basis,
     kron,
     pad_buckets,
     rank,
@@ -201,9 +210,9 @@ class SESWitness:
 class GridReport:
     ok: bool
     violations: tuple[str, ...]
-    # bases[r][c] = (C, C^-1), the change of basis of cell (r, c) that the
-    # witness eliminations give (`_eliminate_cells`), which `split_grid` reuses;
-    # set on a valid grid only
+    # bases = (C, C^-1), two m x n stacks laid out alike: the change of basis
+    # of every cell that the witness eliminations give (`_eliminate_cells`),
+    # which `split_grid` reuses; set on a valid grid only
     bases: tuple = dataclass_field(default=(), compare=False, repr=False)
 
 
@@ -215,7 +224,7 @@ class GridValidationError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitGrid:
     """A grid and its witness with a verified change of basis per cell.
 
@@ -224,13 +233,32 @@ class SplitGrid:
     blockdiag(V-transition, identity) and every up map is
     blockdiag(identity, W-transition).  `check_split` verifies all of this
     once and is the only place a SplitGrid is built.  Every phase that
-    takes a SplitGrid trusts it.
+    takes a SplitGrid trusts it.  Both tables are held as m x n
+    `MatrixStack`s (`basis_stack`, `inverse_stack`); `basis` and `inverse`
+    are tables of read-only `Matrix` views of them, built on first use.
+    Two SplitGrids are equal when they have the same grid and witness and
+    equal tables.
     """
 
     grid: BidirectedGrid
     witness: SESWitness
-    basis: tuple[tuple[Matrix, ...], ...]
-    inverse: tuple[tuple[Matrix, ...], ...]
+    basis_stack: MatrixStack
+    inverse_stack: MatrixStack
+
+    @cached_property
+    def basis(self) -> tuple[tuple[Matrix, ...], ...]:
+        return self.basis_stack.matrices()
+
+    @cached_property
+    def inverse(self) -> tuple[tuple[Matrix, ...], ...]:
+        return self.inverse_stack.matrices()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SplitGrid):
+            return NotImplemented
+        return (self.grid, self.witness, self.basis, self.inverse) == (
+            other.grid, other.witness, other.basis, other.inverse
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +273,7 @@ def _identities(field, dims: np.ndarray) -> MatrixStack:
         d = dims if at is None else dims.reshape(-1)[at]
         return np.eye(tops[0], dtype=np.int64) * (np.arange(tops[0]) < d[..., None, None])
 
-    return MatrixStack._build(field, dims, dims, pad_buckets(dims), fill)
+    return MatrixStack._build(field, dims, dims, pad_buckets(dims, dims), fill)
 
 
 def _place(out: np.ndarray, B: np.ndarray, r0: np.ndarray, c0: np.ndarray):
@@ -279,7 +307,7 @@ def _leads(pivots: list[list[int]], lead: np.ndarray) -> np.ndarray:
     return np.array([piv[:k] == list(range(k)) for piv, k in zip(pivots, lead.tolist())], dtype=bool)
 
 
-def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composite_zero):
+def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composite_zero, bases: bool):
     """The witness eliminations of k well-shaped cells, all cells at once.
 
     inj and surj are the cells' maps padded to (k, Rd, Cv) and (k, Rw, Rd)
@@ -289,8 +317,9 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     square [surj E | I] inverts surj E.  surj [inj | E] = [0 | SE] with
     [inj | E] invertible, so where the composite is zero and E has |W|
     columns, surj is onto iff SE is invertible; every other cell is decided
-    by the rank of its surj.  Returns (injective, onto, bases): bases[i] is
-    the change of basis (C, C^-1) of a cell where all of this holds, else
+    by the rank of its surj.  Returns (injective, onto, bases): where all
+    of this holds for every cell and `bases` asks for them, bases is (C,
+    C^-1), the cells' changes of basis as two (k, Rd, Rd) arrays, else
     None.
 
     C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1).  As
@@ -309,14 +338,14 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     e = np.array([len(cols) for cols in Ecols], dtype=np.int64)
     Ce = int(e.max(initial=0))
     E = np.zeros((k, Rd, Ce), dtype=np.int64)
-    for i, cols in enumerate(Ecols):
-        E[i, cols, range(len(cols))] = 1
+    start = np.repeat(np.cumsum(e) - e, e)  # E[i] has a 1 at (Ecols[i][t], t)
+    E[np.repeat(np.arange(k), e), [c for cols in Ecols for c in cols], np.arange(start.size) - start] = 1
     usable = injective & composite_zero & (e == w)
 
     # only where E has |W| columns is SE square; there |W| <= |cell|
     cells = usable.nonzero()[0]
     u = slice(None) if cells.size == k else cells
-    du, vu, wu = d[u], v[u], w[u]
+    wu = w[u]
     Ru = int(wu.max(initial=0))
     Eu = E[u, :, :Ru]
     aug = np.zeros((cells.size, Ru, 2 * Ru), dtype=np.int64)
@@ -330,29 +359,31 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
         onto[i] = rank(Matrix._of(field, surj[i, : w[i], : d[i]])) == w[i]
         if onto[i] and usable[i]:
             raise AssertionError("internal: complement does not project onto W")
+    if not bases or cells.size < k or not onto.all():
+        return injective, onto, None
 
-    # room for a block placed below or right of v
-    C = np.zeros((cells.size, max(Rd, Cv + Ru), Rd), dtype=np.int64)
-    C[:, :Rd, :Rd] = X[u, :, Cv:] * (np.arange(Rd)[:, None] < vu[:, None, None])
-    _place(C, surj[u, :Ru], vu, np.zeros_like(vu))
-    C_inv = np.zeros((cells.size, Rd, Cv + Ru), dtype=np.int64)
-    C_inv[:, :, :Cv] = inj[u]
-    _place(C_inv, _product(Eu, Y[:, :, Ru:], field.p, Ru), np.zeros_like(vu), vu)
-    bases = [None] * k
-    for j, (i, di) in enumerate(zip(cells.tolist(), du.tolist())):
-        if onto[i]:
-            bases[i] = (Matrix._of(field, C[j, :di, :di]), Matrix._of(field, C_inv[j, :di, :di]))
-    return injective, onto, bases
+    # every cell is usable from here on; room for a block placed below or
+    # right of v
+    C = np.zeros((k, max(Rd, Cv + Ru), Rd), dtype=np.int64)
+    C[:, :Rd, :Rd] = X[:, :, Cv:] * (np.arange(Rd)[:, None] < v[:, None, None])
+    _place(C, surj[:, :Ru], v, np.zeros_like(v))
+    C_inv = np.zeros((k, Rd, Cv + Ru), dtype=np.int64)
+    C_inv[:, :, :Cv] = inj
+    _place(C_inv, _product(Eu, Y[:, :, Ru:], field.p, Ru), np.zeros_like(v), v)
+    # each cell's blocks end at its |V| + |W| = |cell|, so Rd holds them
+    return injective, onto, (C[:, :Rd], C_inv[:, :, :Rd])
 
 
-def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridReport:
+def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None, bases: bool = False) -> GridReport:
     """Check square commutation and, with a witness, exactness and naturality.
 
     Every violated identity is listed with its 1-based cell indices, each
     kind of identity cell by cell in row-major order.  Each identity is one
     product of stacks over all cells, and the witness cells are completed
-    and inverted together (`_eliminate_cells`).  The report of a valid grid
-    carries those eliminations for `split_grid`.
+    and inverted together (`_eliminate_cells`).  With `bases`, the report
+    of a valid grid carries the changes of basis those eliminations give,
+    as two stacks padded by the buckets they were eliminated in, for
+    `split_grid`; a caller that splits nothing is spared building them.
     """
     bad: list[str] = []
     right, up = G.right_stack, G.up_stack
@@ -370,22 +401,24 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
     composite_zero = ~(surj @ inj).nonzero()
     cells = np.flatnonzero(~misshapen)
     injective, onto = np.zeros(misshapen.size, dtype=bool), np.zeros(misshapen.size, dtype=bool)
-    bases = [None] * misshapen.size
+    found = []  # each bucket's (C, C^-1) arrays, or None
     d, v, w = (x.reshape(-1)[cells] for x in (D, V, Wd))
     # cells of like sizes are eliminated together: each array of a cell's
     # eliminations is at most |cell| x (|cell| + |V| + |W|)
-    for at, _ in pad_buckets(d, np.maximum(d, v + w)):
+    buckets = pad_buckets(d, np.maximum(d, v + w))
+    for at, _ in buckets:
         at = slice(None) if at is None else at
         where = cells[at]
         Rd, Cv, Rw = (int(x[at].max(initial=0)) for x in (d, v, w))
-        injective[where], onto[where], found = _eliminate_cells(
+        injective[where], onto[where], pair = _eliminate_cells(
             G.field, inj._take(Rd, Cv, where), surj._take(Rw, Rd, where), d[at], v[at], w[at],
-            composite_zero.reshape(-1)[where],
+            composite_zero.reshape(-1)[where], bases,
         )
-        for i, basis in zip(where.tolist(), found):
-            bases[i] = basis
+        found.append(pair)
     injective, onto = injective.reshape(D.shape), onto.reshape(D.shape)
-    for r, c in np.ndindex(D.shape):
+    # a well-shaped cell's sizes are those of its maps, so V + W cannot overflow
+    fine = ~misshapen & injective & onto & composite_zero & (D == V + Wd)
+    for r, c in np.argwhere(~fine).tolist():  # each failing cell, row-major
         cell = f"({r + 1},{c + 1})"
         if misshapen[r, c]:
             bad.append(f"witness shapes wrong at {cell}")
@@ -421,7 +454,15 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
                 bad.append(f"projection not natural for {cell}")
     if bad:
         return GridReport(False, tuple(bad))
-    return GridReport(True, (), tuple(tuple(bases[r * G.n : (r + 1) * G.n]) for r in range(G.m)))
+    if not bases:
+        return GridReport(True, ())
+    # every cell is well shaped, so the buckets are those of the whole
+    # table, in the order `MatrixStack._build` fills them
+    stacks = []
+    for i in range(2):
+        parts = iter([pair[i] for pair in found])
+        stacks.append(MatrixStack._build(G.field, D, D, buckets, lambda at, tops: next(parts)))
+    return GridReport(True, (), tuple(stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +470,22 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
 # ---------------------------------------------------------------------------
 
 
-def _correct(field, C: Matrix, C_inv: Matrix, x: np.ndarray) -> tuple[Matrix, Matrix]:
-    """A cell's change of basis after the graph correction [[I, x], [0, I]],
-    x reduced mod p: [[I, x], [0, I]] C adds x times C's bottom rows to its
-    top v rows, and C^-1 [[I, -x], [0, I]], the new inverse, subtracts C^-1's
-    left v columns times x from its right columns."""
-    p, (v, w) = field.p, x.shape
-    B, B_inv = C.data.copy(), C_inv.data.copy()
-    B[:v] = (B[:v] + _product(x, C.data[v:], p, w)) % p
-    B_inv[:, v:] = (B_inv[:, v:] - _product(C_inv.data[:, :v], x, p, v)) % p
-    return Matrix._of(field, B), Matrix._of(field, B_inv)
+def _correct(field, C: np.ndarray, C_inv: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells' changes of basis after their graph corrections I + X, as
+    zero-padded (..., R, R) arrays, one cell or a stack of them alike.  X
+    is reduced mod p and zero outside each cell's block at its top v rows
+    and its columns from v on, so X^2 = 0: (I + X) C adds X times C's
+    bottom rows to its top v rows, and C^-1 (I - X), the new inverse,
+    subtracts C^-1's left v columns times X from its right columns."""
+    p, R = field.p, X.shape[-1]
+    return (C + _product(X, C, p, R)) % p, (C_inv - _product(C_inv, X, p, R)) % p
+
+
+def _upper_right(R: int, v: np.ndarray) -> np.ndarray:
+    """For each offset in v, the R x R mask of the rows below it and the
+    columns from it on: where a correction's X may be nonzero."""
+    at, v = np.arange(R), v[..., None, None]
+    return (at[:, None] < v) & (at >= v)
 
 
 def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
@@ -454,37 +501,69 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     up map.  The diagonal and lower-left blocks need no correction: the
     naturality identities `validate_grid` checks force them, and a
     correction changes only the upper-right block, so tau and sigma are
-    products of the blocks they come from.  Each correction [[I, x], [0, I]]
-    has inverse [[I, -x], [0, I]], so the inverses are carried along;
-    `_correct` applies both as block updates.  `check_split` is the one
-    verification of the result, including the forced vanishing of the lower
-    rows' right-map off-diagonal blocks; a failure names its cell.
+    products of the blocks they come from.  Each correction I + X has
+    inverse I - X, so the inverses are carried along; `_correct` applies
+    both as block updates.
+
+    The changes of basis stay two m x n stacks from the validation to
+    `check_split`, in the zero-padded arrays of the validation's buckets.
+    Row 1's induction is a chain, one cell at a time (n - 1 corrections).
+    Cells (r, c) and (r+1, c) share the V offset v_c, so each later row is
+    one stacked step over its n columns (one correction per bucket the row
+    lies in): X is C_r up_r C_{r+1}^-1 at rows below v_c and columns from
+    v_c on.  `check_split` is the one verification of the result,
+    including the forced vanishing of the lower rows' right-map
+    off-diagonal blocks; a failure names its cell.
     """
-    rep = validate_grid(G, W)
+    rep = validate_grid(G, W, True)  # with the changes of basis
     if not rep.ok:
         raise GridValidationError(rep)
     field, p = G.field, G.field.p
-    C = [[basis for basis, _ in row] for row in rep.bases]
-    C_inv = [[inv for _, inv in row] for row in rep.bases]
+    B, B_inv = rep.bases
+    D, V = B.rows, _lengths(W.Vdims)
+    dims, v = D.tolist(), V.tolist()
+    # writable copies of the parts, laid out as B's
+    C, C_inv = [P.copy() for P in B.parts], [P.copy() for P in B_inv.parts]
 
-    def off_diagonal(L: Matrix, M: Matrix, R: Matrix, v: int, left: int) -> np.ndarray:
-        # the block of L M R at its top v rows and its columns past `left`,
-        # as the product of those rows of L, M and those columns of R
-        return _product(_product(L.data[:v], M.data, p, M.rows), R.data[:, left:], p, M.cols)
+    def corner(parts, r, c):  # the cell's padded array, cut to the cell
+        d = dims[r][c]
+        if B.slot is None:  # one part laid out as the table
+            return parts[0][r, c, :d, :d]
+        return parts[B.part[r, c]][B.slot[r, c], :d, :d]
 
-    # row 1: absorb the off-diagonal blocks of the right maps
+    # row 1: absorb the off-diagonal blocks of the right maps, column by column
+    right = G.right_stack[0].blocks()
     for c in range(G.n - 1):
-        tau = off_diagonal(C[0][c + 1], G.right[0][c], C_inv[0][c], W.Vdims[c + 1], W.Vdims[c])
-        C[0][c + 1], C_inv[0][c + 1] = _correct(field, C[0][c + 1], C_inv[0][c + 1], -tau % p)
+        (d0, d1), (v0, v1) = dims[0][c : c + 2], v[c : c + 2]
+        cell, cell_inv = corner(C, 0, c + 1), corner(C_inv, 0, c + 1)
+        tau = _product(_product(cell[:v1], right[c], p, d1), corner(C_inv, 0, c)[:, v0:], p, d0)
+        X = np.zeros((d1, d1), dtype=np.int64)
+        X[:v1, v1:] = -tau % p
+        cell[...], cell_inv[...] = _correct(field, cell, cell_inv, X)
 
-    # remaining rows: absorb the up-map off-diagonal blocks row by row
-    for r in range(G.m - 1):
-        for c in range(G.n):
-            v = W.Vdims[c]
-            sigma = off_diagonal(C[r][c], G.up[r][c], C_inv[r + 1][c], v, v)
-            C[r + 1][c], C_inv[r + 1][c] = _correct(field, C[r + 1][c], C_inv[r + 1][c], sigma)
+    # remaining rows: absorb the up-map off-diagonal blocks, one step per
+    # row; X is C_r up_r C_{r+1}^-1 at rows below v_c and columns from v_c
+    # on, and only the top v_c <= |cell (r+1, c)| rows of C_r are needed
+    if B.slot is None:  # every row is one stack of the table's padding
+        T, T_inv = C[0], C_inv[0]
+        R = T.shape[-1]
+        up, mask = G.up_stack._take(R, R), _upper_right(R, V)
+        for r in range(G.m - 1):
+            X = _product(_product(T[r], up[r], p, R), T_inv[r + 1], p, R) * mask
+            T[r + 1], T_inv[r + 1] = _correct(field, T[r + 1], T_inv[r + 1], X)
+    else:  # one step per part that the row's cells lie in
+        part, slot = B.part, B.slot
+        for r in range(G.m - 1):
+            for j in np.unique(part[r + 1]).tolist():
+                cols = np.flatnonzero(part[r + 1] == j)
+                s, R, K = slot[r + 1, cols], C[j].shape[-1], int(D[r, cols].max())
+                top = _gather(C, part[r, cols], slot[r, cols], R, K)
+                up = G.up_stack._take(K, R, r * G.n + cols)
+                X = _product(_product(top, up, p, K), C_inv[j][s], p, R) * _upper_right(R, V[cols])
+                C[j][s], C_inv[j][s] = _correct(field, C[j][s], C_inv[j][s], X)
 
-    return check_split(G, W, C, C_inv)
+    done = (MatrixStack(field, D, D, tuple(parts), B.part, B.slot) for parts in (C, C_inv))
+    return check_split(G, W, *done)
 
 
 def split_form(field, W: SESWitness) -> tuple[MatrixStack, MatrixStack]:
@@ -500,6 +579,7 @@ def split_form(field, W: SESWitness) -> tuple[MatrixStack, MatrixStack]:
 def check_split(G: BidirectedGrid, W: SESWitness, basis, inverse) -> SplitGrid:
     """Verify a per-cell change of basis once and wrap it as a SplitGrid.
 
+    `basis` and `inverse` are m x n tables of `Matrix` or `MatrixStack`s.
     Checks exactly that basis[r][c] @ inverse[r][c] is the identity of a
     cell of dimension |V_c| + |W_r|, and the split form of every right and
     up map, each as one product of stacks over all cells.  The first
@@ -507,10 +587,7 @@ def check_split(G: BidirectedGrid, W: SESWitness, basis, inverse) -> SplitGrid:
     AssertionError naming its cell.
     """
     field = G.field
-    basis = tuple(tuple(row) for row in basis)
-    inverse = tuple(tuple(row) for row in inverse)
-    B = MatrixStack.of(field, basis, (G.m, G.n))
-    B_inv = MatrixStack.of(field, inverse, (G.m, G.n))
+    B, B_inv = (T if isinstance(T, MatrixStack) else MatrixStack.of(field, T, (G.m, G.n)) for T in (basis, inverse))
     D, V, Wd = _lengths(G.dims), _lengths(W.Vdims), _lengths(W.Wdims)[:, None]
     shape = (D != V + Wd) | (B.rows != D) | (B.cols != D) | (B_inv.rows != D) | (B_inv.cols != D)
     wrong = shape | (B @ B_inv).differs(_identities(field, D))
@@ -524,7 +601,7 @@ def check_split(G: BidirectedGrid, W: SESWitness, basis, inverse) -> SplitGrid:
     ):
         for r, c in np.argwhere(conj.differs(want))[:1].tolist():
             raise AssertionError(f"split check failed: {family} map at ({r + 1},{c + 1})")
-    return SplitGrid(G, W, basis, inverse)
+    return SplitGrid(G, W, B, B_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -560,29 +637,45 @@ def _witness_tate(field, W: SESWitness) -> TateObj:
 
 
 def grid_decomposition(S: SplitGrid) -> GridDecomposition:
+    """The normal form of S's iterated (co)limit, every row cutoff at once.
+
+    Cutoff r projects the corner's V_n + W_m onto V_n + W_r (W_0 = 0)
+    along the tail W_m -> W_r of the tower, so pi[r-1] is blockdiag(I,
+    tail) and the open subspace is the kernel of the tail below V_n.  The
+    m tails, padded to one array, are eliminated in one `rref_stack`, and
+    each kernel is read off its echelon form as `kernel_basis` reads it
+    (`exactla._kernel`); pi, the open bases and their images under the
+    corner's inverse are built as stacks, the images as one product.
+    """
     G, W = S.grid, S.witness
-    field = G.field
-    tate = _witness_tate(field, W)
+    field, p, m = G.field, G.field.p, G.m
+    v_n, w_m = W.Vdims[-1], W.Wdims[-1]
+    d = v_n + w_m
+    w = [0] + W.Wdims[:-1]  # the cutoffs' W_r
+    tails = np.zeros((m, max(w), w_m), dtype=np.int64)
+    for r, f in enumerate(_composites("tower", field, w_m, W.Wmaps)[:-1], start=1):  # W_m -> W_r
+        tails[r, : w[r]] = f.data
+    echelon, pivots = rref_stack(field, tails)
+    kernels = [_kernel(R, piv, w_m, p) for R, piv in zip(echelon, pivots)]
+    k = [K.shape[1] for K in kernels]
+    pi = np.zeros((m, v_n + max(w), d), dtype=np.int64)
+    pi[:, :v_n, :v_n] = np.eye(v_n, dtype=np.int64)
+    pi[:, v_n:, v_n:] = tails
+    opens = np.zeros((m, d, max(k)), dtype=np.int64)
+    for r, K in enumerate(kernels):
+        opens[r, v_n:, : k[r]] = K
+    opens_grid = _product(S.inverse_stack[-1, -1].blocks()[0], opens, p, d)
 
-    v_n = W.Vdims[-1]
-    w_m = W.Wdims[-1]
-    m = G.m
-    comp = _composites("tower", field, w_m, W.Wmaps)  # W_m -> W_r along the tower
+    def views(stack, rows, cols):
+        return tuple(Matrix._of(field, stack[r, : rows[r], : cols[r]]) for r in range(m))
 
-    pi, opens, opens_grid = [], [], []
-    corner = S.basis[m - 1][G.n - 1]
-    corner_inv = S.inverse[m - 1][G.n - 1]
-    for r in range(m):
-        # cutoff strictly above row r+1: project to V_n + W_r (W_0 = 0); the
-        # kernel of proj is that of the tail, which grows with r
-        tail = comp[r - 1] if r >= 1 else Matrix.zeros(field, 0, w_m)
-        proj = block_diag([Matrix.identity(field, v_n), tail], field=field)
-        ker_w = kernel_basis(tail)
-        U = vstack([Matrix.zeros(field, v_n, ker_w.cols), ker_w])
-        pi.append(proj)
-        opens.append(U)
-        opens_grid.append(corner_inv @ U)
-    return GridDecomposition(tate, tuple(pi), tuple(opens), tuple(opens_grid), corner)
+    return GridDecomposition(
+        _witness_tate(field, W),
+        views(pi, [v_n + x for x in w], [d] * m),
+        views(opens, [d] * m, k),
+        views(opens_grid, [d] * m, k),
+        S.basis[-1][-1],
+    )
 
 
 # ---------------------------------------------------------------------------

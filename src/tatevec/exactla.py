@@ -261,6 +261,21 @@ def _fits(k: int, tops) -> bool:
     return k <= _ROOM
 
 
+def _gather(parts, part: np.ndarray, slot: np.ndarray, R: int, C: int) -> np.ndarray:
+    """The blocks parts[part[i]][slot[i]] padded or cut to R x C, as an
+    array of the shape of `part` followed by (R, C)."""
+    if len(parts) == 1:
+        P = parts[0][slot, :R, :C]
+        if P.shape[-2:] == (R, C):
+            return P
+    out = np.zeros(slot.shape + (R, C), dtype=np.int64)
+    for j, P in enumerate(parts):
+        P = P[:, :R, :C]
+        held = part == j
+        out[held, : P.shape[1], : P.shape[2]] = P[slot[held]]
+    return out
+
+
 class MatrixStack:
     """A table of matrices over one field, held in zero-padded int64 parts.
 
@@ -373,12 +388,7 @@ class MatrixStack:
             return out
         if at is not None:
             part, slot = part.reshape(-1)[at], slot.reshape(-1)[at]
-        out = np.zeros(slot.shape + (R, C), dtype=np.int64)
-        for j, P in enumerate(self.parts):
-            P = P[:, :R, :C]
-            held = part == j
-            out[held, : P.shape[1], : P.shape[2]] = P[slot[held]]
-        return out
+        return _gather(self.parts, part, slot, R, C)
 
     def _bound(self) -> tuple[int, int]:
         """The largest padding of its parts, which bounds every matrix."""
@@ -449,17 +459,21 @@ class MatrixStack:
         start = np.cumsum([0] + [len(P) for P in self.parts])
         return held[start[self.part] + self.slot]
 
-    def matrices(self):
-        """The table, of one or two axes, as (nested) tuples of read-only
-        `Matrix` views."""
-        field, shape = self.field, self.rows.shape
+    def blocks(self) -> list[np.ndarray]:
+        """The matrices in row-major order as read-only int64 array views."""
         if self.slot is None:
             k = self.rows.size
             parts, part, slot = (self.parts[0].reshape((k,) + self.parts[0].shape[-2:]),), [0] * k, range(k)
         else:
             parts, part, slot = self.parts, self.part.reshape(-1).tolist(), self.slot.reshape(-1).tolist()
         at = zip(part, slot, self.rows.reshape(-1).tolist(), self.cols.reshape(-1).tolist())
-        mats = [Matrix._of(field, parts[j][s, :r, :c]) for j, s, r, c in at]
+        return [parts[j][s, :r, :c] for j, s, r, c in at]
+
+    def matrices(self):
+        """The table, of one or two axes, as (nested) tuples of read-only
+        `Matrix` views."""
+        field, shape = self.field, self.rows.shape
+        mats = [Matrix._of(field, B) for B in self.blocks()]
         if len(shape) == 1:
             return tuple(mats)
         m, n = shape
@@ -684,12 +698,18 @@ def solve_linear(M: Matrix, B: Matrix) -> Optional[Matrix]:
 def kernel_basis(M: Matrix) -> Matrix:
     """Canonical RREF-derived kernel basis, columns indexed by free columns."""
     R, pivots = rref(M)
-    n = M.cols
+    return Matrix._of(M.field, _kernel(R.data, pivots, M.cols, M.field.p))
+
+
+def _kernel(R: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndarray:
+    """The kernel basis of `kernel_basis` read off an echelon form R of n
+    columns (zero rows below its pivots may pad it) and its pivots: the
+    unit vector of each free column minus the pivot rows' entries there."""
     free = [c for c in range(n) if c not in pivots]
     K = np.zeros((n, len(free)), dtype=np.int64)
     K[free, range(len(free))] = 1
-    K[pivots] = -R.data[: len(pivots), free] % M.field.p
-    return Matrix._of(M.field, K)
+    K[pivots] = -R[: len(pivots), free] % p
+    return K
 
 
 def image_basis(M: Matrix) -> Matrix:

@@ -122,6 +122,37 @@ class TestGenDecompose:
         assert [line for line in out.splitlines() if line.startswith("  - ")] == lines
         assert peak < 4 * 2**20
 
+    def test_split_of_mixed_sizes_takes_memory_linear_in_the_bases(self, tmp_path, capsys):
+        # a valid grid of 2 x 30 cells of dimension 1 and two of dimension N:
+        # the changes of basis stay padded by size from the validation
+        # through the corrections and the check, and so do the identities
+        # the check compares with, not to N x N per cell
+        import tracemalloc
+
+        import numpy as np
+
+        N, k = 200, 30
+        rng, sizes = np.random.default_rng(5), [np.array([0] * k + [N - 1]), np.array([1, 1])]
+
+        class Sized:  # gives rand_grid's Vdims and Wdims draws, then draws from rng
+            def integers(self, *args, **kwargs):
+                return sizes.pop(0) if sizes else rng.integers(*args, **kwargs)
+
+        planted = rand_grid(Sized(), FieldSpec(5), m=2, n=k + 1, max_part=N)
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(grid_doc(planted.grid, planted.witness)))
+        bases = 8 * sum(d * d for row in planted.grid.dims for d in row)  # bytes of one table
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, "decompose", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["exchange"]["ok"] is True
+        # about 14x here (the document, its parse and the output included);
+        # padding the two tables of bases to N x N per cell takes over 200x
+        assert peak < 24 * bases
+
     def test_stacks_split_by_size_give_the_same_output(self, tmp_path, capsys, monkeypatch):
         # with no room to pad regardless of need, tables of mixed sizes are
         # split into buckets, and every product, comparison and elimination
@@ -154,13 +185,13 @@ class TestGenDecompose:
         assert code == 0
         assert calls == {"validate_grid": 1, "split_grid": splits, "check_split": splits}
 
-    @pytest.mark.parametrize("cmd,calls", [("decompose", 8), ("dual", 2)])
+    @pytest.mark.parametrize("cmd,calls", [("decompose", 3), ("dual", 2)])
     def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
         # validation completes inj in every cell with one elimination of the
         # stack of all cells and inverts every surj E with one more, and the
         # split reuses both (2 calls on this 6 x 6 grid); the decomposition
-        # takes one kernel basis per row and the exchange certificate none;
-        # dual only validates
+        # eliminates the tails of all rows in one stack and the exchange
+        # certificate needs none; dual only validates
         path = tmp_path / "g.json"
         gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
         run_cli(capsys, *gen, "--out", str(path))
@@ -181,6 +212,18 @@ class TestGenDecompose:
                     monkeypatch.setattr(module, name, counted(real))
         code, _ = run_cli(capsys, cmd, str(path))
         assert (code, count) == (0, calls)
+
+    def test_correct_calls_per_grid(self, tmp_path, capsys, monkeypatch):
+        # row 1's chain corrects one cell per column step (n - 1 calls) and
+        # every later row is one stacked correction of its cells, here all
+        # in one padded array: 5 + 5 calls on this 6 x 6 grid
+        path = tmp_path / "g.json"
+        gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
+        run_cli(capsys, *gen, "--out", str(path))
+        calls = []
+        monkeypatch.setattr(bd, "_correct", lambda *args, _real=bd._correct: calls.append(args) or _real(*args))
+        assert run_cli(capsys, "decompose", str(path))[0] == 0
+        assert len(calls) == 10
 
     def test_kappa_check_runs_in_the_grid_suite_only(self, tmp_path, capsys, monkeypatch):
         # decompose prints the exchange certificate in closed form; the grid

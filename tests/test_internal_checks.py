@@ -81,6 +81,22 @@ def test_split_grid_check_names_cell(monkeypatch):
         bidirected.split_grid(planted.grid, planted.witness)
 
 
+def test_split_grid_row_one_chain_names_right_map(monkeypatch):
+    # row 1's chain corrects its cells first, one _correct per column step;
+    # without those n - 1 corrections the right maps of row 1 keep their
+    # off-diagonal blocks, and check_split names one of them
+    planted = rand_grid(np.random.default_rng(0), FieldSpec(65521), m=3, n=3)
+    real, calls = bidirected._correct, []
+
+    def skip_row_one(field, C, C_inv, X):
+        calls.append(X)
+        return (C, C_inv) if len(calls) < planted.grid.n else real(field, C, C_inv, X)
+
+    monkeypatch.setattr(bidirected, "_correct", skip_row_one)
+    with pytest.raises(AssertionError, match=r"^split check failed: right map at \(1,\d+\)$"):
+        bidirected.split_grid(planted.grid, planted.witness)
+
+
 def test_split_grid_change_of_basis(monkeypatch):
     # the one inverse per cell, that of surj @ E, is read off the second
     # elimination of the validation that split_grid runs, of every
