@@ -362,16 +362,14 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     if not bases or cells.size < k or not onto.all():
         return injective, onto, None
 
-    # every cell is usable from here on; room for a block placed below or
-    # right of v
-    C = np.zeros((k, max(Rd, Cv + Ru), Rd), dtype=np.int64)
-    C[:, :Rd, :Rd] = X[:, :, Cv:] * (np.arange(Rd)[:, None] < v[:, None, None])
-    _place(C, surj[:, :Ru], v, np.zeros_like(v))
-    C_inv = np.zeros((k, Rd, Cv + Ru), dtype=np.int64)
+    # every cell is usable from here on, so its blocks end at its |V| + |W|
+    # = |cell| <= Rd; P moves row t of a W block to row v + t of the cell
+    P = (np.arange(Rd)[:, None] == v[:, None, None] + np.arange(Ru)).astype(np.int64)
+    C = X[:, :, Cv:] * (np.arange(Rd)[:, None] < v[:, None, None]) + P @ surj[:, :Ru]
+    C_inv = np.zeros((k, Rd, Rd), dtype=np.int64)
     C_inv[:, :, :Cv] = inj
-    _place(C_inv, _product(Eu, Y[:, :, Ru:], field.p, Ru), np.zeros_like(v), v)
-    # each cell's blocks end at its |V| + |W| = |cell|, so Rd holds them
-    return injective, onto, (C[:, :Rd], C_inv[:, :, :Rd])
+    C_inv += _product(Eu, Y[:, :, Ru:], field.p, Ru) @ P.transpose(0, 2, 1)
+    return injective, onto, (C, C_inv)
 
 
 def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None, bases: bool = False) -> GridReport:
