@@ -264,10 +264,6 @@ def _fits(k: int, tops) -> bool:
 def _gather(parts, part: np.ndarray, slot: np.ndarray, R: int, C: int) -> np.ndarray:
     """The blocks parts[part[i]][slot[i]] padded or cut to R x C, as an
     array of the shape of `part` followed by (R, C)."""
-    if len(parts) == 1:
-        P = parts[0][slot, :R, :C]
-        if P.shape[-2:] == (R, C):
-            return P
     out = np.zeros(slot.shape + (R, C), dtype=np.int64)
     for j, P in enumerate(parts):
         P = P[:, :R, :C]
