@@ -27,8 +27,7 @@ hands them to `split_grid` as two m x n stacks padded by its buckets,
 the corrections update those padded arrays (row 1 a cell at a time,
 every later row in one stacked step), `check_split` takes the stacks as
 they are, and a `SplitGrid` holds them, with `Matrix` views built only
-when read.  `grid_decomposition` eliminates the tails of all its row
-cutoffs in one stack.
+when read.
 
 All verification is exact mod p; reports use 1-based cell indices.
 """
@@ -48,11 +47,11 @@ from .exactla import (
     MatrixStack,
     ShapeMismatchError,
     _gather,
-    _kernel,
     _product,
     block_diag,
     hstack,
     inverse,
+    kernel_basis,
     kron,
     pad_buckets,
     rank,
@@ -236,8 +235,8 @@ class SplitGrid:
     takes a SplitGrid trusts it.  Both tables are held as m x n
     `MatrixStack`s (`basis_stack`, `inverse_stack`); `basis` and `inverse`
     are tables of read-only `Matrix` views of them, built on first use.
-    Two SplitGrids are equal when they have the same grid and witness and
-    equal tables.
+    A SplitGrid compares by identity; its `basis` and `inverse` tables
+    compare by entries.
     """
 
     grid: BidirectedGrid
@@ -252,13 +251,6 @@ class SplitGrid:
     @cached_property
     def inverse(self) -> tuple[tuple[Matrix, ...], ...]:
         return self.inverse_stack.matrices()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SplitGrid):
-            return NotImplemented
-        return (self.grid, self.witness, self.basis, self.inverse) == (
-            other.grid, other.witness, other.basis, other.inverse
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +299,7 @@ def _leads(pivots: list[list[int]], lead: np.ndarray) -> np.ndarray:
     return np.array([piv[:k] == list(range(k)) for piv, k in zip(pivots, lead.tolist())], dtype=bool)
 
 
-def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composite_zero, bases: bool):
+def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composite_zero):
     """The witness eliminations of k well-shaped cells, all cells at once.
 
     inj and surj are the cells' maps padded to (k, Rd, Cv) and (k, Rw, Rd)
@@ -318,9 +310,8 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     [inj | E] invertible, so where the composite is zero and E has |W|
     columns, surj is onto iff SE is invertible; every other cell is decided
     by the rank of its surj.  Returns (injective, onto, bases): where all
-    of this holds for every cell and `bases` asks for them, bases is (C,
-    C^-1), the cells' changes of basis as two (k, Rd, Rd) arrays, else
-    None.
+    of this holds for every cell, bases is (C, C^-1), the cells' changes
+    of basis as two (k, Rd, Rd) arrays, else None.
 
     C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1).  As
     surj [inj | E] = [0 | SE], the bottom rows of C are surj itself, so C
@@ -359,7 +350,7 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
         onto[i] = rank(Matrix._of(field, surj[i, : w[i], : d[i]])) == w[i]
         if onto[i] and usable[i]:
             raise AssertionError("internal: complement does not project onto W")
-    if not bases or cells.size < k or not onto.all():
+    if cells.size < k or not onto.all():
         return injective, onto, None
 
     # every cell is usable from here on, so its blocks end at its |V| + |W|
@@ -372,16 +363,15 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     return injective, onto, (C, C_inv)
 
 
-def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None, bases: bool = False) -> GridReport:
+def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridReport:
     """Check square commutation and, with a witness, exactness and naturality.
 
     Every violated identity is listed with its 1-based cell indices, each
     kind of identity cell by cell in row-major order.  Each identity is one
     product of stacks over all cells, and the witness cells are completed
-    and inverted together (`_eliminate_cells`).  With `bases`, the report
-    of a valid grid carries the changes of basis those eliminations give,
-    as two stacks padded by the buckets they were eliminated in, for
-    `split_grid`; a caller that splits nothing is spared building them.
+    and inverted together (`_eliminate_cells`).  The report of a valid
+    grid carries the changes of basis those eliminations give, as two
+    stacks padded by the buckets they were eliminated in, for `split_grid`.
     """
     bad: list[str] = []
     right, up = G.right_stack, G.up_stack
@@ -410,7 +400,7 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None, bases: bool
         Rd, Cv, Rw = (int(x[at].max(initial=0)) for x in (d, v, w))
         injective[where], onto[where], pair = _eliminate_cells(
             G.field, inj._take(Rd, Cv, where), surj._take(Rw, Rd, where), d[at], v[at], w[at],
-            composite_zero.reshape(-1)[where], bases,
+            composite_zero.reshape(-1)[where],
         )
         found.append(pair)
     injective, onto = injective.reshape(D.shape), onto.reshape(D.shape)
@@ -452,8 +442,6 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None, bases: bool
                 bad.append(f"projection not natural for {cell}")
     if bad:
         return GridReport(False, tuple(bad))
-    if not bases:
-        return GridReport(True, ())
     # every cell is well shaped, so the buckets are those of the whole
     # table, in the order `MatrixStack._build` fills them
     stacks = []
@@ -513,7 +501,7 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     including the forced vanishing of the lower rows' right-map
     off-diagonal blocks; a failure names its cell.
     """
-    rep = validate_grid(G, W, True)  # with the changes of basis
+    rep = validate_grid(G, W)
     if not rep.ok:
         raise GridValidationError(rep)
     field, p = G.field, G.field.p
@@ -639,11 +627,10 @@ def grid_decomposition(S: SplitGrid) -> GridDecomposition:
 
     Cutoff r projects the corner's V_n + W_m onto V_n + W_r (W_0 = 0)
     along the tail W_m -> W_r of the tower, so pi[r-1] is blockdiag(I,
-    tail) and the open subspace is the kernel of the tail below V_n.  The
-    m tails, padded to one array, are eliminated in one `rref_stack`, and
-    each kernel is read off its echelon form as `kernel_basis` reads it
-    (`exactla._kernel`); pi, the open bases and their images under the
-    corner's inverse are built as stacks, the images as one product.
+    tail) and the open subspace is the kernel of the tail below V_n, one
+    `kernel_basis` per row.  pi, the open bases and their images under the
+    corner's inverse are built as zero-padded stacks, the images as one
+    product.
     """
     G, W = S.grid, S.witness
     field, p, m = G.field, G.field.p, G.m
@@ -651,10 +638,10 @@ def grid_decomposition(S: SplitGrid) -> GridDecomposition:
     d = v_n + w_m
     w = [0] + W.Wdims[:-1]  # the cutoffs' W_r
     tails = np.zeros((m, max(w), w_m), dtype=np.int64)
+    kernels = [kernel_basis(Matrix.zeros(field, 0, w_m)).data]
     for r, f in enumerate(_composites("tower", field, w_m, W.Wmaps)[:-1], start=1):  # W_m -> W_r
         tails[r, : w[r]] = f.data
-    echelon, pivots = rref_stack(field, tails)
-    kernels = [_kernel(R, piv, w_m, p) for R, piv in zip(echelon, pivots)]
+        kernels.append(kernel_basis(f).data)
     k = [K.shape[1] for K in kernels]
     pi = np.zeros((m, v_n + max(w), d), dtype=np.int64)
     pi[:, :v_n, :v_n] = np.eye(v_n, dtype=np.int64)

@@ -694,18 +694,12 @@ def solve_linear(M: Matrix, B: Matrix) -> Optional[Matrix]:
 def kernel_basis(M: Matrix) -> Matrix:
     """Canonical RREF-derived kernel basis, columns indexed by free columns."""
     R, pivots = rref(M)
-    return Matrix._of(M.field, _kernel(R.data, pivots, M.cols, M.field.p))
-
-
-def _kernel(R: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndarray:
-    """The kernel basis of `kernel_basis` read off an echelon form R of n
-    columns (zero rows below its pivots may pad it) and its pivots: the
-    unit vector of each free column minus the pivot rows' entries there."""
+    n = M.cols
     free = [c for c in range(n) if c not in pivots]
     K = np.zeros((n, len(free)), dtype=np.int64)
     K[free, range(len(free))] = 1
-    K[pivots] = -R[: len(pivots), free] % p
-    return K
+    K[pivots] = -R.data[: len(pivots), free] % M.field.p
+    return Matrix._of(M.field, K)
 
 
 def image_basis(M: Matrix) -> Matrix:

@@ -185,13 +185,13 @@ class TestGenDecompose:
         assert code == 0
         assert calls == {"validate_grid": 1, "split_grid": splits, "check_split": splits}
 
-    @pytest.mark.parametrize("cmd,calls", [("decompose", 3), ("dual", 2)])
+    @pytest.mark.parametrize("cmd,calls", [("decompose", 8), ("dual", 2)])
     def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
         # validation completes inj in every cell with one elimination of the
         # stack of all cells and inverts every surj E with one more, and the
         # split reuses both (2 calls on this 6 x 6 grid); the decomposition
-        # eliminates the tails of all rows in one stack and the exchange
-        # certificate needs none; dual only validates
+        # takes one kernel basis per row and the exchange certificate none;
+        # dual only validates
         path = tmp_path / "g.json"
         gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
         run_cli(capsys, *gen, "--out", str(path))
