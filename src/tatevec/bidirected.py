@@ -279,12 +279,18 @@ def _place(out: np.ndarray, B: np.ndarray, r0: np.ndarray, c0: np.ndarray):
 
 def _block_diags(A: MatrixStack, B: MatrixStack) -> MatrixStack:
     """The table of blockdiag(A[i], B[i]), the two tables broadcast."""
-    ra, ca, rb, cb = np.broadcast_arrays(A.rows, A.cols, B.rows, B.cols)
-    shape = ra.shape
+    shape = np.broadcast_shapes(A.rows.shape, B.rows.shape)
+    zero = np.zeros(shape, dtype=np.int64)
+    ra, ca, rb, cb = (x + zero for x in (A.rows, A.cols, B.rows, B.cols))
 
     def fill(at, tops):
         Ra, Ca, Rb, Cb = tops
-        at = np.arange(ra.size) if at is None else at
+        if at is None:  # one part in the table's shape: A broadcast into it, B broadcast once and placed
+            out = np.zeros(shape + (Ra + Rb, Ca + Cb), dtype=np.int64)
+            out[..., :Ra, :Ca] = A._take(Ra, Ca)
+            Bs = np.broadcast_to(B._take(Rb, Cb), shape + (Rb, Cb)).reshape(zero.size, Rb, Cb)
+            _place(out.reshape(zero.size, Ra + Rb, Ca + Cb), Bs, ra.reshape(-1), ca.reshape(-1))
+            return out
         out = np.zeros((at.size, Ra + Rb, Ca + Cb), dtype=np.int64)
         out[:, :Ra, :Ca] = A._take(Ra, Ca, at, shape)
         # B's padding fits past any offset
@@ -304,41 +310,58 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
 
     inj and surj are the cells' maps padded to (k, Rd, Cv) and (k, Rw, Rd)
     arrays, where Rd, Cv and Rw are the largest d, v and w, and d, v, w and
-    composite_zero are per-cell arrays.  One elimination of every [inj | I]
-    decides injectivity and completes inj to a basis [inj | E]; one of every
-    square [surj E | I] inverts surj E.  surj [inj | E] = [0 | SE] with
-    [inj | E] invertible, so where the composite is zero and E has |W|
-    columns, surj is onto iff SE is invertible; every other cell is decided
-    by the rank of its surj.  Returns (injective, onto, bases): where all
-    of this holds for every cell, bases is (C, C^-1), the cells' changes
-    of basis as two (k, Rd, Rd) arrays, else None.
+    composite_zero are per-cell arrays.  The greedy completion E of inj
+    takes e_1, e_2, ... in order, skipping those already in the running
+    span; with it [inj | E] is a basis and surj [inj | E] = [0 | SE].  Where
+    the composite is zero and E has |W| columns, surj is onto iff SE is
+    invertible; every other cell is decided by the rank of its surj.
+    Returns (injective, onto, bases): where all of this holds for every
+    cell, bases is (C, C^-1), the cells' changes of basis as two
+    (k, Rd, Rd) arrays, else None.
+
+    The first elimination is of every [inj^T, columns reversed | I_v], in
+    |V| pivot steps.  Its rows span span(inj), coordinates reversed, so
+    its pivots in the left block are the reversed last nonzero entries of
+    span(inj); e_j is skipped exactly when some vector of span(inj) has its
+    last nonzero entry at j.  So inj is injective iff all v pivots fall in
+    the left block, the skipped rows are J = {Rd - 1 - pivot}, and E is the
+    unit columns at the other rows.  With T the right block, T times the
+    left block of the system is its echelon form, whose column at the r-th
+    pivot is e_r: inj[J_r] T^T = e_r^T.  So Y, T^T scattered to the columns
+    J, has Y inj = I and Y E = 0; it is the inj-coordinate rows of
+    [inj | E]^-1.  A cell with |V| > |cell| is not injective and is left
+    out, so no system is larger than |cell| x 2 |cell|.  The second
+    elimination, of every square [SE | I], inverts SE.
 
     C = diag(I, SE) [inj | E]^-1 and C^-1 = [inj | E] diag(I, SE^-1).  As
     surj [inj | E] = [0 | SE], the bottom rows of C are surj itself, so C
-    stacks the inj-coordinate rows of [inj | E]^-1 on surj, and C^-1 =
-    [inj | E SE^-1].
+    stacks Y on surj, and C^-1 = [inj | E SE^-1].
     """
-    k, Rd, Cv = inj.shape
-    ext = np.zeros((k, Rd, Cv + Rd), dtype=np.int64)
-    ext[:, :, :Cv] = inj
-    ext[:, :, Cv:] = np.eye(Rd, dtype=np.int64) * (np.arange(Rd) < d[:, None, None])
+    k, Rd, _ = inj.shape
+    fit = v <= d  # the cells left out are cut to Cv columns; their echelon forms go unread
+    Cv = int(v[fit].max(initial=0))
+    ext = np.zeros((k, Cv, Rd + Cv), dtype=np.int64)
+    ext[:, :, :Rd] = inj[:, ::-1, :Cv].transpose(0, 2, 1)
+    ext[:, :, Rd:] = np.eye(Cv, dtype=np.int64) * (np.arange(Cv) < v[:, None, None])
     X, pivots = rref_stack(field, ext)
-    injective = _leads(pivots, v)  # inj is injective iff its columns lead rref([inj | I])
-    # E takes the unit columns at the pivots in the identity block
-    Ecols = [[c - Cv for c in piv[n:]] if ok else [] for piv, n, ok in zip(pivots, v.tolist(), injective)]
-    e = np.array([len(cols) for cols in Ecols], dtype=np.int64)
-    Ce = int(e.max(initial=0))
-    E = np.zeros((k, Rd, Ce), dtype=np.int64)
-    start = np.repeat(np.cumsum(e) - e, e)  # E[i] has a 1 at (Ecols[i][t], t)
-    E[np.repeat(np.arange(k), e), [c for cols in Ecols for c in cols], np.arange(start.size) - start] = 1
-    usable = injective & composite_zero & (e == w)
+    injective = fit & np.array([not piv or piv[-1] < Rd for piv in pivots], dtype=bool)
+    # an injective cell's E has |cell| - |V| columns
+    usable = injective & composite_zero & (d - v == w)
 
     # only where E has |W| columns is SE square; there |W| <= |cell|
     cells = usable.nonzero()[0]
     u = slice(None) if cells.size == k else cells
     wu = w[u]
     Ru = int(wu.max(initial=0))
-    Eu = E[u, :, :Ru]
+    # the r-th pivot q of the (at)-th usable cell skips row J = Rd - 1 - q
+    hits = [(n, r, Rd - 1 - q) for n, i in enumerate(cells.tolist()) for r, q in enumerate(pivots[i])]
+    at, r, J = np.array(hits, dtype=np.intp).reshape(-1, 3).T
+    keep = np.arange(Rd) < d[u][:, None]
+    keep[at, J] = False
+    # each usable cell keeps |W| rows; E's t-th column is the unit column at the t-th of them
+    Eu = np.zeros((cells.size, Rd, Ru), dtype=np.int64)
+    i, j = keep.nonzero()
+    Eu[i, j, np.arange(i.size) - (np.cumsum(wu) - wu)[i]] = 1
     aug = np.zeros((cells.size, Ru, 2 * Ru), dtype=np.int64)
     aug[:, :, :Ru] = _product(surj[u, :Ru], Eu, field.p, Rd)
     aug[:, :, Ru:] = np.eye(Ru, dtype=np.int64) * (np.arange(Ru) < wu[:, None, None])
@@ -356,7 +379,9 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     # every cell is usable from here on, so its blocks end at its |V| + |W|
     # = |cell| <= Rd; P moves row t of a W block to row v + t of the cell
     P = (np.arange(Rd)[:, None] == v[:, None, None] + np.arange(Ru)).astype(np.int64)
-    C = X[:, :, Cv:] * (np.arange(Rd)[:, None] < v[:, None, None]) + P @ surj[:, :Ru]
+    C = P @ surj[:, :Ru]
+    # column J_r of Y is row r of T, zero past its v columns, so the rows of surj keep their values
+    C[at, :Cv, J] += X[at, r, Rd:]
     C_inv = np.zeros((k, Rd, Rd), dtype=np.int64)
     C_inv[:, :, :Cv] = inj
     C_inv += _product(Eu, Y[:, :, Ru:], field.p, Ru) @ P.transpose(0, 2, 1)
@@ -391,8 +416,8 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
     injective, onto = np.zeros(misshapen.size, dtype=bool), np.zeros(misshapen.size, dtype=bool)
     found = []  # each bucket's (C, C^-1) arrays, or None
     d, v, w = (x.reshape(-1)[cells] for x in (D, V, Wd))
-    # cells of like sizes are eliminated together: each array of a cell's
-    # eliminations is at most |cell| x (|cell| + |V| + |W|)
+    # cells of like sizes are eliminated together: a cell's maps take at
+    # most |cell| x (|V| + |W|) and each of its systems |cell| x 2 |cell|
     buckets = pad_buckets(d, np.maximum(d, v + w))
     for at, _ in buckets:
         at = slice(None) if at is None else at

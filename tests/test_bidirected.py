@@ -39,7 +39,7 @@ from tatevec.exactla import (
     solve_linear,
     vstack,
 )
-from tatevec.generators import rand_grid, rand_pairings
+from tatevec.generators import rand_grid, rand_invertible, rand_matrix, rand_pairings
 from tatevec.spaces import materialize
 
 GF2 = FieldSpec(2)
@@ -592,7 +592,7 @@ def _rand_chain(rng, field, direct):
     return dims, maps
 
 
-MUTATIONS = ("zero_inj_column", "bump_surj", "nonzero_composite", "wrong_dims", "misshapen")
+MUTATIONS = ("zero_inj_column", "bump_surj", "nonzero_composite", "wrong_dims", "wide_V", "misshapen")
 
 
 def _mutate(rng, G, W, kind):
@@ -634,6 +634,17 @@ def _mutate(rng, G, W, kind):
             Vmaps[c] = Matrix(field, Vmaps[c].data[:, :-1])
         if c > 0:
             Vmaps[c - 1] = Matrix(field, Vmaps[c - 1].data[:-1, :])
+    elif kind == "wide_V":
+        # |W_r| + 1 more V_c coordinates, all sent to 0, so |V_c| > |cell| in
+        # every cell of column c of the widest W_r
+        extra = max(W.Wdims) + 1
+        Vdims[c] += extra
+        for rr in range(G.m):
+            inj[rr][c] = hstack([inj[rr][c], Matrix.zeros(field, G.dims[rr][c], extra)])
+        if c < G.n - 1:
+            Vmaps[c] = hstack([Vmaps[c], Matrix.zeros(field, Vdims[c + 1], extra)])
+        if c > 0:
+            Vmaps[c - 1] = vstack([Vmaps[c - 1], Matrix.zeros(field, extra, Vdims[c - 1])])
     else:  # misshapen: one extra zero column on one inclusion
         inj[r][c] = hstack([inj[r][c], Matrix.zeros(field, G.dims[r][c], 1)])
     return SESWitness(Vdims, Vmaps, list(W.Wdims), list(W.Wmaps), inj, surj)
@@ -722,6 +733,113 @@ class TestAgainstReferences:
             again = check_split(out.grid, out.witness, fresh.basis, fresh.inverse)
             assert (again.basis, again.inverse) == (fresh.basis, fresh.inverse)
 
+
+
+def ref_eliminate_cell(field, inj, surj):
+    """One cell's injectivity, surjectivity and, on a valid cell, change of
+    basis (C, C^-1), from `extend_basis` and `inverse`."""
+    d, v = inj.shape
+    w = surj.rows
+    try:
+        E, inj_coords, _ = extend_basis(inj, d)
+    except ValueError:  # dependent columns
+        E = None
+    onto = rank(surj) == w
+    if E is None or not onto or E.cols != w or not (surj @ inj).is_zero():
+        return E is not None, onto, None
+    return True, onto, (vstack([inj_coords, surj]), hstack([inj, E @ inverse(surj @ E)]))
+
+
+WITNESS_FIELDS = [FieldSpec(p) for p in (2, 3, 5, 65521, LARGEST_PRIME)]
+CELL_KINDS = ("valid", "not_injective", "wide_V", "zero_dims", "nonzero_composite", "E_not_W")
+
+
+def _rand_cell(rng, field, kind):
+    """A cell's (inj, surj) of the given kind; every kind but wide_V has
+    |V| <= |cell|."""
+    v, w = (int(x) for x in rng.integers(0, 4, size=2))
+    if kind == "zero_dims":
+        v, w = 0, int(rng.integers(0, 2))
+    if kind == "wide_V":
+        d = int(rng.integers(0, 3))
+        return rand_matrix(rng, field, d, d + 1 + int(rng.integers(0, 3))), rand_matrix(rng, field, w, d)
+    if kind == "not_injective":
+        v = max(v, 1)
+    if kind == "nonzero_composite":
+        v, w = max(v, 1), max(w, 1)
+    d = v + w + (kind == "E_not_W") - (kind == "zero_dims")
+    S = rand_invertible(rng, field, max(d, 0))
+    inj, S_inv = S.take_cols(range(v)), inverse(S)
+    surj = Matrix(field, S_inv.data[v : v + w]) if kind != "zero_dims" else Matrix.zeros(field, w, 0)
+    if kind == "not_injective":  # the last column in the span of the others
+        data = inj.data.copy()
+        data[:, -1] = data[:, :-1] @ rng.integers(0, field.p, size=v - 1) % field.p if v > 1 else 0
+        inj = Matrix(field, data)
+    elif kind == "nonzero_composite":  # a row of surj sends the first column of inj to 1
+        data = surj.data.copy()
+        data[0] = (data[0] + S_inv.data[0]) % field.p
+        surj = Matrix(field, data)
+    return inj, surj
+
+
+class TestWitnessEliminations:
+    """The stacked witness eliminations of `validate_grid` against one
+    `extend_basis` and one `inverse` per cell."""
+
+    @pytest.mark.parametrize("field", WITNESS_FIELDS, ids=lambda f: f"p{f.p}")
+    def test_cells_against_reference(self, field):
+        rng = np.random.default_rng(field.p % 997)
+        seen = {kind: 0 for kind in CELL_KINDS}
+        for trial in range(60):
+            # every fourth stack is all valid, so that it returns its bases
+            kinds = ["valid" if trial % 4 == 0 else CELL_KINDS[j] for j in rng.integers(0, 6, size=rng.integers(1, 7))]
+            cells = [_rand_cell(rng, field, kind) for kind in kinds]
+            d, v, w = (np.array(x, dtype=np.int64) for x in zip(*[(a.rows, a.cols, b.rows) for a, b in cells]))
+            Rd, Cv, Rw = int(d.max()), int(v.max()), int(w.max())
+            inj = np.zeros((len(cells), Rd, Cv), dtype=np.int64)
+            surj = np.zeros((len(cells), Rw, Rd), dtype=np.int64)
+            for i, (a, b) in enumerate(cells):
+                inj[i, : a.rows, : a.cols], surj[i, : b.rows, : b.cols] = a.data, b.data
+            composite_zero = np.array([(b @ a).is_zero() for a, b in cells])
+            injective, onto, bases = bidirected._eliminate_cells(field, inj, surj, d, v, w, composite_zero)
+            refs = [ref_eliminate_cell(field, a, b) for a, b in cells]
+            assert injective.tolist() == [ref[0] for ref in refs]
+            assert onto.tolist() == [ref[1] for ref in refs]
+            assert (bases is None) == any(ref[2] is None for ref in refs)
+            for i, ref in enumerate(refs):
+                seen[kinds[i]] += 1
+                if bases is not None:
+                    n = int(d[i])
+                    for got, want in zip(bases, ref[2]):
+                        assert got[i, :n, :n].tolist() == want.data.tolist() and not got[i, n:].any()
+                        assert not got[i, :, n:].any()
+        assert min(seen.values()) >= 15
+
+    @pytest.mark.parametrize("room", [None, 0], ids=["padded", "buckets"])
+    @pytest.mark.parametrize("field", WITNESS_FIELDS, ids=lambda f: f"p{f.p}")
+    def test_validation_against_reference(self, monkeypatch, field, room):
+        # the violation texts in their order, and the changes of basis of a
+        # valid grid, on planted grids and every mutation of their witnesses
+        if room is not None:
+            monkeypatch.setattr(exactla, "_ROOM", room)
+        rng = np.random.default_rng(field.p % 991)
+        valid = 0
+        for trial in range(12):
+            planted = rand_grid(rng, field, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 4)), max_part=3)
+            G, W = planted.grid, planted.witness
+            for W2 in [W] + [_mutate(rng, G, W, kind) for kind in MUTATIONS]:
+                if W2 is None:
+                    continue
+                got, want = validate_grid(G, W2), ref_validate_grid(G, W2)
+                assert got.violations == want.violations
+                if not got.ok:
+                    assert got.bases == ()
+                    continue
+                valid += 1
+                for r, c in itertools.product(range(G.m), range(G.n)):
+                    ref = ref_eliminate_cell(field, W2.inj[r][c], W2.surj[r][c])
+                    assert (got.bases[0].matrices()[r][c], got.bases[1].matrices()[r][c]) == ref[2]
+        assert valid >= 12
 
 
 class TestClosedFormsAgainstOracles:

@@ -213,6 +213,19 @@ class TestGenDecompose:
         code, _ = run_cli(capsys, cmd, str(path))
         assert (code, count) == (0, calls)
 
+    def test_first_witness_elimination_has_V_rows(self, tmp_path, capsys, monkeypatch):
+        # validation completes inj by eliminating every [inj^T reversed | I],
+        # max |V| rows, not every [inj | I], max |cell| rows
+        path = tmp_path / "g.json"
+        gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
+        run_cli(capsys, *gen, "--out", str(path))
+        doc = json.loads(path.read_text())
+        shapes, real = [], bd.rref_stack
+        monkeypatch.setattr(bd, "rref_stack", lambda field, data: shapes.append(data.shape) or real(field, data))
+        assert run_cli(capsys, "decompose", str(path))[0] == 0
+        assert max(doc["ses"]["Vdims"]) < max(max(row) for row in doc["dims"])
+        assert shapes[0][1] == max(doc["ses"]["Vdims"])
+
     def test_correct_calls_per_grid(self, tmp_path, capsys, monkeypatch):
         # row 1's chain corrects one cell per column step (n - 1 calls) and
         # every later row is one stacked correction of its cells, here all

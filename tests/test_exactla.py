@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +47,7 @@ class TestFieldSpec:
     def test_rejects_moduli_past_the_int64_bound(self):
         # the largest prime with (p-1)^2 + (p-1) < 2^63 is accepted
         assert FieldSpec(3037000493).p == 3037000493
-        # 10^18 + 3 is prime; rejected before any trial division
+        # 10^18 + 3 is prime; rejected before the primality test
         for p in (3037000507, 10**18 + 3, 2**61 - 1):
             with pytest.raises(ValueError, match="too large"):
                 FieldSpec(p)
@@ -54,6 +56,30 @@ class TestFieldSpec:
     def test_rejects_composites(self, p):
         with pytest.raises(ValueError):
             FieldSpec(p)
+
+    def test_primality_agrees_with_trial_division_below_200000(self):
+        n = np.arange(200000)
+        prime = n >= 2
+        for d in range(2, 448):  # 447^2 < 200000 < 448^2
+            prime &= (n % d != 0) | (n == d)
+        assert [exactla._is_prime(x) for x in range(200000)] == prime.tolist()
+
+    @pytest.mark.parametrize("n", [2047, 3277, 1373653, 25326001, 561, 1105, 41041])
+    def test_strong_pseudoprimes_and_carmichael_numbers_are_composite(self, n):
+        # strong pseudoprimes to base 2 (2047, 3277), bases 2, 3 (1373653)
+        # and bases 2, 3, 5 (25326001); Carmichael numbers
+        assert not exactla._is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec(n)
+
+    def test_primality_next_to_the_largest_admitted_prime(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        top = 3037000493
+        near = range(top - 40, top + 1)
+        assert [exactla._is_prime(n) for n in near] == [trial(n) for n in near]
+        assert sum(map(exactla._is_prime, near)) > 1 and exactla._is_prime(top)
 
     def test_inverse(self):
         f = FieldSpec(7)
