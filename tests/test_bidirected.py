@@ -758,8 +758,8 @@ def _rand_cell(rng, field, kind):
     """A cell's (inj, surj) of the given kind; every kind but wide_V has
     |V| <= |cell|."""
     v, w = (int(x) for x in rng.integers(0, 4, size=2))
-    if kind == "zero_dims":
-        v, w = 0, int(rng.integers(0, 2))
+    if kind == "zero_dims":  # a cell of dimension 0, onto only a W of dimension 0
+        return Matrix.zeros(field, 0, 0), Matrix.zeros(field, int(rng.integers(0, 2)), 0)
     if kind == "wide_V":
         d = int(rng.integers(0, 3))
         return rand_matrix(rng, field, d, d + 1 + int(rng.integers(0, 3))), rand_matrix(rng, field, w, d)
@@ -767,10 +767,9 @@ def _rand_cell(rng, field, kind):
         v = max(v, 1)
     if kind == "nonzero_composite":
         v, w = max(v, 1), max(w, 1)
-    d = v + w + (kind == "E_not_W") - (kind == "zero_dims")
-    S = rand_invertible(rng, field, max(d, 0))
+    S = rand_invertible(rng, field, v + w + (kind == "E_not_W"))
     inj, S_inv = S.take_cols(range(v)), inverse(S)
-    surj = Matrix(field, S_inv.data[v : v + w]) if kind != "zero_dims" else Matrix.zeros(field, w, 0)
+    surj = Matrix(field, S_inv.data[v : v + w])
     if kind == "not_injective":  # the last column in the span of the others
         data = inj.data.copy()
         data[:, -1] = data[:, :-1] @ rng.integers(0, field.p, size=v - 1) % field.p if v > 1 else 0
@@ -780,6 +779,16 @@ def _rand_cell(rng, field, kind):
         data[0] = (data[0] + S_inv.data[0]) % field.p
         surj = Matrix(field, data)
     return inj, surj
+
+
+class _Pinned:
+    """Hands `rand_grid` the given size draws (Vdims, then Wdims), then draws from rng."""
+
+    def __init__(self, rng, sizes):
+        self.rng, self.sizes = rng, list(sizes)
+
+    def integers(self, *args, **kwargs):
+        return self.sizes.pop(0) if self.sizes else self.rng.integers(*args, **kwargs)
 
 
 class TestWitnessEliminations:
@@ -819,13 +828,20 @@ class TestWitnessEliminations:
     @pytest.mark.parametrize("field", WITNESS_FIELDS, ids=lambda f: f"p{f.p}")
     def test_validation_against_reference(self, monkeypatch, field, room):
         # the violation texts in their order, and the changes of basis of a
-        # valid grid, on planted grids and every mutation of their witnesses
+        # valid grid, on planted grids and every mutation of their witnesses;
+        # every other grid has one wide column among cells of dimension 0 to
+        # 2, which the validation pads apart when there is no room
         if room is not None:
             monkeypatch.setattr(exactla, "_ROOM", room)
         rng = np.random.default_rng(field.p % 991)
-        valid = 0
+        valid = bucketed = 0
         for trial in range(12):
-            planted = rand_grid(rng, field, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 4)), max_part=3)
+            m, n, draws = int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng
+            if trial % 2:
+                m, n = int(rng.integers(1, 3)), 6
+                wide = rng.integers(0, 2, size=n) + 7 * (np.arange(n) == n - 1)
+                draws = _Pinned(rng, [wide, rng.integers(0, 2, size=m)])
+            planted = rand_grid(draws, field, m=m, n=n, max_part=3)
             G, W = planted.grid, planted.witness
             for W2 in [W] + [_mutate(rng, G, W, kind) for kind in MUTATIONS]:
                 if W2 is None:
@@ -836,10 +852,11 @@ class TestWitnessEliminations:
                     assert got.bases == ()
                     continue
                 valid += 1
+                bucketed += len(got.bases[0].parts) > 1
                 for r, c in itertools.product(range(G.m), range(G.n)):
                     ref = ref_eliminate_cell(field, W2.inj[r][c], W2.surj[r][c])
                     assert (got.bases[0].matrices()[r][c], got.bases[1].matrices()[r][c]) == ref[2]
-        assert valid >= 12
+        assert valid >= 12 and (bucketed > 0) == (room == 0)
 
 
 class TestClosedFormsAgainstOracles:
