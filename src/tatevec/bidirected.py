@@ -652,29 +652,29 @@ def grid_decomposition(S: SplitGrid) -> GridDecomposition:
 
     Cutoff r projects the corner's V_n + W_m onto V_n + W_r (W_0 = 0)
     along the tail W_m -> W_r of the tower, so pi[r-1] is blockdiag(I,
-    tail) and the open subspace is the kernel of the tail below V_n, one
-    `kernel_basis` per row.  pi, the open bases and their images under the
-    corner's inverse are built as zero-padded stacks, the images as one
-    product.
+    tail) and the open subspace is the kernel of the tail below V_n: all of
+    W_m at the first cutoff, one `kernel_basis` per cutoff after it.  pi,
+    the open bases and their images under the corner's inverse are built
+    as zero-padded stacks, the images as one product with the inverse's
+    last |W_m| columns, since every open basis is zero in its first |V_n|
+    rows.
     """
     G, W = S.grid, S.witness
     field, p, m = G.field, G.field.p, G.m
     v_n, w_m = W.Vdims[-1], W.Wdims[-1]
     d = v_n + w_m
     w = [0] + W.Wdims[:-1]  # the cutoffs' W_r
-    tails = np.zeros((m, max(w), w_m), dtype=np.int64)
-    kernels = [kernel_basis(Matrix.zeros(field, 0, w_m)).data]
-    for r, f in enumerate(_composites("tower", field, w_m, W.Wmaps)[:-1], start=1):  # W_m -> W_r
-        tails[r, : w[r]] = f.data
-        kernels.append(kernel_basis(f).data)
-    k = [K.shape[1] for K in kernels]
     pi = np.zeros((m, v_n + max(w), d), dtype=np.int64)
     pi[:, :v_n, :v_n] = np.eye(v_n, dtype=np.int64)
-    pi[:, v_n:, v_n:] = tails
-    opens = np.zeros((m, d, max(k)), dtype=np.int64)
-    for r, K in enumerate(kernels):
-        opens[r, v_n:, : k[r]] = K
-    opens_grid = _product(S.inverse_stack[-1, -1].blocks()[0], opens, p, d)
+    opens = np.zeros((m, d, w_m), dtype=np.int64)
+    opens[0, v_n:] = np.eye(w_m, dtype=np.int64)
+    k = [w_m]
+    for r, f in enumerate(_composites("tower", field, w_m, W.Wmaps)[:-1], start=1):  # W_m -> W_r
+        pi[r, v_n : v_n + w[r], v_n:] = f.data
+        K = kernel_basis(f).data
+        opens[r, v_n:, : K.shape[1]] = K
+        k.append(K.shape[1])
+    opens_grid = _product(S.inverse_stack[-1, -1].blocks()[0][:, v_n:], opens[:, v_n:], p, w_m)
 
     def views(stack, rows, cols):
         return tuple(Matrix._of(field, stack[r, : rows[r], : cols[r]]) for r in range(m))

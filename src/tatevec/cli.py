@@ -57,6 +57,10 @@ def _at_least_one(args, *flags):
             raise ParseError(f"$.{flag}", f"--{flag} must be at least 1, got {value}")
 
 
+# the space kinds `gen` draws, in the order `--kind` lists them after grid
+_RANDOM_SPACES = {"tate": rand_tate, "tower": rand_tower, "indtower": rand_indtower}
+
+
 def cmd_gen(args) -> int:
     field = parse_field({"field": args.field})
     _at_least_one(args, "m", "n", "depth")
@@ -70,14 +74,7 @@ def cmd_gen(args) -> int:
             with open(args.out + ".truth.json", "w") as fh:
                 fh.write(_dump(truth))
         return 0
-    if args.kind == "tower":
-        obj = rand_tower(rng, field, depth=args.depth)
-    elif args.kind == "indtower":
-        obj = rand_indtower(rng, field, depth=args.depth)
-    elif args.kind == "tate":
-        obj = rand_tate(rng, field, depth=args.depth)
-    else:
-        raise ParseError("$.kind", f"unknown kind {args.kind!r}")
+    obj = _RANDOM_SPACES[args.kind](rng, field, depth=args.depth)
     _emit(_dump(space_tree(obj, args.depth)), args.out)
     return 0
 
@@ -231,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit a random valid instance with ground truth")
-    g.add_argument("--kind", required=True, choices=["grid", "tate", "tower", "indtower"])
+    g.add_argument("--kind", required=True, choices=["grid", *_RANDOM_SPACES])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--field", type=int, default=2)
     g.add_argument("--depth", type=int, default=4)

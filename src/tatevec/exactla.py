@@ -104,9 +104,9 @@ class Matrix:
     """Immutable dense matrix over GF(p): read-only int64 data in [0, p).
 
     The public constructor converts, checks and reduces its data.  Results
-    of this module whose data is reduced by construction (products taken
-    mod p, echelon forms, slices and stacks of reduced data) go through
-    `_of`, which trusts it.
+    of this module whose data is reduced by construction (products, sums
+    and differences taken mod p, echelon forms, slices and stacks of
+    reduced data) go through `_of`, which trusts it.
     """
 
     __slots__ = ("field", "data")
@@ -197,17 +197,17 @@ class Matrix:
             raise ShapeMismatchError(f"{self.shape} @ {other.shape}")
         return Matrix._of(self.field, _product(self.data, other.data, self.field.p, self.cols))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op, sign: str) -> "Matrix":
         self._check_field(other)
         if self.shape != other.shape:
-            raise ShapeMismatchError(f"{self.shape} + {other.shape}")
-        return Matrix(self.field, self.data + other.data)
+            raise ShapeMismatchError(f"{self.shape} {sign} {other.shape}")
+        return Matrix._of(self.field, op(self.data, other.data) % self.field.p)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, np.add, "+")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"{self.shape} - {other.shape}")
-        return Matrix(self.field, self.data - other.data)
+        return self._entrywise(other, np.subtract, "-")
 
     def __neg__(self) -> "Matrix":
         return Matrix._of(self.field, (-self.data) % self.field.p)
@@ -474,10 +474,11 @@ class MatrixStack:
         return held[start[self.part] + self.slot]
 
     def blocks(self) -> list[np.ndarray]:
-        """The matrices in row-major order as read-only int64 array views."""
+        """The matrices in row-major order as read-only int64 arrays."""
         if self.slot is None:
             k = self.rows.size
             parts, part, slot = (self.parts[0].reshape((k,) + self.parts[0].shape[-2:]),), [0] * k, range(k)
+            parts[0].flags.writeable = False  # a transposed part reshapes to a copy
         else:
             parts, part, slot = self.parts, self.part.reshape(-1).tolist(), self.slot.reshape(-1).tolist()
         at = zip(part, slot, self.rows.reshape(-1).tolist(), self.cols.reshape(-1).tolist())
@@ -494,20 +495,20 @@ class MatrixStack:
         return tuple(tuple(mats[r * n : (r + 1) * n]) for r in range(m))
 
 
-def hstack(mats: list[Matrix]) -> Matrix:
+def _one_field(mats: list[Matrix], op: str) -> FieldSpec:
+    """The field of the first of mats, which all of them must share."""
     field = mats[0].field
-    for m in mats[1:]:
-        if m.field != field:
-            raise FieldMismatchError("mixed fields in hstack")
-    return Matrix._of(field, np.hstack([m.data for m in mats]))
+    if any(m.field != field for m in mats[1:]):
+        raise FieldMismatchError(f"mixed fields in {op}")
+    return field
+
+
+def hstack(mats: list[Matrix]) -> Matrix:
+    return Matrix._of(_one_field(mats, "hstack"), np.hstack([m.data for m in mats]))
 
 
 def vstack(mats: list[Matrix]) -> Matrix:
-    field = mats[0].field
-    for m in mats[1:]:
-        if m.field != field:
-            raise FieldMismatchError("mixed fields in vstack")
-    return Matrix._of(field, np.vstack([m.data for m in mats]))
+    return Matrix._of(_one_field(mats, "vstack"), np.vstack([m.data for m in mats]))
 
 
 def block_diag(mats: list[Matrix], field: Optional[FieldSpec] = None) -> Matrix:
@@ -515,10 +516,7 @@ def block_diag(mats: list[Matrix], field: Optional[FieldSpec] = None) -> Matrix:
         if field is None:
             raise ValueError("block_diag of empty list needs an explicit field")
         return Matrix.zeros(field, 0, 0)
-    field = mats[0].field
-    for m in mats[1:]:
-        if m.field != field:
-            raise FieldMismatchError("mixed fields in block_diag")
+    field = _one_field(mats, "block_diag")
     r = sum(m.rows for m in mats)
     c = sum(m.cols for m in mats)
     out = np.zeros((r, c), dtype=np.int64)

@@ -91,6 +91,12 @@ class TestValidateGrid:
         assert validate_grid(G).ok
         assert validate_grid(G, W).ok
 
+    def test_witness_of_another_table_shape(self):
+        G = rand_grid(np.random.default_rng(3), GF5, m=2, n=2).grid
+        W = rand_grid(np.random.default_rng(3), GF5, m=2, n=3).witness
+        with pytest.raises(exactla.ShapeMismatchError, match=r"^a \(2, 3\) witness of a \(2, 2\) grid$"):
+            validate_grid(G, W)
+
     def test_identities_are_products_of_stacks(self, monkeypatch):
         # every identity of validate_grid and check_split is a product of
         # stacks over all cells, and validate_grid completes and inverts the
@@ -258,6 +264,23 @@ class TestDecomposition:
         assert dec.opens[0].cols == W.Wdims[-1] == 2
 
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_one_kernel_basis_per_cutoff_after_the_first(self, monkeypatch, m):
+        # the first cutoff's open subspace is all of W_m, so its basis is
+        # the identity below V_n and needs no elimination
+        planted = rand_grid(np.random.default_rng(m), FieldSpec(65521), m=m, n=3)
+        S = split_grid(planted.grid, planted.witness)
+        real, shapes = bidirected.kernel_basis, []
+        monkeypatch.setattr(bidirected, "kernel_basis", lambda A: shapes.append(A.shape) or real(A))
+        dec = grid_decomposition(S)
+        v_n, w_m = planted.Vdims[-1], planted.Wdims[-1]
+        assert shapes == [(w, w_m) for w in planted.Wdims[:-1]]
+        assert dec.opens[0] == vstack([Matrix.zeros(S.grid.field, v_n, w_m), Matrix.identity(S.grid.field, w_m)])
+        for U, U_grid, proj in zip(dec.opens, dec.opens_grid, dec.pi):
+            assert U_grid == S.inverse[-1][-1] @ U
+            assert (proj @ U).is_zero() and U.cols == U.rows - rank(proj)
+
+
 class TestChainHelpers:
     def test_limit_of_chain_is_deepest(self):
         rng = np.random.default_rng(19)
@@ -386,6 +409,16 @@ class TestPairings:
         want_c = Matrix(GF2, fx.lam_hat.data.take(tgt, axis=0)[:, :v])
         for lvl in cout.induced:
             assert lvl.matrix == want_c
+
+    def test_level_without_an_in_grid_window_is_skipped(self):
+        # row 1 records no window and row 2's are kept: only level 2 is induced
+        fx = rand_pairings(np.random.default_rng(43), GF2, m=2, n=2)
+        entries = [[None, None], [fx.mu.at(1, 0), fx.mu.at(1, 1)]]
+        out = assemble_pairing(fx.planted.planted_split, PairingFamily("product", entries))
+        full = assemble_pairing(fx.planted.planted_split, fx.mu)
+        assert out.ok and out.skipped == ("cell (1,1): no window recorded", "cell (1,2): no window recorded")
+        assert [lvl.index for lvl in out.induced] == [2]
+        assert out.induced[0] == full.induced[1]
 
     def test_pd_intertwine_and_corruption(self):
         rng = np.random.default_rng(47)

@@ -185,13 +185,14 @@ class TestGenDecompose:
         assert code == 0
         assert calls == {"validate_grid": 1, "split_grid": splits, "check_split": splits}
 
-    @pytest.mark.parametrize("cmd,calls", [("decompose", 8), ("dual", 2)])
+    @pytest.mark.parametrize("cmd,calls", [("decompose", 7), ("dual", 2)])
     def test_rref_calls_per_grid(self, tmp_path, capsys, monkeypatch, cmd, calls):
         # validation completes inj in every cell with one elimination of the
         # stack of all cells and inverts every surj E with one more, and the
         # split reuses both (2 calls on this 6 x 6 grid); the decomposition
-        # takes one kernel basis per row and the exchange certificate none;
-        # dual only validates
+        # takes one kernel basis per row cutoff after the first, whose open
+        # subspace is all of W_m (5 calls), and the exchange certificate
+        # none; dual only validates
         path = tmp_path / "g.json"
         gen = ["gen", "--kind", "grid", "--m", "6", "--n", "6", "--field", "65521", "--seed", "1"]
         run_cli(capsys, *gen, "--out", str(path))
@@ -531,6 +532,24 @@ def test_report_reads_decomposition_and_validation(tmp_path, capsys):
     code, out = run_cli(capsys, "report", str(tmp_path / "val.json"))
     assert code == 0
     assert out.startswith("validation: FAILS\n  - ")
+
+
+class TestDualCommand:
+    def test_finite_dimensional_space(self, tmp_path, capsys):
+        doc_path = tmp_path / "v.json"
+        doc_path.write_text(json.dumps({"kind": "finvect", "dim": 3}))
+        assert run_cli(capsys, "dual", str(doc_path)) == (0, '{"dim":3,"kind":"finvect"}\n')
+
+    def test_stdin_of_the_module_run_as_a_script(self, tmp_path, capsys):
+        # `python -m tatevec` reading `-` prints what `main` prints for the file
+        doc = json.dumps({"kind": "builtin", "name": "laurent", "field": 2})
+        doc_path = tmp_path / "laurent.json"
+        doc_path.write_text(doc)
+        want = run_cli(capsys, "dual", str(doc_path), "--depth", "3")
+        argv = [sys.executable, "-m", "tatevec", "dual", "-", "--depth", "3"]
+        proc = subprocess.run(argv, input=doc, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == want
+        assert want[0] == 0 and json.loads(want[1])["kind"] == "tate"
 
 
 class TestTensorCommand:

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tatevec.exactla import (
     FieldMismatchError,
     FieldSpec,
     Matrix,
+    MatrixStack,
     ShapeMismatchError,
     block_diag,
     complement_basis,
@@ -22,10 +24,13 @@ from tatevec.exactla import (
     is_invertible,
     kernel_basis,
     kron,
+    pad_buckets,
     rank,
     rref,
+    rref_stack,
     solve_linear,
     span_contains,
+    vstack,
 )
 from tatevec.generators import rand_filtered_space, rand_invertible
 from tatevec.serialize import parse_matrix
@@ -33,6 +38,7 @@ from tatevec.serialize import parse_matrix
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
+LARGEST_PRIME = 3037000493  # the largest p with (p-1)^2 + (p-1) < 2^63
 
 
 def M(field, data):
@@ -108,6 +114,33 @@ class TestMatrixBasics:
         blocks = [M(GF5, [[3]]), M(GF2, [[1]])][::order]
         with pytest.raises(FieldMismatchError):
             block_diag(blocks)
+
+    @pytest.mark.parametrize("p", [5, LARGEST_PRIME])
+    def test_sums_and_differences_stay_reduced(self, p):
+        field = FieldSpec(p)
+        A, B = M(field, [[p - 1, 0, 2]]), M(field, [[p - 1, 3, 1]])
+        assert (A + B).data.tolist() == [[p - 2, 3, 3]]
+        assert (A - B).data.tolist() == [[0, p - 3, 1]]
+        for C in (A + B, A - B):
+            assert C.field == field and C.data.dtype == np.int64 and not C.data.flags.writeable
+
+    @pytest.mark.parametrize("op,sign", [(operator.add, "+"), (operator.sub, "-")])
+    def test_sums_and_differences_check_operands(self, op, sign):
+        with pytest.raises(ShapeMismatchError, match=rf"^\(1, 2\) \{sign} \(2, 1\)$"):
+            op(M(GF5, [[1, 2]]), M(GF5, [[1], [2]]))
+        with pytest.raises(FieldMismatchError, match=r"^GF\(5\) vs GF\(3\)$"):
+            op(M(GF5, [[1]]), M(GF3, [[1]]))
+
+    @pytest.mark.parametrize("join", [hstack, vstack, block_diag])
+    def test_joins_need_one_field(self, join):
+        with pytest.raises(FieldMismatchError, match=f"^mixed fields in {join.__name__}$"):
+            join([M(GF5, [[1]]), M(GF5, [[2]]), M(GF3, [[1]])])
+        assert join([M(GF5, [[7]])]) == M(GF5, [[2]])
+
+    def test_block_diag_of_no_blocks(self):
+        assert block_diag([], GF5) == Matrix.zeros(GF5, 0, 0)
+        with pytest.raises(ValueError, match="^block_diag of empty list needs an explicit field$"):
+            block_diag([])
 
     def test_block_diag_and_negation_stay_reduced(self):
         D = block_diag([M(GF5, [[3, 4]]), M(GF5, [[1], [2]])])
@@ -533,9 +566,6 @@ class TestPackedGF2:
 # ---------------------------------------------------------------------------
 
 
-LARGEST_PRIME = 3037000493  # the largest p with (p-1)^2 + (p-1) < 2^63
-
-
 class TestDataPath:
     def test_public_constructor_reduces(self):
         m = Matrix(GF5, [[-1, 7], [5, -10]])
@@ -596,3 +626,231 @@ class TestDataPath:
         got = _digests(_outputs(tmp_path, lambda *argv: _stdout(capsys, *argv), p, seed))
         assert got == GOLDEN[(p, seed)]
         assert calls
+
+
+# ---------------------------------------------------------------------------
+# Stacks: MatrixStack, pad_buckets and rref_stack against the per-matrix
+# operations, in both layouts (one part, and buckets of like sizes)
+# ---------------------------------------------------------------------------
+
+
+GF65521 = FieldSpec(65521)
+# sizes of which a table pads into one part under the default `_ROOM`, and
+# into several buckets once `_ROOM` is 0 (`_sizes` makes its first item 17)
+STACK_SIZES = [0, 1, 1, 2, 2, 3, 9]
+
+
+@pytest.fixture(params=["one part", "buckets"])
+def layout(request, monkeypatch):
+    if request.param == "buckets":
+        monkeypatch.setattr(exactla, "_ROOM", 0)
+    return request.param
+
+
+def _sizes(rng, shape):
+    sizes = rng.choice(STACK_SIZES, size=shape)
+    sizes.reshape(-1)[0] = 17
+    return sizes
+
+
+def _table(rng, field, rows, cols):
+    """Random matrices of shapes (rows[i], cols[i]) as nested lists over the
+    two axes of the table."""
+    return [
+        [Matrix(field, rng.integers(0, field.p, size=(r, c))) for r, c in zip(rr, cc)]
+        for rr, cc in zip(rows.tolist(), cols.tolist())
+    ]
+
+
+def _stack(field, table, layout=None):
+    S = MatrixStack.of(field, table, (len(table), len(table[0])))
+    assert layout is None or (S.slot is None) == (layout == "one part")
+    return S
+
+
+def _transposed(table):
+    return tuple(tuple(row[c].T for row in table) for c in range(len(table[0])))
+
+
+def _as_tuples(table):
+    return tuple(tuple(row) for row in table)
+
+
+class TestMatrixStack:
+    def test_products_match_matmul(self, layout):
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            r, k, c = (_sizes(rng, (3, 4)) for _ in range(3))
+            A, B = _table(rng, GF65521, r, k), _table(rng, GF65521, k, c)
+            P = _stack(GF65521, A, layout) @ _stack(GF65521, B, layout)
+            assert P.field == GF65521
+            assert P.matrices() == tuple(tuple(a @ b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+    def test_broadcast_products_match_matmul(self, layout):
+        # a 1 x n table against an m x 1 table: every pair (r, c) composes
+        # through the common inner size 3
+        rng = np.random.default_rng(6)
+        for _ in range(4):
+            rows, cols = _sizes(rng, (1, 8)), _sizes(rng, (6, 1))
+            A = _table(rng, GF65521, rows, np.full((1, 8), 3))
+            B = _table(rng, GF65521, np.full((6, 1), 3), cols)
+            P = _stack(GF65521, A) @ _stack(GF65521, B)
+            assert P.rows.shape == (6, 8) and (P.slot is None) == (layout == "one part")
+            assert P.matrices() == tuple(tuple(a @ row[0] for a in A[0]) for row in B)
+
+    def test_inner_padding_past_the_other_matrix_is_dropped(self, layout):
+        # the first two columns of a table whose last column is 9 wide keep
+        # its padding, past the rows of the matrices they are multiplied by
+        rng = np.random.default_rng(7)
+        r, k = _sizes(rng, (3, 3)), np.minimum(_sizes(rng, (3, 3)), 2)
+        k[:, -1] = 9
+        big = _stack(GF65521, _table(rng, GF65521, r, k), layout)
+        A = big[:, :2]
+        assert A._bound()[1] == 9
+        B = _table(rng, GF65521, k[:, :2], _sizes(rng, (3, 2)))
+        want = tuple(tuple(a @ b for a, b in zip(ra, rb)) for ra, rb in zip(A.matrices(), B))
+        assert (A @ _stack(GF65521, B)).matrices() == want
+
+    def test_differs(self, layout):
+        rng = np.random.default_rng(8)
+        r, c = _sizes(rng, (3, 4)), _sizes(rng, (3, 4))
+        r[1, 2], c[1, 2] = 2, 3
+        r[2, 3], c[2, 3] = 9, 1
+        table = _table(rng, GF65521, r, c)
+        S = _stack(GF65521, table, layout)
+        assert not S.differs(S).any()
+        assert not S.differs(_stack(GF65521, [list(row) for row in table], layout)).any()
+        # a 2 x 3 and a 3 x 2 zero matrix differ in shape only; a 9 x 1
+        # matrix with one entry changed differs in that entry only
+        table[1][2] = Matrix.zeros(GF65521, 2, 3)
+        data = table[2][3].data.copy()
+        data[4, 0] = (data[4, 0] + 1) % 65521
+        for (r, c), A in (((1, 2), Matrix.zeros(GF65521, 3, 2)), ((2, 3), Matrix(GF65521, data))):
+            other = [list(row) for row in table]
+            other[r][c] = A
+            want = np.zeros((3, 4), dtype=bool)
+            want[r, c] = True
+            assert np.array_equal(_stack(GF65521, table, layout).differs(_stack(GF65521, other, layout)), want)
+
+    def test_views(self, layout):
+        rng = np.random.default_rng(9)
+        r, c = _sizes(rng, (4, 3)), _sizes(rng, (4, 3))
+        table = _table(rng, GF65521, r, c)
+        table[1][1] = Matrix.zeros(GF65521, 2, 2)
+        S = _stack(GF65521, table, layout)
+        assert S.matrices() == _as_tuples(table)
+        assert S.T.matrices() == _transposed(table)
+        assert S.T.T.matrices() == _as_tuples(table)
+        assert S[1:3, ::2].matrices() == tuple(tuple(row[::2]) for row in table[1:3])
+        assert S[2].matrices() == tuple(table[2])
+        assert S[:, 1].matrices() == tuple(row[1] for row in table)
+        assert [B.tolist() for B in S[-1, -1].blocks()] == [table[-1][-1].data.tolist()]
+        want = np.array([[not A.is_zero() for A in row] for row in table])
+        assert np.array_equal(S.nonzero(), want)
+        assert np.array_equal(S.T.nonzero(), want.T)
+
+    def test_blocks_round_trip(self, layout):
+        rng = np.random.default_rng(10)
+        r, c = _sizes(rng, (3, 5)), _sizes(rng, (3, 5))
+        S = _stack(GF65521, _table(rng, GF65521, r, c), layout)
+        for blocks in (S.blocks(), S.T.blocks(), S[1:].blocks()):
+            assert all(B.dtype == np.int64 and not B.flags.writeable for B in blocks)
+        again = MatrixStack.of(GF65521, S.matrices(), (3, 5))
+        assert again.matrices() == S.matrices()
+        entries = np.concatenate([B.reshape(-1) for B in S.blocks()])
+        flat = MatrixStack.from_entries(GF65521, S.rows, S.cols, entries)
+        assert [B.tolist() for B in flat.blocks()] == [B.tolist() for B in S.blocks()]
+
+
+class TestPadBuckets:
+    def test_one_bucket_within_room(self):
+        rng = np.random.default_rng(11)
+        rows, cols = _sizes(rng, (3, 4)), _sizes(rng, (3, 4))
+        assert pad_buckets(rows, cols) == [(None, (int(rows.max()), int(cols.max())))]
+
+    @pytest.mark.parametrize("room", [0, exactla._ROOM])
+    def test_no_item_padded_past_twice_its_size(self, monkeypatch, room):
+        monkeypatch.setattr(exactla, "_ROOM", room)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            sizes = [rng.choice([0, 1, 2, 3, 5, 8, 33, 300], size=(6, 7)) for _ in range(int(rng.integers(1, 4)))]
+            buckets = pad_buckets(*sizes)
+            need = np.prod([np.maximum(s, 1) for s in sizes], axis=0).sum()
+            tops = tuple(int(s.max()) for s in sizes)
+            if buckets == [(None, tops)]:
+                padded = sizes[0].size * math.prod(t or 1 for t in tops)
+                assert padded <= max(room, 2 ** len(sizes) * need)
+                continue
+            held = np.sort(np.concatenate([at for at, _ in buckets]))
+            assert np.array_equal(held, np.arange(sizes[0].size))
+            for at, bucket_tops in buckets:
+                for s, top in zip(sizes, bucket_tops):
+                    items = s.reshape(-1)[at]
+                    assert top == items.max() and (top <= 2 * items).all()
+
+
+STACK_PRIMES = [2, 3, 65521, LARGEST_PRIME]
+
+
+def _low_rank(field, rng, m, k, n):
+    """An m x n matrix of rank at most k, multiplied exactly."""
+    p = field.p
+    return Matrix(field, rng.integers(0, p, size=(m, k))) @ Matrix(field, rng.integers(0, p, size=(k, n)))
+
+
+def _matrices_of_shape(field, m, n, rng):
+    """A random, a low-rank and a sparse m x n matrix."""
+    p = field.p
+    yield Matrix(field, rng.integers(0, p, size=(m, n)))
+    yield _low_rank(field, rng, m, int(rng.integers(0, min(m, n) + 1)), n)
+    yield Matrix(field, rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.25))
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+class TestRrefStack:
+    def _check(self, field, mats, R, C):
+        """rref_stack of mats zero-padded to R x C against rref of each."""
+        data = np.zeros((len(mats), R, C), dtype=np.int64)
+        for i, A in enumerate(mats):
+            data[i, : A.rows, : A.cols] = A.data
+        E, pivots = rref_stack(field, data)
+        assert E.shape == data.shape and E.dtype == np.int64 and len(pivots) == len(mats)
+        for i, A in enumerate(mats):
+            want, want_pivots = rref(A)
+            assert np.array_equal(E[i, : A.rows, : A.cols], want.data)
+            assert not E[i, A.rows :].any() and not E[i, :, A.cols :].any()
+            assert pivots[i] == want_pivots
+        return E, pivots
+
+    def test_like_shapes(self, p):
+        field = FieldSpec(p)
+        for m, n in [(1, 1), (3, 5), (5, 3), (4, 4)]:
+            self._check(field, list(_matrices_of_shape(field, m, n, np.random.default_rng(p + m))), m, n)
+
+    def test_padded_at_the_bottom_and_the_right(self, p):
+        field = FieldSpec(p)
+        rng = np.random.default_rng(p)
+        shapes = [(1, 4), (3, 2), (0, 3), (4, 0), (2, 6), (5, 5)]
+        mats = [A for m, n in shapes for A in _matrices_of_shape(field, m, n, rng)]
+        self._check(field, mats, 6, 7)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)])
+    def test_empty(self, p, shape):
+        E, pivots = rref_stack(FieldSpec(p), np.zeros(shape, dtype=np.int64))
+        assert E.shape == shape and E.dtype == np.int64
+        assert pivots == [[]] * shape[0]
+
+    def test_all_zero(self, p):
+        field = FieldSpec(p)
+        _, pivots = self._check(field, [Matrix.zeros(field, 3, 5)] * 4, 3, 5)
+        assert pivots == [[]] * 4
+
+    def test_every_rank_below_the_smaller_side(self, p):
+        # the elimination stops at the largest rank, before min(m, n) steps
+        field = FieldSpec(p)
+        rng = np.random.default_rng(p + 1)
+        mats = [_low_rank(field, rng, 4, k, 6) for k in (0, 1, 2, 3, 3, 2)]
+        mats.append(Matrix(field, np.vstack([rng.integers(0, p, size=(2, 6)), np.zeros((2, 6), dtype=np.int64)])))
+        _, pivots = self._check(field, mats, 4, 6)
+        assert max(len(piv) for piv in pivots) < 4
+
