@@ -100,15 +100,18 @@ def parse_field(doc, path="$") -> FieldSpec:
 
 
 def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
-    rows = _axis(_need(doc, "rows", path), f"{path}.rows")
-    cols = _axis(_need(doc, "cols", path), f"{path}.cols")
+    rows = _dim(_need(doc, "rows", path), f"{path}.rows")
+    cols = _dim(_need(doc, "cols", path), f"{path}.cols")
     entries = _list(_need(doc, "entries", path), f"{path}.entries")
     if set(map(type, entries)) - {int}:  # JSON gives plain ints; name the first other
         for i, x in enumerate(entries):
             _int(x, f"{path}.entries[{i}]")
     try:
         return Matrix.from_entries(field, rows, cols, entries)
-    except (ValueError, OverflowError) as e:
+    except OverflowError:  # numpy's int64 conversion names no entry
+        i = next(i for i, x in enumerate(entries) if not -(2**63) <= x < 2**63)
+        raise ParseError(f"{path}.entries[{i}]", "entry outside the int64 range") from None
+    except ValueError as e:
         raise ParseError(path, f"bad matrix: {e}")
 
 

@@ -31,7 +31,6 @@ from .exactla import (
     kernel_basis,
     rank,
     rref,
-    span_contains,
 )
 
 
@@ -527,6 +526,13 @@ class LatticeCheck:
     note: str
 
 
+# mode -> (note of a verdict with a witness flag, note of one without)
+_LATTICE_NOTES = {
+    "c": ("open: contains flag; boundedness automatic", "contains no declared flag"),
+    "d": ("discrete: meets flag trivially; closedness automatic", "meets every declared flag nontrivially"),
+}
+
+
 def lattice_check(F: FilteredSpace, S: Matrix, mode: str) -> LatticeCheck:
     """Openness (mode 'c') or discreteness (mode 'd') of S against the flags.
 
@@ -536,22 +542,26 @@ def lattice_check(F: FilteredSpace, S: Matrix, mode: str) -> LatticeCheck:
     """
     if S.rows != F.dim:
         raise ShapeMismatchError("subspace lives in the wrong ambient space")
-    if rank(S) != S.cols:
-        raise ValueError("S has dependent columns")
+    s = S.cols
     # The terminal zero flag stands in for the undeclared rest of the chain
     # and never witnesses openness or discreteness.
-    declared = list(enumerate(F.flags[:-1], start=1))
-    if mode == "c":
-        for k, U in declared:
-            if span_contains(S, U):
-                return LatticeCheck(True, k, "open: contains flag; boundedness automatic")
-        return LatticeCheck(False, None, "contains no declared flag")
-    if mode == "d":
-        for k, U in declared:
-            if rank(hstack([S, U])) == S.cols + U.cols:  # both have independent columns
-                return LatticeCheck(True, k, "discrete: meets flag trivially; closedness automatic")
-        return LatticeCheck(False, None, "meets every declared flag nontrivially")
-    raise ValueError(f"unknown mode {mode!r}")
+    declared = F.flags[:-1]
+    # One rref of [S | U] decides each flag, and S's columns lead it exactly
+    # when they are independent: the first flag's (rref(S) when no flag is
+    # declared) decides that before any verdict.
+    first = rref(hstack([S, (declared or F.flags)[0]]))[1]
+    if first[:s] != list(range(s)):
+        raise ValueError("S has dependent columns")
+    if mode not in _LATTICE_NOTES:
+        raise ValueError(f"unknown mode {mode!r}")
+    found, missed = _LATTICE_NOTES[mode]
+    for k, U in enumerate(declared, start=1):
+        pivots = first if k == 1 else rref(hstack([S, U]))[1]
+        # 'c': U lies in span S exactly when no pivot falls in U's block;
+        # 'd': S and U meet trivially exactly when every column pivots
+        if len(pivots) == (s if mode == "c" else s + U.cols):
+            return LatticeCheck(True, k, found)
+    return LatticeCheck(False, None, missed)
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,32 @@
 A short exact sequence 0 -> A -> B -> B/A -> 0 of filtered spaces is split
 level by level along the flag chain.  `quotient_level` presents the
 discrete quotients at one flag U (B/U, A/(A meet U) and B/(A + U)) from
-three eliminations: a basis completion of U, one rref of A in B/U
-coordinates (whose kernel is A meet U) and a basis completion of A's image
-in B/U.  Each level inherits a splitting from the previous one through
-the one lifting step, `_lift`, that `lift_splitting` shares: factor what
-the previous retraction sees of the complement through the surjection
-A/(A meet U_{k+1}) -> A/(A meet U_k), and replace the complement by the
-graph of the negated correction.  The last flag being zero makes the
-assembled retraction live on the whole space.  `extend_functional` in
-`duality` reads the Hahn-Banach extension off the same quotient level.
+two eliminations: a basis completion of U (none at the zero flag, where
+B/U = B) and one rref of [qcoord A | I] in B/U coordinates, whose left
+block is rref(qcoord A) (its kernel is A meet U) and whose identity block
+completes A's image in B/U.  Each level inherits a splitting from the
+previous one through the one lifting step, `_lift`, that `lift_splitting`
+shares: a correction theta factors what the previous retraction sees of
+the complement through the surjection f: A/(A meet U_{k+1}) ->
+A/(A meet U_k), and the complement is replaced by the graph of -theta.
+The last flag being zero makes the assembled retraction live on the whole
+space.  `extend_functional` in `duality` reads the Hahn-Banach extension
+off the same quotient level.
+
+Along the flags theta needs no elimination.  The flags are nested, so a
+column of A independent modulo U_k stays independent modulo
+U_{k+1} inside U_k: the pivots of level k are a subset of those of level
+k + 1.  f = acoord_k R_{k+1} is then acoord_k's columns at level k + 1's
+pivots, already reduced, and so is [f | alpha]; the canonical solution of
+f theta = alpha is alpha placed at the rows where level k's pivots sit
+among level k + 1's, zero elsewhere.  `lift_splitting` solves for theta,
+since a ladder's f is arbitrary.
 
 All choices of complements use the greedy standard-vector rule, so the
 output is reproducible.  The lifting step makes the splitting identities
 hold by construction; flag compatibility is verified, once, before a
-certificate is returned.  `lift_splitting` lifts a splitting along an
+certificate is returned, by one product per flag (see
+`split_filtered_ses`).  `lift_splitting` lifts a splitting along an
 explicit `SESLadder`, whose rank conditions its own eliminations decide.
 """
 
@@ -24,14 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exactla import (
     Matrix,
     extend_basis,
     factor_through,
+    hstack,
     inverse,
     kernel_basis,
     rref,
-    span_contains,
 )
 from .spaces import FilteredSpace
 
@@ -57,14 +71,11 @@ class SESLadder:
     pi1: Matrix
 
 
-def _lift(
-    f: Matrix, alpha: Matrix, incl: Matrix, incl_coords: Matrix, E: Matrix, proj: Matrix
-) -> tuple[Matrix, Matrix]:
-    """Lift a retraction one row down: theta factors alpha (what the previous
-    retraction sees on the complement E) through the surjection f, and
-    [incl | E - incl theta] = [incl | E] [[I, -theta], [0, I]] has the
-    inverse [incl_coords + theta proj; proj], which gives (pi, s)."""
-    theta = factor_through(f, alpha)
+def _lift(theta: Matrix, incl: Matrix, incl_coords: Matrix, E: Matrix, proj: Matrix) -> tuple[Matrix, Matrix]:
+    """Lift a retraction one row down: theta factors what the previous
+    retraction sees on the complement E through the surjection between the
+    sub-objects, and [incl | E - incl theta] = [incl | E] [[I, -theta], [0, I]]
+    has the inverse [incl_coords + theta proj; proj], which gives (pi, s)."""
     return incl_coords + theta @ proj, E - incl @ theta
 
 
@@ -95,9 +106,10 @@ def lift_splitting(ladder: SESLadder) -> tuple[Matrix, Matrix, Matrix]:
     except ValueError:
         raise ValueError("row 2: inclusion is not injective") from None
     try:
-        pi2, S2_corr = _lift(L.f, L.pi1 @ (L.g @ S2), L.i2, i2_coords, S2, S2_coords)
+        theta = factor_through(L.f, L.pi1 @ (L.g @ S2))
     except ValueError:
         raise ValueError("f is not surjective") from None
+    pi2, S2_corr = _lift(theta, L.i2, i2_coords, S2, S2_coords)
 
     # [i | S] is a basis of each row and p i = 0, so p is onto exactly when
     # the square p S is invertible; s = S (p S)^-1 is then the section.
@@ -133,13 +145,22 @@ class SplitCertificate:
 
 @dataclass(frozen=True)
 class QuotientLevel:
-    """The discrete quotients at one flag U, read from three eliminations.
+    """The discrete quotients at one flag U, read from two eliminations.
 
     Q and qcoord present B/U; M = qcoord A has A meet U as its kernel (in
     A-coordinates), and its pivot columns present A/(A meet U); E
     completes the image of A in B/U, so Q E presents B/(A + U).  Every
     matrix below is exact: qcoord Q = I, acoord R = I, qcoord A = incl
     acoord, incl_coords incl = I, proj E = I and proj incl = 0.
+
+    All but Q and qcoord come from one rref of [M | I_q], q = dim B/U:
+    - its left block is rref(M), which gives acoord, the pivots, R and incl;
+    - the pivots in its identity block are the greedy completion E of
+      incl, because that completion depends only on the span, and
+      span(incl) = span(M);
+    - its right block X is the row operations that take M to rref(M), so
+      X incl and X E are the unit columns at the pivots: X = [incl | E]^-1,
+      with incl_coords the first r rows and proj the rest.
     """
 
     qcoord: Matrix  # B -> B/U
@@ -150,6 +171,7 @@ class QuotientLevel:
     incl_coords: Matrix  # B/U -> A/(A meet U), zero on E
     E: Matrix  # representatives of B/(A + U) in B/U
     proj: Matrix  # B/U -> B/(A + U)
+    pivots: tuple[int, ...]  # the columns of A that R picks
 
 
 def quotient_level(n: int, A: Matrix, U: Matrix) -> QuotientLevel:
@@ -159,14 +181,25 @@ def quotient_level(n: int, A: Matrix, U: Matrix) -> QuotientLevel:
     U as its kernel: its pivots pick R as unit columns and the image
     representatives incl, and its top rows are the coordinates acoord.
     """
-    Q, _, qcoord = extend_basis(U, n)
-    M = qcoord @ A
-    Rm, pivots = rref(M)
-    R = Matrix.identity(A.field, A.cols).take_cols(pivots)
-    acoord = Matrix._of(A.field, Rm.data[: len(pivots)])
+    field = A.field
+    if U.cols:
+        Q, _, qcoord = extend_basis(U, n)
+        M = qcoord @ A
+    else:  # B/U = B: the completion of nothing is the identity
+        Q = qcoord = Matrix.identity(field, n)
+        M = A
+    a, q = A.cols, Q.cols
+    Rm, piv = rref(hstack([M, Matrix.identity(field, q)]))
+    r = sum(c < a for c in piv)
+    pivots = tuple(piv[:r])
+    R = Matrix.identity(field, a).take_cols(pivots)
+    acoord = Matrix._of(field, Rm.data[:r, :a])
     incl = M.take_cols(pivots)
-    E, incl_coords, proj = extend_basis(incl, Q.cols)
-    return QuotientLevel(qcoord, Q, acoord, R, incl, incl_coords, E, proj)
+    E = Matrix.identity(field, q).take_cols(c - a for c in piv[r:])
+    X = Rm.data[:, a:]
+    return QuotientLevel(
+        qcoord, Q, acoord, R, incl, Matrix._of(field, X[:r]), E, Matrix._of(field, X[r:]), pivots
+    )
 
 
 def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) -> SplitCertificate:
@@ -194,18 +227,25 @@ def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) ->
         raise ValueError("A must be given by independent columns in B")
 
     # the first level splits along its greedy complement E; each next level
-    # lifts the previous retraction through the surjection f of its
-    # sub-objects.  At the terminal zero flag Q = qcoord = I, R = acoord = I
-    # and incl = A, so pi A = I, pi s = 0 and proj s = I hold by the lifting
-    # step; only the flag containments are left to check.
+    # lifts the previous retraction, with theta in closed form (see the
+    # module docstring).  At the terminal zero flag Q = qcoord = I,
+    # R = acoord = I and incl = A, so pi A = I, pi s = 0 and proj s = I hold
+    # by the lifting step; only the flag containments are left to check.
     pi, s = levels[0].incl_coords, levels[0].E
     for prev, cur in zip(levels, levels[1:]):
-        f = prev.acoord @ cur.R
-        g = prev.qcoord @ cur.Q
-        pi, s = _lift(f, pi @ (g @ cur.E), cur.incl, cur.incl_coords, cur.E, cur.proj)
+        at = {c: i for i, c in enumerate(cur.pivots)}
+        if not at.keys() >= set(prev.pivots):
+            raise AssertionError("internal: pivots of A do not grow along the flags")
+        alpha = pi @ ((prev.qcoord @ cur.Q) @ cur.E)
+        theta = np.zeros((len(at), alpha.cols), dtype=np.int64)
+        theta[[at[c] for c in prev.pivots]] = alpha.data
+        pi, s = _lift(Matrix._of(field, theta), cur.incl, cur.incl_coords, cur.E, cur.proj)
 
-    # A pi U lies in A, so it lies in A meet U exactly when it lies in U
-    flag_ok = tuple(span_contains(U, A @ (pi @ U)) for U in flags)
+    # A pi U lies in A, so it lies in A meet U exactly when it lies in U, that
+    # is when qcoord A pi U = 0 (qcoord, the last row block of [U | Q]^-1,
+    # kills exactly U); qcoord A = incl acoord with incl injective, so that is
+    # one product, acoord pi U = 0
+    flag_ok = tuple((lvl.acoord @ (pi @ U)).is_zero() for U, lvl in zip(flags, levels))
     if not all(flag_ok):
         raise AssertionError("internal: retraction is not flag-compatible")
     return SplitCertificate(pi, s, levels[-1].E, flag_ok)

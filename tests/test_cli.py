@@ -354,6 +354,11 @@ SHAPE_DEFECTS = [
     ("$.ses.Wdims[0]", lambda d: d["ses"]["Wdims"].__setitem__(0, 2**40)),
     ("$.right[0][0].rows", lambda d: d["right"][0][0].update(rows=2**31, cols=0, entries=[])),
     ("$.pd.f[0][0].cols", lambda d: d.update(pd={"f": [[_zeros(0, 2**31)] * 3] * 3, "g": d["ses"]["inj"]})),
+    # negative axes and entries outside int64, at their own paths
+    ("$.right[0][0].rows", lambda d: d["right"][0][0].update(rows=-1, cols=-1, entries=[1])),
+    ("$.up[1][2].cols", lambda d: d["up"][1][2].update(rows=1, cols=-2, entries=[])),
+    ("$.ses.inj[2][1].entries[0]", lambda d: d["ses"]["inj"][2][1]["entries"].__setitem__(0, 2**63)),
+    ("$.ses.surj[0][1].entries[0]", lambda d: d["ses"]["surj"][0][1]["entries"].__setitem__(0, -(2**63) - 1)),
 ]
 
 
@@ -446,6 +451,11 @@ SPACE_DEFECTS = [
     ("$.n", {"kind": "builtin", "name": "constant", "field": 2, "n": 2**40}),
     ("$.dims[1]", _tower(dims=[0, 2**40], transitions=[_zeros(0, 2**40)])),
     ("$.transitions[0].cols", _tower(dims=[0, 0], transitions=[_zeros(0, 2**31)])),
+    # negative axes and entries outside int64, at their own paths
+    ("$.transitions[0].rows", _tower(dims=[1, 1], transitions=[{"rows": -1, "cols": -1, "entries": [1]}])),
+    ("$.transitions[0].cols", _tower(dims=[1, 1], transitions=[{"rows": 1, "cols": -1, "entries": [1]}])),
+    ("$.transitions[0].entries[0]", _tower(dims=[1, 1], transitions=[{"rows": 1, "cols": 1, "entries": [2**70]}])),
+    ("$.transitions[0].entries[1]", _tower(dims=[1, 2], transitions=[{"rows": 1, "cols": 2, "entries": [1, -(2**63) - 1]}])),
 ]
 
 
@@ -457,6 +467,21 @@ def test_space_defects_are_malformed(tmp_path, capsys, path, doc):
         code, out = run_cli(capsys, *argv, str(doc_path))
         assert code == 2
         assert json.loads(out)["path"] == path
+
+
+@pytest.mark.parametrize(
+    "matrix,path,message",
+    [
+        ({"rows": -1, "cols": -1, "entries": [1]}, "$.transitions[0].rows", "negative dimension"),
+        ({"rows": 1, "cols": 1, "entries": [2**70]}, "$.transitions[0].entries[0]", "entry outside the int64 range"),
+    ],
+)
+def test_matrix_defects_name_axis_or_entry(tmp_path, capsys, matrix, path, message):
+    # the parser's own message at the axis or the entry, not numpy's at the matrix
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(_tower(field=5, dims=[1, 1], transitions=[matrix])))
+    code, out = run_cli(capsys, "dual", "--depth", "2", str(doc_path))
+    assert (code, json.loads(out)) == (2, {"error": message, "path": path})
 
 
 def test_nested_parts_are_rejected_unread(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tatevec import duality, exactla, spaces
+from tatevec import duality, exactla, spaces, splitting
 from tatevec.exactla import FieldSpec, Matrix, image_basis, is_invertible, spans_equal
 from tatevec.duality import (
     bidual_check,
@@ -280,6 +280,20 @@ class TestExtendFunctional:
             assert g @ A == f
             Uk = F.flags[k - 1]
             assert not Uk.cols or (g @ Uk).is_zero()
+
+    def test_rref_calls(self, monkeypatch):
+        # rank(A), the completion of U_k and one rref of [qcoord A | I];
+        # at the zero flag B/U_k = B needs no completion
+        calls = []
+        real = exactla.rref
+        for module in (exactla, duality, splitting):
+            monkeypatch.setattr(module, "rref", lambda X: calls.append(X.shape) or real(X))
+        B = cubic_window()
+        A = M(GF2, [[1], [1], [0]])
+        for k, f, want in ((1, Matrix.zeros(GF2, 1, 1), 3), (2, M(GF2, [[1]]), 3), (3, M(GF2, [[1]]), 2)):
+            calls.clear()
+            g = extend_functional(B, A, f, k)
+            assert g @ A == f and len(calls) == want
 
 
 class TestEvWitness:

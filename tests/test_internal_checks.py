@@ -2,8 +2,8 @@
 
 A plain `assert` vanishes under `python -O`; these checks must not.  Each
 case makes one `inverse`, `rref_stack` or `ChainLimit.coords` call report
-failure, or drops the corrections of the flag induction or of the grid
-split, and expects the named internal error or split-check failure, not a
+failure, drops the corrections of the flag induction or of the grid
+split, or takes a pivot from a level of the flag induction, and expects the named internal error or split-check failure, not a
 crash further on.  Identities that the construction itself proves (the lifted
 splitting's, the normalized systems' transitions and comparisons) are not
 re-checked, so they have no case here.  The inverses `lift_splitting`
@@ -14,6 +14,7 @@ module of the package.
 """
 
 import ast
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -146,7 +147,21 @@ def test_lift_splitting_basis(monkeypatch):
 def test_split_filtered_ses_flags(monkeypatch):
     # without the correction theta each level keeps its greedy complement,
     # whose retraction onto span{1 + t^2} does not respect the flags
-    monkeypatch.setattr(splitting, "factor_through", lambda f, alpha: Matrix.zeros(GF2, f.cols, alpha.cols))
+    real = splitting._lift
+    monkeypatch.setattr(splitting, "_lift", lambda theta, *rest: real(Matrix.zeros(GF2, *theta.shape), *rest))
     with pytest.raises(AssertionError, match="^internal: retraction is not flag-compatible"):
         splitting.split_filtered_ses(_monomial_space(), Matrix(GF2, [[1], [0], [1]]))
 
+
+def test_split_filtered_ses_pivots(monkeypatch):
+    # theta is read off the pivots, which must grow along the flags; a zero
+    # flag level that loses A's pivot (column 0 at every level) breaks that
+    real = splitting.quotient_level
+
+    def fake(n, A, U):
+        lvl = real(n, A, U)
+        return lvl if U.cols else dataclasses.replace(lvl, pivots=())
+
+    monkeypatch.setattr(splitting, "quotient_level", fake)
+    with pytest.raises(AssertionError, match="^internal: pivots of A do not grow along the flags$"):
+        splitting.split_filtered_ses(_monomial_space(), Matrix(GF2, [[1], [0], [1]]))

@@ -10,6 +10,7 @@ from tatevec.spaces import (
     FinVect,
     IndLCObj,
     IndTower,
+    LatticeCheck,
     LinMap,
     TailDescriptor,
     TateObj,
@@ -336,6 +337,34 @@ class TestLatticeCheck:
             if S.cols:
                 assert lattice_check(F, S, "c").ok
             assert lattice_check(F, Sprime, "d").ok
+
+
+    def test_one_rref_per_flag_tried(self, rref_calls):
+        # rref([S | U_k]) for each flag up to the witness; the first one also
+        # decides that S is independent, which made one more rank(S) call.
+        # With no declared flag only rref(S) is left.
+        rng = np.random.default_rng(10)
+        tried = set()
+        for _ in range(30):
+            F = rand_filtered_space(rng, GF5, 10, 5)
+            declared = len(F.flags) - 1
+            for mode in ("c", "d"):
+                S = image_basis(Matrix(GF5, rng.integers(0, 5, size=(F.dim, int(rng.integers(1, F.dim + 1))))))
+                rref_calls[0] = 0
+                res = lattice_check(F, S, mode)
+                assert rref_calls[0] == (res.witness if res.ok else max(declared, 1))
+                tried.add((mode, res.ok))
+        assert tried == {("c", True), ("c", False), ("d", True), ("d", False)}
+        lone = FilteredSpace(GF5, 3, [Matrix.zeros(GF5, 3, 0)])
+        rref_calls[0] = 0
+        assert lattice_check(lone, Matrix.identity(GF5, 3), "c") == LatticeCheck(False, None, "contains no declared flag")
+        assert rref_calls[0] == 1
+
+    def test_dependent_columns_come_first(self):
+        F = laurent_window()
+        for mode in ("c", "d", "x"):
+            with pytest.raises(ValueError, match="^S has dependent columns$"):
+                lattice_check(F, F.flags[0].take_cols([0, 0]), mode)
 
 
 class TestTateVerdict:

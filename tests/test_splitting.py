@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,15 @@ from tatevec import exactla, splitting
 from tatevec.exactla import (
     FieldSpec,
     Matrix,
+    extend_basis,
+    factor_through,
     hstack,
     image_basis,
     intersect_columns,
     inverse,
     kernel_basis,
     rank,
+    rref,
     solve_linear,
     span_contains,
     vstack,
@@ -18,6 +23,7 @@ from tatevec.exactla import (
 from tatevec.generators import rand_filtered_space, rand_matrix
 from tatevec.spaces import FilteredSpace
 from tatevec.splitting import (
+    QuotientLevel,
     SESLadder,
     lift_splitting,
     quotient_level,
@@ -269,10 +275,12 @@ class TestSplitFilteredSES:
             split_filtered_ses(monomial_space(), A)
 
     def test_rref_calls_per_call(self, monkeypatch):
-        # per level: a completion of U, one rref of qcoord A and a completion of
-        # its image; per lift one factor_through; per flag but the zero one a
-        # span_contains.  The terminal level's pivots tell whether A is
-        # independent, so no rank(A) on entry (it made 5L - 1 calls).
+        # per level a completion of U (none at the zero flag) and one rref of
+        # [qcoord A | I]; theta and the flag checks are products.  The
+        # terminal level's pivots tell whether A is independent.  With a
+        # completion of A's image per level, a factor_through per lift and a
+        # span_contains per flag it made 5L - 2 calls.  The complement adds
+        # the kernel of pi.
         count = 0
 
         def counted(X, _real=exactla.rref):
@@ -291,7 +299,35 @@ class TestSplitFilteredSES:
             assert B.flags[-1].cols == 0
             count = 0
             split_filtered_ses(B, A)
-            assert count == 5 * len(B.flags) - 2
+            assert count == 2 * len(B.flags) - 1
+            count = 0
+            topological_complement(B, A)
+            assert count == 2 * len(B.flags)
+
+    def test_theta_is_the_canonical_factorization(self, monkeypatch):
+        # at every lift the closed-form theta equals the canonical solution
+        # of f theta = alpha that factor_through gives
+        real, lifts = splitting._lift, []
+
+        def recorded(theta, *rest):
+            out = real(theta, *rest)
+            lifts.append((theta, out[0]))
+            return out
+
+        monkeypatch.setattr(splitting, "_lift", recorded)
+        nonzero = 0
+        for B, A, _ in reference_instances(59):
+            lifts.clear()
+            split_filtered_ses(B, A)
+            levels = [quotient_level(B.dim, A, U) for U in B.flags]
+            assert len(lifts) == len(levels) - 1
+            pi = levels[0].incl_coords
+            for prev, cur, (theta, lifted) in zip(levels, levels[1:], lifts):
+                alpha = pi @ ((prev.qcoord @ cur.Q) @ cur.E)
+                assert theta == factor_through(prev.acoord @ cur.R, alpha)
+                nonzero += not theta.is_zero()
+                pi = lifted
+        assert nonzero
 
 
 class TestTopologicalComplement:
@@ -326,6 +362,32 @@ class TestTopologicalComplement:
             assert intersect_columns(A, out.S).cols == 0
 
 
+def reference_instances(seed, count=30):
+    """`random_instances`, then (B, A) pairs of rand_filtered_space(24, 8)
+    over GF(2) and GF(5)."""
+    yield from random_instances(seed, count)
+    rng = np.random.default_rng(seed)
+    for trial in range(6):
+        field = (GF2, GF5)[trial % 2]
+        B = rand_filtered_space(rng, field, 24, 8)
+        a = int(rng.integers(0, B.dim + 1))
+        A = image_basis(rand_matrix(rng, field, B.dim, a)) if a else Matrix.zeros(field, B.dim, 0)
+        yield B, A, rng
+
+
+def ref_quotient_level(n, A, U):
+    """The three-elimination form of `quotient_level`: a completion of U,
+    rref(qcoord A) and a completion of A's image in B/U."""
+    Q, _, qcoord = extend_basis(U, n)
+    M = qcoord @ A
+    Rm, pivots = rref(M)
+    R = Matrix.identity(A.field, A.cols).take_cols(pivots)
+    acoord = Matrix(A.field, Rm.data[: len(pivots)])
+    incl = M.take_cols(pivots)
+    E, incl_coords, proj = extend_basis(incl, Q.cols)
+    return QuotientLevel(qcoord, Q, acoord, R, incl, incl_coords, E, proj, tuple(pivots))
+
+
 def random_instances(seed, count=30):
     """(B, A) pairs over GF(2), GF(5) and GF(65521); A has 0..n columns."""
     rng = np.random.default_rng(seed)
@@ -354,6 +416,17 @@ class TestQuotientLevel:
                 assert (lvl.proj @ lvl.incl).is_zero()
                 # A meet U has dimension a - r: acoord's kernel is the meet
                 assert r == A.cols - intersect_columns(A, U).cols
+
+    def test_matches_three_elimination_form(self):
+        for B, A, _ in reference_instances(61):
+            n = B.dim
+            for U in B.flags + [Matrix.identity(B.field, n)]:
+                lvl, ref = quotient_level(n, A, U), ref_quotient_level(n, A, U)
+                for field in dataclasses.fields(QuotientLevel):
+                    got, want = getattr(lvl, field.name), getattr(ref, field.name)
+                    assert got == want, field.name
+                    if isinstance(got, Matrix):
+                        assert got.data.dtype == np.int64 and not got.data.flags.writeable
 
     def test_edge_levels(self):
         field, n = GF5, 4
@@ -401,15 +474,19 @@ class TestMeetReferences:
             assert rank(hstack([A, out.S])) == B.dim
 
     def test_same_booleans_on_arbitrary_retractions(self):
-        # not every retraction is flag-compatible: both forms of the check
-        # must say False on the same flags
+        # not every retraction is flag-compatible: every form of the check
+        # must say False on the same flags, the level's products included
+        # (qcoord A pi U = 0, and acoord pi U = 0, which split_filtered_ses
+        # reads since qcoord A = incl acoord with incl injective)
         seen = set()
-        for B, A, rng in random_instances(47, count=60):
+        for B, A, rng in reference_instances(47, count=60):
             pi = random_retraction(rng, A)
             S = kernel_basis(pi)
             for U in B.flags:
                 ok = span_contains(U, A @ (pi @ U))
                 assert ok == meet_flag_ok(A, pi, U) == meet_complement_ok(A, pi, S, U)
+                lvl = quotient_level(B.dim, A, U)
+                assert ok == (lvl.qcoord @ (A @ (pi @ U))).is_zero() == (lvl.acoord @ (pi @ U)).is_zero()
                 seen.add(ok)
         assert seen == {True, False}
 
