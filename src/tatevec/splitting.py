@@ -27,9 +27,12 @@ since a ladder's f is arbitrary.
 All choices of complements use the greedy standard-vector rule, so the
 output is reproducible.  The lifting step makes the splitting identities
 hold by construction; flag compatibility is verified, once, before a
-certificate is returned, by one product per flag (see
-`split_filtered_ses`).  `lift_splitting` lifts a splitting along an
-explicit `SESLadder`, whose rank conditions its own eliminations decide.
+certificate is returned, by one product per flag.  A pi U lies in A, so
+it lies in A meet U exactly when it lies in U, that is when
+qcoord A pi U = 0: [U | Q] is invertible and qcoord is the last row block
+of its inverse.  qcoord A = incl acoord with incl injective, so that is
+acoord pi U = 0.  `lift_splitting` lifts a splitting along an explicit
+`SESLadder`, whose rank conditions its own eliminations decide.
 """
 
 from __future__ import annotations
@@ -188,14 +191,15 @@ def quotient_level(n: int, A: Matrix, U: Matrix) -> QuotientLevel:
     else:  # B/U = B: the completion of nothing is the identity
         Q = qcoord = Matrix.identity(field, n)
         M = A
-    a, q = A.cols, Q.cols
-    Rm, piv = rref(hstack([M, Matrix.identity(field, q)]))
+    a = A.cols
+    I_q = Matrix.identity(field, Q.cols)
+    Rm, piv = rref(hstack([M, I_q]))
     r = sum(c < a for c in piv)
     pivots = tuple(piv[:r])
     R = Matrix.identity(field, a).take_cols(pivots)
     acoord = Matrix._of(field, Rm.data[:r, :a])
     incl = M.take_cols(pivots)
-    E = Matrix.identity(field, q).take_cols(c - a for c in piv[r:])
+    E = I_q.take_cols(c - a for c in piv[r:])
     X = Rm.data[:, a:]
     return QuotientLevel(
         qcoord, Q, acoord, R, incl, Matrix._of(field, X[:r]), E, Matrix._of(field, X[r:]), pivots
@@ -241,10 +245,7 @@ def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) ->
         theta[[at[c] for c in prev.pivots]] = alpha.data
         pi, s = _lift(Matrix._of(field, theta), cur.incl, cur.incl_coords, cur.E, cur.proj)
 
-    # A pi U lies in A, so it lies in A meet U exactly when it lies in U, that
-    # is when qcoord A pi U = 0 (qcoord, the last row block of [U | Q]^-1,
-    # kills exactly U); qcoord A = incl acoord with incl injective, so that is
-    # one product, acoord pi U = 0
+    # A pi U lies in A meet U exactly when acoord pi U = 0 (module docstring)
     flag_ok = tuple((lvl.acoord @ (pi @ U)).is_zero() for U, lvl in zip(flags, levels))
     if not all(flag_ok):
         raise AssertionError("internal: retraction is not flag-compatible")
