@@ -3,10 +3,11 @@
 A plain `assert` vanishes under `python -O`; these checks must not.  Each
 case makes one `inverse`, `rref_stack` or `ChainLimit.coords` call report
 failure, drops the corrections of the flag induction or of the grid
-split, or takes a pivot from a level of the flag induction, and expects the named internal error or split-check failure, not a
-crash further on.  Identities that the construction itself proves (the lifted
-splitting's, the normalized systems' transitions and comparisons) are not
-re-checked, so they have no case here.  The inverses `lift_splitting`
+split, or takes a pivot from a level of the flag induction, and expects
+the named internal error or split-check failure, not a crash further on.
+Identities that the construction itself proves (the lifted splitting's,
+the normalized systems' transitions and comparisons) are not re-checked,
+so they have no case here.  The inverses `lift_splitting`
 takes are no internal check either: each decides whether a projection of
 the ladder is onto, so a failed one is the caller's ValueError.  The AST
 scans, for `assert` statements and for catch-all handlers, cover every

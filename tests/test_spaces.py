@@ -338,7 +338,6 @@ class TestLatticeCheck:
                 assert lattice_check(F, S, "c").ok
             assert lattice_check(F, Sprime, "d").ok
 
-
     def test_one_rref_per_flag_tried(self, rref_calls):
         # rref([S | U_k]) for each flag up to the witness; the first one also
         # decides that S is independent, which made one more rank(S) call.
