@@ -125,7 +125,7 @@ def cmd_dual(args) -> int:
         doc2 = grid_tree(out.grid, out.witness)
         doc2["dual_certificate"] = {"ok": out.certificate_ok, "detail": out.detail}
         _emit(_dump(doc2), args.out)
-        return 0 if out.certificate_ok else 1
+        return 0
     obj = parse_space(doc)
     _emit(_dump(space_tree(dual_object(obj), args.depth)), args.out)
     return 0

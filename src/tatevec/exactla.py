@@ -810,12 +810,14 @@ def spans_equal(S: Matrix, T: Matrix) -> bool:
 
 
 def intersect_columns(A: Matrix, B: Matrix) -> Matrix:
-    """Basis of span(A) meet span(B), canonical via the kernel of [A | -B]."""
+    """Basis A K_top of span(A) meet span(B), K_top the A block of the kernel
+    basis K of [A | -B].  A and B must have independent columns: then a
+    kernel vector (x, y) with x = 0 has B y = 0, so y = 0, K -> K_top is
+    injective, and A K_top is independent, a basis with no elimination."""
     A._check_field(B)
     if A.rows != B.rows:
         raise ShapeMismatchError("intersection in different ambient spaces")
     if A.cols == 0 or B.cols == 0:
         return Matrix.zeros(A.field, A.rows, 0)
     K = kernel_basis(hstack([A, -B]))
-    cand = A @ Matrix(A.field, K.data[: A.cols, :])
-    return image_basis(cand)
+    return A @ Matrix._of(A.field, K.data[: A.cols, :])

@@ -233,8 +233,7 @@ def rand_selfdual(rng, field: FieldSpec, max_half: int = 4) -> PlantedSelfDual:
     T_inv = _inv(T)
 
     phi_s = T.T @ phi @ T
-    flags_s = [image_basis(T_inv @ U) if U.cols else U for U in flags]
-    L = image_basis(T_inv @ flags[0])
     # images of nested, independent flags under the invertible T_inv
+    flags_s = [T_inv @ U if U.cols else U for U in flags]
     space = FilteredSpace._of(field, n, flags_s)
-    return PlantedSelfDual(space, phi_s, L, d)
+    return PlantedSelfDual(space, phi_s, flags_s[0], d)

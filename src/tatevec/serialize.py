@@ -223,18 +223,17 @@ def space_tree(obj, depth: Optional[int] = None) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _system_maps(kind: str, dims: list[int], raw, path):
-    """The map documents of a system, and check(i, rows, cols), which names a
-    map that breaks the rule of `_map_shape` at its own path."""
+def _system_maps(field: FieldSpec, kind: str, dims: list[int], raw, path):
+    """The (rows, cols, entries) of a system's maps from `_matrices`; once all
+    are read, the first that breaks `_map_shape` is named at its own path."""
     rows, cols = _map_shape(kind, dims[:-1], dims[1:])
     if not isinstance(raw, list) or len(raw) != len(rows):
         raise ParseError(path, f"expected {len(rows)} maps")
-
-    def check(i, r, c):
-        if (r, c) != (rows[i], cols[i]):
-            raise ParseError(f"{path}[{i}]", f"expected shape {(rows[i], cols[i])}, got {(r, c)}")
-
-    return raw, check
+    r, c, entries = _matrices(field, raw, lambda i: f"{path}[{i}]")
+    for i, got in enumerate(zip(r.tolist(), c.tolist())):
+        if got != (rows[i], cols[i]):
+            raise ParseError(f"{path}[{i}]", f"expected shape {(rows[i], cols[i])}, got {got}")
+    return r, c, entries
 
 
 def _part(field: FieldSpec, cls: type, doc, path):
@@ -264,10 +263,9 @@ def parse_space(doc, path="$"):
         if not raw:
             raise ParseError(f"{path}.dims", "a system needs at least one level")
         dims = [_dim(d, f"{path}.dims[{i}]") for i, d in enumerate(raw)]
-        raw, check = _system_maps(kind, dims, _need(doc, "transitions", path), f"{path}.transitions")
-        maps = [parse_matrix(field, m, f"{path}.transitions[{i}]") for i, m in enumerate(raw)]
-        for i, M in enumerate(maps):
-            check(i, *M.shape)
+        r, c, entries = _system_maps(field, kind, dims, _need(doc, "transitions", path), f"{path}.transitions")
+        shapes = zip(r.tolist(), c.tolist(), np.cumsum(r * c).tolist())
+        maps = [Matrix._of(field, entries[e - a * b : e].reshape(a, b)) for a, b, e in shapes]
         tail = parse_tail(doc.get("tail"), f"{path}.tail")
         obj = (Tower if kind == "tower" else IndTower).from_prefix(field, dims, maps, tail=tail)
         try:
@@ -357,13 +355,13 @@ def _table(raw, rows, cols, path, parse):
     return out
 
 
-def _matrices(field, raw: list, path_of, check=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _matrices(field, raw: list, path_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shapes and entries of a list of matrix documents, for
     `MatrixStack.from_entries`: (rows, cols, row-major entries of all of
-    them, reduced mod p).  Each document is checked in order: one that
-    `parse_matrix` would not take as it is goes through it, which names
-    its error at `path_of(i)`, and `check(i, rows, cols)` sees its shape.
-    The entries of all of them are converted by one `np.array`.
+    them, reduced mod p).  Each document's structure is checked in order;
+    one that is not plain JSON goes through `parse_matrix`, which names its
+    error at `path_of(i)`.  One `np.array` converts every entry; on one
+    outside int64, `parse_matrix` re-reads the documents and names it.
     """
     shapes, entries = [], []
     for i, x in enumerate(raw):
@@ -373,16 +371,19 @@ def _matrices(field, raw: list, path_of, check=None) -> tuple[np.ndarray, np.nda
         plain = type(rows) is int and type(cols) is int and type(values) is list
         plain = plain and 0 <= rows < _AXIS_LIMIT and 0 <= cols < _AXIS_LIMIT and len(values) == rows * cols
         plain = plain and not set(map(type, values)) - {int}
-        if not (plain and (not values or -(2**63) <= min(values) and max(values) < 2**63)):
-            # parse_matrix takes the document or names what is wrong with it
+        if not plain:
             M = parse_matrix(field, x, path_of(i))
             rows, cols, values = M.rows, M.cols, M.data.reshape(-1).tolist()
-        if check is not None:
-            check(i, rows, cols)
         shapes.append((rows, cols))
         entries += values
+    try:
+        flat = np.array(entries, dtype=np.int64)
+    except OverflowError:
+        for i, x in enumerate(raw):
+            parse_matrix(field, x, path_of(i))
+        raise
     shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
-    return shapes[:, 0], shapes[:, 1], np.mod(np.array(entries, dtype=np.int64), field.p)
+    return shapes[:, 0], shapes[:, 1], np.mod(flat, field.p)
 
 
 def _matrix_grid(field, rows, cols, raw, path) -> MatrixStack:
@@ -396,12 +397,6 @@ def _dims(raw, length, path) -> list[int]:
     if not isinstance(raw, list) or len(raw) != length:
         raise ParseError(path, f"expected {length} dimensions")
     return [_dim(d, f"{path}[{i}]") for i, d in enumerate(raw)]
-
-
-def _chain(field, kind, dims, raw, path) -> MatrixStack:
-    """The maps of a constant system of a witness, as one stack."""
-    raw, check = _system_maps(kind, dims, raw, path)
-    return MatrixStack.from_entries(field, *_matrices(field, raw, lambda i: f"{path}[{i}]", check))
 
 
 def parse_grid(doc, path="$"):
@@ -428,8 +423,10 @@ def parse_grid(doc, path="$"):
         Vdims = _dims(_need(s, "Vdims", sp), n, f"{sp}.Vdims")
         Wdims = _dims(_need(s, "Wdims", sp), m, f"{sp}.Wdims")
         # V is a direct system, W an inverse one (see SESWitness)
-        Vmaps = _chain(field, "indtower", Vdims, _need(s, "Vmaps", sp), f"{sp}.Vmaps")
-        Wmaps = _chain(field, "tower", Wdims, _need(s, "Wmaps", sp), f"{sp}.Wmaps")
+        Vmaps, Wmaps = (
+            MatrixStack.from_entries(field, *_system_maps(field, kind, ds, _need(s, key, sp), f"{sp}.{key}"))
+            for kind, ds, key in (("indtower", Vdims, "Vmaps"), ("tower", Wdims, "Wmaps"))
+        )
         inj = _matrix_grid(field, m, n, _need(s, "inj", sp), f"{sp}.inj")
         surj = _matrix_grid(field, m, n, _need(s, "surj", sp), f"{sp}.surj")
         W = SESWitness.from_stacks(Vdims, Vmaps, Wdims, Wmaps, inj, surj)

@@ -253,9 +253,9 @@ class TensorDualityReport:
 def check_tensor_duality(A: IndLCObj, B: IndLCObj, depth: int) -> TensorDualityReport:
     """Compare dual(A *-tensor B) with (dual A) !-tensor (dual B) levelwise.
 
-    Both sides are materialized independently to the given outer and inner
-    depth and aligned by the diagonal enumeration; dims and transition
-    matrices must agree exactly.
+    Both sides are materialized independently to `depth`, which bounds
+    both the number of parts and the levels of each, and aligned by the
+    diagonal enumeration; dims and transition matrices must agree exactly.
     """
     lhs = materialize(dual_object(tensor_families(A, B)), depth)
     bad = prefix_mismatch(lhs, materialize(tensor_families(dual_object(A), dual_object(B)), depth))

@@ -311,6 +311,21 @@ def _widen(mat):
     return _zeros(mat["rows"] + 1, mat["cols"])
 
 
+def _overflow(mat):
+    return {**mat, "entries": [2**63] + mat["entries"][1:]}
+
+
+def _two_defects(row, first):
+    """row[0] given the defect `first`, and row[1] a float for its rows."""
+    row[0], row[1] = first(row[0]), {**row[1], "rows": float(row[1]["rows"])}
+
+
+def _pd_of_inj(d):
+    """A duality witness whose f and g are copies of the inj table."""
+    d["pd"] = {"f": [row[:] for row in d["ses"]["inj"]], "g": d["ses"]["inj"]}
+    return d["pd"]
+
+
 # (JSON path of the error, mutation of a 3 x 3 grid document with pairings)
 SHAPE_DEFECTS = [
     ("$.dims", lambda d: d["dims"].append(d["dims"][0])),
@@ -359,6 +374,23 @@ SHAPE_DEFECTS = [
     ("$.up[1][2].cols", lambda d: d["up"][1][2].update(rows=1, cols=-2, entries=[])),
     ("$.ses.inj[2][1].entries[0]", lambda d: d["ses"]["inj"][2][1]["entries"].__setitem__(0, 2**63)),
     ("$.ses.surj[0][1].entries[0]", lambda d: d["ses"]["surj"][0][1]["entries"].__setitem__(0, -(2**63) - 1)),
+    # an entry outside int64 in the last map of a list, at its own path
+    ("$.ses.Vmaps[1].entries[0]", lambda d: d["ses"]["Vmaps"][1]["entries"].__setitem__(0, 2**63)),
+    ("$.ses.Wmaps[1].entries[3]", lambda d: d["ses"]["Wmaps"][1]["entries"].__setitem__(3, -(2**63) - 1)),
+    ("$.up[1][2].entries[8]", lambda d: d["up"][1][2]["entries"].__setitem__(8, 2**64)),
+    # two defects in a list: its structure is read first, then the int64
+    # range, then the shapes, so a malformed map 1 is named before either
+    # defect of map 0
+    ("$.ses.Vmaps[1].rows", lambda d: _two_defects(d["ses"]["Vmaps"], _widen)),
+    ("$.ses.Wmaps[1].rows", lambda d: _two_defects(d["ses"]["Wmaps"], _widen)),
+    ("$.right[0][1].rows", lambda d: _two_defects(d["right"][0], _widen)),
+    ("$.ses.Vmaps[1].rows", lambda d: _two_defects(d["ses"]["Vmaps"], _overflow)),
+    ("$.ses.Wmaps[1].rows", lambda d: _two_defects(d["ses"]["Wmaps"], _overflow)),
+    ("$.right[0][1].rows", lambda d: _two_defects(d["right"][0], _overflow)),
+    ("$.up[1][1].rows", lambda d: _two_defects(d["up"][1], _overflow)),
+    ("$.ses.inj[0][1].rows", lambda d: _two_defects(d["ses"]["inj"][0], _overflow)),
+    ("$.ses.surj[2][1].rows", lambda d: _two_defects(d["ses"]["surj"][2], _overflow)),
+    ("$.pd.f[0][1].rows", lambda d: _two_defects(_pd_of_inj(d)["f"][0], _overflow)),
 ]
 
 
@@ -399,6 +431,12 @@ def test_negative_cell_dimension_is_malformed(tmp_path, capsys):
 
 def _tower(**fields):
     return {"kind": "tower", "field": 2, "dims": [1], "transitions": [], **fields}
+
+
+def _indtower_of_two_defects():
+    """An ind-tower whose map 0 has an entry outside int64 and map 1 a boolean for its cols."""
+    maps = [_overflow(_zeros(1, 1)), {**_zeros(1, 1), "cols": True}]
+    return {**_tower(dims=[1, 1, 1], transitions=maps), "kind": "indtower"}
 
 
 # (JSON path of the error, malformed space document)
@@ -456,6 +494,13 @@ SPACE_DEFECTS = [
     ("$.transitions[0].cols", _tower(dims=[1, 1], transitions=[{"rows": 1, "cols": -1, "entries": [1]}])),
     ("$.transitions[0].entries[0]", _tower(dims=[1, 1], transitions=[{"rows": 1, "cols": 1, "entries": [2**70]}])),
     ("$.transitions[0].entries[1]", _tower(dims=[1, 2], transitions=[{"rows": 1, "cols": 2, "entries": [1, -(2**63) - 1]}])),
+    # an entry outside int64 in the last transition, at its own path
+    ("$.transitions[1].entries[0]", _tower(dims=[1, 1, 1], transitions=[_zeros(1, 1), _overflow(_zeros(1, 1))])),
+    # two defects: a malformed map 1 is named before a misshapen map 0 or
+    # an entry outside int64 in map 0
+    ("$.transitions[1].rows", _tower(dims=[1, 1, 1], transitions=[_zeros(2, 1), {**_zeros(1, 1), "rows": 1.0}])),
+    ("$.transitions[1].rows", _tower(dims=[1, 1, 1], transitions=[_overflow(_zeros(1, 1)), {**_zeros(1, 1), "rows": 1.0}])),
+    ("$.d.transitions[1].cols", {"kind": "tate", "field": 2, "c": _tower(), "d": _indtower_of_two_defects()}),
 ]
 
 
@@ -690,6 +735,29 @@ class TestRoundTrip:
             doc = grid_doc(planted.grid, planted.witness)
             G, W, _, _, _ = parse_grid(doc)
             assert grid_doc(G, W) == doc
+
+    def test_numpy_ints_read_like_plain_ints(self):
+        # a library caller's numpy ints are no plain JSON: every matrix
+        # document goes through parse_matrix and reads as its plain form
+        import numpy as np
+
+        def as_numpy(tree):
+            if isinstance(tree, dict) and "entries" in tree:
+                entries = list(np.array(tree["entries"], dtype=np.int64))
+                return {"rows": np.int64(tree["rows"]), "cols": np.int32(tree["cols"]), "entries": entries}
+            if isinstance(tree, dict):
+                return {key: as_numpy(x) for key, x in tree.items()}
+            return [as_numpy(x) for x in tree] if isinstance(tree, list) else tree
+
+        rng = np.random.default_rng(23)
+        for p in (2, 65521):
+            for _ in range(5):
+                doc = space_doc(rand_tate(rng, FieldSpec(p)), 4)
+                assert space_doc(parse_space(as_numpy(doc)), 4) == doc
+                fx = rand_pairings(rng, FieldSpec(p), m=2, n=3)
+                doc = grid_doc(fx.planted.grid, fx.planted.witness, pd=fx.pd)
+                G, W, _, pd, _ = parse_grid(as_numpy(doc))
+                assert grid_doc(G, W, pd=pd) == doc
 
 
 class TestCheckCommand:

@@ -11,7 +11,7 @@ from tatevec.duality import (
     extend_functional,
     self_dual_decompose,
 )
-from tatevec.generators import rand_tate
+from tatevec.generators import rand_selfdual, rand_tate
 from tatevec.spaces import (
     FilteredSpace,
     FinVect,
@@ -215,6 +215,21 @@ class TestSelfDualDecompose:
         notL = M(GF2, [[1], [0], [0], [0]])
         with pytest.raises(ValueError):
             self_dual_decompose(V, phi, notL)
+
+    def test_seven_eliminations(self, monkeypatch):
+        # inverse(phi), the lattice check's first flag, kernel(L^T), the
+        # intersection's kernel, the completion of K, kernel(K^T), rref([K | P])
+        calls = []
+        real = exactla.rref
+        for module in (exactla, duality, spaces):
+            monkeypatch.setattr(module, "rref", lambda X: calls.append(X.shape) or real(X))
+        for p in (2, 5, 65521):
+            rng = np.random.default_rng(p)
+            for _ in range(20):
+                planted = rand_selfdual(rng, FieldSpec(p))
+                calls.clear()
+                self_dual_decompose(planted.space, planted.pairing, planted.lattice)
+                assert len(calls) == 7
 
 
 def cubic_window():

@@ -498,6 +498,30 @@ class TestKernelMatchesReference:
             for V in (inside, other, hstack([inside, other]), Matrix.zeros(A.field, A.rows, 0)):
                 assert span_contains(A, V) == ref_span_contains(A, V)
 
+    def test_intersection_needs_no_closing_elimination(self, p):
+        # with A and B independent, A K_top is what the old closing
+        # image_basis returned
+        def old(A, B):
+            if not A.cols or not B.cols:
+                return Matrix.zeros(A.field, A.rows, 0)
+            K = kernel_basis(hstack([A, -B]))
+            return image_basis(A @ Matrix(A.field, K.data[: A.cols]))
+
+        field = FieldSpec(p)
+        rng = np.random.default_rng(p + 4)
+        met = 0
+        for A in _matrices(p):
+            A = _independent(A)
+            for b in sorted({0, 1, A.rows // 2 + 1, A.rows}):
+                drawn = Matrix(field, rng.integers(0, p, size=(A.rows, b)))
+                # B drawn, and B sharing A's first column
+                for B in (drawn, hstack([A.take_cols(range(min(A.cols, 1))), drawn])):
+                    B = _independent(B)
+                    meet = intersect_columns(A, B)
+                    assert meet == old(A, B)
+                    met += meet.cols > 0
+        assert met > 50
+
     def test_self_dual_f_completion(self, p):
         # F is the greedy completion of K inside phi^{-1}(K-perp)
         field = FieldSpec(p)
