@@ -25,16 +25,15 @@ from .suites import SUITES, run_suite
 from .tensor import tensor_bang_tate, tensor_families, tensor_star_tate, tensor_systems
 
 
-def _dump(doc) -> str:
-    return dumps(doc) + "\n"
-
-
-def _emit(text: str, out_path):
+def _emit(doc, out_path=None):
+    """Write the canonical text of a document tree and a newline to
+    `out_path`, or to stdout."""
+    text = dumps(doc)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            print(text, file=fh)
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _load_doc(path: str):
@@ -69,13 +68,12 @@ def cmd_gen(args) -> int:
         planted = rand_grid(rng, field, m=args.m, n=args.n)
         truth = {"Vdims": planted.Vdims, "Wdims": planted.Wdims, "scramble": planted.scramble}
         doc = grid_tree(planted.grid, planted.witness, truth=truth)
-        _emit(_dump(doc), args.out)
+        _emit(doc, args.out)
         if args.out:
-            with open(args.out + ".truth.json", "w") as fh:
-                fh.write(_dump(truth))
+            _emit(truth, args.out + ".truth.json")
         return 0
     obj = _RANDOM_SPACES[args.kind](rng, field, depth=args.depth)
-    _emit(_dump(space_tree(obj, args.depth)), args.out)
+    _emit(space_tree(obj, args.depth), args.out)
     return 0
 
 
@@ -88,7 +86,7 @@ def _on_grid(doc, args, why, fn):
     try:
         return fn(G, W)
     except bd.GridValidationError as e:
-        _emit(_dump({"kind": "validation", "ok": False, "violations": list(e.report.violations)}), args.out)
+        _emit({"kind": "validation", "ok": False, "violations": list(e.report.violations)}, args.out)
         return None
 
 
@@ -111,7 +109,7 @@ def cmd_decompose(args) -> int:
         "basis": S.basis,
         "exchange": {"ok": True, "normal_form": bd.exchange_normal_form(S)},
     }
-    _emit(_dump(out), args.out)
+    _emit(out, args.out)
     return 0
 
 
@@ -124,10 +122,10 @@ def cmd_dual(args) -> int:
             return 1
         doc2 = grid_tree(out.grid, out.witness)
         doc2["dual_certificate"] = {"ok": out.certificate_ok, "detail": out.detail}
-        _emit(_dump(doc2), args.out)
+        _emit(doc2, args.out)
         return 0
     obj = parse_space(doc)
-    _emit(_dump(space_tree(dual_object(obj), args.depth)), args.out)
+    _emit(space_tree(dual_object(obj), args.depth), args.out)
     return 0
 
 
@@ -150,7 +148,7 @@ def cmd_tensor(args) -> int:
         )
     if a.field != b.field:
         raise ParseError("$", f"no tensor of a GF({a.field.p}) and a GF({b.field.p}) document")
-    _emit(_dump(space_tree(fn(a, b), args.depth)), args.out)
+    _emit(space_tree(fn(a, b), args.depth), args.out)
     return 0
 
 
@@ -271,7 +269,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ParseError as e:
-        sys.stdout.write(_dump({"error": e.message, "path": e.path}))
+        _emit({"error": e.message, "path": e.path})
         return 2
 
 

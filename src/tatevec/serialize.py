@@ -41,7 +41,6 @@ from .spaces import (
     Tower,
     _map_shape,
     builtin_space,
-    materialize,
 )
 
 
@@ -117,16 +116,19 @@ def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
 
 # In a tree with no floats the only NaN is a slot written by `dumps`, and the
 # text below, whose quotes are unescaped, cannot occur inside a string.
-_SLOT = '"entries":NaN'
+_SLOT = b'"entries":NaN'
 
 
 def dumps(tree) -> str:
     """The canonical JSON text of a document tree.
 
     The encoder calls `leaf` on the matrices in output order.  Over GF(p < 11)
-    `leaf` records the matrix and leaves a NaN slot for its entries; the
-    digits of all recorded arrays are written at once, and the k-th
-    matrix's digits replace the k-th slot.
+    `leaf` records the matrix and leaves a NaN slot for its entries.  The
+    digits of all recorded matrices are written once, into one uint8 buffer
+    of "d," pairs (one little-endian uint16 per entry), where each matrix's
+    last comma becomes its "]".  The encoder's text is joined around
+    memoryview slices of that buffer, the k-th matrix's in the k-th slot,
+    and decoded once.
     """
     small = []
 
@@ -139,17 +141,19 @@ def dumps(tree) -> str:
     text = json.dumps(tree, sort_keys=True, separators=(",", ":"), default=leaf)
     if not small:
         return text
-    flat = np.concatenate([M.data.reshape(-1) for M in small], dtype=np.uint8, casting="unsafe")
-    buf = np.full(2 * flat.size, ord(","), dtype=np.uint8)
-    np.add(flat, ord("0"), out=buf[::2])
-    digits = buf.tobytes().decode("ascii")  # "d,d,...,d," over every recorded matrix
-    parts = text.split(_SLOT)
-    out, start = [parts[0]], 0
-    for M, rest in zip(small, parts[1:]):
-        end = start + 2 * M.data.size
-        out += ['"entries":[', digits[start:end][:-1], "]", rest]  # [:-1] drops its last comma
-        start = end
-    return "".join(out)
+    sizes = np.array([M.data.size for M in small], dtype=np.int64)
+    ends = 2 * np.cumsum(sizes)
+    pairs = np.empty(int(ends[-1]) // 2, dtype="<u2")  # one "d," per entry, the digit's byte first
+    np.concatenate([M.data.reshape(-1) for M in small], out=pairs, casting="unsafe")
+    pairs += ord("0") | ord(",") << 8
+    buf = pairs.view(np.uint8)
+    buf[ends[sizes > 0] - 1] = ord("]")
+    digits = memoryview(buf)
+    parts = text.encode("ascii").split(_SLOT)  # the encoder escapes every non-ASCII character
+    out = [parts[0]]
+    for start, end, rest in zip((ends - 2 * sizes).tolist(), ends.tolist(), parts[1:]):
+        out += (b'"entries":[', digits[start:end], rest) if end > start else (b'"entries":[]', rest)
+    return b"".join(out).decode("ascii")
 
 
 def _plain(tree):
@@ -196,14 +200,8 @@ def space_tree(obj, depth: Optional[int] = None) -> dict:
         d = obj.depth if obj.depth is not None else depth
         if d is None:
             raise ValueError("serializing an unbounded system needs a depth")
-        pre = materialize(obj, d)
-        return {
-            "kind": pre.kind,
-            "field": pre.field.p,
-            "dims": pre.dims,
-            "transitions": pre.maps,
-            "tail": tail_doc(obj.tail),
-        }
+        dims, maps = obj.prefix(d)
+        return {"kind": obj.kind, "field": obj.field.p, "dims": dims, "transitions": maps, "tail": tail_doc(obj.tail)}
     if isinstance(obj, TateObj):
         return {
             "kind": "tate",
@@ -218,7 +216,7 @@ def space_tree(obj, depth: Optional[int] = None) -> dict:
         return {
             "kind": obj.kind,
             "field": obj.field.p,
-            obj.parts_key: [space_tree(obj.part(k), depth) for k in range(1, count + 1)],
+            obj.parts_key: [space_tree(part, depth) for part in obj.parts(count)],
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -269,8 +267,7 @@ def parse_space(doc, path="$"):
         tail = parse_tail(doc.get("tail"), f"{path}.tail")
         obj = (Tower if kind == "tower" else IndTower).from_prefix(field, dims, maps, tail=tail)
         try:
-            for n in range(1, len(dims)):
-                obj.transition(n)  # memoized, with its one check against the tail
+            obj.prefix(len(dims))  # memoized, each map with its one check against the tail
         except DescriptorViolation as e:
             raise ParseError(f"{path}.tail", str(e))
         return obj

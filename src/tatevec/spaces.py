@@ -122,14 +122,19 @@ def _composites(kind: str, field: FieldSpec, top: int, maps) -> list[Matrix]:
 
 
 class _LazySystem:
-    """Shared machinery of Tower and IndTower: memoized 1-based levels."""
+    """Shared machinery of Tower and IndTower: memoized 1-based levels.
+
+    A system may also carry a prefix function, depth -> (dims, maps) of at
+    least its first `depth` levels, through which `prefix` keeps every level
+    it lacks in one call; its maps take the same one check as a transition."""
 
     kind = ""
 
-    def __init__(self, field, dim_fn, transition_fn, tail=None, depth=None):
+    def __init__(self, field, dim_fn, transition_fn, tail=None, depth=None, prefix_fn=None):
         self.field = field
         self._dim_fn = dim_fn
         self._transition_fn = transition_fn
+        self._prefix_fn = prefix_fn
         self.tail = tail or UNSPECIFIED
         self.depth = depth
         self._dims: dict[int, int] = {}
@@ -142,14 +147,33 @@ class _LazySystem:
         if self.depth is not None and n > self.depth:
             raise IndexError(f"{self.kind} truncated at depth {self.depth}, level {n} requested")
 
+    def _keep_dim(self, n: int, d: int):
+        if d < 0:
+            raise ValueError("negative level dimension")
+        self._dims[n] = d
+
     def dim(self, n: int) -> int:
         self._check_level(n)
         if n not in self._dims:
-            d = int(self._dim_fn(n))
-            if d < 0:
-                raise ValueError("negative level dimension")
-            self._dims[n] = d
+            self._keep_dim(n, int(self._dim_fn(n)))
         return self._dims[n]
+
+    def _keep_map(self, n: int, t: Matrix):
+        """Memoize transition n, checked (shape, field, bounded tail) against
+        the dims kept for its two levels."""
+        expect = _map_shape(self.kind, self._dims[n], self._dims[n + 1])
+        if t.shape != expect:
+            raise ShapeMismatchError(f"{self.kind} transition {n}: expected shape {expect}, got {t.shape}")
+        if t.field != self.field:
+            raise ValueError("transition over the wrong field")
+        kind, bound = self.tail.kind, self.tail.bound
+        if kind in _BOUNDED:
+            what, at = _BOUNDED[kind]
+            defects = _defects(t)
+            if defects[at] > bound:
+                raise DescriptorViolation(f"{kind}({bound}) but transition {n} has {what} dimension {defects[at]}")
+            self._defects[n] = defects
+        self._maps[n] = t
 
     def transition(self, n: int) -> Matrix:
         """Transition n, checked (shape, field, bounded tail) once, when first computed."""
@@ -157,21 +181,31 @@ class _LazySystem:
         if self.depth is not None and n + 1 > self.depth:
             raise IndexError(f"transition {n} needs level {n + 1} beyond depth {self.depth}")
         if n not in self._maps:
-            t = self._transition_fn(n)
-            expect = _map_shape(self.kind, self.dim(n), self.dim(n + 1))
-            if t.shape != expect:
-                raise ShapeMismatchError(f"{self.kind} transition {n}: expected shape {expect}, got {t.shape}")
-            if t.field != self.field:
-                raise ValueError("transition over the wrong field")
-            kind, bound = self.tail.kind, self.tail.bound
-            if kind in _BOUNDED:
-                what, at = _BOUNDED[kind]
-                defects = _defects(t)
-                if defects[at] > bound:
-                    raise DescriptorViolation(f"{kind}({bound}) but transition {n} has {what} dimension {defects[at]}")
-                self._defects[n] = defects
-            self._maps[n] = t
+            self.dim(n)
+            self.dim(n + 1)
+            self._keep_map(n, self._transition_fn(n))
         return self._maps[n]
+
+    def prefix(self, depth: int) -> tuple[tuple[int, ...], tuple[Matrix, ...]]:
+        """The dims and transitions of the first `depth` levels, read off the
+        level memo.  Levels it lacks are kept and checked first: with a
+        prefix function, all of them from one call of it, so that
+        `transition(n)` returns the very same maps; otherwise level by level."""
+        self._check_level(depth)
+        dims, maps, levels = self._dims, self._maps, range(1, depth + 1)
+        try:
+            return tuple(map(dims.__getitem__, levels)), tuple(map(maps.__getitem__, levels[:-1]))
+        except KeyError:
+            if self._prefix_fn is None:
+                return tuple(map(self.dim, levels)), tuple(map(self.transition, levels[:-1]))
+        new_dims, new_maps = self._prefix_fn(depth)
+        for n, d in zip(levels, new_dims):
+            if n not in dims:
+                self._keep_dim(n, d)
+        for n, t in zip(levels[:-1], new_maps):
+            if n not in maps:
+                self._keep_map(n, t)
+        return tuple(map(dims.__getitem__, levels)), tuple(map(maps.__getitem__, levels[:-1]))
 
     def defects(self, n: int) -> tuple[int, int]:
         """The kernel and cokernel dimensions of transition n, from its one
@@ -187,7 +221,14 @@ class _LazySystem:
         maps = list(maps)
         if len(maps) != max(len(dims) - 1, 0):
             raise ShapeMismatchError("prefix needs one transition per adjacent level pair")
-        return cls(field, lambda n: dims[n - 1], lambda n: maps[n - 1], tail=tail, depth=len(dims))
+        return cls(
+            field,
+            lambda n: dims[n - 1],
+            lambda n: maps[n - 1],
+            tail=tail,
+            depth=len(dims),
+            prefix_fn=lambda depth: (dims, maps),
+        )
 
 
 class Tower(_LazySystem):
@@ -215,15 +256,19 @@ class TateObj:
 
 
 class _LazyFamily:
-    """Shared machinery of IndLCObj and ProDiscObj: memoized 1-based parts."""
+    """Shared machinery of IndLCObj and ProDiscObj: memoized 1-based parts.
+
+    A family may also carry a parts function, n -> its first n parts,
+    through which `parts` makes every part it lacks in one call."""
 
     kind = ""
     parts_key = ""  # JSON key of the parts; its singular names one part
     part_type: type = _LazySystem
 
-    def __init__(self, field, part_fn: Callable[[int], _LazySystem], count: Optional[int]):
+    def __init__(self, field, part_fn: Callable[[int], _LazySystem], count: Optional[int], parts_fn=None):
         self.field = field
         self._part_fn = part_fn
+        self._parts_fn = parts_fn
         self.count = count
         self._memo: dict[int, _LazySystem] = {}
 
@@ -233,6 +278,17 @@ class _LazyFamily:
         if k not in self._memo:
             self._memo[k] = self._part_fn(k)
         return self._memo[k]
+
+    def parts(self, n: int) -> list[_LazySystem]:
+        """The first n parts, or every part of a family of fewer; with a
+        parts function, one call of it makes every part not yet made, and
+        `part(k)` returns the very same objects."""
+        n = n if self.count is None else min(n, self.count)
+        memo = self._memo
+        if self._parts_fn is not None and len(memo) < n:
+            for k, made in enumerate(self._parts_fn(n), start=1):
+                memo.setdefault(k, made)
+        return [memo[k] if k in memo else self.part(k) for k in range(1, n + 1)]
 
     @classmethod
     def from_list(cls, field, parts: list[_LazySystem]):
@@ -330,15 +386,12 @@ def materialize(obj, depth: int, inner: Optional[int] = None):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if isinstance(obj, _LazySystem):
-        dims = tuple(obj.dim(n) for n in range(1, depth + 1))
-        maps = tuple(obj.transition(n) for n in range(1, depth))
-        return SystemPrefix(obj.kind, obj.field, dims, maps)
+        return SystemPrefix(obj.kind, obj.field, *obj.prefix(depth))
     if isinstance(obj, TateObj):
         return TatePrefix(materialize(obj.cLattice, depth), materialize(obj.dLattice, depth))
     if isinstance(obj, _LazyFamily):
         inner = depth if inner is None else inner
-        n = depth if obj.count is None else min(depth, obj.count)
-        return FamilyPrefix(obj.kind, tuple(materialize(obj.part(k), inner) for k in range(1, n + 1)))
+        return FamilyPrefix(obj.kind, tuple(materialize(part, inner) for part in obj.parts(depth)))
     raise TypeError(f"cannot materialize {type(obj).__name__}")
 
 
@@ -375,14 +428,25 @@ def prefix_mismatch(a, b, label: Optional[str] = None) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def constant_tower(field: FieldSpec, dim: int) -> Tower:
+_STABILIZING = TailDescriptor("stabilizing")
+
+
+def _constant(cls: type, field: FieldSpec, dim: int) -> _LazySystem:
+    """The system whose every level is `dim` and every transition one shared identity."""
     ident = Matrix.identity(field, dim)
-    return Tower(field, lambda n: dim, lambda n: ident, tail=TailDescriptor("stabilizing"))
+
+    def prefix(depth):
+        return [dim] * depth, [ident] * (depth - 1)
+
+    return cls(field, lambda n: dim, lambda n: ident, tail=_STABILIZING, prefix_fn=prefix)
+
+
+def constant_tower(field: FieldSpec, dim: int) -> Tower:
+    return _constant(Tower, field, dim)
 
 
 def constant_indtower(field: FieldSpec, dim: int) -> IndTower:
-    ident = Matrix.identity(field, dim)
-    return IndTower(field, lambda n: dim, lambda n: ident, tail=TailDescriptor("stabilizing"))
+    return _constant(IndTower, field, dim)
 
 
 def _drop_last(field: FieldSpec, n: int) -> Matrix:

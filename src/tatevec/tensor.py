@@ -5,6 +5,13 @@ the doubly-indexed (co)limit: level n of a product of towers is the
 Kronecker product of the two level-n spaces.  Doubly-indexed families of
 summands or factors are reindexed by a single fixed diagonal enumeration.
 
+A product is written in one pass.  Its prefix is built from the two
+factors' prefixes, each read once: dims multiply, each new pair of
+factor-map objects costs one `kron`, and the product's level memo is
+filled through the same check a transition takes.  A family's first n
+parts are made in one walk of the diagonals, `first_pairs`, not one
+`pair_at` search per part.
+
 The output category tags are load-bearing: the * tensor of Tate objects is
 an ind-linearly-compact object and the ! tensor a pro-discrete one, never a
 Tate object, because the result genuinely can fail to be Tate.
@@ -13,6 +20,7 @@ Tate object, because the result genuinely can fail to be Tate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -22,6 +30,7 @@ from .exactla import FieldMismatchError, Matrix, kron
 from .spaces import (
     IndLCObj,
     ProDiscObj,
+    UNSPECIFIED,
     TailDescriptor,
     TateObj,
     _LazyFamily,
@@ -56,6 +65,13 @@ def pair_from_index(n: int) -> tuple[int, int]:
     return i, s - i
 
 
+def _diagonal(s: int, count_a: Optional[int], count_b: Optional[int]) -> range:
+    """The i of the pairs (i, s - i) on diagonal s inside the ranges, in order."""
+    lo = 1 if count_b is None else max(1, s - count_b)
+    hi = s - 1 if count_a is None else min(count_a, s - 1)
+    return range(lo, hi + 1)
+
+
 def pair_at(k: int, count_a: Optional[int], count_b: Optional[int]) -> tuple[int, int]:
     """k-th pair of the diagonal order restricted to the given ranges.
 
@@ -70,12 +86,22 @@ def pair_at(k: int, count_a: Optional[int], count_b: Optional[int]) -> tuple[int
     s = 1
     while True:
         s += 1
-        lo = 1 if count_b is None else max(1, s - count_b)
-        hi = s - 1 if count_a is None else min(count_a, s - 1)
-        size = max(hi - lo + 1, 0)
-        if k <= size:
-            return lo + k - 1, s - lo - k + 1
-        k -= size
+        on = _diagonal(s, count_a, count_b)
+        if k <= len(on):
+            return on[k - 1], s - on[k - 1]
+        k -= len(on)
+
+
+def first_pairs(n: int, count_a: Optional[int], count_b: Optional[int]) -> list[tuple[int, int]]:
+    """The first n pairs of the restricted diagonal order (every pair when
+    there are fewer), as `pair_at` gives them, walked in one pass."""
+    total = _pair_count(count_a, count_b)
+    n = n if total is None else min(n, total)
+    out, s = [], 1
+    while len(out) < n:
+        s += 1
+        out += ((i, s - i) for i in _diagonal(s, count_a, count_b)[: n - len(out)])
+    return out
 
 
 def _pair_count(count_a: Optional[int], count_b: Optional[int]) -> Optional[int]:
@@ -94,7 +120,7 @@ def _pair_count(count_a: Optional[int], count_b: Optional[int]) -> Optional[int]
 def _combine_tails(a: TailDescriptor, b: TailDescriptor) -> TailDescriptor:
     if a.kind == "stabilizing" and b.kind == "stabilizing":
         return a
-    return TailDescriptor("unspecified")
+    return UNSPECIFIED
 
 
 def _combine_depth(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -112,12 +138,27 @@ def _same_kind(A, B):
         raise FieldMismatchError("tensor over different fields")
 
 
+def _krons(ma, mb) -> list[Matrix]:
+    """The Kronecker products of two lists of maps, pairwise: one `kron` per
+    new pair of objects, as on a constant system's one shared identity."""
+    made, out = {}, []
+    for a, b in zip(ma, mb):
+        key = id(a), id(b)
+        if key not in made:
+            made[key] = kron(a, b)
+        out.append(made[key])
+    return out
+
+
 def tensor_systems(A: _LazySystem, B: _LazySystem) -> _LazySystem:
     """Tensor of two towers (linearly compact) or two ind-towers (discrete);
     all completed tensors agree on either kind: levelwise Kronecker products
-    on the diagonal, of the same kind as the inputs.  A transition whose two
-    factors are the very objects of the last one computed (a constant
-    system's one identity) reuses its product."""
+    on the diagonal, of the same kind as the inputs.
+
+    A prefix is built from the two factors' prefixes, each read once: dims
+    multiply, and each new pair of factor maps costs one `kron`.  A single
+    transition whose two factors are the very objects of the last one
+    computed reuses its product."""
     _same_kind(A, B)
     last = [None, None, None]  # (a, b, kron(a, b)) of the last transition computed
 
@@ -127,26 +168,34 @@ def tensor_systems(A: _LazySystem, B: _LazySystem) -> _LazySystem:
             last[:] = a, b, kron(a, b)
         return last[2]
 
+    def prefix(depth):
+        (da, ma), (db, mb) = A.prefix(depth), B.prefix(depth)
+        return list(map(mul, da, db)), _krons(ma, mb)
+
     return type(A)(
         A.field,
         lambda n: A.dim(n) * B.dim(n),
         transition,
         tail=_combine_tails(A.tail, B.tail),
         depth=_combine_depth(A.depth, B.depth),
+        prefix_fn=prefix,
     )
 
 
 def tensor_families(A: _LazyFamily, B: _LazyFamily) -> _LazyFamily:
     """The * tensor of two sums of compact pieces, or the ! tensor of two
     products of discrete pieces: pairwise tensors of the parts, enumerated
-    diagonally."""
+    diagonally; the first n parts are made in one walk of the diagonals."""
     _same_kind(A, B)
 
     def part(k):
         i, j = pair_at(k, A.count, B.count)
         return tensor_systems(A.part(i), B.part(j))
 
-    return type(A)(A.field, part, _pair_count(A.count, B.count))
+    def parts(n):
+        return [tensor_systems(A.part(i), B.part(j)) for i, j in first_pairs(n, A.count, B.count)]
+
+    return type(A)(A.field, part, _pair_count(A.count, B.count), parts_fn=parts)
 
 
 # ---------------------------------------------------------------------------

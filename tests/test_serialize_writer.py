@@ -83,6 +83,24 @@ def test_empty_matrices_write_empty_lists():
         assert json.loads(dumps(Matrix.zeros(FieldSpec(2), *shape)))["entries"] == []
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(2, 3), (1, 1), (0, 4)],  # the last matrix empty
+        [(2, 2), (3, 0), (1, 3)],  # an empty matrix between two non-empty ones
+        [(0, 0), (4, 0), (0, 2)],  # every matrix empty: a zero-length buffer
+    ],
+    ids=["last-empty", "empty-between", "all-empty"],
+)
+def test_empty_matrices_among_digit_matrices(p, shapes):
+    rng = np.random.default_rng(p)
+    field = FieldSpec(p)
+    mats = [Matrix(field, rng.integers(0, p, size=shape)) for shape in shapes]
+    tree = {"field": p, "maps": mats, "last": {"m": mats[-1]}, "s": "NaN"}
+    assert dumps(tree) == _reference(tree)
+
+
 def test_public_docs_are_the_plain_json_of_stdout(tmp_path, capsys):
     field = FieldSpec(5)
     assert cli.main(["gen", "--kind", "tate", "--seed", "3", "--field", "5"]) == 0

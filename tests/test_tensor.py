@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tatevec import tensor
-from tatevec.exactla import FieldSpec, Matrix, kron
+from tatevec.exactla import FieldSpec, Matrix, ShapeMismatchError, kron
 from tatevec.duality import dual_object
+from tatevec.generators import rand_tate
 from tatevec.spaces import (
     FinVect,
     IndLCObj,
@@ -23,6 +24,7 @@ from tatevec.tensor import (
     check_tensor_duality,
     curry,
     embed_tate,
+    first_pairs,
     hom_via_tensor,
     index_from_pair,
     pair_at,
@@ -75,6 +77,119 @@ class TestPairIndexing:
         for k, a, b in ((1, 0, None), (0, 2, 2), (5, 2, 2), (7, 3, 2)):
             with pytest.raises(IndexError):
                 pair_at(k, a, b)
+
+
+# the counts of the one-pass walk's tests; n runs to 12 where a count is None
+WALK_COUNTS_A = (None, 0, 1, 2, 3, 5)
+WALK_COUNTS_B = (None, 0, 1, 2, 4)
+WALK_UNBOUNDED = 12
+
+
+def _walk_lengths(a, b):
+    total = tensor._pair_count(a, b)
+    return range(0, (WALK_UNBOUNDED if total is None else total + 2) + 1)
+
+
+def _labelled(count, left: bool) -> IndLCObj:
+    """Parts that name themselves: part i has two levels, of dims (i, 1) on
+    the left and (1, i) on the right, so the product of parts i and j has
+    dims (i, j).  No transition is ever read."""
+
+    def part(i):
+        dims = (i, 1) if left else (1, i)
+        return Tower(GF2, lambda n: dims[n - 1], None, depth=2)
+
+    return IndLCObj(GF2, part, count)
+
+
+class TestOnePassWalk:
+    def test_first_pairs_are_pair_at_in_order(self):
+        for a in WALK_COUNTS_A:
+            for b in WALK_COUNTS_B:
+                total = tensor._pair_count(a, b)
+                for n in _walk_lengths(a, b):
+                    kept = n if total is None else min(n, total)
+                    assert first_pairs(n, a, b) == [pair_at(k, a, b) for k in range(1, kept + 1)], (a, b, n)
+
+    def test_walked_parts_are_the_parts_one_by_one(self):
+        for a in WALK_COUNTS_A:
+            for b in WALK_COUNTS_B:
+                for n in _walk_lengths(a, b):
+                    walked = tensor_families(_labelled(a, True), _labelled(b, False))
+                    single = tensor_families(_labelled(a, True), _labelled(b, False))
+                    parts = walked.parts(n)
+                    kept = len(parts)
+                    assert kept == (n if single.count is None else min(n, single.count))
+                    one_by_one = [single.part(k) for k in range(1, kept + 1)]
+                    dims = [(p.dim(1), p.dim(2)) for p in parts]
+                    assert dims == [(q.dim(1), q.dim(2)) for q in one_by_one]
+                    assert dims == [pair_at(k, a, b) for k in range(1, kept + 1)]
+                    # the walk fills the memo: part(k) is the walked object
+                    assert all(walked.part(k) is p for k, p in enumerate(parts, start=1))
+
+    def test_walk_keeps_parts_made_before_it(self):
+        F = tensor_families(_labelled(3, True), _labelled(None, False))
+        early = F.part(4)
+        assert F.parts(9)[3] is early
+
+
+class TestProductPrefix:
+    def test_transitions_are_the_prefix_maps(self):
+        for A, B in (
+            (power_series_tower(GF5), power_series_tower(GF5)),
+            (polynomial_indtower(GF2), constant_indtower(GF2, 2)),
+            (constant_tower(GF2, 3), constant_tower(GF2, 2)),
+        ):
+            T = tensor_systems(A, B)
+            pre = materialize(T, 5)
+            assert all(T.transition(n) is t for n, t in enumerate(pre.maps, start=1))
+            assert pre.dims == tuple(A.dim(n) * B.dim(n) for n in range(1, 6))
+            assert pre.maps == tuple(kron(A.transition(n), B.transition(n)) for n in range(1, 5))
+
+    def test_prefix_keeps_transitions_computed_before_it(self):
+        T = tensor_systems(power_series_tower(GF2), power_series_tower(GF2))
+        early = T.transition(2)
+        assert materialize(T, 4).maps[1] is early
+
+    @pytest.mark.parametrize("op", ["star", "bang"])
+    def test_one_kron_per_distinct_pair_of_factor_maps(self, monkeypatch, op):
+        rng = np.random.default_rng(11)
+        A, B = (rand_tate(rng, GF2, depth=4) for _ in range(2))
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return kron(a, b)
+
+        embedded = []
+
+        def recorded(V, target):
+            embedded.append(embed_tate(V, target))
+            return embedded[-1]
+
+        monkeypatch.setattr(tensor, "kron", counted)
+        monkeypatch.setattr(tensor, "embed_tate", recorded)
+        product = (tensor_star_tate if op == "star" else tensor_bang_tate)(A, B)
+        pre = materialize(product, 25, inner=4)
+        assert len(pre.parts) == 25
+        again = materialize(product, 25, inner=4)
+        assert all(x.maps[n] is y.maps[n] for x, y in zip(pre.parts, again.parts) for n in range(3))
+        # the factors' maps stay alive in their memos, so their ids name them
+        ea, eb = embedded
+        expected = set()
+        for i, j in first_pairs(25, ea.count, eb.count):
+            ma, mb = materialize(ea.part(i), 4).maps, materialize(eb.part(j), 4).maps
+            expected |= {(id(a), id(b)) for a, b in zip(ma, mb)}
+        assert len(calls) == len(expected)
+        assert {(id(a), id(b)) for a, b in calls} == expected
+
+    def test_misshapen_factor_map_raises_from_the_product(self):
+        bad = Tower.from_prefix(GF2, [2, 2], [Matrix.zeros(GF2, 3, 2)])
+        with pytest.raises(ShapeMismatchError, match="tower transition 1"):
+            materialize(tensor_systems(bad, power_series_tower(GF2)), 2)
+        family = IndLCObj.from_list(GF2, [constant_tower(GF2, 1), bad])
+        with pytest.raises(ShapeMismatchError, match="tower transition 1"):
+            materialize(tensor_families(family, IndLCObj.from_list(GF2, [power_series_tower(GF2)])), 2)
 
 
 class TestTowerTensor:
