@@ -29,11 +29,14 @@ def _emit(doc, out_path=None):
     """Write the canonical text of a document tree and a newline to
     `out_path`, or to stdout."""
     text = dumps(doc)
-    if out_path:
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             print(text, file=fh)
-    else:
-        print(text)
+    except OSError as e:  # no such directory, a directory, no permission
+        raise ParseError("$.out", f"cannot write {out_path}: {e.strerror}")
 
 
 def _load_doc(path: str):
@@ -48,12 +51,12 @@ def _load_doc(path: str):
         raise ParseError("$", f"invalid JSON: {e}")
 
 
-def _at_least_one(args, *flags):
-    """Reject a size flag below 1 as malformed input, as `--field` is."""
+def _at_least(least, args, *flags):
+    """Reject a number flag below `least` as malformed input, as `--field` is."""
     for flag in flags:
         value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise ParseError(f"$.{flag}", f"--{flag} must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise ParseError(f"$.{flag}", f"--{flag} must be at least {least}, got {value}")
 
 
 # the space kinds `gen` draws, in the order `--kind` lists them after grid
@@ -62,7 +65,8 @@ _RANDOM_SPACES = {"tate": rand_tate, "tower": rand_tower, "indtower": rand_indto
 
 def cmd_gen(args) -> int:
     field = parse_field({"field": args.field})
-    _at_least_one(args, "m", "n", "depth")
+    _at_least(1, args, "m", "n", "depth")
+    _at_least(0, args, "seed")
     rng = np.random.default_rng(args.seed)
     if args.kind == "grid":
         planted = rand_grid(rng, field, m=args.m, n=args.n)
@@ -114,7 +118,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    _at_least_one(args, "depth")
+    _at_least(1, args, "depth")
     doc = _load_doc(args.input)
     if isinstance(doc, dict) and doc.get("kind") == "grid":
         out = _on_grid(doc, args, "dualizing a grid needs its witness", bd.dual_grid)
@@ -130,7 +134,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    _at_least_one(args, "depth")
+    _at_least(1, args, "depth")
     a = parse_space(_load_doc(args.a))
     b = parse_space(_load_doc(args.b))
     pairs = {

@@ -59,18 +59,19 @@ def dual_object(X):
         return LinMap(FinVect(X.dst.dim), FinVect(X.src.dim), X.mat.T)
     if isinstance(X, (Tower, IndTower)):
         dual_kind = IndTower if isinstance(X, Tower) else Tower
-        return dual_kind(
-            X.field,
-            X.dim,
-            lambda n: X.transition(n).T,
-            tail=_dual_tail(X.tail),
-            depth=X.depth,
-        )
+
+        def prefix(depth):
+            # X's kept levels, its tail unchecked: the swapped descriptor
+            # checks each transpose once, and ker t = coker t^T
+            dims, maps = X._levels(depth)
+            return dims, [t.T for t in maps]
+
+        return dual_kind(X.field, prefix, tail=_dual_tail(X.tail), depth=X.depth)
     if isinstance(X, TateObj):
         return TateObj(dual_object(X.dLattice), dual_object(X.cLattice))
     if isinstance(X, (IndLCObj, ProDiscObj)):
         dual_kind = ProDiscObj if isinstance(X, IndLCObj) else IndLCObj
-        return dual_kind(X.field, lambda k: dual_object(X.part(k)), X.count)
+        return dual_kind(X.field, lambda have, n: [dual_object(p) for p in X.parts(n)[have:]], X.count)
     raise TypeError(f"cannot dualize {type(X).__name__}")
 
 

@@ -9,11 +9,14 @@ carried entirely by the presentation: flags, tower structure and category
 tags, never pointwise open sets.
 
 A level is known by its dimension, a plain int, and the blocks of a window
-are coordinate slices of one identity.  Levels are lazy and memoized; level
-functions must be pure, so concurrent duplicate evaluation is harmless.
-Behaviour beyond the computed prefix is declared through a TailDescriptor,
-the single honest channel for claims about infinity.  A system checks each
-transition (shape, field, bounded tail) once, when it is first computed.
+are coordinate slices of one identity.  A system is built from one prefix
+function, depth -> (dims, maps) of its first levels, and a family from one
+parts function, (have, n) -> parts have+1, ..., n; both must be pure, so
+concurrent duplicate evaluation is harmless.  Levels and parts are kept as
+they are made.  Behaviour beyond the computed prefix is declared through a
+TailDescriptor, the single honest channel for claims about infinity.  A
+system checks each map's shape and field when it keeps the map, and its
+bounded tail once, when the map is first read.
 """
 
 from __future__ import annotations
@@ -122,23 +125,25 @@ def _composites(kind: str, field: FieldSpec, top: int, maps) -> list[Matrix]:
 
 
 class _LazySystem:
-    """Shared machinery of Tower and IndTower: memoized 1-based levels.
+    """Shared machinery of Tower and IndTower: 1-based levels kept from one
+    prefix function, depth -> (dims, maps) of at least the first `depth`
+    levels.
 
-    A system may also carry a prefix function, depth -> (dims, maps) of at
-    least its first `depth` levels, through which `prefix` keeps every level
-    it lacks in one call; its maps take the same one check as a transition."""
+    `dim`, `transition` and `prefix` read the kept levels; a read past them
+    keeps every level missing from one call of the prefix function, each
+    map checked for shape and field as it is kept.  A bounded tail is
+    checked once per map, when the map is first read through `transition`
+    or `prefix`, so reading a dimension computes no rank."""
 
     kind = ""
 
-    def __init__(self, field, dim_fn, transition_fn, tail=None, depth=None, prefix_fn=None):
+    def __init__(self, field, prefix_fn, tail=None, depth=None):
         self.field = field
-        self._dim_fn = dim_fn
-        self._transition_fn = transition_fn
         self._prefix_fn = prefix_fn
         self.tail = tail or UNSPECIFIED
         self.depth = depth
-        self._dims: dict[int, int] = {}
-        self._maps: dict[int, Matrix] = {}
+        self._dims: list[int] = []
+        self._maps: list[Matrix] = []
         self._defects: dict[int, tuple[int, int]] = {}
 
     def _check_level(self, n: int):
@@ -147,65 +152,57 @@ class _LazySystem:
         if self.depth is not None and n > self.depth:
             raise IndexError(f"{self.kind} truncated at depth {self.depth}, level {n} requested")
 
-    def _keep_dim(self, n: int, d: int):
-        if d < 0:
-            raise ValueError("negative level dimension")
-        self._dims[n] = d
+    def _levels(self, depth: int) -> tuple[list[int], list[Matrix]]:
+        """The kept dims and maps, through level `depth` at least; the levels
+        missing are kept from one call of the prefix function, each map
+        checked against its two dims and the field but not yet the tail."""
+        dims, maps = self._dims, self._maps
+        if len(dims) < depth:
+            got_dims, got_maps = self._prefix_fn(depth)
+            new_dims = got_dims[len(dims) :]
+            if any(d < 0 for d in new_dims):
+                raise ValueError("negative level dimension")
+            every, new_maps = [*dims, *new_dims], got_maps[len(maps) :]
+            for n, t in enumerate(new_maps, start=len(maps) + 1):
+                expect = _map_shape(self.kind, every[n - 1], every[n])
+                if t.shape != expect:
+                    raise ShapeMismatchError(f"{self.kind} transition {n}: expected shape {expect}, got {t.shape}")
+                if t.field != self.field:
+                    raise ValueError("transition over the wrong field")
+            dims += new_dims
+            maps += new_maps
+        return dims, maps
 
-    def dim(self, n: int) -> int:
-        self._check_level(n)
-        if n not in self._dims:
-            self._keep_dim(n, int(self._dim_fn(n)))
-        return self._dims[n]
-
-    def _keep_map(self, n: int, t: Matrix):
-        """Memoize transition n, checked (shape, field, bounded tail) against
-        the dims kept for its two levels."""
-        expect = _map_shape(self.kind, self._dims[n], self._dims[n + 1])
-        if t.shape != expect:
-            raise ShapeMismatchError(f"{self.kind} transition {n}: expected shape {expect}, got {t.shape}")
-        if t.field != self.field:
-            raise ValueError("transition over the wrong field")
+    def _read(self, n: int, t: Matrix) -> Matrix:
+        """Map n, checked against a bounded tail on its first read."""
         kind, bound = self.tail.kind, self.tail.bound
-        if kind in _BOUNDED:
+        if kind in _BOUNDED and n not in self._defects:
             what, at = _BOUNDED[kind]
             defects = _defects(t)
             if defects[at] > bound:
                 raise DescriptorViolation(f"{kind}({bound}) but transition {n} has {what} dimension {defects[at]}")
             self._defects[n] = defects
-        self._maps[n] = t
+        return t
+
+    def dim(self, n: int) -> int:
+        self._check_level(n)
+        return self._levels(n)[0][n - 1]
 
     def transition(self, n: int) -> Matrix:
-        """Transition n, checked (shape, field, bounded tail) once, when first computed."""
         self._check_level(n)
         if self.depth is not None and n + 1 > self.depth:
             raise IndexError(f"transition {n} needs level {n + 1} beyond depth {self.depth}")
-        if n not in self._maps:
-            self.dim(n)
-            self.dim(n + 1)
-            self._keep_map(n, self._transition_fn(n))
-        return self._maps[n]
+        return self._read(n, self._levels(n + 1)[1][n - 1])
 
     def prefix(self, depth: int) -> tuple[tuple[int, ...], tuple[Matrix, ...]]:
-        """The dims and transitions of the first `depth` levels, read off the
-        level memo.  Levels it lacks are kept and checked first: with a
-        prefix function, all of them from one call of it, so that
-        `transition(n)` returns the very same maps; otherwise level by level."""
+        """The dims and transitions of the first `depth` levels, the maps
+        being the very objects `transition` returns."""
         self._check_level(depth)
-        dims, maps, levels = self._dims, self._maps, range(1, depth + 1)
-        try:
-            return tuple(map(dims.__getitem__, levels)), tuple(map(maps.__getitem__, levels[:-1]))
-        except KeyError:
-            if self._prefix_fn is None:
-                return tuple(map(self.dim, levels)), tuple(map(self.transition, levels[:-1]))
-        new_dims, new_maps = self._prefix_fn(depth)
-        for n, d in zip(levels, new_dims):
-            if n not in dims:
-                self._keep_dim(n, d)
-        for n, t in zip(levels[:-1], new_maps):
-            if n not in maps:
-                self._keep_map(n, t)
-        return tuple(map(dims.__getitem__, levels)), tuple(map(maps.__getitem__, levels[:-1]))
+        dims, maps = self._levels(depth)
+        if self.tail.kind in _BOUNDED:
+            for n in range(1, depth):
+                self._read(n, maps[n - 1])
+        return tuple(dims[:depth]), tuple(maps[: depth - 1])
 
     def defects(self, n: int) -> tuple[int, int]:
         """The kernel and cokernel dimensions of transition n, from its one
@@ -221,14 +218,7 @@ class _LazySystem:
         maps = list(maps)
         if len(maps) != max(len(dims) - 1, 0):
             raise ShapeMismatchError("prefix needs one transition per adjacent level pair")
-        return cls(
-            field,
-            lambda n: dims[n - 1],
-            lambda n: maps[n - 1],
-            tail=tail,
-            depth=len(dims),
-            prefix_fn=lambda depth: (dims, maps),
-        )
+        return cls(field, lambda depth: (dims, maps), tail=tail, depth=len(dims))
 
 
 class Tower(_LazySystem):
@@ -256,44 +246,37 @@ class TateObj:
 
 
 class _LazyFamily:
-    """Shared machinery of IndLCObj and ProDiscObj: memoized 1-based parts.
-
-    A family may also carry a parts function, n -> its first n parts,
-    through which `parts` makes every part it lacks in one call."""
+    """Shared machinery of IndLCObj and ProDiscObj: 1-based parts, made by
+    one parts function, (have, n) -> parts have+1, ..., n; `parts` makes
+    every part it lacks in one call of it, and `part(k)` reads `parts(k)`."""
 
     kind = ""
     parts_key = ""  # JSON key of the parts; its singular names one part
     part_type: type = _LazySystem
 
-    def __init__(self, field, part_fn: Callable[[int], _LazySystem], count: Optional[int], parts_fn=None):
+    def __init__(self, field, parts_fn: Callable[[int, int], list[_LazySystem]], count: Optional[int]):
         self.field = field
-        self._part_fn = part_fn
         self._parts_fn = parts_fn
         self.count = count
-        self._memo: dict[int, _LazySystem] = {}
+        self._made: list[_LazySystem] = []
 
     def part(self, k: int) -> _LazySystem:
         if k < 1 or (self.count is not None and k > self.count):
             raise IndexError(f"{self.parts_key[:-1]} {k} out of range")
-        if k not in self._memo:
-            self._memo[k] = self._part_fn(k)
-        return self._memo[k]
+        return self.parts(k)[-1]
 
     def parts(self, n: int) -> list[_LazySystem]:
-        """The first n parts, or every part of a family of fewer; with a
-        parts function, one call of it makes every part not yet made, and
-        `part(k)` returns the very same objects."""
+        """The first n parts, or every part of a family of fewer."""
         n = n if self.count is None else min(n, self.count)
-        memo = self._memo
-        if self._parts_fn is not None and len(memo) < n:
-            for k, made in enumerate(self._parts_fn(n), start=1):
-                memo.setdefault(k, made)
-        return [memo[k] if k in memo else self.part(k) for k in range(1, n + 1)]
+        made = self._made
+        if len(made) < n:
+            made += self._parts_fn(len(made), n)
+        return made[:n]
 
     @classmethod
     def from_list(cls, field, parts: list[_LazySystem]):
         parts = list(parts)
-        return cls(field, lambda k: parts[k - 1], len(parts))
+        return cls(field, lambda have, n: parts[have:n], len(parts))
 
 
 class IndLCObj(_LazyFamily):
@@ -434,11 +417,7 @@ _STABILIZING = TailDescriptor("stabilizing")
 def _constant(cls: type, field: FieldSpec, dim: int) -> _LazySystem:
     """The system whose every level is `dim` and every transition one shared identity."""
     ident = Matrix.identity(field, dim)
-
-    def prefix(depth):
-        return [dim] * depth, [ident] * (depth - 1)
-
-    return cls(field, lambda n: dim, lambda n: ident, tail=_STABILIZING, prefix_fn=prefix)
+    return cls(field, lambda depth: ([dim] * depth, [ident] * (depth - 1)), tail=_STABILIZING)
 
 
 def constant_tower(field: FieldSpec, dim: int) -> Tower:
@@ -458,22 +437,22 @@ def _include(field: FieldSpec, n: int) -> Matrix:
     return _drop_last(field, n).T
 
 
+def _monomial(cls: type, field: FieldSpec, step, tail: TailDescriptor) -> _LazySystem:
+    """The system of the k[t]/t^n, n = 1, 2, ..., on monomial bases, its
+    transition n being `step(field, n)`."""
+
+    def prefix(depth):
+        return list(range(1, depth + 1)), [step(field, n) for n in range(1, depth)]
+
+    return cls(field, prefix, tail=tail)
+
+
 def power_series_tower(field: FieldSpec) -> Tower:
-    return Tower(
-        field,
-        lambda n: n,
-        lambda n: _drop_last(field, n),
-        tail=TailDescriptor("bounded-ker", 1),
-    )
+    return _monomial(Tower, field, _drop_last, TailDescriptor("bounded-ker", 1))
 
 
 def polynomial_indtower(field: FieldSpec) -> IndTower:
-    return IndTower(
-        field,
-        lambda n: n,
-        lambda n: _include(field, n),
-        tail=TailDescriptor("bounded-coker", 1),
-    )
+    return _monomial(IndTower, field, _include, TailDescriptor("bounded-coker", 1))
 
 
 def laurent_tate(field: FieldSpec) -> TateObj:

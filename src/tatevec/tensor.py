@@ -5,12 +5,10 @@ the doubly-indexed (co)limit: level n of a product of towers is the
 Kronecker product of the two level-n spaces.  Doubly-indexed families of
 summands or factors are reindexed by a single fixed diagonal enumeration.
 
-A product is written in one pass.  Its prefix is built from the two
-factors' prefixes, each read once: dims multiply, each new pair of
-factor-map objects costs one `kron`, and the product's level memo is
-filled through the same check a transition takes.  A family's first n
-parts are made in one walk of the diagonals, `first_pairs`, not one
-`pair_at` search per part.
+A product system's one prefix function builds its levels from the two
+factors' prefixes: dims multiply, and each new pair of factor-map objects
+costs one `kron`.  A product family's one parts function makes the parts
+it lacks in one walk of the diagonals, `first_pairs`.
 
 The output category tags are load-bearing: the * tensor of Tate objects is
 an ind-linearly-compact object and the ! tensor a pro-discrete one, never a
@@ -72,29 +70,13 @@ def _diagonal(s: int, count_a: Optional[int], count_b: Optional[int]) -> range:
     return range(lo, hi + 1)
 
 
-def pair_at(k: int, count_a: Optional[int], count_b: Optional[int]) -> tuple[int, int]:
-    """k-th pair of the diagonal order restricted to the given ranges.
+def first_pairs(n: int, count_a: Optional[int], count_b: Optional[int]) -> list[tuple[int, int]]:
+    """The first n pairs of the diagonal order restricted to the given
+    ranges (every pair when there are fewer), walked in one pass.
 
     Whole diagonals are counted: on diagonal s = i + j, i runs over
     [max(1, s - count_b), min(count_a, s - 1)], in increasing order.
     """
-    total = _pair_count(count_a, count_b)
-    if total == 0:
-        raise IndexError("no pairs over an empty range")
-    if k < 1 or (total is not None and k > total):
-        raise IndexError(f"pair {k} out of range")
-    s = 1
-    while True:
-        s += 1
-        on = _diagonal(s, count_a, count_b)
-        if k <= len(on):
-            return on[k - 1], s - on[k - 1]
-        k -= len(on)
-
-
-def first_pairs(n: int, count_a: Optional[int], count_b: Optional[int]) -> list[tuple[int, int]]:
-    """The first n pairs of the restricted diagonal order (every pair when
-    there are fewer), as `pair_at` gives them, walked in one pass."""
     total = _pair_count(count_a, count_b)
     n = n if total is None else min(n, total)
     out, s = [], 1
@@ -102,6 +84,16 @@ def first_pairs(n: int, count_a: Optional[int], count_b: Optional[int]) -> list[
         s += 1
         out += ((i, s - i) for i in _diagonal(s, count_a, count_b)[: n - len(out)])
     return out
+
+
+def pair_at(k: int, count_a: Optional[int], count_b: Optional[int]) -> tuple[int, int]:
+    """The k-th pair of `first_pairs`."""
+    total = _pair_count(count_a, count_b)
+    if total == 0:
+        raise IndexError("no pairs over an empty range")
+    if k < 1 or (total is not None and k > total):
+        raise IndexError(f"pair {k} out of range")
+    return first_pairs(k, count_a, count_b)[-1]
 
 
 def _pair_count(count_a: Optional[int], count_b: Optional[int]) -> Optional[int]:
@@ -138,64 +130,41 @@ def _same_kind(A, B):
         raise FieldMismatchError("tensor over different fields")
 
 
-def _krons(ma, mb) -> list[Matrix]:
-    """The Kronecker products of two lists of maps, pairwise: one `kron` per
-    new pair of objects, as on a constant system's one shared identity."""
-    made, out = {}, []
-    for a, b in zip(ma, mb):
-        key = id(a), id(b)
-        if key not in made:
-            made[key] = kron(a, b)
-        out.append(made[key])
-    return out
-
-
 def tensor_systems(A: _LazySystem, B: _LazySystem) -> _LazySystem:
     """Tensor of two towers (linearly compact) or two ind-towers (discrete);
     all completed tensors agree on either kind: levelwise Kronecker products
     on the diagonal, of the same kind as the inputs.
 
-    A prefix is built from the two factors' prefixes, each read once: dims
-    multiply, and each new pair of factor maps costs one `kron`.  A single
-    transition whose two factors are the very objects of the last one
-    computed reuses its product."""
+    Its prefix is built from the two factors' prefixes: dims multiply, and
+    each new pair of factor-map objects costs one `kron`, across calls.  The
+    products are kept by the objects' ids, which stay valid because the
+    factors keep those objects among their levels."""
     _same_kind(A, B)
-    last = [None, None, None]  # (a, b, kron(a, b)) of the last transition computed
-
-    def transition(n):
-        a, b = A.transition(n), B.transition(n)
-        if a is not last[0] or b is not last[1]:
-            last[:] = a, b, kron(a, b)
-        return last[2]
+    made = {}  # (id(a), id(b)) -> kron(a, b)
 
     def prefix(depth):
         (da, ma), (db, mb) = A.prefix(depth), B.prefix(depth)
-        return list(map(mul, da, db)), _krons(ma, mb)
+        maps = []
+        for a, b in zip(ma, mb):
+            key = id(a), id(b)
+            if key not in made:
+                made[key] = kron(a, b)
+            maps.append(made[key])
+        return list(map(mul, da, db)), maps
 
-    return type(A)(
-        A.field,
-        lambda n: A.dim(n) * B.dim(n),
-        transition,
-        tail=_combine_tails(A.tail, B.tail),
-        depth=_combine_depth(A.depth, B.depth),
-        prefix_fn=prefix,
-    )
+    return type(A)(A.field, prefix, tail=_combine_tails(A.tail, B.tail), depth=_combine_depth(A.depth, B.depth))
 
 
 def tensor_families(A: _LazyFamily, B: _LazyFamily) -> _LazyFamily:
     """The * tensor of two sums of compact pieces, or the ! tensor of two
     products of discrete pieces: pairwise tensors of the parts, enumerated
-    diagonally; the first n parts are made in one walk of the diagonals."""
+    diagonally; the parts lacking are made in one walk of the diagonals."""
     _same_kind(A, B)
 
-    def part(k):
-        i, j = pair_at(k, A.count, B.count)
-        return tensor_systems(A.part(i), B.part(j))
+    def parts(have, n):
+        return [tensor_systems(A.part(i), B.part(j)) for i, j in first_pairs(n, A.count, B.count)[have:]]
 
-    def parts(n):
-        return [tensor_systems(A.part(i), B.part(j)) for i, j in first_pairs(n, A.count, B.count)]
-
-    return type(A)(A.field, part, _pair_count(A.count, B.count), parts_fn=parts)
+    return type(A)(A.field, parts, _pair_count(A.count, B.count))
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +186,18 @@ def embed_tate(V: TateObj, target: str):
     else:
         raise ValueError(f"unknown embedding target {target!r}")
 
-    def part(k):
-        if k == 1:
-            return base
-        step = k - 1
+    def increment(step):
         if step == 1:
-            inc = other.dim(1)
-        else:  # dim(step) - rank(transition(step - 1)): a tower's kernel, an ind-tower's cokernel
-            kernel, cokernel = other.defects(step - 1)
-            inc = kernel if other.kind == "tower" else cokernel
-        return constant(V.field, inc)
+            return other.dim(1)
+        # dim(step) - rank(transition(step - 1)): a tower's kernel, an ind-tower's cokernel
+        kernel, cokernel = other.defects(step - 1)
+        return kernel if other.kind == "tower" else cokernel
+
+    def parts(have, n):
+        return [base if k == 1 else constant(V.field, increment(k - 1)) for k in range(have + 1, n + 1)]
 
     count = None if other.depth is None else other.depth + 1
-    return family(V.field, part, count)
+    return family(V.field, parts, count)
 
 
 def tensor_star_tate(A: TateObj, B: TateObj) -> IndLCObj:
@@ -310,7 +278,7 @@ def check_tensor_duality(A: IndLCObj, B: IndLCObj, depth: int) -> TensorDualityR
     bad = prefix_mismatch(lhs, materialize(tensor_families(dual_object(A), dual_object(B)), depth))
     if bad:
         return TensorDualityReport(False, (), bad)
-    alignment = tuple((k, pair_at(k, A.count, B.count)) for k in range(1, len(lhs.parts) + 1))
+    alignment = tuple(enumerate(first_pairs(len(lhs.parts), A.count, B.count), start=1))
     return TensorDualityReport(True, alignment, None)
 
 

@@ -277,6 +277,25 @@ class TestGenDecompose:
         assert code == 2
         assert json.loads(out)["path"] == path
 
+    @pytest.mark.parametrize("kind", ["tower", "grid"])
+    def test_negative_seed_is_malformed(self, capsys, kind):
+        code, out = run_cli(capsys, "gen", "--kind", kind, "--seed", "-1")
+        assert code == 2
+        assert json.loads(out) == {"error": "--seed must be at least 0, got -1", "path": "$.seed"}
+
+    @pytest.mark.parametrize("argv", ["gen --kind tower", "gen --kind grid", "dual DOC", "tensor --op star DOC DOC"])
+    @pytest.mark.parametrize("where", ["no/such/dir/x.json", "."])
+    def test_unwritable_out_is_malformed(self, tmp_path, capsys, argv, where):
+        doc = tmp_path / "laurent.json"
+        doc.write_text(json.dumps({"kind": "builtin", "name": "laurent", "field": 2}))
+        out_path = str(tmp_path / where)
+        argv = [str(doc) if a == "DOC" else a for a in argv.split()]
+        code, out = run_cli(capsys, *argv, "--out", out_path)
+        assert code == 2
+        err = json.loads(out)
+        assert err["path"] == "$.out"
+        assert err["error"].startswith(f"cannot write {out_path}: ")
+
     def test_missing_witness_is_malformed(self, tmp_path, capsys):
         import numpy as np
 

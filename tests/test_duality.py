@@ -13,11 +13,13 @@ from tatevec.duality import (
 )
 from tatevec.generators import rand_selfdual, rand_tate
 from tatevec.spaces import (
+    DescriptorViolation,
     FilteredSpace,
     FinVect,
     IndLCObj,
     IndTower,
     LinMap,
+    TailDescriptor,
     TateObj,
     Tower,
     constant_tower,
@@ -26,6 +28,7 @@ from tatevec.spaces import (
     polynomial_indtower,
     power_series_tower,
     tate_from_finvect,
+    tate_window,
 )
 
 GF2 = FieldSpec(2)
@@ -101,6 +104,37 @@ class TestDualObject:
             n = int(rng.integers(1, 6))
             A = M(GF2, rng.integers(0, 2, size=(n, n)))
             assert is_invertible(A) == is_invertible(A.T)
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The shapes of the rref calls made through exactla, spaces or duality."""
+    calls = []
+    real = exactla.rref
+    for module in (exactla, spaces, duality):
+        monkeypatch.setattr(module, "rref", lambda X: calls.append(X.shape) or real(X))
+    return calls
+
+
+class TestDualReadsKeptLevels:
+    def test_dimension_computes_no_rank(self, rref_calls):
+        # the dual reads the tower's kept levels: neither tail is checked
+        assert dual_object(power_series_tower(GF2)).dim(6) == 6
+        assert rref_calls == []
+
+    def test_window_checks_each_transpose_once(self, rref_calls):
+        # the dual c-lattice checks its 5 transposed inclusions against
+        # bounded-ker(1), the polynomial's own bounded-coker check is not
+        # repeated, and the window takes 5 kernels
+        tate_window(dual_object(laurent_tate(GF2)), 6)
+        assert len(rref_calls) == 10
+
+    def test_swapped_descriptor_catches_the_violation(self):
+        # the zero map kills 2 dimensions of level 2, past bounded-ker(1);
+        # the dual's bounded-coker(1) sees the cokernel of its transpose
+        X = Tower.from_prefix(GF2, [1, 2], [Matrix.zeros(GF2, 1, 2)], tail=TailDescriptor("bounded-ker", 1))
+        with pytest.raises(DescriptorViolation, match="bounded-coker.1. but transition 1 has cokernel dimension 2"):
+            materialize(dual_object(X), 2)
 
 
 class TestBidualCheck:

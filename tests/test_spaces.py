@@ -141,12 +141,10 @@ class TestMaterialize:
 
     def test_descriptor_violation(self):
         # claims bounded-ker(1) but the level-1 transition kills 2 dimensions
-        bad = Tower(
-            GF2,
-            lambda n: n,
-            lambda n: Matrix.zeros(GF2, n, n + 1),
-            tail=TailDescriptor("bounded-ker", 1),
-        )
+        def prefix(depth):
+            return list(range(1, depth + 1)), [Matrix.zeros(GF2, n, n + 1) for n in range(1, depth)]
+
+        bad = Tower(GF2, prefix, tail=TailDescriptor("bounded-ker", 1))
         with pytest.raises(DescriptorViolation):
             materialize(bad, 3)
 
@@ -155,6 +153,41 @@ class TestMaterialize:
         materialize(t, 2)
         with pytest.raises(IndexError):
             materialize(t, 3)
+
+    def test_prefix_function_called_once_per_read_past_the_kept_levels(self, rref_calls):
+        asked = []
+
+        def prefix(depth):
+            asked.append(depth)
+            return list(range(1, depth + 1)), [M(GF2, np.eye(n, n + 1, dtype=np.int64)) for n in range(1, depth)]
+
+        t = Tower(GF2, prefix, tail=TailDescriptor("bounded-ker", 1))
+        assert [t.dim(n) for n in (3, 1, 2)] == [3, 1, 2]
+        assert rref_calls[0] == 0  # a dimension computes no rank
+        assert t.transition(2) is t.prefix(3)[1][1]
+        assert rref_calls[0] == 2  # each map read is checked against the tail once
+        t.transition(4)
+        assert t.prefix(5)[0] == (1, 2, 3, 4, 5)
+        assert asked == [3, 5]
+        assert rref_calls[0] == 4
+
+    def test_parts_function_asked_only_for_parts_lacking(self):
+        asked = []
+
+        def parts(have, n):
+            asked.append((have, n))
+            return [constant_tower(GF2, k) for k in range(have + 1, n + 1)]
+
+        F = IndLCObj(GF2, parts, None)
+        made = F.parts(2)
+        assert F.part(2) is made[1] and F.part(1) is made[0]
+        assert [p.dim(1) for p in F.parts(5)] == [1, 2, 3, 4, 5]
+        F.part(4)
+        assert asked == [(0, 2), (2, 5)]
+        G = IndLCObj(GF2, parts, 3)
+        assert len(G.parts(10)) == 3 and asked[-1] == (0, 3)
+        with pytest.raises(IndexError, match="summand 4 out of range"):
+            G.part(4)
 
 
 class TestBuiltins:
@@ -383,7 +416,7 @@ class TestTateVerdict:
                 out[i, i] = 1
             return Matrix(GF2, out)
 
-        t = Tower(GF2, lambda n: dims[n - 1], trans, tail=TailDescriptor("unbounded"))
+        t = Tower.from_prefix(GF2, dims, [trans(n) for n in range(1, 8)], tail=TailDescriptor("unbounded"))
         res = is_tate_verdict(t, 5)
         assert res.verdict == "not-tate"
         assert res.evidence["profile"] == [1, 2, 3, 4]

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -92,14 +95,14 @@ def _walk_lengths(a, b):
 
 def _labelled(count, left: bool) -> IndLCObj:
     """Parts that name themselves: part i has two levels, of dims (i, 1) on
-    the left and (1, i) on the right, so the product of parts i and j has
-    dims (i, j).  No transition is ever read."""
+    the left and (1, i) on the right, joined by a zero map, so the product
+    of parts i and j has dims (i, j)."""
 
     def part(i):
-        dims = (i, 1) if left else (1, i)
-        return Tower(GF2, lambda n: dims[n - 1], None, depth=2)
+        dims = [i, 1] if left else [1, i]
+        return Tower.from_prefix(GF2, dims, [Matrix.zeros(GF2, *dims)])
 
-    return IndLCObj(GF2, part, count)
+    return IndLCObj(GF2, lambda have, n: [part(i) for i in range(have + 1, n + 1)], count)
 
 
 class TestOnePassWalk:
@@ -134,6 +137,15 @@ class TestOnePassWalk:
 
 
 class TestProductPrefix:
+    def test_one_kron_per_transition_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensor, "kron", lambda a, b: calls.append((a, b)) or kron(a, b))
+        T = tensor_systems(power_series_tower(GF5), power_series_tower(GF5))
+        for n in range(1, 6):
+            T.transition(n)
+        assert len(calls) == 5
+        assert materialize(T, 6).maps == tuple(map(T.transition, range(1, 6))) and len(calls) == 5
+
     def test_transitions_are_the_prefix_maps(self):
         for A, B in (
             (power_series_tower(GF5), power_series_tower(GF5)),
@@ -145,6 +157,19 @@ class TestProductPrefix:
             assert all(T.transition(n) is t for n, t in enumerate(pre.maps, start=1))
             assert pre.dims == tuple(A.dim(n) * B.dim(n) for n in range(1, 6))
             assert pre.maps == tuple(kron(A.transition(n), B.transition(n)) for n in range(1, 5))
+
+    def test_products_freed_without_the_cycle_collector(self):
+        # a reference cycle through a product would keep its kron arrays
+        # alive until the next collection
+        gc.disable()
+        try:
+            product = tensor_star_tate(laurent_tate(GF2), rand_tate(np.random.default_rng(2), GF2, depth=4))
+            parts = materialize(product, 10, inner=4).parts
+            refs = [weakref.ref(product), *map(weakref.ref, product.parts(10))]
+            del product
+            assert len(parts) == 10 and all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
     def test_prefix_keeps_transitions_computed_before_it(self):
         T = tensor_systems(power_series_tower(GF2), power_series_tower(GF2))
