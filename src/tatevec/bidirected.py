@@ -565,7 +565,7 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     else:  # one step per part that the row's cells lie in
         part, slot = B.part, B.slot
         for r in range(G.m - 1):
-            for j in np.unique(part[r + 1]).tolist():
+            for j in sorted(set(part[r + 1].tolist())):
                 cols = np.flatnonzero(part[r + 1] == j)
                 s, R, K = slot[r + 1, cols], C[j].shape[-1], int(D[r, cols].max())
                 top = _gather(C, part[r, cols], slot[r, cols], R, K)

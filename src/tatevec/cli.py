@@ -217,7 +217,10 @@ def cmd_report(args) -> int:
         return 0
     if kind in ("tower", "indtower", "tate", "indlc", "prodisc", "finvect", "builtin"):
         obj = parse_space(doc)
-        print(f"{kind} presentation over GF({doc.get('field')})")
+        if kind == "finvect":  # a finite-dimensional space has no field
+            print(f"finvect presentation of dimension {obj.dim}")
+        else:
+            print(f"{kind} presentation over GF({doc.get('field')})")
         if kind in ("tower", "indtower"):
             print(f"level dims: {doc.get('dims')}, tail: {doc.get('tail')}")
         return 0

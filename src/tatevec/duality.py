@@ -60,18 +60,18 @@ def dual_object(X):
     if isinstance(X, (Tower, IndTower)):
         dual_kind = IndTower if isinstance(X, Tower) else Tower
 
-        def prefix(depth):
+        def grow(dims, maps, n):
             # X's kept levels, its tail unchecked: the swapped descriptor
             # checks each transpose once, and ker t = coker t^T
-            dims, maps = X._levels(depth)
-            return dims, [t.T for t in maps]
+            x_dims, x_maps = X._levels(n)
+            return x_dims[len(dims) : n], [t.T for t in x_maps[len(maps) : n - 1]]
 
-        return dual_kind(X.field, prefix, tail=_dual_tail(X.tail), depth=X.depth)
+        return dual_kind(X.field, grow, _dual_tail(X.tail), X.depth)
     if isinstance(X, TateObj):
         return TateObj(dual_object(X.dLattice), dual_object(X.cLattice))
     if isinstance(X, (IndLCObj, ProDiscObj)):
         dual_kind = ProDiscObj if isinstance(X, IndLCObj) else IndLCObj
-        return dual_kind(X.field, lambda have, n: [dual_object(p) for p in X.parts(n)[have:]], X.count)
+        return dual_kind(X.field, lambda made, n: [dual_object(p) for p in X.parts(n)[len(made) :]], X.count)
     raise TypeError(f"cannot dualize {type(X).__name__}")
 
 

@@ -175,6 +175,8 @@ def parse_tail(doc, path="$") -> TailDescriptor:
     bound = doc.get("c")
     if bound is not None:
         bound = _int(bound, f"{path}.c")
+        if bound < 0:
+            raise ParseError(f"{path}.c", f"negative bound {bound}")
     try:
         return TailDescriptor(kind, bound)
     except ValueError as e:

@@ -9,11 +9,14 @@ carried entirely by the presentation: flags, tower structure and category
 tags, never pointwise open sets.
 
 A level is known by its dimension, a plain int, and the blocks of a window
-are coordinate slices of one identity.  A system is built from one prefix
-function, depth -> (dims, maps) of its first levels, and a family from one
-parts function, (have, n) -> parts have+1, ..., n; both must be pure, so
-concurrent duplicate evaluation is harmless.  Levels and parts are kept as
-they are made.  Behaviour beyond the computed prefix is declared through a
+are coordinate slices of one identity.  Systems and families grow by one
+rule: a grow function is handed the items kept so far, reads them without
+changing them, and returns only the items missing through a requested
+depth; a system's grow(dims, maps, n) returns the dims of levels
+len(dims)+1, ..., n and the maps len(maps)+1, ..., n-1, a family's
+grow(parts, n) the parts len(parts)+1, ..., n.  Grow functions must be
+pure, so concurrent duplicate evaluation is harmless, and what they return
+is kept.  Behaviour beyond the computed prefix is declared through a
 TailDescriptor, the single honest channel for claims about infinity.  A
 system checks each map's shape and field when it keeps the map, and its
 bounded tail once, when the map is first read.
@@ -90,6 +93,8 @@ class TailDescriptor:
             raise ValueError(f"unknown tail kind {self.kind!r}")
         if self.kind in ("bounded-ker", "bounded-coker") and self.bound is None:
             raise ValueError(f"{self.kind} needs a bound")
+        if self.bound is not None and self.bound < 0:
+            raise ValueError(f"negative bound {self.bound}")
 
 
 UNSPECIFIED = TailDescriptor()
@@ -126,20 +131,20 @@ def _composites(kind: str, field: FieldSpec, top: int, maps) -> list[Matrix]:
 
 class _LazySystem:
     """Shared machinery of Tower and IndTower: 1-based levels kept from one
-    prefix function, depth -> (dims, maps) of at least the first `depth`
-    levels.
+    grow function, (dims, maps, n) -> the dims of levels len(dims)+1, ...,
+    n and the maps len(maps)+1, ..., n-1, given the kept lists.
 
     `dim`, `transition` and `prefix` read the kept levels; a read past them
-    keeps every level missing from one call of the prefix function, each
+    keeps every level missing from one call of the grow function, each
     map checked for shape and field as it is kept.  A bounded tail is
     checked once per map, when the map is first read through `transition`
     or `prefix`, so reading a dimension computes no rank."""
 
     kind = ""
 
-    def __init__(self, field, prefix_fn, tail=None, depth=None):
+    def __init__(self, field, grow, tail=None, depth=None):
         self.field = field
-        self._prefix_fn = prefix_fn
+        self._grow = grow
         self.tail = tail or UNSPECIFIED
         self.depth = depth
         self._dims: list[int] = []
@@ -154,17 +159,16 @@ class _LazySystem:
 
     def _levels(self, depth: int) -> tuple[list[int], list[Matrix]]:
         """The kept dims and maps, through level `depth` at least; the levels
-        missing are kept from one call of the prefix function, each map
+        missing are kept from one call of the grow function, each map
         checked against its two dims and the field but not yet the tail."""
         dims, maps = self._dims, self._maps
         if len(dims) < depth:
-            got_dims, got_maps = self._prefix_fn(depth)
-            new_dims = got_dims[len(dims) :]
+            new_dims, new_maps = self._grow(dims, maps, depth)
             if any(d < 0 for d in new_dims):
                 raise ValueError("negative level dimension")
-            every, new_maps = [*dims, *new_dims], got_maps[len(maps) :]
-            for n, t in enumerate(new_maps, start=len(maps) + 1):
-                expect = _map_shape(self.kind, every[n - 1], every[n])
+            ends = [*dims[len(maps) :], *new_dims]  # levels len(maps)+1, ..., depth
+            for n, (t, lower, upper) in enumerate(zip(new_maps, ends, ends[1:]), start=len(maps) + 1):
+                expect = _map_shape(self.kind, lower, upper)
                 if t.shape != expect:
                     raise ShapeMismatchError(f"{self.kind} transition {n}: expected shape {expect}, got {t.shape}")
                 if t.field != self.field:
@@ -218,7 +222,7 @@ class _LazySystem:
         maps = list(maps)
         if len(maps) != max(len(dims) - 1, 0):
             raise ShapeMismatchError("prefix needs one transition per adjacent level pair")
-        return cls(field, lambda depth: (dims, maps), tail=tail, depth=len(dims))
+        return cls(field, lambda d, m, n: (dims[len(d) : n], maps[len(m) : n - 1]), tail, len(dims))
 
 
 class Tower(_LazySystem):
@@ -246,17 +250,18 @@ class TateObj:
 
 
 class _LazyFamily:
-    """Shared machinery of IndLCObj and ProDiscObj: 1-based parts, made by
-    one parts function, (have, n) -> parts have+1, ..., n; `parts` makes
-    every part it lacks in one call of it, and `part(k)` reads `parts(k)`."""
+    """Shared machinery of IndLCObj and ProDiscObj: 1-based parts kept from
+    one grow function, (parts, n) -> parts len(parts)+1, ..., n, given the
+    kept list; `parts` makes every part it lacks in one call of it, and
+    `part(k)` reads `parts(k)`."""
 
     kind = ""
     parts_key = ""  # JSON key of the parts; its singular names one part
     part_type: type = _LazySystem
 
-    def __init__(self, field, parts_fn: Callable[[int, int], list[_LazySystem]], count: Optional[int]):
+    def __init__(self, field, grow: Callable[[list, int], list[_LazySystem]], count: Optional[int]):
         self.field = field
-        self._parts_fn = parts_fn
+        self._grow = grow
         self.count = count
         self._made: list[_LazySystem] = []
 
@@ -270,13 +275,13 @@ class _LazyFamily:
         n = n if self.count is None else min(n, self.count)
         made = self._made
         if len(made) < n:
-            made += self._parts_fn(len(made), n)
+            made += self._grow(made, n)
         return made[:n]
 
     @classmethod
     def from_list(cls, field, parts: list[_LazySystem]):
         parts = list(parts)
-        return cls(field, lambda have, n: parts[have:n], len(parts))
+        return cls(field, lambda made, n: parts[len(made) : n], len(parts))
 
 
 class IndLCObj(_LazyFamily):
@@ -417,7 +422,7 @@ _STABILIZING = TailDescriptor("stabilizing")
 def _constant(cls: type, field: FieldSpec, dim: int) -> _LazySystem:
     """The system whose every level is `dim` and every transition one shared identity."""
     ident = Matrix.identity(field, dim)
-    return cls(field, lambda depth: ([dim] * depth, [ident] * (depth - 1)), tail=_STABILIZING)
+    return cls(field, lambda dims, maps, n: ([dim] * (n - len(dims)), [ident] * (n - 1 - len(maps))), _STABILIZING)
 
 
 def constant_tower(field: FieldSpec, dim: int) -> Tower:
@@ -441,10 +446,10 @@ def _monomial(cls: type, field: FieldSpec, step, tail: TailDescriptor) -> _LazyS
     """The system of the k[t]/t^n, n = 1, 2, ..., on monomial bases, its
     transition n being `step(field, n)`."""
 
-    def prefix(depth):
-        return list(range(1, depth + 1)), [step(field, n) for n in range(1, depth)]
+    def grow(dims, maps, n):
+        return list(range(len(dims) + 1, n + 1)), [step(field, k) for k in range(len(maps) + 1, n)]
 
-    return cls(field, prefix, tail=tail)
+    return cls(field, grow, tail)
 
 
 def power_series_tower(field: FieldSpec) -> Tower:

@@ -5,10 +5,12 @@ the doubly-indexed (co)limit: level n of a product of towers is the
 Kronecker product of the two level-n spaces.  Doubly-indexed families of
 summands or factors are reindexed by a single fixed diagonal enumeration.
 
-A product system's one prefix function builds its levels from the two
-factors' prefixes: dims multiply, and each new pair of factor-map objects
-costs one `kron`.  A product family's one parts function makes the parts
-it lacks in one walk of the diagonals, `first_pairs`.
+A product system's grow function makes only the levels it lacks, from the
+two factors' levels: dims multiply, and a transition is one `kron` of the
+factors' transitions, or the product's previous transition when both
+factor maps are the previous level's objects.  A product family's grow
+function makes the parts it lacks in one walk of the diagonals,
+`first_pairs`.
 
 The output category tags are load-bearing: the * tensor of Tate objects is
 an ind-linearly-compact object and the ! tensor a pro-discrete one, never a
@@ -135,24 +137,22 @@ def tensor_systems(A: _LazySystem, B: _LazySystem) -> _LazySystem:
     all completed tensors agree on either kind: levelwise Kronecker products
     on the diagonal, of the same kind as the inputs.
 
-    Its prefix is built from the two factors' prefixes: dims multiply, and
-    each new pair of factor-map objects costs one `kron`, across calls.  The
-    products are kept by the objects' ids, which stay valid because the
-    factors keep those objects among their levels."""
+    Its grow function reads the factors' prefixes and makes only the levels
+    the product lacks: dims multiply, and a new transition is one `kron` of
+    the factors' transitions unless both are the very objects of the level
+    before, as every map of a constant system is; then it is the product's
+    transition before."""
     _same_kind(A, B)
-    made = {}  # (id(a), id(b)) -> kron(a, b)
 
-    def prefix(depth):
-        (da, ma), (db, mb) = A.prefix(depth), B.prefix(depth)
-        maps = []
-        for a, b in zip(ma, mb):
-            key = id(a), id(b)
-            if key not in made:
-                made[key] = kron(a, b)
-            maps.append(made[key])
-        return list(map(mul, da, db)), maps
+    def grow(dims, maps, n):
+        (da, ma), (db, mb) = A.prefix(n), B.prefix(n)
+        new = []
+        for k in range(len(maps), n - 1):  # 0-based
+            same = k > 0 and ma[k] is ma[k - 1] and mb[k] is mb[k - 1]
+            new.append((new or maps)[-1] if same else kron(ma[k], mb[k]))
+        return list(map(mul, da[len(dims) :], db[len(dims) :])), new
 
-    return type(A)(A.field, prefix, tail=_combine_tails(A.tail, B.tail), depth=_combine_depth(A.depth, B.depth))
+    return type(A)(A.field, grow, _combine_tails(A.tail, B.tail), _combine_depth(A.depth, B.depth))
 
 
 def tensor_families(A: _LazyFamily, B: _LazyFamily) -> _LazyFamily:
@@ -161,10 +161,10 @@ def tensor_families(A: _LazyFamily, B: _LazyFamily) -> _LazyFamily:
     diagonally; the parts lacking are made in one walk of the diagonals."""
     _same_kind(A, B)
 
-    def parts(have, n):
-        return [tensor_systems(A.part(i), B.part(j)) for i, j in first_pairs(n, A.count, B.count)[have:]]
+    def grow(made, n):
+        return [tensor_systems(A.part(i), B.part(j)) for i, j in first_pairs(n, A.count, B.count)[len(made) :]]
 
-    return type(A)(A.field, parts, _pair_count(A.count, B.count))
+    return type(A)(A.field, grow, _pair_count(A.count, B.count))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +193,11 @@ def embed_tate(V: TateObj, target: str):
         kernel, cokernel = other.defects(step - 1)
         return kernel if other.kind == "tower" else cokernel
 
-    def parts(have, n):
-        return [base if k == 1 else constant(V.field, increment(k - 1)) for k in range(have + 1, n + 1)]
+    def grow(made, n):
+        return [base if k == 1 else constant(V.field, increment(k - 1)) for k in range(len(made) + 1, n + 1)]
 
     count = None if other.depth is None else other.depth + 1
-    return family(V.field, parts, count)
+    return family(V.field, grow, count)
 
 
 def tensor_star_tate(A: TateObj, B: TateObj) -> IndLCObj:

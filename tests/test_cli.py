@@ -500,6 +500,10 @@ SPACE_DEFECTS = [
     ("$.tail", _tower(dims=[1, 2], transitions=[_zeros(1, 2)], tail={"kind": "bounded-ker", "c": 0})),
     ("$.transitions[0]", _tower(dims=[1, 1], transitions=[3])),
     ("$.tail", _tower(tail=3)),
+    # a negative tail bound, at its own path: where there is no transition,
+    # and before the one transition is checked against it
+    ("$.tail.c", _tower(dims=[3], tail={"kind": "bounded-ker", "c": -1})),
+    ("$.tail.c", _tower(dims=[1, 2], transitions=[{"rows": 1, "cols": 2, "entries": [1, 0]}], tail={"kind": "bounded-ker", "c": -1})),
     ("$.c", {"kind": "tate", "field": 2, "c": {**_tower(), "kind": "indtower"}, "d": {**_tower(), "kind": "indtower"}}),
     ("$.d", {"kind": "tate", "field": 2, "c": _tower(), "d": _tower()}),
     ("$.summands[1]", {"kind": "indlc", "field": 2, "summands": [_tower(), {"kind": "finvect", "dim": 1}]}),
@@ -621,6 +625,18 @@ def test_report_reads_decomposition_and_validation(tmp_path, capsys):
     code, out = run_cli(capsys, "report", str(tmp_path / "val.json"))
     assert code == 0
     assert out.startswith("validation: FAILS\n  - ")
+
+
+def test_report_of_a_finvect_names_its_dimension(tmp_path, capsys):
+    # a finvect document has no field; a system names its field
+    for doc, first in (
+        ({"kind": "finvect", "dim": 3}, "finvect presentation of dimension 3"),
+        (_tower(field=5), "tower presentation over GF(5)"),
+    ):
+        doc_path = tmp_path / "space.json"
+        doc_path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "report", str(doc_path))
+        assert (code, out.splitlines()[0]) == (0, first)
 
 
 class TestDualCommand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tatevec import exactla, spaces
+from tatevec.duality import dual_object
 from tatevec.exactla import FieldSpec, Matrix, image_basis, rank
 from tatevec.generators import rand_filtered_space, rand_indtower, rand_tower
 from tatevec.spaces import (
@@ -30,6 +31,7 @@ from tatevec.spaces import (
     prefix_mismatch,
     tate_window,
 )
+from tatevec.tensor import embed_tate
 
 GF2 = FieldSpec(2)
 GF5 = FieldSpec(5)
@@ -64,6 +66,8 @@ class TestTypes:
             TailDescriptor("bounded-ker")
         with pytest.raises(ValueError):
             TailDescriptor("eventually-nice")
+        with pytest.raises(ValueError, match="negative bound -1"):
+            TailDescriptor("bounded-ker", -1)
 
     def test_filtered_space_validation(self):
         U1 = M(GF2, [[0, 0], [1, 0], [0, 1]])
@@ -141,10 +145,10 @@ class TestMaterialize:
 
     def test_descriptor_violation(self):
         # claims bounded-ker(1) but the level-1 transition kills 2 dimensions
-        def prefix(depth):
-            return list(range(1, depth + 1)), [Matrix.zeros(GF2, n, n + 1) for n in range(1, depth)]
+        def grow(dims, maps, n):
+            return list(range(len(dims) + 1, n + 1)), [Matrix.zeros(GF2, k, k + 1) for k in range(len(maps) + 1, n)]
 
-        bad = Tower(GF2, prefix, tail=TailDescriptor("bounded-ker", 1))
+        bad = Tower(GF2, grow, tail=TailDescriptor("bounded-ker", 1))
         with pytest.raises(DescriptorViolation):
             materialize(bad, 3)
 
@@ -154,40 +158,81 @@ class TestMaterialize:
         with pytest.raises(IndexError):
             materialize(t, 3)
 
-    def test_prefix_function_called_once_per_read_past_the_kept_levels(self, rref_calls):
+    def test_grow_function_called_once_per_read_past_the_kept_levels(self, rref_calls):
         asked = []
 
-        def prefix(depth):
-            asked.append(depth)
-            return list(range(1, depth + 1)), [M(GF2, np.eye(n, n + 1, dtype=np.int64)) for n in range(1, depth)]
+        def grow(dims, maps, n):
+            asked.append((len(dims), n))
+            new_maps = [M(GF2, np.eye(k, k + 1, dtype=np.int64)) for k in range(len(maps) + 1, n)]
+            return list(range(len(dims) + 1, n + 1)), new_maps
 
-        t = Tower(GF2, prefix, tail=TailDescriptor("bounded-ker", 1))
+        t = Tower(GF2, grow, tail=TailDescriptor("bounded-ker", 1))
         assert [t.dim(n) for n in (3, 1, 2)] == [3, 1, 2]
         assert rref_calls[0] == 0  # a dimension computes no rank
         assert t.transition(2) is t.prefix(3)[1][1]
         assert rref_calls[0] == 2  # each map read is checked against the tail once
         t.transition(4)
         assert t.prefix(5)[0] == (1, 2, 3, 4, 5)
-        assert asked == [3, 5]
+        assert asked == [(0, 3), (3, 5)]
         assert rref_calls[0] == 4
 
-    def test_parts_function_asked_only_for_parts_lacking(self):
+    def test_grow_function_asked_only_for_parts_lacking(self):
         asked = []
 
-        def parts(have, n):
-            asked.append((have, n))
-            return [constant_tower(GF2, k) for k in range(have + 1, n + 1)]
+        def grow(made, n):
+            asked.append((len(made), n))
+            return [constant_tower(GF2, k) for k in range(len(made) + 1, n + 1)]
 
-        F = IndLCObj(GF2, parts, None)
+        F = IndLCObj(GF2, grow, None)
         made = F.parts(2)
         assert F.part(2) is made[1] and F.part(1) is made[0]
         assert [p.dim(1) for p in F.parts(5)] == [1, 2, 3, 4, 5]
         F.part(4)
         assert asked == [(0, 2), (2, 5)]
-        G = IndLCObj(GF2, parts, 3)
+        G = IndLCObj(GF2, grow, 3)
         assert len(G.parts(10)) == 3 and asked[-1] == (0, 3)
         with pytest.raises(IndexError, match="summand 4 out of range"):
             G.part(4)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the monomial projections built and of the matrices transposed."""
+    counts = {"drop_last": 0, "T": 0}
+
+    def drop_last(field, n, _real=spaces._drop_last):
+        counts["drop_last"] += 1
+        return _real(field, n)
+
+    def transpose(X, _real=Matrix.T.fget):
+        counts["T"] += 1
+        return _real(X)
+
+    monkeypatch.setattr(spaces, "_drop_last", drop_last)
+    monkeypatch.setattr(Matrix, "T", property(transpose))
+    return counts
+
+
+class TestGrowthIsLinear:
+    """A read past the kept levels makes only the levels it lacks."""
+
+    def test_tower_builds_each_transition_once(self, built):
+        t = power_series_tower(GF2)
+        for n in range(1, 21):
+            t.transition(n)
+        assert built == {"drop_last": 20, "T": 0}
+
+    def test_embedding_builds_each_increment_transition_once(self, built):
+        # factors 2..20 are the increments of the power series tower: the
+        # first is its level-1 dim, the other 18 its transition 1..18 kernels
+        assert len(embed_tate(laurent_tate(GF2), "prodisc").parts(20)) == 20
+        assert built == {"drop_last": 18, "T": 0}
+
+    def test_dual_builds_and_transposes_each_transition_once(self, built):
+        d = dual_object(power_series_tower(GF2))
+        for n in range(1, 21):
+            d.transition(n)
+        assert built == {"drop_last": 20, "T": 20}
 
 
 class TestBuiltins:

@@ -102,7 +102,7 @@ def _labelled(count, left: bool) -> IndLCObj:
         dims = [i, 1] if left else [1, i]
         return Tower.from_prefix(GF2, dims, [Matrix.zeros(GF2, *dims)])
 
-    return IndLCObj(GF2, lambda have, n: [part(i) for i in range(have + 1, n + 1)], count)
+    return IndLCObj(GF2, lambda made, n: [part(i) for i in range(len(made) + 1, n + 1)], count)
 
 
 class TestOnePassWalk:
@@ -145,6 +145,20 @@ class TestProductPrefix:
             T.transition(n)
         assert len(calls) == 5
         assert materialize(T, 6).maps == tuple(map(T.transition, range(1, 6))) and len(calls) == 5
+
+    def test_read_level_by_level_one_kron_per_new_pair_of_factor_maps(self, monkeypatch):
+        # every transition of a constant tower is one shared identity, so a
+        # product of two reuses its first kron at every later level
+        calls = []
+        monkeypatch.setattr(tensor, "kron", lambda a, b: calls.append((a, b)) or kron(a, b))
+        for B, krons in ((constant_tower(GF2, 2), 1), (power_series_tower(GF2), 5)):
+            calls.clear()
+            A = constant_tower(GF2, 3)
+            T = tensor_systems(A, B)
+            maps = [T.transition(n) for n in range(1, 6)]
+            assert len(calls) == krons
+            assert maps == [kron(A.transition(n), B.transition(n)) for n in range(1, 6)]
+            assert len({id(t) for t in maps}) == krons
 
     def test_transitions_are_the_prefix_maps(self):
         for A, B in (
