@@ -388,8 +388,8 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     return injective, onto, (C, C_inv)
 
 
-def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridReport:
-    """Check square commutation and, with a witness, exactness and naturality.
+def validate_grid(G: BidirectedGrid, W: SESWitness) -> GridReport:
+    """Check square commutation and the witness's exactness and naturality.
 
     Every violated identity is listed with its 1-based cell indices, each
     kind of identity cell by cell in row-major order.  Each identity is one
@@ -402,8 +402,6 @@ def validate_grid(G: BidirectedGrid, W: Optional[SESWitness] = None) -> GridRepo
     right, up = G.right_stack, G.up_stack
     square = (up[:, 1:] @ right[1:]).differs(right[:-1] @ up[:, :-1])
     bad += [f"square at ({r + 1},{c + 1}) does not commute" for r, c in np.argwhere(square).tolist()]
-    if W is None:
-        return GridReport(not bad, tuple(bad))
     inj, surj = W.inj_stack, W.surj_stack
     if inj.rows.shape != (G.m, G.n):
         raise ShapeMismatchError(f"a {inj.rows.shape} witness of a {(G.m, G.n)} grid")

@@ -21,7 +21,7 @@ from .duality import dual_object
 from .generators import rand_grid, rand_indtower, rand_tate, rand_tower
 from .serialize import ParseError, dumps, grid_tree, parse_field, parse_grid, parse_space, space_tree
 from .spaces import IndLCObj, IndTower, ProDiscObj, TateObj, Tower
-from .suites import SUITES, run_suite
+from .suites import SUITES
 from .tensor import tensor_bang_tate, tensor_families, tensor_star_tate, tensor_systems
 
 
@@ -158,13 +158,10 @@ def cmd_tensor(args) -> int:
 
 def cmd_check(args) -> int:
     failures = 0
-    for name, ok, detail in run_suite(args.suite):
-        mark = "ok" if ok else "FAIL"
-        line = f"[{mark}] {name}"
-        if not ok:
-            line += f" -- {detail}"
-            failures += 1
-        print(line)
+    for fn in SUITES[args.suite]:
+        failure = fn()
+        print(f"[ok] {fn.check_name}" if failure is None else f"[FAIL] {fn.check_name} -- {failure}")
+        failures += failure is not None
     return 1 if failures else 0
 
 

@@ -145,7 +145,7 @@ class PlantedPairings:
     lam_hat: Matrix
 
 
-def rand_pairings(rng, field: FieldSpec, m: int = 2, n: int = 2, max_part: int = 2) -> PlantedPairings:
+def rand_pairings(rng, field: FieldSpec, m: int = 2, n: int = 2) -> PlantedPairings:
     """Grid with constant systems carrying consistent product, coproduct and
     duality windows, all recorded with same-cell targets.
 
@@ -154,7 +154,7 @@ def rand_pairings(rng, field: FieldSpec, m: int = 2, n: int = 2, max_part: int =
     intertwines the two; everything is then transported through the
     per-cell scrambles.
     """
-    planted = rand_grid(rng, field, m=m, n=n, max_part=max_part, constant_systems=True)
+    planted = rand_grid(rng, field, m=m, n=n, max_part=2, constant_systems=True)
     d = planted.Vdims[0] + planted.Wdims[0]
     mu_hat = rand_matrix(rng, field, d, d * d)
     f_hat = rand_invertible(rng, field, d)

@@ -31,6 +31,7 @@ from .bidirected import (
 )
 from .exactla import FieldSpec, Matrix, MatrixStack
 from .spaces import (
+    TAIL_KINDS,
     DescriptorViolation,
     FinVect,
     IndLCObj,
@@ -175,12 +176,12 @@ def parse_tail(doc, path="$") -> TailDescriptor:
     bound = doc.get("c")
     if bound is not None:
         bound = _int(bound, f"{path}.c")
-        if bound < 0:
-            raise ParseError(f"{path}.c", f"negative bound {bound}")
     try:
         return TailDescriptor(kind, bound)
     except ValueError as e:
-        raise ParseError(path, str(e))
+        # a bound that is negative, or given to a known kind that takes none, is named at its own path
+        on_bound = bound is not None and (bound < 0 or kind in TAIL_KINDS)
+        raise ParseError(f"{path}.c" if on_bound else path, str(e))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exactla import (
+    FieldMismatchError,
     FieldSpec,
     Matrix,
     ShapeMismatchError,
@@ -83,18 +84,22 @@ class TailDescriptor:
     cokernel has dimension at most c, forever.
     ``unbounded``: the relevant dimensions grow beyond every bound.
     ``unspecified``: no claim.
+    Only the two bounded kinds take a bound.
     """
 
     kind: str = "unspecified"
     bound: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in TAIL_KINDS:
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-        if self.kind in ("bounded-ker", "bounded-coker") and self.bound is None:
-            raise ValueError(f"{self.kind} needs a bound")
         if self.bound is not None and self.bound < 0:
             raise ValueError(f"negative bound {self.bound}")
+        if self.kind not in TAIL_KINDS:
+            raise ValueError(f"unknown tail kind {self.kind!r}")
+        bounded = self.kind in ("bounded-ker", "bounded-coker")
+        if bounded and self.bound is None:
+            raise ValueError(f"{self.kind} needs a bound")
+        if self.bound is not None and not bounded:
+            raise ValueError(f"{self.kind} takes no bound")
 
 
 UNSPECIFIED = TailDescriptor()
@@ -244,6 +249,11 @@ class TateObj:
     cLattice: Tower
     dLattice: IndTower
 
+    def __post_init__(self):
+        c, d = self.cLattice.field, self.dLattice.field
+        if c != d:
+            raise FieldMismatchError(f"{d} d-lattice of a {c} c-lattice")
+
     @property
     def field(self) -> FieldSpec:
         return self.cLattice.field
@@ -281,6 +291,9 @@ class _LazyFamily:
     @classmethod
     def from_list(cls, field, parts: list[_LazySystem]):
         parts = list(parts)
+        for k, part in enumerate(parts, start=1):
+            if part.field != field:
+                raise FieldMismatchError(f"{part.field} {cls.parts_key[:-1]} {k} of a {field} family")
         return cls(field, lambda made, n: parts[len(made) : n], len(parts))
 
 
@@ -315,6 +328,8 @@ class FilteredSpace:
         for i, U in enumerate(flags):
             if U.rows != dim:
                 raise ShapeMismatchError(f"flag {i + 1} lives in the wrong ambient space")
+            if U.field != field:
+                raise FieldMismatchError(f"{U.field} flag {i + 1} of a {field} space")
         # one rref of [U_i | U_{i+1}] per flag: U_i's columns lead it exactly
         # when they are independent, and U_{i+1} adds no pivot exactly when it
         # lies in U_i

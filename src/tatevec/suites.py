@@ -1,9 +1,10 @@
 """Named invariant suites, mirroring the guarantees of each module.
 
-Each check returns (name, ok, detail); the CLI `check` subcommand runs a
+Each check takes no arguments and returns None when its invariant holds
+and its failure message otherwise; the CLI `check` subcommand runs a
 suite and exits nonzero if anything fails.  Counts follow the stated
 contracts (e.g. 1000 consistent systems per field, 100 scrambled grids),
-and everything is seeded so runs are reproducible.
+and every check draws from its own fixed seeds, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ GF2 = FieldSpec(2)
 GF5 = FieldSpec(5)
 
 
-# suite name -> its checks, in definition order, the order `run_suite` runs them
+# suite name -> its checks, in definition order, the order `check` runs them
 SUITES: dict[str, list] = {"laws": [], "grid": [], "appendix": []}
 
 
@@ -86,35 +87,33 @@ def _check(suite, name):
 
 
 @_check("laws", "exactla/solve-linear: 1000 random consistent systems per field")
-def check_solve_linear(seed=0):
+def check_solve_linear():
     for p in (2, 3, 5, 101):
         field = FieldSpec(p)
-        rng = np.random.default_rng(seed + p)
+        rng = np.random.default_rng(p)
         for _ in range(1000):
             m, n, k = (int(x) for x in rng.integers(1, 6, size=3))
             A = rand_matrix(rng, field, m, n)
             B = A @ rand_matrix(rng, field, n, k)
             X = solve_linear(A, B)
             if X is None or A @ X != B:
-                return False, f"failed over GF({p})"
-    return True, "MX = B entrywise for every instance"
+                return f"failed over GF({p})"
 
 
 @_check("laws", "exactla/kernel-image: orthogonality and rank additivity")
-def check_kernel_image(seed=1):
-    rng = np.random.default_rng(seed)
+def check_kernel_image():
+    rng = np.random.default_rng(1)
     for _ in range(200):
         field = FieldSpec(int(rng.choice([2, 3, 5])))
         A = rand_matrix(rng, field, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         K = kernel_basis(A)
         if not (A @ K).is_zero() or K.cols + rank(A) != A.cols:
-            return False, "kernel identity failed"
-    return True, "M.kernel = 0 and rank(ker) + rank(im) = cols"
+            return "kernel identity failed"
 
 
 @_check("laws", "exactla/complement: deterministic greedy direct sums")
-def check_complement(seed=2):
-    rng = np.random.default_rng(seed)
+def check_complement():
+    rng = np.random.default_rng(2)
     for _ in range(200):
         field = FieldSpec(int(rng.choice([2, 5])))
         n = int(rng.integers(1, 8))
@@ -122,51 +121,47 @@ def check_complement(seed=2):
         C1 = complement_basis(S, n)
         C2 = complement_basis(S, n)
         if C1 != C2 or rank(hstack([S, C1])) != n:
-            return False, "complement not deterministic or not complementary"
-    return True, "byte-identical reruns; span + complement = ambient"
+            return "complement not deterministic or not complementary"
 
 
 @_check("laws", "exactla/kron: mixed product law on random composable triples")
-def check_kron_mixed(seed=3):
-    rng = np.random.default_rng(seed)
+def check_kron_mixed():
+    rng = np.random.default_rng(3)
     for _ in range(200):
         field = FieldSpec(int(rng.choice([2, 3, 5])))
         a, b, c, d, e, f = (int(x) for x in rng.integers(1, 4, size=6))
         A1, A2 = rand_matrix(rng, field, a, b), rand_matrix(rng, field, b, c)
         B1, B2 = rand_matrix(rng, field, d, e), rand_matrix(rng, field, e, f)
         if kron(A1 @ A2, B1 @ B2) != kron(A1, B1) @ kron(A2, B2):
-            return False, "mixed product law failed"
-    return True, "kron(AB, CD) = kron(A,C) kron(B,D)"
+            return "mixed product law failed"
 
 
 @_check("laws", "spaces/truncation: prefixes restrict byte-for-byte")
-def check_truncation(seed=4):
-    rng = np.random.default_rng(seed)
+def check_truncation():
+    rng = np.random.default_rng(4)
     for _ in range(100):
         t = rand_tower(rng, GF5, depth=6)
         full = materialize(t, 6)
         short = materialize(t, 3)
         if full.dims[:3] != short.dims or full.maps[:2] != short.maps:
-            return False, "restriction differs from direct materialization"
-    return True, "materialize(obj, N)|_{N'} = materialize(obj, N')"
+            return "restriction differs from direct materialization"
 
 
 @_check("laws", "spaces/normalize: injective transitions, top level preserved")
-def check_normalize(seed=5):
-    rng = np.random.default_rng(seed)
+def check_normalize():
+    rng = np.random.default_rng(5)
     for _ in range(100):
         t = rand_indtower(rng, GF2, depth=4, max_dim=5)
         out, _ = normalize_indtower(t, 4)
         if out.dims[-1] != materialize(t, 4).dims[-1]:
-            return False, "top level changed"
+            return "top level changed"
         if any(rank(m) != m.cols for m in out.maps):
-            return False, "a normalized transition is not injective"
-    return True, "images stabilize into inclusions"
+            return "a normalized transition is not injective"
 
 
 @_check("laws", "spaces/lattices: complementary pairs pass both checks (200 spaces)")
-def check_lattice_pairs(seed=6):
-    rng = np.random.default_rng(seed)
+def check_lattice_pairs():
+    rng = np.random.default_rng(6)
     done = 0
     while done < 200:
         field = FieldSpec(int(rng.choice([2, 5])))
@@ -177,25 +172,23 @@ def check_lattice_pairs(seed=6):
         S = F.flags[k]
         Sp = complement_basis(S, F.dim)
         if S.cols and not lattice_check(F, S, "c").ok:
-            return False, "flag superspace failed the c check"
+            return "flag superspace failed the c check"
         if not lattice_check(F, Sp, "d").ok:
-            return False, "complement failed the d check"
+            return "complement failed the d check"
         done += 1
-    return True, "S >= flag and complement meet it trivially"
 
 
 @_check("laws", "spaces/verdict: power series is Tate at every depth")
-def check_verdict_monotone(seed=7):
+def check_verdict_monotone():
     verdicts = {is_tate_verdict(power_series_tower(GF2), d).verdict for d in range(1, 7)}
     if verdicts != {"tate"}:
-        return False, f"verdicts {verdicts}"
-    return True, "verdict never flips as the depth grows"
+        return f"verdicts {verdicts}"
 
 
 @_check("laws", "duality/involution: 200 random objects per kind, levelwise equality")
-def check_involution(seed=8):
+def check_involution():
     for field in (GF2, GF5):
-        rng = np.random.default_rng(seed + field.p)
+        rng = np.random.default_rng(8 + field.p)
         for _ in range(100):
             depth = int(rng.integers(1, 7))
             for obj in (
@@ -204,52 +197,48 @@ def check_involution(seed=8):
                 rand_tate(rng, field, depth=depth),
             ):
                 if not bidual_check(obj, depth).ok:
-                    return False, f"double dual differs over GF({field.p})"
-    return True, "dual(dual(X)) = X after double transpose"
+                    return f"double dual differs over GF({field.p})"
 
 
 @_check("laws", "duality/contravariance: dual reverses composition exactly")
-def check_contravariance(seed=9):
-    rng = np.random.default_rng(seed)
+def check_contravariance():
+    rng = np.random.default_rng(9)
     for _ in range(200):
         field = FieldSpec(int(rng.choice([2, 5])))
         a, b, c = (int(x) for x in rng.integers(1, 5, size=3))
         F = rand_matrix(rng, field, c, b)
         G = rand_matrix(rng, field, b, a)
         if (F @ G).T != G.T @ F.T:
-            return False, "transpose does not reverse composition"
-    return True, "dual(fg) = dual(g) dual(f)"
+            return "transpose does not reverse composition"
 
 
 @_check("laws", "duality/iso-reflection: map invertible iff its dual is")
-def check_iso_reflection(seed=10):
-    rng = np.random.default_rng(seed)
+def check_iso_reflection():
+    rng = np.random.default_rng(10)
     for _ in range(200):
         field = FieldSpec(int(rng.choice([2, 5])))
         n = int(rng.integers(1, 6))
         A = rand_matrix(rng, field, n, n)
         if is_invertible(A) != is_invertible(A.T):
-            return False, "rank differs under transpose"
-    return True, "rank check agrees both ways"
+            return "rank differs under transpose"
 
 
 @_check("laws", "duality/self-dual: 50 scrambled models recover the planted dimension")
-def check_selfdual(seed=11):
-    rng = np.random.default_rng(seed)
+def check_selfdual():
+    rng = np.random.default_rng(11)
     for _ in range(50):
         field = FieldSpec(int(rng.choice([2, 5])))
         inst = rand_selfdual(rng, field)
         out = self_dual_decompose(inst.space, inst.pairing, inst.lattice)
         if out.D.cols != inst.discrete_dim:
-            return False, f"recovered dim {out.D.cols}, planted {inst.discrete_dim}"
+            return f"recovered dim {out.D.cols}, planted {inst.discrete_dim}"
         if not is_invertible(out.change_of_basis) or not is_invertible(out.iso):
-            return False, "certificates do not multiply out"
-    return True, "K + D decompositions certified, planted dims recovered"
+            return "certificates do not multiply out"
 
 
 @_check("laws", "duality/hahn-banach: 200 extensions restrict and kill the witness flag")
-def check_extend(seed=12):
-    rng = np.random.default_rng(seed)
+def check_extend():
+    rng = np.random.default_rng(12)
     done = 0
     while done < 200:
         field = FieldSpec(int(rng.choice([2, 5])))
@@ -265,78 +254,73 @@ def check_extend(seed=12):
         g = extend_functional(F, A, f, k)
         Uk = F.flags[k - 1]
         if g @ A != f or (Uk.cols and not (g @ Uk).is_zero()):
-            return False, "extension failed its contract"
+            return "extension failed its contract"
         done += 1
-    return True, "g|_A = f on every basis vector; g kills U_k columnwise"
 
 
 @_check("laws", "tensor/pair-indexing: diagonal enumeration bijective on 10^4 prefix")
-def check_pair_indexing(seed=13):
+def check_pair_indexing():
     seen = set()
     for n in range(1, 10_001):
         pair = pair_from_index(n)
         if pair in seen or index_from_pair(*pair) != n:
-            return False, f"failure at index {n}"
+            return f"failure at index {n}"
         seen.add(pair)
-    return True, "prefix bijective both ways"
 
 
 @_check("laws", "tensor/symmetry: swap and associator identities, unit laws")
-def check_tensor_symmetry(seed=14):
-    rng = np.random.default_rng(seed)
+def check_tensor_symmetry():
+    rng = np.random.default_rng(14)
     for _ in range(100):
         field = FieldSpec(int(rng.choice([2, 5])))
         m1, m2, n1, n2 = (int(x) for x in rng.integers(1, 4, size=4))
         tA = rand_matrix(rng, field, m1, m2)
         tB = rand_matrix(rng, field, n1, n2)
         if swap_matrix(field, m1, n1) @ kron(tA, tB) != kron(tB, tA) @ swap_matrix(field, m2, n2):
-            return False, "commutativity swap failed"
+            return "commutativity swap failed"
         k1, k2 = (int(x) for x in rng.integers(1, 4, size=2))
         tC = rand_matrix(rng, field, k1, k2)
         if kron(kron(tA, tB), tC) != kron(tA, kron(tB, tC)):
-            return False, "associativity failed"
+            return "associativity failed"
     t = power_series_tower(GF2)
     u = tensor_systems(constant_tower(GF2, 1), t)
     a, b = materialize(u, 5), materialize(t, 5)
     if a.dims != b.dims or a.maps != b.maps:
-        return False, "unit law failed"
-    return True, "swap conjugates transitions; associator is the identity"
+        return "unit law failed"
 
 
 @_check("laws", "tensor/adjunction: curry and uncurry are inverse dimension-preserving maps")
-def check_adjunction(seed=16):
-    rng = np.random.default_rng(seed)
+def check_adjunction():
+    rng = np.random.default_rng(16)
     for _ in range(100):
         field = FieldSpec(int(rng.choice([2, 5])))
         a, b, c = (int(x) for x in rng.integers(1, 4, size=3))
         M = rand_matrix(rng, field, c, a * b)
         N = curry(M, a, b, c)
         if uncurry(N, a, b, c) != M:
-            return False, "curry/uncurry is not a bijection"
+            return "curry/uncurry is not a bijection"
         x = rand_matrix(rng, field, a, 1)
         y = rand_matrix(rng, field, b, 1)
         hom_x = Matrix(field, (N @ x).data.reshape(c, b))
         if hom_x @ y != M @ kron(x, y):
-            return False, "curried evaluation disagrees"
-    return True, "B(AxB,C) = Hom(A, Hom(B,C)) entrywise at finite level"
+            return "curried evaluation disagrees"
 
 
 @_check("laws", "tensor/hom-ev: evaluation tables injective and functorial")
-def check_hom_ev(seed=17):
-    rng = np.random.default_rng(seed)
+def check_hom_ev():
+    rng = np.random.default_rng(17)
     hp = hom_via_tensor(tate_from_finvect(GF5, FinVect(3)), tate_from_finvect(GF5, FinVect(2)), 1)
     a, b = hp.window[0]
     ev = hp.ev[0]
     if rank(ev) != a * b:
-        return False, "table not injective"
+        return "table not injective"
     for _ in range(50):
         phi = rand_matrix(rng, GF5, a, 1)
         vec = rand_matrix(rng, GF5, b, 1)
         hom = Matrix(GF5, (ev @ kron(phi, vec)).data.reshape(b, a))
         x = rand_matrix(rng, GF5, a, 1)
         if hom @ x != vec @ (phi.T @ x):
-            return False, "rank-one evaluation mismatch"
-    return True, "phi (x) b acts as a -> phi(a) b on every sample"
+            return "rank-one evaluation mismatch"
 
 
 
@@ -346,61 +330,57 @@ def check_hom_ev(seed=17):
 
 
 @_check("grid", "grid/scramble-recover: 100 planted grids block-diagonalize exactly")
-def check_grid_recover(seed=20):
+def check_grid_recover():
     for field in (GF2, GF5):
-        rng = np.random.default_rng(seed + field.p)
+        rng = np.random.default_rng(20 + field.p)
         for _ in range(50):
             planted = rand_grid(rng, field)
             dec = bd.grid_decomposition(bd.split_grid(planted.grid, planted.witness))
             cpre = materialize(dec.tate.cLattice, planted.grid.m)
             dpre = materialize(dec.tate.dLattice, planted.grid.n)
             if cpre.dims != planted.Wdims or dpre.dims != planted.Vdims:
-                return False, "planted profiles not recovered"
-    return True, "all right/up maps exactly block diagonal; planted dims recovered"
+                return "planted profiles not recovered"
 
 
 @_check("grid", "grid/kappa: exchange certificate is the identity in normal form")
-def check_grid_kappa(seed=21):
+def check_grid_kappa():
     for field in (GF2, GF5):
-        rng = np.random.default_rng(seed + field.p)
+        rng = np.random.default_rng(21 + field.p)
         for _ in range(15):
             planted = rand_grid(rng, field, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 5)))
             cert = bd.kappa_check(bd.split_grid(planted.grid, planted.witness))
             if not cert.ok:
-                return False, "exchange map is not the normal-form identity"
-    return True, "colim-lim equals lim-colim through the corner"
+                return "exchange map is not the normal-form identity"
 
 
 @_check("grid", "grid/duality: dual decomposition equals dualized decomposition")
-def check_grid_duality(seed=22):
+def check_grid_duality():
     for field in (GF2, GF5):
-        rng = np.random.default_rng(seed + field.p)
+        rng = np.random.default_rng(22 + field.p)
         for _ in range(10):
             planted = rand_grid(rng, field, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 4)))
             out = bd.dual_grid(planted.grid, planted.witness)
             if not bd.dual_grid_check(planted.witness, out.witness):
-                return False, "duality certificate failed"
-    return True, "levelwise equality of the two routes"
+                return "duality certificate failed"
 
 
 @_check("grid", "grid/opens: shrinking flags with exact kernel-image agreement")
-def check_grid_opens(seed=23):
-    rng = np.random.default_rng(seed)
+def check_grid_opens():
+    rng = np.random.default_rng(23)
     for _ in range(20):
         planted = rand_grid(rng, GF2)
         dec = bd.grid_decomposition(bd.split_grid(planted.grid, planted.witness))
         sizes = [u.cols for u in dec.opens]
         if sizes != sorted(sizes, reverse=True):
-            return False, "open subspaces grow"
+            return "open subspaces grow"
         for U, proj in zip(dec.opens, dec.pi):
             if not (proj @ U).is_zero() or U.cols != U.rows - rank(proj):
-                return False, "im iota != ker pi"
-    return True, "dim U_r nonincreasing; im iota = ker pi exactly"
+                return "im iota != ker pi"
 
 
 @_check("grid", "grid/pairings: plant-and-recover with corruption localization")
-def check_grid_pairings(seed=24):
-    rng = np.random.default_rng(seed)
+def check_grid_pairings():
+    rng = np.random.default_rng(24)
     for trial in range(25):
         field = GF2 if trial % 2 == 0 else GF5
         fx = rand_pairings(rng, field, m=2, n=2)
@@ -409,7 +389,7 @@ def check_grid_pairings(seed=24):
         cout = bd.assemble_pairing(split, fx.lam)
         rep = bd.check_pd_intertwine(split, fx.mu, fx.lam, fx.pd)
         if not (out.ok and cout.ok and rep.ok):
-            return False, "planted windows failed verification"
+            return "planted windows failed verification"
         # corrupt a single entry and demand localization
         r = int(rng.integers(0, 2))
         c = int(rng.integers(0, 2))
@@ -429,8 +409,7 @@ def check_grid_pairings(seed=24):
         ]
         rep2 = bd.check_pd_intertwine(split, bd.PairingFamily("product", entries), fx.lam, fx.pd)
         if rep2.ok or not any(f"({r + 1},{c + 1})" in v for v in rep2.violations):
-            return False, f"corruption at ({r + 1},{c + 1}) not localized"
-    return True, "windows verified; every corrupted entry localized"
+            return f"corruption at ({r + 1},{c + 1}) not localized"
 
 
 
@@ -440,27 +419,26 @@ def check_grid_pairings(seed=24):
 
 
 @_check("appendix", "appendix/splitting: 100 filtered SES instances split flag-compatibly")
-def check_appendix_split(seed=30):
+def check_appendix_split():
     for field in (GF2, GF5):
-        rng = np.random.default_rng(seed + field.p)
+        rng = np.random.default_rng(30 + field.p)
         for _ in range(50):
             F = rand_filtered_space(rng, field, max_dim=12, max_flags=6)
             A = image_basis(rand_matrix(rng, field, F.dim, int(rng.integers(1, F.dim + 1))))
             cert = split_filtered_ses(F, A)
             if cert.pi @ A != Matrix.identity(field, A.cols):
-                return False, "retraction does not restrict to the identity"
+                return "retraction does not restrict to the identity"
             for U in F.flags:
                 if not span_contains(intersect_columns(A, U), A @ (cert.pi @ U)):
-                    return False, "flag containment failed"
+                    return "flag containment failed"
             comp = topological_complement(F, A)
             if A.cols + comp.S.cols != F.dim or intersect_columns(A, comp.S).cols != 0:
-                return False, "complement not certified"
-    return True, "pi o i = id; pi(U_k) in A meet U_k; complements certified"
+                return "complement not certified"
 
 
 @_check("appendix", "appendix/lift: lifted splittings commute on random ladders")
-def check_appendix_ladders(seed=34):
-    rng = np.random.default_rng(seed)
+def check_appendix_ladders():
+    rng = np.random.default_rng(34)
     for _ in range(50):
         field = FieldSpec(int(rng.choice([2, 5])))
         a, c = int(rng.integers(0, 4)), int(rng.integers(0, 4))
@@ -482,12 +460,11 @@ def check_appendix_ladders(seed=34):
         )
         pi2, s1, s2 = lift_splitting(ladder)
         if ladder.f @ pi2 != pi1 @ ladder.g or ladder.g @ s2 != s1 @ ladder.h:
-            return False, "a lifted splitting does not commute"
-    return True, "f o pi2 = pi1 o g and sections commute on every ladder"
+            return "a lifted splitting does not commute"
 
 
 @_check("appendix", "appendix/lift: the worked GF(2) ladder instance")
-def check_appendix_worked(seed=31):
+def check_appendix_worked():
     one = Matrix.identity(GF2, 1)
     ladder = SESLadder(
         i1=Matrix(GF2, [[1], [0]]),
@@ -501,12 +478,11 @@ def check_appendix_worked(seed=31):
     )
     pi2, _, _ = lift_splitting(ladder)
     if pi2 != Matrix(GF2, [[1, 1]]):
-        return False, f"expected [1,1], got {pi2.data.tolist()}"
-    return True, "pi2 = [1,1]; both commuting identities verified"
+        return f"expected [1,1], got {pi2.data.tolist()}"
 
 
 @_check("appendix", "appendix/open-mapping-guard: no certificate across category tags")
-def check_open_mapping_guard(seed=33):
+def check_open_mapping_guard():
     compact = power_series_tower(GF2)
     discrete = polynomial_indtower(GF2)
     # same level dims, continuous bijection of presentations, but the library
@@ -514,15 +490,7 @@ def check_open_mapping_guard(seed=33):
     try:
         iso_certificate(compact, discrete, 4)
     except TypeError:
-        same = iso_certificate(power_series_tower(GF2), power_series_tower(GF2), 4)
-        if same is None:
-            return False, "identity certificate missing"
-        return True, "refused the cross-tag certificate, granted the honest one"
-    return False, "a cross-tag certificate was emitted"
-
-
-def run_suite(name: str):
-    """Run a named suite; yields (check name, ok, detail) in order."""
-    for fn in SUITES[name]:
-        ok, detail = fn()
-        yield fn.check_name, ok, detail
+        if iso_certificate(power_series_tower(GF2), power_series_tower(GF2), 4) is None:
+            return "identity certificate missing"
+    else:
+        return "a cross-tag certificate was emitted"

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from tatevec import bidirected as bd
-from tatevec import duality, exactla, spaces, tensor
+from tatevec import duality, exactla, spaces, suites, tensor
 from tatevec.cli import build_parser, main
 from tatevec.exactla import FieldSpec
 from tatevec.generators import rand_grid, rand_indtower, rand_pairings, rand_tate, rand_tower
@@ -504,6 +505,9 @@ SPACE_DEFECTS = [
     # and before the one transition is checked against it
     ("$.tail.c", _tower(dims=[3], tail={"kind": "bounded-ker", "c": -1})),
     ("$.tail.c", _tower(dims=[1, 2], transitions=[{"rows": 1, "cols": 2, "entries": [1, 0]}], tail={"kind": "bounded-ker", "c": -1})),
+    # a bound on a tail kind that takes none
+    ("$.tail.c", _tower(tail={"kind": "stabilizing", "c": 3})),
+    ("$.tail.c", _tower(tail={"kind": "unbounded", "c": 0})),
     ("$.c", {"kind": "tate", "field": 2, "c": {**_tower(), "kind": "indtower"}, "d": {**_tower(), "kind": "indtower"}}),
     ("$.d", {"kind": "tate", "field": 2, "c": _tower(), "d": _tower()}),
     ("$.summands[1]", {"kind": "indlc", "field": 2, "summands": [_tower(), {"kind": "finvect", "dim": 1}]}),
@@ -801,3 +805,27 @@ class TestCheckCommand:
         code, out = run_cli(capsys, "check", "--suite", suite)
         assert code == 0
         assert "[ok]" in out and "[FAIL]" not in out
+
+    def test_failing_check_is_named(self, capsys, monkeypatch):
+        # a check's failure message follows its name, in the check's place, and the suite exits 1
+        checks = suites.SUITES["appendix"]
+        broken = checks[2]
+
+        def fail():
+            return "planted failure"
+
+        fail.check_name = broken.check_name
+        monkeypatch.setitem(suites.SUITES, "appendix", [*checks[:2], fail, *checks[3:]])
+        code, out = run_cli(capsys, "check", "--suite", "appendix")
+        assert code == 1
+        assert out.splitlines() == [
+            f"[ok] {checks[0].check_name}",
+            f"[ok] {checks[1].check_name}",
+            f"[FAIL] {broken.check_name} -- planted failure",
+            f"[ok] {checks[3].check_name}",
+        ]
+
+    def test_checks_take_no_arguments(self):
+        for checks in suites.SUITES.values():
+            for fn in checks:
+                assert not inspect.signature(fn).parameters, fn.__name__

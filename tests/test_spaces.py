@@ -68,6 +68,9 @@ class TestTypes:
             TailDescriptor("eventually-nice")
         with pytest.raises(ValueError, match="negative bound -1"):
             TailDescriptor("bounded-ker", -1)
+        for kind in ("stabilizing", "unbounded", "unspecified"):
+            with pytest.raises(ValueError, match=f"^{kind} takes no bound$"):
+                TailDescriptor(kind, 3)
 
     def test_filtered_space_validation(self):
         U1 = M(GF2, [[0, 0], [1, 0], [0, 1]])

@@ -56,8 +56,8 @@ class TestPairIndexing:
 
     def test_laws_suite_prefix(self):
         # the laws suite's check of the first 10^4 indices
-        ok, detail = check_pair_indexing()
-        assert ok, detail
+        failure = check_pair_indexing()
+        assert failure is None, failure
 
     def test_restricted_ranges(self):
         got = [pair_at(k, 2, 2) for k in range(1, 5)]
