@@ -103,34 +103,33 @@ class FieldSpec:
 class Matrix:
     """Immutable dense matrix over GF(p): read-only int64 data in [0, p).
 
-    The public constructor converts, checks and reduces its data.  Results
-    of this module whose data is reduced by construction (products, sums
-    and differences taken mod p, echelon forms, slices and stacks of
-    reduced data) go through `_of`, which trusts it.
+    The public constructor converts, checks and reduces its data; results
+    reduced by construction (products, sums and differences mod p, echelon
+    forms, slices and stacks of reduced data) skip that.  All go through
+    `_of`, which marks data read-only, as `MatrixStack` marks its arrays.
     """
 
     __slots__ = ("field", "data")
 
-    def __init__(self, field: FieldSpec, data):
+    def __new__(cls, field: FieldSpec, data):
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise ShapeMismatchError(f"expected 2-d data, got shape {arr.shape}")
-        self._adopt(field, np.mod(arr, field.p))
-
-    def _adopt(self, field: FieldSpec, arr: np.ndarray):
-        arr.flags.writeable = False
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", arr)
+        return cls._of(field, np.mod(arr, field.p))
 
     @classmethod
     def _of(cls, field: FieldSpec, arr: np.ndarray) -> "Matrix":
         """Wrap 2-d int64 data already reduced mod p, unchecked and uncopied."""
         M = object.__new__(cls)
-        M._adopt(field, arr)
+        arr.setflags(write=False)
+        _set_field(M, field)
+        _set_data(M, arr)
         return M
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Matrix is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors ------------------------------------------------------
 
@@ -228,6 +227,8 @@ class Matrix:
         }
 
 
+_set_field, _set_data = Matrix.field.__set__, Matrix.data.__set__
+
 # items are padded to one shape while that takes at most _ROOM entries
 _ROOM = 1 << 16
 
@@ -313,7 +314,7 @@ class MatrixStack:
 
     def __init__(self, field: FieldSpec, rows, cols, parts: tuple, part=None, slot=None):
         for P in parts:
-            P.flags.writeable = False
+            P.setflags(write=False)
         self.field, self.rows, self.cols = field, rows, cols
         self.parts, self.part, self.slot = parts, part, slot
 
@@ -478,7 +479,7 @@ class MatrixStack:
         if self.slot is None:
             k = self.rows.size
             parts, part, slot = (self.parts[0].reshape((k,) + self.parts[0].shape[-2:]),), [0] * k, range(k)
-            parts[0].flags.writeable = False  # a transposed part reshapes to a copy
+            parts[0].setflags(write=False)  # a transposed part reshapes to a copy
         else:
             parts, part, slot = self.parts, self.part.reshape(-1).tolist(), self.slot.reshape(-1).tolist()
         at = zip(part, slot, self.rows.reshape(-1).tolist(), self.cols.reshape(-1).tolist())
@@ -504,11 +505,11 @@ def _one_field(mats: list[Matrix], op: str) -> FieldSpec:
 
 
 def hstack(mats: list[Matrix]) -> Matrix:
-    return Matrix._of(_one_field(mats, "hstack"), np.hstack([m.data for m in mats]))
+    return Matrix._of(_one_field(mats, "hstack"), np.concatenate([m.data for m in mats], axis=1))
 
 
 def vstack(mats: list[Matrix]) -> Matrix:
-    return Matrix._of(_one_field(mats, "vstack"), np.vstack([m.data for m in mats]))
+    return Matrix._of(_one_field(mats, "vstack"), np.concatenate([m.data for m in mats], axis=0))
 
 
 def block_diag(mats: list[Matrix], field: Optional[FieldSpec] = None) -> Matrix:
@@ -739,10 +740,11 @@ def extend_basis(S: Matrix, ambient_dim: int) -> tuple[Matrix, Matrix, Matrix]:
     if S.rows != ambient_dim:
         raise ShapeMismatchError(f"S has {S.rows} rows, ambient dim {ambient_dim}")
     k = S.cols
-    R, pivots = rref(hstack([S, Matrix.identity(S.field, ambient_dim)]))
+    ident = Matrix.identity(S.field, ambient_dim)
+    R, pivots = rref(hstack([S, ident]))
     if pivots[:k] != list(range(k)):
         raise ValueError("complement: input columns are dependent")
-    E = Matrix.identity(S.field, ambient_dim).take_cols(c - k for c in pivots[k:])
+    E = ident.take_cols(c - k for c in pivots[k:])
     X = R.data[:, k:]
     return E, Matrix._of(S.field, X[:k]), Matrix._of(S.field, X[k:])
 

@@ -84,13 +84,15 @@ class TailDescriptor:
     cokernel has dimension at most c, forever.
     ``unbounded``: the relevant dimensions grow beyond every bound.
     ``unspecified``: no claim.
-    Only the two bounded kinds take a bound.
+    Only the two bounded kinds take a bound, a plain int.
     """
 
     kind: str = "unspecified"
     bound: Optional[int] = None
 
     def __post_init__(self):
+        if self.bound is not None and type(self.bound) is not int:
+            raise ValueError(f"bound {self.bound!r} is not an int")
         if self.bound is not None and self.bound < 0:
             raise ValueError(f"negative bound {self.bound}")
         if self.kind not in TAIL_KINDS:
@@ -250,6 +252,9 @@ class TateObj:
     dLattice: IndTower
 
     def __post_init__(self):
+        for name, lattice, kind in (("c", self.cLattice, Tower), ("d", self.dLattice, IndTower)):
+            if not isinstance(lattice, kind):
+                raise TypeError(f"{name}-lattice: expected {kind.__name__}, got {type(lattice).__name__}")
         c, d = self.cLattice.field, self.dLattice.field
         if c != d:
             raise FieldMismatchError(f"{d} d-lattice of a {c} c-lattice")
@@ -292,6 +297,8 @@ class _LazyFamily:
     def from_list(cls, field, parts: list[_LazySystem]):
         parts = list(parts)
         for k, part in enumerate(parts, start=1):
+            if not isinstance(part, cls.part_type):
+                raise TypeError(f"{cls.parts_key[:-1]} {k}: expected {cls.part_type.__name__}, got {type(part).__name__}")
             if part.field != field:
                 raise FieldMismatchError(f"{part.field} {cls.parts_key[:-1]} {k} of a {field} family")
         return cls(field, lambda made, n: parts[len(made) : n], len(parts))

@@ -104,6 +104,11 @@ class TestMatrixBasics:
             m.data[0, 0] = 0
         with pytest.raises(AttributeError):
             m.field = GF3
+        with pytest.raises(AttributeError):
+            m.data = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(AttributeError):
+            del m.data
+        assert m.data.tolist() == [[1, 0], [0, 1]]
 
     def test_matmul_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
@@ -784,6 +789,24 @@ class TestMatrixStack:
         entries = np.concatenate([B.reshape(-1) for B in S.blocks()])
         flat = MatrixStack.from_entries(GF65521, S.rows, S.cols, entries)
         assert [B.tolist() for B in flat.blocks()] == [B.tolist() for B in S.blocks()]
+
+    def test_parts_and_views_stay_read_only(self, layout):
+        rng = np.random.default_rng(11)
+        r, k, c = (_sizes(rng, (3, 4)) for _ in range(3))
+        S = _stack(GF65521, _table(rng, GF65521, r, k), layout)
+        entries = np.concatenate([B.reshape(-1) for B in S.blocks()])
+        made = {
+            "of": S,
+            "from_entries": MatrixStack.from_entries(GF65521, S.rows, S.cols, entries),
+            "index": S[1:, ::2],
+            "T": S.T,
+            "matmul": S @ _stack(GF65521, _table(rng, GF65521, k, c), layout),
+        }
+        for name, X in made.items():
+            views = list(X.parts) + [A.data for row in X.matrices() for A in row]
+            assert not any(V.flags.writeable for V in views), name
+            with pytest.raises(ValueError):
+                X.parts[0][...] = 0
 
 
 class TestPadBuckets:

@@ -21,6 +21,7 @@ from tatevec.spaces import (
     FinVect,
     IndLCObj,
     ProDiscObj,
+    TailDescriptor,
     TateObj,
     Tower,
     constant_tower,
@@ -173,6 +174,32 @@ REJECTED = [
         lambda: iso_certificate(laurent_tate(GF2), laurent_tate(GF2), 2),
         TypeError,
         r"^iso certificates apply to Tower or IndTower presentations$",
+    ),
+    ("tail-bound-float", lambda: TailDescriptor("bounded-ker", 1.5), ValueError, r"^bound 1\.5 is not an int$"),
+    ("tail-bound-bool", lambda: TailDescriptor("bounded-coker", True), ValueError, r"^bound True is not an int$"),
+    (
+        "tate-c-lattice-kind",
+        lambda: TateObj(polynomial_indtower(GF2), power_series_tower(GF2)),
+        TypeError,
+        r"^c-lattice: expected Tower, got IndTower$",
+    ),
+    (
+        "tate-d-lattice-kind",
+        lambda: TateObj(power_series_tower(GF2), power_series_tower(GF2)),
+        TypeError,
+        r"^d-lattice: expected IndTower, got Tower$",
+    ),
+    (
+        "indlc-part-kind",
+        lambda: IndLCObj.from_list(GF2, [polynomial_indtower(GF2)]),
+        TypeError,
+        r"^summand 1: expected Tower, got IndTower$",
+    ),
+    (
+        "prodisc-part-kind",
+        lambda: ProDiscObj.from_list(GF2, [polynomial_indtower(GF2), power_series_tower(GF2)]),
+        TypeError,
+        r"^factor 2: expected IndTower, got Tower$",
     ),
     ("pairing-kind", lambda: PairingFamily("x", []), ValueError, r"^unknown pairing kind 'x'$"),
     ("parse-grid-kind", lambda: parse_grid({"kind": "tower"}), ParseError, r"^\$\.kind: expected 'grid'$"),
