@@ -363,7 +363,7 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     i, j = keep.nonzero()
     Eu[i, j, np.arange(i.size) - (np.cumsum(wu) - wu)[i]] = 1
     aug = np.zeros((cells.size, Ru, 2 * Ru), dtype=np.int64)
-    aug[:, :, :Ru] = _product(surj[u, :Ru], Eu, field.p, Rd)
+    aug[:, :, :Ru] = _product(surj[u, :Ru], Eu, field.p)
     aug[:, :, Ru:] = np.eye(Ru, dtype=np.int64) * (np.arange(Ru) < wu[:, None, None])
     Y, se_pivots = rref_stack(field, aug)
     onto = np.zeros(k, dtype=bool)
@@ -384,7 +384,7 @@ def _eliminate_cells(field, inj: np.ndarray, surj: np.ndarray, d, v, w, composit
     C[at, :Cv, J] += X[at, r, Rd:]
     C_inv = np.zeros((k, Rd, Rd), dtype=np.int64)
     C_inv[:, :, :Cv] = inj
-    C_inv += _product(Eu, Y[:, :, Ru:], field.p, Ru) @ P.transpose(0, 2, 1)
+    C_inv += _product(Eu, Y[:, :, Ru:], field.p) @ P.transpose(0, 2, 1)
     return injective, onto, (C, C_inv)
 
 
@@ -479,15 +479,14 @@ def validate_grid(G: BidirectedGrid, W: SESWitness) -> GridReport:
 # ---------------------------------------------------------------------------
 
 
-def _correct(field, C: np.ndarray, C_inv: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _correct(p: int, C: np.ndarray, C_inv: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cells' changes of basis after their graph corrections I + X, as
     zero-padded (..., R, R) arrays, one cell or a stack of them alike.  X
     is reduced mod p and zero outside each cell's block at its top v rows
     and its columns from v on, so X^2 = 0: (I + X) C adds X times C's
     bottom rows to its top v rows, and C^-1 (I - X), the new inverse,
     subtracts C^-1's left v columns times X from its right columns."""
-    p, R = field.p, X.shape[-1]
-    return (C + _product(X, C, p, R)) % p, (C_inv - _product(C_inv, X, p, R)) % p
+    return (C + _product(X, C, p)) % p, (C_inv - _product(C_inv, X, p)) % p
 
 
 def _upper_right(R: int, v: np.ndarray) -> np.ndarray:
@@ -545,10 +544,10 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
     for c in range(G.n - 1):
         (d0, d1), (v0, v1) = dims[0][c : c + 2], v[c : c + 2]
         cell, cell_inv = corner(C, 0, c + 1), corner(C_inv, 0, c + 1)
-        tau = _product(_product(cell[:v1], right[c], p, d1), corner(C_inv, 0, c)[:, v0:], p, d0)
+        tau = _product(_product(cell[:v1], right[c], p), corner(C_inv, 0, c)[:, v0:], p)
         X = np.zeros((d1, d1), dtype=np.int64)
         X[:v1, v1:] = -tau % p
-        cell[...], cell_inv[...] = _correct(field, cell, cell_inv, X)
+        cell[...], cell_inv[...] = _correct(p, cell, cell_inv, X)
 
     # remaining rows: absorb the up-map off-diagonal blocks, one step per
     # row; X is C_r up_r C_{r+1}^-1 at rows below v_c and columns from v_c
@@ -558,8 +557,8 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
         R = T.shape[-1]
         up, mask = G.up_stack._take(R, R), _upper_right(R, V)
         for r in range(G.m - 1):
-            X = _product(_product(T[r], up[r], p, R), T_inv[r + 1], p, R) * mask
-            T[r + 1], T_inv[r + 1] = _correct(field, T[r + 1], T_inv[r + 1], X)
+            X = _product(_product(T[r], up[r], p), T_inv[r + 1], p) * mask
+            T[r + 1], T_inv[r + 1] = _correct(p, T[r + 1], T_inv[r + 1], X)
     else:  # one step per part that the row's cells lie in
         part, slot = B.part, B.slot
         for r in range(G.m - 1):
@@ -568,8 +567,8 @@ def split_grid(G: BidirectedGrid, W: SESWitness) -> SplitGrid:
                 s, R, K = slot[r + 1, cols], C[j].shape[-1], int(D[r, cols].max())
                 top = _gather(C, part[r, cols], slot[r, cols], R, K)
                 up = G.up_stack._take(K, R, r * G.n + cols)
-                X = _product(_product(top, up, p, K), C_inv[j][s], p, R) * _upper_right(R, V[cols])
-                C[j][s], C_inv[j][s] = _correct(field, C[j][s], C_inv[j][s], X)
+                X = _product(_product(top, up, p), C_inv[j][s], p) * _upper_right(R, V[cols])
+                C[j][s], C_inv[j][s] = _correct(p, C[j][s], C_inv[j][s], X)
 
     done = (MatrixStack(field, D, D, tuple(parts), B.part, B.slot) for parts in (C, C_inv))
     return check_split(G, W, *done)
@@ -672,7 +671,7 @@ def grid_decomposition(S: SplitGrid) -> GridDecomposition:
         K = kernel_basis(f).data
         opens[r, v_n:, : K.shape[1]] = K
         k.append(K.shape[1])
-    opens_grid = _product(S.inverse_stack[-1, -1].blocks()[0][:, v_n:], opens[:, v_n:], p, w_m)
+    opens_grid = _product(S.inverse_stack[-1, -1].blocks()[0][:, v_n:], opens[:, v_n:], p)
 
     def views(stack, rows, cols):
         return tuple(Matrix._of(field, stack[r, : rows[r], : cols[r]]) for r in range(m))

@@ -131,6 +131,9 @@ class Matrix:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):  # copies and pickles rebuild through the constructor, read-only
+        return Matrix, (self.field, self.data)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -194,7 +197,7 @@ class Matrix:
         self._check_field(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"{self.shape} @ {other.shape}")
-        return Matrix._of(self.field, _product(self.data, other.data, self.field.p, self.cols))
+        return Matrix._of(self.field, _product(self.data, other.data, self.field.p))
 
     def _entrywise(self, other: "Matrix", op, sign: str) -> "Matrix":
         self._check_field(other)
@@ -262,12 +265,12 @@ def pad_buckets(*sizes: np.ndarray) -> list[tuple[Optional[np.ndarray], tuple[in
     return [(at, tuple(int(s[at].max()) for s in sizes)) for at in buckets]
 
 
-def _product(a: np.ndarray, b: np.ndarray, p: int, widest: int) -> np.ndarray:
-    """a @ b mod p for int64 matrices or padded stacks of them whose widest
-    inner dimension is `widest`."""
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 matrices or padded stacks of them."""
     # an inner dimension k with k (p-1)^2 >= 2^63 could overflow the int64
-    # dot product, and Python ints cannot
-    if widest * (p - 1) ** 2 >= _INT64_LIMIT:
+    # dot product, and Python ints cannot; a's last axis, padding included,
+    # bounds every inner dimension
+    if a.shape[-1] * (p - 1) ** 2 >= _INT64_LIMIT:
         a, b = a.astype(object), b.astype(object)
     return ((a @ b) % p).astype(np.int64, copy=False)
 
@@ -317,6 +320,9 @@ class MatrixStack:
             P.setflags(write=False)
         self.field, self.rows, self.cols = field, rows, cols
         self.parts, self.part, self.slot = parts, part, slot
+
+    def __reduce__(self):  # copies and pickles rebuild through the constructor, read-only
+        return MatrixStack, (self.field, self.rows, self.cols, self.parts, self.part, self.slot)
 
     @classmethod
     def dense(cls, field: FieldSpec, data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> "MatrixStack":
@@ -432,23 +438,18 @@ class MatrixStack:
         """Every product self[i] @ other[i], the tables broadcast.  Each pair
         must be composable: where one matrix of a pair is padded past the
         inner size of the other, its padding is zero and is dropped."""
-        p = self.field.p
-        rows, cols = self.rows, other.cols
+        p, rows, cols = self.field.p, self.rows, other.cols
         if rows.shape != cols.shape:
             rows, cols = np.broadcast_arrays(rows, cols)
         (R, K), (K2, C) = self._bound(), other._bound()
         K = min(K, K2)
         if _fits(rows.size, (R, K, C)):
-            # the padding K bounds every inner dimension; only past the
-            # overflow bound is the widest one needed
-            wide = K * (p - 1) ** 2 >= _INT64_LIMIT
-            widest = int(np.minimum(self.cols, other.rows).max(initial=0)) if wide else K
-            return MatrixStack.dense(self.field, _product(self._take(R, K), other._take(K, C), p, widest), rows, cols)
+            return MatrixStack.dense(self.field, _product(self._take(R, K), other._take(K, C), p), rows, cols)
         inner = np.broadcast_to(np.minimum(self.cols, other.rows), rows.shape)
 
         def fill(at, tops):
             R, K, C = tops  # K is the widest inner dimension of the bucket
-            return _product(self._take(R, K, at, rows.shape), other._take(K, C, at, rows.shape), p, K)
+            return _product(self._take(R, K, at, rows.shape), other._take(K, C, at, rows.shape), p)
 
         return MatrixStack._build(self.field, rows, cols, pad_buckets(rows, inner, cols), fill)
 
@@ -779,14 +780,9 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
 
 
 def inverse(M: Matrix) -> Optional[Matrix]:
-    """Exact inverse, the right block of rref([M | I]); None if singular."""
-    if M.rows != M.cols:
-        return None
-    n = M.rows
-    R, pivots = rref(hstack([M, Matrix.identity(M.field, n)]))
-    if pivots[:n] != list(range(n)):
-        return None
-    return Matrix._of(M.field, R.data[:, n:])
+    """Exact inverse, the X with MX = I; None if M is not square or is
+    singular, when I leaves its column span."""
+    return _solve(M, Matrix.identity(M.field, M.rows))[1] if M.rows == M.cols else None
 
 
 def is_invertible(M: Matrix) -> bool:
@@ -800,11 +796,8 @@ def is_invertible(M: Matrix) -> bool:
 
 def span_contains(S: Matrix, V: Matrix) -> bool:
     """True iff every column of V lies in the column span of S, i.e. iff
-    rref([S | V]) has no pivot in the V block."""
-    if V.cols == 0:
-        return True
-    _, pivots = rref(hstack([S, V]))
-    return not pivots or pivots[-1] < S.cols
+    SX = V has a solution."""
+    return V.cols == 0 or _solve(S, V)[1] is not None
 
 
 def spans_equal(S: Matrix, T: Matrix) -> bool:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -185,6 +187,19 @@ class TestSplitGrid:
 
         got = S.basis[0][1] @ G.right[0][0] @ inverse(S.basis[0][0])
         assert got == inc
+
+    @pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_and_pickles_are_equal_and_read_only(self, dup):
+        planted = rand_grid(np.random.default_rng(7), GF5, m=2, n=3)
+        S = split_grid(planted.grid, planted.witness)
+        S.basis  # cached views are copied along
+        again = dup(S)
+        assert (again.basis, again.inverse) == (S.basis, S.inverse)
+        assert (again.grid.right, again.witness.inj) == (S.grid.right, S.witness.inj)
+        stacks = (again.basis_stack, again.inverse_stack, again.grid.up_stack, again.witness.surj_stack)
+        assert not any(P.flags.writeable for X in stacks for P in X.parts)
+        assert not any(B.data.flags.writeable for row in again.basis for B in row)
+        check_split(again.grid, again.witness, again.basis, again.inverse)
 
     def test_tampered_inverse_cell_is_named(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -739,6 +741,33 @@ class TestMatrixStack:
         B = _table(rng, GF65521, k[:, :2], _sizes(rng, (3, 2)))
         want = tuple(tuple(a @ b for a, b in zip(ra, rb)) for ra, rb in zip(A.matrices(), B))
         assert (A @ _stack(GF65521, B)).matrices() == want
+
+    def test_products_exact_past_int64_accumulation(self):
+        # rows 1 on of a table whose row 0 holds 2 x 2 matrices: each inner
+        # dimension is 1, (p-1)^2 fits int64, but the padding is 2 wide and
+        # 2 (p-1)^2 does not
+        p = LARGEST_PRIME
+        field = FieldSpec(p)
+        rng = np.random.default_rng(13)
+        table = [[Matrix(field, np.full((2, 2), p - 1))] * 3]
+        table += [[Matrix(field, [[x]]) for x in row] for row in ([p - 1, p - 2, 1], rng.integers(0, p, 3).tolist())]
+        S = _stack(field, table)
+        assert S[1:]._bound() == (2, 2)
+        for T, rows in ((S, table), (S[1:], table[1:])):
+            assert (T @ T).matrices() == tuple(tuple(a @ a for a in row) for row in rows)
+        assert table[1][0] @ table[1][0] == Matrix(field, [[1]])
+
+    @pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_and_pickles_are_equal_and_read_only(self, layout, dup):
+        rng = np.random.default_rng(14)
+        r, c = _sizes(rng, (3, 4)), _sizes(rng, (3, 4))
+        S = _stack(GF65521, _table(rng, GF65521, r, c), layout)
+        A = S.matrices()[2][3]
+        assert dup(A) == A and not dup(A).data.flags.writeable
+        again = dup(S)
+        assert again.field == S.field and again.matrices() == S.matrices()
+        assert (again.slot is None) == (layout == "one part")
+        assert not any(P.flags.writeable for P in again.parts)
 
     def test_differs(self, layout):
         rng = np.random.default_rng(8)

@@ -4,11 +4,15 @@ private module-level helper is used somewhere in the package.
 An AST scan of each `tatevec` module except the package `__init__`, which
 re-exports what it imports.  A name counts as used when it is read
 anywhere in the module, as a bare name or as the root of an attribute
-chain, in code or in a string annotation.
+chain, in code or in a string annotation.  A last test checks that a fresh
+`import tatevec` loads only the library's core modules.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +106,15 @@ def test_one_json_writer():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert callers == ["serialize.dumps"]
+
+
+def test_import_tatevec_stays_lean():
+    # a fresh `import tatevec` loads the modules the package re-exports
+    # from, and neither the document, command-line, suite and generator
+    # modules nor numpy.ma: each fresh interpreter that imports the
+    # library pays their import and compile time
+    code = "import sys, tatevec; print(sorted(m for m in sys.modules if m.startswith('tatevec')), 'numpy.ma' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    core = ["bidirected", "duality", "exactla", "spaces", "splitting", "tensor"]
+    assert (run.returncode, run.stdout) == (0, f"{['tatevec'] + [f'tatevec.{m}' for m in core]} False\n")

@@ -14,6 +14,7 @@ from tatevec.exactla import (
     extend_basis,
     intersect_columns,
     solve_linear,
+    span_contains,
 )
 from tatevec.serialize import ParseError, parse_grid, space_tree
 from tatevec.spaces import (
@@ -123,6 +124,12 @@ REJECTED = [
         lambda: intersect_columns(Matrix.zeros(GF2, 2, 1), Matrix.zeros(GF2, 3, 1)),
         ShapeMismatchError,
         r"^intersection in different ambient spaces$",
+    ),
+    (
+        "span-rows",
+        lambda: span_contains(Matrix.zeros(GF2, 2, 1), Matrix.zeros(GF2, 3, 1)),
+        ShapeMismatchError,
+        r"^solve: \(2, 1\) vs rhs \(3, 1\)$",
     ),
     ("ladder-p-i", lambda: lift_splitting(_ladder(p1=M(GF2, [[1, 0]]))), ValueError, r"^row 1: p o i != 0$"),
     (
