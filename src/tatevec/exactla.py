@@ -9,9 +9,9 @@ that repeated runs are byte-identical.
 Every elimination goes through the one `rref` kernel: rank, solve,
 kernel, image, basis completion (with its coordinates), inverse and span
 tests each read what they need from a single echelon form, of M itself or
-of M with a block appended.  Over GF(2) `rref` eliminates on bit-packed
-rows, one Python int per row, with a pivot clearing its column by one XOR
-per row; over GF(p > 2) by int64 rank-1 updates.  Both return the same
+of M with a block appended.  Over GF(2) `rref` eliminates the matrix
+packed into one Python int, a pivot clearing its column in every row by
+one XOR; over GF(p > 2) by int64 rank-1 updates.  Both return the same
 read-only int64 echelon form, so nothing above `rref` depends on p.
 
 Many small independent problems go through stacks instead: a
@@ -540,7 +540,7 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
 
     Columns are scanned left to right; the pivot is the first row at or
     below the current one with a nonzero entry.  Returns (R, pivot_cols).
-    Over GF(2) the rows are eliminated bit-packed (`_rref_gf2`), over
+    Over GF(2) the matrix is eliminated as one packed int (`_rref_gf2`), over
     GF(p > 2) by rank-1 updates in int64 (`_rref_modp`).  The RREF is
     unique, so both give the same R and pivots as any exact elimination.
     """
@@ -639,42 +639,48 @@ def _rref_modp_stack(data: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, li
 
 
 def _rref_gf2(data: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The GF(2) elimination on rows packed into Python ints, column c at
-    bit c (packed by `np.packbits`, unpacked once at the end).
+    """The GF(2) elimination on the whole matrix as one Python int.
 
-    A pivot is found by a bit test and clears its column with one XOR per
-    row that has the bit.  When a column is zero at and below the current
-    row, the scan jumps to the next column that is not, read off the OR of
-    those rows, so every matrix costs O(rank) passes over its rows.
+    Row i sits at bits [i w, (i+1) w), w = 8 ceil(n/8), as `np.packbits` lays
+    rows out, so the matrix packs with one `from_bytes` and unpacks with one
+    `to_bytes`.  With `ones` bit 0 of every row, sel = (A >> c) & ones marks
+    the rows with bit c, and the pivot is the lowest of them at or below row r.
+    XOR with (sel less the pivot's bit) * pivot clears column c in every other
+    row: pivot < 2^w, so the product is one copy of it at each marked row's
+    offset, the copies do not overlap, and nothing carries.  A column zero at
+    and below r is jumped, to the next one read off the OR of those rows
+    folded in halves, so every matrix costs O(rank) whole-matrix steps.
     """
     m, n = data.shape
     nb = (n + 7) // 8
-    b = np.packbits(data.astype(np.uint8), axis=1, bitorder="little").tobytes()
-    rows = [int.from_bytes(b[i * nb : i * nb + nb], "little") for i in range(m)]
+    w = 8 * nb
+    A = int.from_bytes(np.packbits(data.astype(np.uint8), axis=1, bitorder="little").tobytes(), "little")
+    ones = int.from_bytes((b"\1" + bytes(nb))[:nb] * m, "little")
+    row = (1 << w) - 1
     pivots: list[int] = []
     r = c = 0
     while r < m and c < n:
-        bit = 1 << c
-        for i in range(r, m):
-            if rows[i] & bit:
-                break
-        else:
-            rest = 0
-            for x in rows[r:]:
-                rest |= x
+        sel = (A >> c) & ones
+        hits = sel >> (r * w)
+        if not hits:
+            rest, k = A >> (r * w), m - r
+            while k > 1:
+                k = (k + 1) // 2
+                rest = (rest & ((1 << (k * w)) - 1)) | (rest >> (k * w))
             rest >>= c
             if not rest:
                 break
             c += (rest & -rest).bit_length() - 1
             continue
-        pivot = rows[i]
-        rows[i] = rows[r]
-        rows = [x ^ pivot if x & bit else x for x in rows]
-        rows[r] = pivot
+        i = r + ((hits & -hits).bit_length() - 1) // w
+        pivot = (A >> (i * w)) & row
+        A ^= (sel ^ (1 << (i * w))) * pivot
+        if i != r:  # row r lacks bit c, so only the swap is left to do
+            A ^= (pivot ^ ((A >> (r * w)) & row)) * ((1 << (i * w)) | (1 << (r * w)))
         pivots.append(c)
         r += 1
         c += 1
-    packed = np.frombuffer(b"".join([x.to_bytes(nb, "little") for x in rows]), dtype=np.uint8)
+    packed = np.frombuffer(A.to_bytes(m * nb, "little"), dtype=np.uint8)
     R = np.unpackbits(packed.reshape(m, nb), axis=1, count=n, bitorder="little")
     return R.astype(np.int64), pivots
 
@@ -797,7 +803,7 @@ def is_invertible(M: Matrix) -> bool:
 def span_contains(S: Matrix, V: Matrix) -> bool:
     """True iff every column of V lies in the column span of S, i.e. iff
     SX = V has a solution."""
-    return V.cols == 0 or _solve(S, V)[1] is not None
+    return _solve(S, V)[1] is not None
 
 
 def spans_equal(S: Matrix, T: Matrix) -> bool:

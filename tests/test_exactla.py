@@ -565,6 +565,58 @@ class TestPackedGF2:
                     assert R.dtype == np.int64 and R.shape == (m, n)
                     assert np.array_equal(R, want) and pivots == want_pivots
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.integers(0, 140),
+        st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_general_loop_on_any_shape(self, m, n, density, seed):
+        # sparse, empty and full matrices, with some rows and columns zeroed
+        rng = np.random.default_rng(seed)
+        a = (rng.random((m, n)) < density).astype(np.int64)
+        a[rng.random(m) < 0.2] = 0
+        a[:, rng.random(n) < 0.2] = 0
+        R, pivots = exactla._rref_gf2(a)
+        want, want_pivots = exactla._rref_modp(a, GF2)
+        assert R.dtype == np.int64 and np.array_equal(R, want) and pivots == want_pivots
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("m", [2, 9, 33])
+    def test_all_ones_carries_into_no_other_row(self, m, n):
+        # every row is cleared by a full-width copy of the pivot row, so a
+        # carry out of a row's top bit would flip bit 0 of the row above
+        R, pivots = exactla._rref_gf2(np.ones((m, n), dtype=np.int64))
+        assert pivots == [0] and R[0].all() and not R[1:].any()
+
+    @pytest.mark.parametrize("n", [3, 9, 64, 70])
+    def test_anti_diagonal_swaps_at_every_step(self, n):
+        R, pivots = exactla._rref_gf2(np.eye(n, dtype=np.int64)[::-1])
+        assert pivots == list(range(n)) and np.array_equal(R, np.eye(n, dtype=np.int64))
+
+    def test_a_column_set_only_above_the_current_row_is_skipped(self):
+        # columns 1-9 have their 1s in row 0 only, so the second pivot is 69
+        a = np.zeros((12, 70), dtype=np.int64)
+        a[0, :10] = 1
+        a[1, 69] = a[5, 69] = a[5, 3] = 1
+        R, pivots = exactla._rref_gf2(a)
+        want, want_pivots = exactla._rref_modp(a, GF2)
+        assert pivots == want_pivots == [0, 3, 69] and np.array_equal(R, want)
+
+    def test_jump_from_the_first_to_the_last_of_200_columns(self):
+        a = np.zeros((12, 200), dtype=np.int64)
+        a[3, 0] = a[5, 199] = a[7, 0] = a[7, 199] = 1
+        R, pivots = exactla._rref_gf2(a)
+        want = np.zeros_like(a)
+        want[0, 0] = want[1, 199] = 1
+        assert pivots == [0, 199] and np.array_equal(R, want)
+
+    def test_stack_padded_past_64_columns(self):
+        rng = np.random.default_rng(64)
+        shapes = [(5, 70), (9, 65), (3, 130), (0, 80), (12, 20), (12, 140), (7, 0)]
+        _check_stack(GF2, [A for m, n in shapes for A in _matrices_of_shape(GF2, m, n, rng)], 12, 140)
+
     @pytest.mark.parametrize("seed", [1, 4])
     def test_golden_outputs_never_reach_the_general_loop(self, monkeypatch, tmp_path, capsys, seed):
         from test_golden import GOLDEN, _digests, _outputs, _stdout
@@ -882,33 +934,34 @@ def _matrices_of_shape(field, m, n, rng):
     yield Matrix(field, rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.25))
 
 
+def _check_stack(field, mats, R, C):
+    """rref_stack of mats zero-padded to R x C against rref of each."""
+    data = np.zeros((len(mats), R, C), dtype=np.int64)
+    for i, A in enumerate(mats):
+        data[i, : A.rows, : A.cols] = A.data
+    E, pivots = rref_stack(field, data)
+    assert E.shape == data.shape and E.dtype == np.int64 and len(pivots) == len(mats)
+    for i, A in enumerate(mats):
+        want, want_pivots = rref(A)
+        assert np.array_equal(E[i, : A.rows, : A.cols], want.data)
+        assert not E[i, A.rows :].any() and not E[i, :, A.cols :].any()
+        assert pivots[i] == want_pivots
+    return E, pivots
+
+
 @pytest.mark.parametrize("p", STACK_PRIMES)
 class TestRrefStack:
-    def _check(self, field, mats, R, C):
-        """rref_stack of mats zero-padded to R x C against rref of each."""
-        data = np.zeros((len(mats), R, C), dtype=np.int64)
-        for i, A in enumerate(mats):
-            data[i, : A.rows, : A.cols] = A.data
-        E, pivots = rref_stack(field, data)
-        assert E.shape == data.shape and E.dtype == np.int64 and len(pivots) == len(mats)
-        for i, A in enumerate(mats):
-            want, want_pivots = rref(A)
-            assert np.array_equal(E[i, : A.rows, : A.cols], want.data)
-            assert not E[i, A.rows :].any() and not E[i, :, A.cols :].any()
-            assert pivots[i] == want_pivots
-        return E, pivots
-
     def test_like_shapes(self, p):
         field = FieldSpec(p)
         for m, n in [(1, 1), (3, 5), (5, 3), (4, 4)]:
-            self._check(field, list(_matrices_of_shape(field, m, n, np.random.default_rng(p + m))), m, n)
+            _check_stack(field, list(_matrices_of_shape(field, m, n, np.random.default_rng(p + m))), m, n)
 
     def test_padded_at_the_bottom_and_the_right(self, p):
         field = FieldSpec(p)
         rng = np.random.default_rng(p)
         shapes = [(1, 4), (3, 2), (0, 3), (4, 0), (2, 6), (5, 5)]
         mats = [A for m, n in shapes for A in _matrices_of_shape(field, m, n, rng)]
-        self._check(field, mats, 6, 7)
+        _check_stack(field, mats, 6, 7)
 
     @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)])
     def test_empty(self, p, shape):
@@ -918,7 +971,7 @@ class TestRrefStack:
 
     def test_all_zero(self, p):
         field = FieldSpec(p)
-        _, pivots = self._check(field, [Matrix.zeros(field, 3, 5)] * 4, 3, 5)
+        _, pivots = _check_stack(field, [Matrix.zeros(field, 3, 5)] * 4, 3, 5)
         assert pivots == [[]] * 4
 
     def test_every_rank_below_the_smaller_side(self, p):
@@ -927,6 +980,6 @@ class TestRrefStack:
         rng = np.random.default_rng(p + 1)
         mats = [_low_rank(field, rng, 4, k, 6) for k in (0, 1, 2, 3, 3, 2)]
         mats.append(Matrix(field, np.vstack([rng.integers(0, p, size=(2, 6)), np.zeros((2, 6), dtype=np.int64)])))
-        _, pivots = self._check(field, mats, 4, 6)
+        _, pivots = _check_stack(field, mats, 4, 6)
         assert max(len(piv) for piv in pivots) < 4
 

@@ -131,6 +131,18 @@ REJECTED = [
         ShapeMismatchError,
         r"^solve: \(2, 1\) vs rhs \(3, 1\)$",
     ),
+    (
+        "span-empty-rows",
+        lambda: span_contains(Matrix.zeros(GF2, 2, 1), Matrix.zeros(GF2, 3, 0)),
+        ShapeMismatchError,
+        r"^solve: \(2, 1\) vs rhs \(3, 0\)$",
+    ),
+    (
+        "span-empty-field",
+        lambda: span_contains(Matrix.zeros(GF2, 2, 1), Matrix.zeros(GF5, 2, 0)),
+        FieldMismatchError,
+        r"^GF\(2\) vs GF\(5\)$",
+    ),
     ("ladder-p-i", lambda: lift_splitting(_ladder(p1=M(GF2, [[1, 0]]))), ValueError, r"^row 1: p o i != 0$"),
     (
         "ladder-not-exact",
