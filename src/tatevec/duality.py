@@ -195,15 +195,15 @@ def extend_functional(B: FilteredSpace, A: Matrix, f: Matrix, k: int) -> Matrix:
         raise ValueError("continuity witness index out of range")
 
     # f kills A meet U_k, the kernel of the level's acoord, exactly when it
-    # factors through acoord; the extension is f on the image of A in B/U_k,
-    # 0 on its complement E, pulled back along qcoord
+    # factors through acoord; the extension is f on the image of A modulo
+    # U_k and 0 on its complement E
     lvl = quotient_level(n, A, B.flags[k - 1])
     fR = f @ lvl.R
     if fR @ lvl.acoord != f:
         raise ValueError("continuity witness fails: f does not kill A meet U_k")
-    # g A = fR incl_coords incl acoord = fR acoord = f (qcoord A = incl acoord
-    # and incl_coords incl = I), and g U_k = 0 since qcoord U_k = 0
-    return fR @ lvl.incl_coords @ lvl.qcoord
+    # g A = fR acoord = f, since incl_coords A = acoord (the rows' A block),
+    # and g U_k = 0 since incl_coords kills U_k
+    return fR @ lvl.incl_coords
 
 
 # ---------------------------------------------------------------------------

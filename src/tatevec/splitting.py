@@ -2,18 +2,16 @@
 
 A short exact sequence 0 -> A -> B -> B/A -> 0 of filtered spaces is split
 level by level along the flag chain.  `quotient_level` presents the
-discrete quotients at one flag U (B/U, A/(A meet U) and B/(A + U)) from
-two eliminations: a basis completion of U (none at the zero flag, where
-B/U = B) and one rref of [qcoord A | I] in B/U coordinates, whose left
-block is rref(qcoord A) (its kernel is A meet U) and whose identity block
-completes A's image in B/U.  Each level inherits a splitting from the
-previous one through the one lifting step, `_lift`, that `lift_splitting`
-shares: a correction theta factors what the previous retraction sees of
-the complement through the surjection f: A/(A meet U_{k+1}) ->
-A/(A meet U_k), and the complement is replaced by the graph of -theta.
-The last flag being zero makes the assembled retraction live on the whole
-space.  `extend_functional` in `duality` reads the Hahn-Banach extension
-off the same quotient level.
+discrete quotients at one flag U (B/U, A/(A meet U) and B/(A + U)) in B
+coordinates, read off one rref of [U | A | I] (the proof is in
+`QuotientLevel`).  Each level inherits a splitting from the previous one
+through the one lifting step, `_lift`, that `lift_splitting` shares: a
+correction theta factors what the previous retraction sees of the
+complement through the surjection f: A/(A meet U_{k+1}) -> A/(A meet U_k),
+and the complement is replaced by the graph of -theta.  The last flag
+being zero makes the assembled retraction live on the whole space.
+`extend_functional` in `duality` reads the Hahn-Banach extension off the
+same quotient level.
 
 Along the flags theta needs no elimination.  The flags are nested, so a
 column of A independent modulo U_k stays independent modulo
@@ -22,21 +20,26 @@ k + 1.  f = acoord_k R_{k+1} is then acoord_k's columns at level k + 1's
 pivots, already reduced, and so is [f | alpha]; the canonical solution of
 f theta = alpha is alpha placed at the rows where level k's pivots sit
 among level k + 1's, zero elsewhere.  `lift_splitting` solves for theta,
-since a ladder's f is arbitrary.
+since a ladder's f is arbitrary.  The induction is that on the quotients
+B/U_k composed with their coordinates qcoord_k: pi: B -> A/(A meet U_k)
+kills U_k, alpha = pi E is a column take, and the lift reads
+incl_coords, proj and incl = A R in B coordinates.  At the zero flag
+qcoord = I, so pi, s and the cokernel basis are those of the quotients.
 
 All choices of complements use the greedy standard-vector rule, so the
 output is reproducible.  The lifting step makes the splitting identities
 hold by construction; flag compatibility is verified, once, before a
 certificate is returned, by one product per flag.  A pi U lies in A, so
-it lies in A meet U exactly when it lies in U, that is when
-qcoord A pi U = 0: [U | Q] is invertible and qcoord is the last row block
-of its inverse.  qcoord A = incl acoord with incl injective, so that is
-acoord pi U = 0.  `lift_splitting` lifts a splitting along an explicit
-`SESLadder`, whose rank conditions its own eliminations decide.
+it lies in A meet U exactly when it lies in U, that is when the rows Z of
+rref([U | A | I]) below U's pivots kill it, as they span ann U.  Z A is
+[acoord; 0], so that is acoord pi U = 0.  `lift_splitting` lifts a
+splitting along an explicit `SESLadder`, whose rank conditions its own
+eliminations decide.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,61 +151,52 @@ class SplitCertificate:
 
 @dataclass(frozen=True)
 class QuotientLevel:
-    """The discrete quotients at one flag U, read from two eliminations.
+    """The discrete quotients at one flag U, in B coordinates, from one rref.
 
-    Q and qcoord present B/U; M = qcoord A has A meet U as its kernel (in
-    A-coordinates), and its pivot columns present A/(A meet U); E
-    completes the image of A in B/U, so Q E presents B/(A + U).  Every
-    matrix below is exact: qcoord Q = I, acoord R = I, qcoord A = incl
-    acoord, incl_coords incl = I, proj E = I and proj incl = 0.
+    acoord presents A/(A meet U) on A's coordinates, R its unit columns at
+    `pivots`; incl_coords: B -> A/(A meet U) and proj: B -> B/(A + U) kill
+    U, and the unit columns E present B/(A + U).  All exact: acoord R = I,
+    incl_coords A R = I, proj E = I, proj A R = 0 and incl_coords E = 0.
 
-    All but Q and qcoord come from one rref of [M | I_q], q = dim B/U:
-    - its left block is rref(M), which gives acoord, the pivots, R and incl;
-    - the pivots in its identity block are the greedy completion E of
-      incl, because that completion depends only on the span, and
-      span(incl) = span(M);
-    - its right block X is the row operations that take M to rref(M), so
-      X incl and X E are the unit columns at the pivots: X = [incl | E]^-1,
-      with incl_coords the first r rows and proj the rest.
+    They are the rows of rref([U | A | I]) below U's u pivots.  Let qcoord
+    be the rows of rref([U | I]) below its u pivots, in the I block: the
+    RREF basis of ann U, with pivots at the unit columns Q completing U.
+    A row z [U | A | I] with a zero U block has z = y qcoord, so our rows
+    are the RREF of the rows of [qcoord A | qcoord].  Now rref([qcoord A |
+    I_q]) = X [qcoord A | I_q], X = [incl | E_q]^-1 with incl = qcoord A R
+    and E_q the greedy completion of incl; X [qcoord A | qcoord] is in RREF
+    too, each I_q pivot j moved to qcoord's j-th pivot, where qcoord has
+    the unit column e_j.  The RREF is unique, so these are our rows: their
+    A block is rref(qcoord A), whose kernel is A meet U, with `pivots` and
+    top rows acoord; their I block is X qcoord, incl_coords over proj, and
+    its pivots are Q E_q = E.
     """
 
-    qcoord: Matrix  # B -> B/U
-    Q: Matrix  # representatives of B/U in B
     acoord: Matrix  # A-coords -> A/(A meet U)
     R: Matrix  # representatives of A/(A meet U) in A-coords (unit columns)
-    incl: Matrix  # A/(A meet U) -> B/U
-    incl_coords: Matrix  # B/U -> A/(A meet U), zero on E
-    E: Matrix  # representatives of B/(A + U) in B/U
-    proj: Matrix  # B/U -> B/(A + U)
     pivots: tuple[int, ...]  # the columns of A that R picks
+    incl_coords: Matrix  # B -> A/(A meet U), zero on U and E
+    proj: Matrix  # B -> B/(A + U)
+    E: Matrix  # representatives of B/(A + U) in B (unit columns)
 
 
 def quotient_level(n: int, A: Matrix, U: Matrix) -> QuotientLevel:
-    """The quotient level of the flag U in B = k^n with subspace A.
-
-    A x lies in U exactly when qcoord A x = 0, so rref(qcoord A) has A meet
-    U as its kernel: its pivots pick R as unit columns and the image
-    representatives incl, and its top rows are the coordinates acoord.
-    """
-    field = A.field
-    if U.cols:
-        Q, _, qcoord = extend_basis(U, n)
-        M = qcoord @ A
-    else:  # B/U = B: the completion of nothing is the identity
-        Q = qcoord = Matrix.identity(field, n)
-        M = A
-    a = A.cols
-    I_q = Matrix.identity(field, Q.cols)
-    Rm, piv = rref(hstack([M, I_q]))
-    r = sum(c < a for c in piv)
-    pivots = tuple(piv[:r])
-    R = Matrix.identity(field, a).take_cols(pivots)
-    acoord = Matrix._of(field, Rm.data[:r, :a])
-    incl = M.take_cols(pivots)
-    E = I_q.take_cols(c - a for c in piv[r:])
-    X = Rm.data[:, a:]
+    """The quotient level of the flag U in B = k^n with subspace A, read
+    off rref([U | A | I]); U must have independent columns."""
+    field, u, a, I = A.field, U.cols, A.cols, Matrix.identity(A.field, n)
+    Rm, piv = rref(hstack([U, A, I]))
+    if piv[:u] != list(range(u)):
+        raise ValueError("complement: input columns are dependent")
+    r = bisect_left(piv, u + a) - u  # the pivots rise
+    pivots = tuple(c - u for c in piv[u : u + r])
+    X = Rm.data[u:, u + a :]
     return QuotientLevel(
-        qcoord, Q, acoord, R, incl, Matrix._of(field, X[:r]), E, Matrix._of(field, X[r:]), pivots
+        Matrix._of(field, Rm.data[u : u + r, u : u + a]),
+        Matrix.identity(field, a).take_cols(pivots),
+        pivots,
+        Matrix._of(field, X[:r]),
+        Matrix._of(field, X[r:]),
+        I.take_cols(c - u - a for c in piv[u + r :]),
     )
 
 
@@ -213,37 +207,39 @@ def split_filtered_ses(B: FilteredSpace, A: Matrix, depth: int | None = None) ->
     the flags (each level lifted from the previous one), and since the last
     flag is zero the final level is the assembled retraction pi: B -> A
     with pi(U_k) inside A meet U_k for every k.  `depth` restricts the
-    induction to the first `depth` flags (the terminal zero flag is always
-    appended so the assembled map lives on B).
+    induction to the first `depth` >= 1 flags (the terminal zero flag is
+    always appended so the assembled map lives on B).
     """
     n = B.dim
     if A.rows != n:
         raise ValueError("A must be given by independent columns in B")
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     field = B.field
-    flags = list(B.flags if depth is None else B.flags[:depth])
+    flags = list(B.flags[:depth])
     if flags[-1].cols != 0:
         flags.append(Matrix.zeros(field, n, 0))
 
     levels = [quotient_level(n, A, U) for U in flags]
-    # the terminal zero flag eliminates qcoord A = A itself: its pivots are
-    # all of A's columns exactly when A is independent
+    # the terminal zero flag eliminates [A | I]: its pivots are all of A's
+    # columns exactly when A is independent
     if levels[-1].R.cols != A.cols:
         raise ValueError("A must be given by independent columns in B")
 
     # the first level splits along its greedy complement E; each next level
     # lifts the previous retraction, with theta in closed form (see the
-    # module docstring).  At the terminal zero flag Q = qcoord = I,
-    # R = acoord = I and incl = A, so pi A = I, pi s = 0 and proj s = I hold
-    # by the lifting step; only the flag containments are left to check.
+    # module docstring).  At the terminal zero flag R = acoord = I, so
+    # pi A = I, pi s = 0 and proj s = I hold by the lifting step; only the
+    # flag containments are left to check.
     pi, s = levels[0].incl_coords, levels[0].E
     for prev, cur in zip(levels, levels[1:]):
         at = {c: i for i, c in enumerate(cur.pivots)}
         if not at.keys() >= set(prev.pivots):
             raise AssertionError("internal: pivots of A do not grow along the flags")
-        alpha = pi @ ((prev.qcoord @ cur.Q) @ cur.E)
+        alpha = pi.take_cols(cur.E.data.nonzero()[0])  # E's 1s sit in rising rows
         theta = np.zeros((len(at), alpha.cols), dtype=np.int64)
         theta[[at[c] for c in prev.pivots]] = alpha.data
-        pi, s = _lift(Matrix._of(field, theta), cur.incl, cur.incl_coords, cur.E, cur.proj)
+        pi, s = _lift(Matrix._of(field, theta), A.take_cols(cur.pivots), cur.incl_coords, cur.E, cur.proj)
 
     # A pi U lies in A meet U exactly when acoord pi U = 0 (module docstring)
     flag_ok = tuple((lvl.acoord @ (pi @ U)).is_zero() for U, lvl in zip(flags, levels))

@@ -35,7 +35,7 @@ from tatevec.spaces import (
     power_series_tower,
     tate_from_finvect,
 )
-from tatevec.splitting import SESLadder, lift_splitting
+from tatevec.splitting import SESLadder, lift_splitting, split_filtered_ses
 from tatevec.tensor import embed_tate, hom_via_tensor, index_from_pair, pair_from_index, tensor_systems
 
 GF2 = FieldSpec(2)
@@ -149,6 +149,18 @@ REJECTED = [
         lambda: lift_splitting(_ladder(i2=M(GF2, [[1], [0], [0]]), p2=M(GF2, [[0, 1, 0]]))),
         ValueError,
         r"^row 2: not exact in the middle$",
+    ),
+    (
+        "split-depth-0",
+        lambda: split_filtered_ses(_flagged(), M(GF2, [[1], [1]]), depth=0),
+        ValueError,
+        r"^depth must be at least 1, got 0$",
+    ),
+    (
+        "split-depth-negative",
+        lambda: split_filtered_ses(_flagged(), M(GF2, [[1], [1]]), depth=-1),
+        ValueError,
+        r"^depth must be at least 1, got -1$",
     ),
     ("ladder-right-square", lambda: lift_splitting(_ladder(h=M(GF2, [[0]]))), ValueError, r"^right square does not commute$"),
     ("pair-0", lambda: index_from_pair(0, 1), ValueError, r"^pair entries are 1-based$"),

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,12 +276,9 @@ class TestSplitFilteredSES:
             split_filtered_ses(monomial_space(), A)
 
     def test_rref_calls_per_call(self, monkeypatch):
-        # per level a completion of U (none at the zero flag) and one rref of
-        # [qcoord A | I]; theta and the flag checks are products.  The
-        # terminal level's pivots tell whether A is independent.  With a
-        # completion of A's image per level, a factor_through per lift and a
-        # span_contains per flag it made 5L - 2 calls.  The complement adds
-        # the kernel of pi.
+        # one rref of [U | A | I] per level; theta and the flag checks are
+        # products.  The terminal level's pivots tell whether A is
+        # independent.  The complement adds the kernel of pi.
         count = 0
 
         def counted(X, _real=exactla.rref):
@@ -299,10 +297,10 @@ class TestSplitFilteredSES:
             assert B.flags[-1].cols == 0
             count = 0
             split_filtered_ses(B, A)
-            assert count == 2 * len(B.flags) - 1
+            assert count == len(B.flags)
             count = 0
             topological_complement(B, A)
-            assert count == 2 * len(B.flags)
+            assert count == len(B.flags) + 1
 
     def test_theta_is_the_canonical_factorization(self, monkeypatch):
         # at every lift the closed-form theta equals the canonical solution
@@ -323,7 +321,7 @@ class TestSplitFilteredSES:
             assert len(lifts) == len(levels) - 1
             pi = levels[0].incl_coords
             for prev, cur, (theta, lifted) in zip(levels, levels[1:], lifts):
-                alpha = pi @ ((prev.qcoord @ cur.Q) @ cur.E)
+                alpha = pi @ cur.E
                 assert theta == factor_through(prev.acoord @ cur.R, alpha)
                 nonzero += not theta.is_zero()
                 pi = lifted
@@ -364,11 +362,11 @@ class TestTopologicalComplement:
 
 def reference_instances(seed, count=30):
     """`random_instances`, then (B, A) pairs of rand_filtered_space(24, 8)
-    over GF(2) and GF(5)."""
+    over GF(2), GF(5), GF(65521) and GF(3037000493)."""
     yield from random_instances(seed, count)
     rng = np.random.default_rng(seed)
-    for trial in range(6):
-        field = (GF2, GF5)[trial % 2]
+    for trial in range(8):
+        field = (GF2, GF5, FieldSpec(65521), FieldSpec(3037000493))[trial % 4]
         B = rand_filtered_space(rng, field, 24, 8)
         a = int(rng.integers(0, B.dim + 1))
         A = image_basis(rand_matrix(rng, field, B.dim, a)) if a else Matrix.zeros(field, B.dim, 0)
@@ -376,8 +374,10 @@ def reference_instances(seed, count=30):
 
 
 def ref_quotient_level(n, A, U):
-    """The three-elimination form of `quotient_level`: a completion of U,
-    rref(qcoord A) and a completion of A's image in B/U."""
+    """The three-elimination form of `quotient_level`, in B/U coordinates:
+    a completion Q of U with coordinates qcoord, rref(qcoord A) and a
+    completion E of A's image incl in B/U with coordinates incl_coords and
+    proj."""
     Q, _, qcoord = extend_basis(U, n)
     M = qcoord @ A
     Rm, pivots = rref(M)
@@ -385,7 +385,9 @@ def ref_quotient_level(n, A, U):
     acoord = Matrix(A.field, Rm.data[: len(pivots)])
     incl = M.take_cols(pivots)
     E, incl_coords, proj = extend_basis(incl, Q.cols)
-    return QuotientLevel(qcoord, Q, acoord, R, incl, incl_coords, E, proj, tuple(pivots))
+    return SimpleNamespace(
+        qcoord=qcoord, Q=Q, acoord=acoord, R=R, incl=incl, incl_coords=incl_coords, E=E, proj=proj, pivots=tuple(pivots)
+    )
 
 
 def random_instances(seed, count=30):
@@ -406,39 +408,56 @@ class TestQuotientLevel:
             # every flag (the zero flag included) and the whole space
             for U in B.flags + [Matrix.identity(field, n)]:
                 lvl = quotient_level(n, A, U)
-                r, q = lvl.incl.cols, lvl.Q.cols
-                assert q == n - U.cols
-                assert lvl.qcoord @ lvl.Q == Matrix.identity(field, q)
+                r, AR = lvl.R.cols, A @ lvl.R
+                assert lvl.E.cols == n - U.cols - r
                 assert lvl.acoord @ lvl.R == Matrix.identity(field, r)
-                assert lvl.qcoord @ A == lvl.incl @ lvl.acoord
-                assert lvl.incl_coords @ lvl.incl == Matrix.identity(field, r)
+                assert lvl.incl_coords @ AR == Matrix.identity(field, r)
+                assert lvl.incl_coords @ A == lvl.acoord
                 assert lvl.proj @ lvl.E == Matrix.identity(field, lvl.E.cols)
-                assert (lvl.proj @ lvl.incl).is_zero()
+                assert (lvl.proj @ AR).is_zero()
+                assert (lvl.incl_coords @ lvl.E).is_zero()
+                assert (vstack([lvl.incl_coords, lvl.proj]) @ U).is_zero()
                 # A meet U has dimension a - r: acoord's kernel is the meet
                 assert r == A.cols - intersect_columns(A, U).cols
 
     def test_matches_three_elimination_form(self):
+        # the B-coordinate fields are the B/U ones composed with qcoord
         for B, A, _ in reference_instances(61):
             n = B.dim
             for U in B.flags + [Matrix.identity(B.field, n)]:
                 lvl, ref = quotient_level(n, A, U), ref_quotient_level(n, A, U)
+                assert (lvl.acoord, lvl.R, lvl.pivots) == (ref.acoord, ref.R, ref.pivots)
+                assert lvl.incl_coords == ref.incl_coords @ ref.qcoord
+                assert lvl.proj == ref.proj @ ref.qcoord
+                assert lvl.E == ref.Q @ ref.E
                 for field in dataclasses.fields(QuotientLevel):
-                    got, want = getattr(lvl, field.name), getattr(ref, field.name)
-                    assert got == want, field.name
+                    got = getattr(lvl, field.name)
                     if isinstance(got, Matrix):
                         assert got.data.dtype == np.int64 and not got.data.flags.writeable
 
     def test_edge_levels(self):
         field, n = GF5, 4
         A = M(field, [[1, 0], [2, 1], [0, 3], [0, 0]])
-        whole = quotient_level(n, A, Matrix.identity(field, n))  # B/U = 0
-        assert whole.Q.shape == (4, 0) and whole.incl.shape == (0, 0) and whole.acoord.shape == (0, 2)
-        zero = quotient_level(n, A, Matrix.zeros(field, n, 0))  # B/U = B
-        assert zero.Q == Matrix.identity(field, n) and zero.qcoord == Matrix.identity(field, n)
-        assert zero.incl == A and zero.R == Matrix.identity(field, 2)
         U = M(field, [[0, 0], [0, 0], [1, 0], [0, 1]])
+        for flag in (Matrix.identity(field, n), Matrix.zeros(field, n, 0), U):
+            for sub in (A, Matrix.zeros(field, n, 0)):
+                lvl, ref = quotient_level(n, sub, flag), ref_quotient_level(n, sub, flag)
+                assert lvl.incl_coords == ref.incl_coords @ ref.qcoord
+                assert lvl.proj == ref.proj @ ref.qcoord and lvl.E == ref.Q @ ref.E
+        whole = quotient_level(n, A, Matrix.identity(field, n))  # B/U = 0
+        assert whole.E.shape == (4, 0) and whole.incl_coords.shape == (0, 4) and whole.acoord.shape == (0, 2)
+        assert whole.proj.shape == (0, 4)
+        zero = quotient_level(n, A, Matrix.zeros(field, n, 0))  # B/U = B
+        assert zero.R == Matrix.identity(field, 2) and zero.acoord == Matrix.identity(field, 2)
+        assert vstack([zero.incl_coords, zero.proj]) == inverse(hstack([A, zero.E]))
         empty = quotient_level(n, Matrix.zeros(field, n, 0), U)  # A = 0
-        assert empty.incl.shape == (2, 0) and empty.E == Matrix.identity(field, 2)
+        assert empty.incl_coords.shape == (0, 4) and empty.E == Matrix.identity(field, n).take_cols([0, 1])
+        assert empty.proj == M(field, [[1, 0, 0, 0], [0, 1, 0, 0]])
+
+    def test_rejects_a_dependent_flag(self):
+        U = M(GF2, [[1, 1], [0, 0], [1, 1]])
+        with pytest.raises(ValueError, match="^complement: input columns are dependent$"):
+            quotient_level(3, Matrix.identity(GF2, 3).take_cols([1]), U)
 
 
 def meet_flag_ok(A, pi, U):
@@ -476,8 +495,9 @@ class TestMeetReferences:
     def test_same_booleans_on_arbitrary_retractions(self):
         # not every retraction is flag-compatible: every form of the check
         # must say False on the same flags, the level's products included
-        # (qcoord A pi U = 0, and acoord pi U = 0, which split_filtered_ses
-        # reads since qcoord A = incl acoord with incl injective)
+        # ([incl_coords; proj] A pi U = 0, as those rows span ann U, and
+        # acoord pi U = 0, which split_filtered_ses reads since
+        # [incl_coords; proj] A = [acoord; 0])
         seen = set()
         for B, A, rng in reference_instances(47, count=60):
             pi = random_retraction(rng, A)
@@ -486,7 +506,8 @@ class TestMeetReferences:
                 ok = span_contains(U, A @ (pi @ U))
                 assert ok == meet_flag_ok(A, pi, U) == meet_complement_ok(A, pi, S, U)
                 lvl = quotient_level(B.dim, A, U)
-                assert ok == (lvl.qcoord @ (A @ (pi @ U))).is_zero() == (lvl.acoord @ (pi @ U)).is_zero()
+                ann = vstack([lvl.incl_coords, lvl.proj])
+                assert ok == (ann @ (A @ (pi @ U))).is_zero() == (lvl.acoord @ (pi @ U)).is_zero()
                 seen.add(ok)
         assert seen == {True, False}
 
