@@ -99,6 +99,12 @@ def misshapen_map(dims, right: tuple, up: tuple) -> Optional[tuple[str, str]]:
     return None
 
 
+def _views(stack: str) -> cached_property:
+    """The table of read-only `Matrix` views of the `MatrixStack` held as
+    `stack`, built on first use."""
+    return cached_property(lambda self: getattr(self, stack).matrices())
+
+
 class BidirectedGrid:
     """m x n grid of spaces; right[r][c]: (r,c)->(r,c+1), up[r][c]: (r+1,c)->(r,c).
 
@@ -136,13 +142,8 @@ class BidirectedGrid:
         G._adopt(field, dims, right, up)
         return G
 
-    @cached_property
-    def right(self) -> tuple[tuple[Matrix, ...], ...]:
-        return self.right_stack.matrices()
-
-    @cached_property
-    def up(self) -> tuple[tuple[Matrix, ...], ...]:
-        return self.up_stack.matrices()
+    right = _views("right_stack")
+    up = _views("up_stack")
 
 
 class SESWitness:
@@ -188,21 +189,10 @@ class SESWitness:
         W._adopt(Vdims, Vmaps, Wdims, Wmaps, inj, surj)
         return W
 
-    @cached_property
-    def Vmaps(self) -> tuple[Matrix, ...]:
-        return self.Vmaps_stack.matrices()
-
-    @cached_property
-    def Wmaps(self) -> tuple[Matrix, ...]:
-        return self.Wmaps_stack.matrices()
-
-    @cached_property
-    def inj(self) -> tuple[tuple[Matrix, ...], ...]:
-        return self.inj_stack.matrices()
-
-    @cached_property
-    def surj(self) -> tuple[tuple[Matrix, ...], ...]:
-        return self.surj_stack.matrices()
+    Vmaps = _views("Vmaps_stack")
+    Wmaps = _views("Wmaps_stack")
+    inj = _views("inj_stack")
+    surj = _views("surj_stack")
 
 
 @dataclass(frozen=True)
@@ -244,13 +234,8 @@ class SplitGrid:
     basis_stack: MatrixStack
     inverse_stack: MatrixStack
 
-    @cached_property
-    def basis(self) -> tuple[tuple[Matrix, ...], ...]:
-        return self.basis_stack.matrices()
-
-    @cached_property
-    def inverse(self) -> tuple[tuple[Matrix, ...], ...]:
-        return self.inverse_stack.matrices()
+    basis = _views("basis_stack")
+    inverse = _views("inverse_stack")
 
 
 # ---------------------------------------------------------------------------

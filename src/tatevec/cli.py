@@ -19,7 +19,7 @@ import numpy as np
 from . import bidirected as bd
 from .duality import dual_object
 from .generators import rand_grid, rand_indtower, rand_tate, rand_tower
-from .serialize import ParseError, dumps, grid_tree, parse_field, parse_grid, parse_space, space_tree
+from .serialize import SPACE_KINDS, ParseError, dumps, grid_tree, parse_field, parse_grid, parse_space, space_tree
 from .spaces import IndLCObj, IndTower, ProDiscObj, TateObj, Tower
 from .suites import SUITES
 from .tensor import tensor_bang_tate, tensor_families, tensor_star_tate, tensor_systems
@@ -212,7 +212,7 @@ def cmd_report(args) -> int:
         for v in violations:
             print(f"  - {v}")
         return 0
-    if kind in ("tower", "indtower", "tate", "indlc", "prodisc", "finvect", "builtin"):
+    if kind in SPACE_KINDS:
         obj = parse_space(doc)
         if kind == "finvect":  # a finite-dimensional space has no field
             print(f"finvect presentation of dimension {obj.dim}")
@@ -275,7 +275,3 @@ def main(argv=None) -> int:
     except ParseError as e:
         _emit({"error": e.message, "path": e.path})
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

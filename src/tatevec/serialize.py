@@ -2,7 +2,9 @@
 
 Documents are plain dicts; matrices are {"rows", "cols", "entries"} with
 entries reduced mod p on load, and every top-level document carries its
-field.  Parse errors name the path into the offending document.
+field.  Parse errors name the path into the offending document.  `_matrices`
+is the one reader of matrix documents, `parse_matrix` its one-document case;
+a space document of a kind not in `SPACE_KINDS` is named at its `kind` first.
 
 The builders (`space_tree`, `grid_tree`) return document trees: dicts,
 lists, tuples, strings, ints, booleans and None, with the `Matrix` itself
@@ -99,20 +101,47 @@ def parse_field(doc, path="$") -> FieldSpec:
         raise ParseError(f"{path}.field", str(e))
 
 
-def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
-    rows = _dim(_need(doc, "rows", path), f"{path}.rows")
-    cols = _dim(_need(doc, "cols", path), f"{path}.cols")
-    entries = _list(_need(doc, "entries", path), f"{path}.entries")
-    if set(map(type, entries)) - {int}:  # JSON gives plain ints; name the first other
-        for i, x in enumerate(entries):
-            _int(x, f"{path}.entries[{i}]")
+def _matrices(field, raw: list, path_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shapes and entries of a list of matrix documents, for
+    `MatrixStack.from_entries`: (rows, cols, row-major entries of all of
+    them, reduced mod p).  Each document's structure is checked in order;
+    one that is not plain JSON has its first defect named under `path_of(i)`
+    or, well formed (numpy integers, say), is read as the plain document it
+    stands for.  One `np.array` converts every entry; on one outside int64,
+    the first is named.
+    """
+    shapes, entries = [], []
+    for i, x in enumerate(raw):
+        rows = cols = values = None
+        if type(x) is dict:
+            rows, cols, values = x.get("rows"), x.get("cols"), x.get("entries")
+        plain = type(rows) is int and type(cols) is int and type(values) is list
+        plain = plain and 0 <= rows < _AXIS_LIMIT and 0 <= cols < _AXIS_LIMIT and len(values) == rows * cols
+        plain = plain and not set(map(type, values)) - {int}
+        if not plain:
+            at = path_of(i)
+            rows = _dim(_need(x, "rows", at), f"{at}.rows")
+            cols = _dim(_need(x, "cols", at), f"{at}.cols")
+            values = _list(_need(x, "entries", at), f"{at}.entries")
+            values = [_int(v, f"{at}.entries[{j}]") for j, v in enumerate(values)]
+            if len(values) != rows * cols:
+                raise ParseError(at, f"bad matrix: {rows}x{cols} matrix needs {rows * cols} entries, got {len(values)}")
+            _matrices(field, [{"rows": rows, "cols": cols, "entries": values}], lambda _: at)  # its int64 range
+        shapes.append((rows, cols))
+        entries += values
     try:
-        return Matrix.from_entries(field, rows, cols, entries)
+        flat = np.array(entries, dtype=np.int64)
     except OverflowError:  # numpy's int64 conversion names no entry
-        i = next(i for i, x in enumerate(entries) if not -(2**63) <= x < 2**63)
-        raise ParseError(f"{path}.entries[{i}]", "entry outside the int64 range") from None
-    except ValueError as e:
-        raise ParseError(path, f"bad matrix: {e}")
+        i, j = next((i, j) for i, x in enumerate(raw) for j, v in enumerate(x["entries"]) if not -(2**63) <= v < 2**63)
+        raise ParseError(f"{path_of(i)}.entries[{j}]", "entry outside the int64 range") from None
+    shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
+    return shapes[:, 0], shapes[:, 1], np.mod(flat, field.p)
+
+
+def parse_matrix(field: FieldSpec, doc, path="$") -> Matrix:
+    """The matrix of one document, read by `_matrices`."""
+    (rows,), (cols,), entries = _matrices(field, [doc], lambda _: path)
+    return Matrix._of(field, entries.reshape(rows, cols))
 
 
 # In a tree with no floats the only NaN is a slot written by `dumps`, and the
@@ -247,8 +276,14 @@ def _part(field: FieldSpec, cls: type, doc, path):
     return part
 
 
+# the kinds a space document may have
+SPACE_KINDS = ("finvect", "builtin", "tower", "indtower", "tate", "indlc", "prodisc")
+
+
 def parse_space(doc, path="$"):
     kind = _need(doc, "kind", path)
+    if kind not in SPACE_KINDS:  # named before any other field is read
+        raise ParseError(f"{path}.kind", f"unknown kind {kind!r}")
     if kind == "finvect":
         return FinVect(_dim(_need(doc, "dim", path), f"{path}.dim"))
     if kind == "builtin":
@@ -278,13 +313,11 @@ def parse_space(doc, path="$"):
         c = _part(field, Tower, _need(doc, "c", path), f"{path}.c")
         d = _part(field, IndTower, _need(doc, "d", path), f"{path}.d")
         return TateObj(c, d)
-    if kind in ("indlc", "prodisc"):
-        family = IndLCObj if kind == "indlc" else ProDiscObj
-        key = family.parts_key
-        raw = _list(_need(doc, key, path), f"{path}.{key}")
-        parts = [_part(field, family.part_type, x, f"{path}.{key}[{i}]") for i, x in enumerate(raw)]
-        return family.from_list(field, parts)
-    raise ParseError(f"{path}.kind", f"unknown kind {kind!r}")
+    family = IndLCObj if kind == "indlc" else ProDiscObj
+    key = family.parts_key
+    raw = _list(_need(doc, key, path), f"{path}.{key}")
+    parts = [_part(field, family.part_type, x, f"{path}.{key}[{i}]") for i, x in enumerate(raw)]
+    return family.from_list(field, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -355,37 +388,6 @@ def _table(raw, rows, cols, path, parse):
     return out
 
 
-def _matrices(field, raw: list, path_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shapes and entries of a list of matrix documents, for
-    `MatrixStack.from_entries`: (rows, cols, row-major entries of all of
-    them, reduced mod p).  Each document's structure is checked in order;
-    one that is not plain JSON goes through `parse_matrix`, which names its
-    error at `path_of(i)`.  One `np.array` converts every entry; on one
-    outside int64, `parse_matrix` re-reads the documents and names it.
-    """
-    shapes, entries = [], []
-    for i, x in enumerate(raw):
-        rows = cols = values = None
-        if type(x) is dict:
-            rows, cols, values = x.get("rows"), x.get("cols"), x.get("entries")
-        plain = type(rows) is int and type(cols) is int and type(values) is list
-        plain = plain and 0 <= rows < _AXIS_LIMIT and 0 <= cols < _AXIS_LIMIT and len(values) == rows * cols
-        plain = plain and not set(map(type, values)) - {int}
-        if not plain:
-            M = parse_matrix(field, x, path_of(i))
-            rows, cols, values = M.rows, M.cols, M.data.reshape(-1).tolist()
-        shapes.append((rows, cols))
-        entries += values
-    try:
-        flat = np.array(entries, dtype=np.int64)
-    except OverflowError:
-        for i, x in enumerate(raw):
-            parse_matrix(field, x, path_of(i))
-        raise
-    shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
-    return shapes[:, 0], shapes[:, 1], np.mod(flat, field.p)
-
-
 def _matrix_grid(field, rows, cols, raw, path) -> MatrixStack:
     """The stack of a rows x cols table of matrix documents."""
     flat = [x for row in _table(raw, rows, cols, path, lambda x, p: x) for x in row]
@@ -438,7 +440,7 @@ def parse_grid(doc, path="$"):
         if not isinstance(target, list) or len(target) != 2:
             raise ParseError(f"{pth}.target", "expected [row, column]")
         tr, tc = (_int(x, f"{pth}.target") - 1 for x in target)
-        return PairingEntry((tr, tc), parse_matrix(field, _need(cell, "matrix", pth), pth))
+        return PairingEntry((tr, tc), parse_matrix(field, _need(cell, "matrix", pth), f"{pth}.matrix"))
 
     given = doc.get("pairings")
     if given is not None and not isinstance(given, dict):

@@ -10,7 +10,7 @@ from tatevec import duality, exactla, spaces, suites, tensor
 from tatevec.cli import build_parser, main
 from tatevec.exactla import FieldSpec
 from tatevec.generators import rand_grid, rand_indtower, rand_pairings, rand_tate, rand_tower
-from tatevec.serialize import grid_doc, parse_grid, parse_space, space_doc
+from tatevec.serialize import ParseError, grid_doc, parse_grid, parse_matrix, parse_space, space_doc
 
 GF2 = FieldSpec(2)
 
@@ -367,6 +367,11 @@ SHAPE_DEFECTS = [
     ("$.up[1][2].cols", lambda d: d["up"][1][2].update(cols=True)),
     ("$.ses.inj[2][1].entries[0]", lambda d: d["ses"]["inj"][2][1]["entries"].__setitem__(0, 1.7)),
     ("$.pairings.lambda[0][0].target", lambda d: d["pairings"]["lambda"][0][0]["target"].__setitem__(0, 1.0)),
+    # a pairing window's matrix, at the matrix's own path under its cell
+    ("$.pairings.mu[0][0].matrix.rows", lambda d: d["pairings"]["mu"][0][0]["matrix"].pop("rows")),
+    ("$.pairings.mu[0][0].matrix.entries[0]", lambda d: d["pairings"]["mu"][0][0]["matrix"]["entries"].__setitem__(0, True)),
+    ("$.pairings.mu[0][0].matrix", lambda d: d["pairings"]["mu"][0][0].update(matrix=5)),
+    ("$.pairings.mu[0][0].matrix", lambda d: d["pairings"]["mu"][0][0]["matrix"]["entries"].pop()),
     # empty grids and pairings that are not an object
     ("$.m", lambda d: d.update(m=0)),
     ("$.n", lambda d: d.update(n=0)),
@@ -539,6 +544,53 @@ def test_space_defects_are_malformed(tmp_path, capsys, path, doc):
         code, out = run_cli(capsys, *argv, str(doc_path))
         assert code == 2
         assert json.loads(out)["path"] == path
+
+
+_SHORT = {"rows": 2, "cols": 2, "entries": [1, 0, 1]}
+
+# (JSON path of the error, its message, a malformed document): entries that
+# do not fill their matrix, and an unknown kind, which is named before the
+# document's field is read
+PARSER_DEFECTS = [
+    ("$.transitions[0]", "bad matrix: 2x2 matrix needs 4 entries, got 3", _tower(dims=[2, 2], transitions=[_SHORT])),
+    (
+        "$.right[0][0]",
+        "bad matrix: 2x2 matrix needs 4 entries, got 3",
+        {"kind": "grid", "field": 2, "m": 1, "n": 2, "dims": [[2, 2]], "right": [[_SHORT]], "up": []},
+    ),
+    ("$.kind", "unknown kind 'foo'", {"kind": "foo", "field": 2}),
+    ("$.kind", "unknown kind 'foo'", {"kind": "foo"}),
+]
+
+
+@pytest.mark.parametrize("path,message,doc", PARSER_DEFECTS, ids=[json.dumps(d) for _, _, d in PARSER_DEFECTS])
+def test_parser_defects_are_malformed(tmp_path, capsys, path, message, doc):
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(doc))
+    second = ("decompose",) if doc["kind"] == "grid" else ("tensor", "--op", "star", str(doc_path))
+    for argv in (("dual",), second):
+        code, out = run_cli(capsys, *argv, str(doc_path))
+        assert (code, json.loads(out)) == (2, {"error": message, "path": path})
+
+
+@pytest.mark.parametrize(
+    "matrix,suffix",
+    [
+        ({"cols": 1, "entries": [1]}, ".rows"),
+        ({"rows": 1, "cols": 1, "entries": [True]}, ".entries[0]"),
+        ({"rows": 1, "cols": 1, "entries": [0.5]}, ".entries[0]"),
+        (_SHORT, ""),
+        ({"rows": 1, "cols": 1, "entries": [2**63]}, ".entries[0]"),
+    ],
+)
+def test_one_reader_of_matrix_documents(matrix, suffix):
+    # a single document and a tower's transition are read by the same code
+    with pytest.raises(ParseError) as alone:
+        parse_matrix(GF2, matrix, "$.x")
+    with pytest.raises(ParseError) as listed:
+        parse_space(_tower(dims=[1, 1], transitions=[matrix]))
+    assert (alone.value.path, listed.value.path) == (f"$.x{suffix}", f"$.transitions[0]{suffix}")
+    assert alone.value.message == listed.value.message
 
 
 @pytest.mark.parametrize(
@@ -777,7 +829,7 @@ class TestRoundTrip:
 
     def test_numpy_ints_read_like_plain_ints(self):
         # a library caller's numpy ints are no plain JSON: every matrix
-        # document goes through parse_matrix and reads as its plain form
+        # document is diagnosed by _matrices and read as its plain form
         import numpy as np
 
         def as_numpy(tree):

@@ -58,16 +58,21 @@ def test_no_unused_imports(path):
 
 def test_no_unused_private_helpers():
     # a module-level _name function or class must be read somewhere in the
-    # package outside its own definition
+    # package outside its own definition; each module is walked once, and
+    # each top-level statement of a module with helpers once more
     trees = {p: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    used = {p: _used(t) for p, t in trees.items()}
     unused = []
     for path in MODULES:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_"):
-                continue
-            readers = [t for p, t in trees.items() if p != path]
-            readers += [stmt for stmt in trees[path].body if stmt is not node]
-            if not any(node.name in _used(t) for t in readers):
+        body = trees[path].body
+        helpers = [n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name.startswith("_")]
+        if not helpers:
+            continue
+        elsewhere = set().union(*(names for p, names in used.items() if p != path))
+        statements = [(stmt, _used(stmt)) for stmt in body]
+        for node in helpers:
+            readers = [elsewhere] + [names for stmt, names in statements if stmt is not node]
+            if not any(node.name in names for names in readers):
                 unused.append(f"{path.stem}.{node.name} (line {node.lineno})")
     assert unused == []
 

@@ -101,6 +101,12 @@ REJECTED = [
         r"^prefix needs one transition per adjacent level pair$",
     ),
     (
+        "from-entries-count",
+        lambda: Matrix.from_entries(GF2, 2, 2, [1, 0, 1]),
+        ShapeMismatchError,
+        r"^2x2 matrix needs 4 entries, got 3$",
+    ),
+    (
         "stack-ragged",
         lambda: MatrixStack.of(GF2, [[Matrix.identity(GF2, 1)], []], (2, 1)),
         ShapeMismatchError,
